@@ -164,8 +164,16 @@ def weighted_distance(grid: TimeGrid, lam: float, dp, dq=None, dr=None,
     normalization leaves contraction ratios untouched while keeping
     magnitudes comparable to sup-norms even for large lambda * T."""
     n, dt = grid.n, grid.dt
-    w = _trapz_weights(n, dt) * np.exp(lam * grid.times)
-    w = w / np.sum(w)
+    trapz = _trapz_weights(n, dt)
+    with np.errstate(over="ignore"):
+        w = trapz * np.exp(lam * grid.times)
+        total = np.sum(w)
+    if not np.isfinite(total):
+        # e^{lambda T} overflows: the normalization cancels a common
+        # factor, so take e^{-lambda T} into the exponent
+        w = trapz * np.exp(lam * grid.times - lam * grid.horizon)
+        total = np.sum(w)
+    w = w / total
     dp = np.asarray(dp, float)
     if ensemble:
         p2 = np.mean(dp[:, : n + 1] ** 2, axis=0)

@@ -127,7 +127,8 @@ def _closed_form_bits(cfg):
         return (ex34_feedback(params, p0),
                 lambda t, x, y, a: ex34_adjoint(params, t, p0))
     if selector == "example_3_5":
-        p0 = float(p0_cfg) if p0_cfg is not None else ex35_K(params)
+        p0 = (float(p0_cfg) if p0_cfg is not None
+              else ex35_K(params, cfg.get("search")))
         return (ex35_feedback(params, p0),
                 lambda t, x, y, a: ex35_adjoint(params, t, p0))
     raise ConfigError(

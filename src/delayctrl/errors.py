@@ -23,11 +23,15 @@ class NonFiniteState(DelayCtrlError):
     Attributes
     ----------
     step : grid index at which the first non-finite value appeared.
+    block, lane : the first offending path's block and its lane inside
+        that block (None when the failing run has no blocks).
     """
 
-    def __init__(self, message, step=None):
+    def __init__(self, message, step=None, block=None, lane=None):
         super().__init__(message)
         self.step = step
+        self.block = block
+        self.lane = lane
 
 
 class NonFiniteObjective(DelayCtrlError):

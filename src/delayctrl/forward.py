@@ -14,9 +14,19 @@ rule over the current segment up to roundoff.
 
 Randomness is counter-based (Philox).  Paths are organized in blocks of
 ``BLOCK_SIZE`` lanes; block j of seed s uses the generator key
-s * 2^64 + j and always draws full-width variates before slicing, so path
-i is bitwise reproducible regardless of how many paths are requested or
-how blocks are scheduled across workers.
+s * 2^64 + j and always draws full-width variates before slicing.  At each
+step a block draws its normals, then its Poisson counts mark by mark.
+
+The engine steps a contiguous group of up to ``GROUP_BLOCKS`` blocks as
+one lane array: each block draws from its own generator and the draws are
+joined in block order, while the control, the coefficients, the delay ring,
+the moving average and the accumulators run once per step over all of the
+group's lanes.  Every lane-wise operation gives the same value whatever the
+array width, and each lane's initial moving average is the one a full
+block computes, so path i is bitwise reproducible regardless of how many
+paths are requested, how blocks are grouped, or how groups are scheduled
+across workers.  The cap bounds the memory of the delay ring, (m+1) values per
+lane, for long delays.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .errors import BadWindow, NonFiniteState
 from .model import ProblemSpec, TimeGrid
 
 BLOCK_SIZE = 1024
+GROUP_BLOCKS = 8  # blocks stepped together in one loop; bounds ring memory
 _WINDOW_TOL = 1e-12
 
 
@@ -67,16 +78,23 @@ class ControlSpec:
                 u = u + alpha
         return u
 
-    def evaluate(self, spec: ProblemSpec, k: int, t: float, x, y, a):
-        """Clipped control values plus a flag set when clipping occurred."""
+    def evaluate(self, spec: ProblemSpec, k: int, t: float, x, y, a,
+                 starts=None):
+        """Clipped control values plus a flag set when clipping occurred.
+
+        With ``starts``, the first lane of each block of ``x``, the flag is
+        a boolean array holding one entry per block.
+        """
         u = self.raw(k, t, x, y, a)
         if np.ndim(u) == 0:
             u = np.full(np.shape(x), float(u))
         lo, hi = spec.control_lo, spec.control_hi
-        clipped = bool((u < lo).any() or (u > hi).any())
-        if clipped:
+        outside = (u < lo) | (u > hi)
+        if outside.any():
             u = np.clip(u, lo, hi)
-        return u, clipped
+        if starts is None:
+            return u, bool(outside.any())
+        return u, np.logical_or.reduceat(outside, starts)
 
 
 def constant_control(value: float) -> ControlSpec:
@@ -226,14 +244,34 @@ def _prepare_variation(spec: ProblemSpec, beta: ControlSpec) -> dict:
     return {"beta": beta, "partials": partials}
 
 
-def _run_block(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
-               seed: int, block: int, n_lanes: int,
-               accumulators, record: bool, variation: Optional[dict] = None):
-    """Simulate one block of paths; returns (records, extras, clipped)."""
+def _nonfinite(what: str, values, k: int, t: float, first: int):
+    """NonFiniteState naming the first bad lane of a block group by its
+    block and its lane inside that block."""
+    bad = int(np.argmin(np.isfinite(values)))
+    block, lane = first + bad // BLOCK_SIZE, bad % BLOCK_SIZE
+    return NonFiniteState(
+        f"{what} at step {k + 1} (t={t:.6g}, block {block}, lane {lane})",
+        step=k + 1, block=block, lane=lane)
+
+
+def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
+                seed: int, first: int, n_lanes: int,
+                accumulators, record: bool, variation: Optional[dict] = None):
+    """Simulate blocks first, first+1, ... as one array of ``n_lanes``
+    lanes, every block full but the last.
+
+    Each block draws from its own generator exactly what it would draw
+    alone, and the draws are joined in block order; everything else runs
+    once per step over all lanes.  Returns (rec, extras, clipped): ``rec``
+    maps each recorded quantity to its (n_lanes, ...) array (None without
+    ``record``), ``clipped`` holds one flag per block.
+    """
     dt, m, n = grid.dt, grid.m, grid.n
     rho = spec.rho
     nb = n_lanes
-    rng = _block_rng(seed, block)
+    starts = np.arange(0, nb, BLOCK_SIZE)
+    lanes = [slice(s, min(s + BLOCK_SIZE, nb)) for s in starts]
+    rngs = [_block_rng(seed, first + j) for j in range(len(starts))]
     jump = spec.jump
     has_jumps = (jump is not None and spec.coeffs.theta is not None
                  and jump.intensity > 0)
@@ -241,14 +279,18 @@ def _run_block(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         raise NotImplementedError("path simulation requires discrete marks")
     mark_values = jump.marks.values if has_jumps else ()
     mark_probs = jump.marks.probs if has_jumps else None
+    rates = [jump.intensity * pz * dt for pz in mark_probs] if has_jumps else []
 
     hist = spec.validate_segment(grid)  # m+1 values on [-delta, 0]
-    # ring[:, pos] is the newest entry; the oldest sits at (pos+1) mod (m+1)
-    ring = np.tile(hist, (nb, 1))
+    # A_0 as a full block computes it, lane by lane, so a lane's start does
+    # not depend on how many lanes its block holds
+    A = np.tile(segment_average(np.tile(hist, (BLOCK_SIZE, 1)), dt, rho),
+                len(starts))[:nb]
+    # ring[pos] is the newest entry; the oldest sits at (pos+1) mod (m+1)
+    ring = np.repeat(hist[:, None], nb, axis=1)
     pos = m
-    X = ring[:, pos].copy()
-    Y = ring[:, (pos + 1) % (m + 1)].copy()
-    A = segment_average(ring, dt, rho)
+    X = ring[pos].copy()
+    Y = ring[(pos + 1) % (m + 1)].copy()
 
     ed = np.exp(-rho * dt)
     c_drop = 0.5 * dt * np.exp(-rho * (grid.delta + dt))
@@ -260,7 +302,7 @@ def _run_block(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     if var is not None:
         xi = np.zeros(nb)
         xi_lag = np.zeros(nb)
-        xi_ring = np.zeros((nb, m + 1))
+        xi_ring = np.zeros((m + 1, nb))
         Lam = np.zeros(nb)  # moving average of xi, same kernel as A
 
     if record:
@@ -276,13 +318,14 @@ def _run_block(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             rec_xi[:, 0] = 0.0
 
     states = [acc.begin(nb, spec, grid) for acc in accumulators]
-    clipped = False
+    clipped = np.zeros(len(starts), dtype=bool)
     sqdt = np.sqrt(dt)
+    z = np.empty(nb)
 
     for k in range(n):
         t = k * dt
-        u, clip_k = control.evaluate(spec, k, t, X, Y, A)
-        clipped = clipped or clip_k
+        u, clip_k = control.evaluate(spec, k, t, X, Y, A, starts=starts)
+        clipped |= clip_k
         if record:
             rec_u[:, k] = u
 
@@ -292,12 +335,18 @@ def _run_block(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             sval = np.broadcast_to(np.asarray(
                 spec.coeffs.sigma(t, X, Y, A, u), float), X.shape)
 
-        # full-width draws keep the stream independent of lane count
-        z = rng.standard_normal(BLOCK_SIZE)[:nb]
+        # per block: full-width normals, then Poisson counts per mark;
+        # full-width draws keep each stream independent of the lane count
+        counts = (np.empty((nb, len(mark_values)), dtype=np.int64)
+                  if has_jumps else None)
+        for rng, sl in zip(rngs, lanes):
+            w = sl.stop - sl.start
+            z[sl] = rng.standard_normal(BLOCK_SIZE)[:w]
+            for j, lam in enumerate(rates):
+                counts[sl, j] = rng.poisson(lam, BLOCK_SIZE)[:w]
         dB = sqdt * z
 
         drift = bval * dt
-        counts = None
         th = None
         jump_term = 0.0
         if has_jumps:
@@ -307,19 +356,14 @@ def _run_block(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                         spec.coeffs.theta(t, X, Y, A, u, zv), float), X.shape)
                     for zv in mark_values
                 ], axis=0)  # (n_marks, nb)
-            counts = np.empty((nb, len(mark_values)), dtype=np.int64)
-            for j, pz in enumerate(mark_probs):
-                counts[:, j] = rng.poisson(jump.intensity * pz * dt, BLOCK_SIZE)[:nb]
             # compensator: subtract intensity * E[theta] dt from the drift
             drift -= jump.intensity * (mark_probs @ th) * dt
             jump_term = np.einsum("ij,ji->i", counts, th)
 
         X_new = X + drift + sval * dB + jump_term
         if not np.all(np.isfinite(X_new)):
-            bad = int(np.argmin(np.isfinite(X_new)))
-            raise NonFiniteState(
-                f"state became non-finite at step {k + 1} "
-                f"(t={t + dt:.6g}, block {block}, lane {bad})", step=k + 1)
+            raise _nonfinite("state became non-finite", X_new, k, t + dt,
+                             first)
 
         if var is not None:
             P = var["partials"]
@@ -347,14 +391,13 @@ def _run_block(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                         - jump.intensity * (mark_probs @ dth) * dt)
             xi_new = xi + dxi
             if not np.all(np.isfinite(xi_new)):
-                raise NonFiniteState(
-                    f"variational process non-finite at step {k + 1}",
-                    step=k + 1)
+                raise _nonfinite("variational process non-finite", xi_new,
+                                 k, t + dt, first)
 
         pos = (pos + 1) % (m + 1)
         Y_drop = Y  # X_{k-m}, leaving the averaging window
-        ring[:, pos] = X_new
-        Y_new = ring[:, (pos + 1) % (m + 1)].copy()  # X_{k+1-m}
+        ring[pos] = X_new
+        Y_new = ring[(pos + 1) % (m + 1)].copy()  # X_{k+1-m}
         A_new = (ed * A - c_drop * Y_drop - c_edge * Y_new
                  + c_prev * X + c_new * X_new)
 
@@ -364,8 +407,8 @@ def _run_block(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
 
         if var is not None:
             xi_lag_drop = xi_lag
-            xi_ring[:, pos] = xi_new
-            xi_lag_new = xi_ring[:, (pos + 1) % (m + 1)].copy()
+            xi_ring[pos] = xi_new
+            xi_lag_new = xi_ring[(pos + 1) % (m + 1)].copy()
             Lam_new = (ed * Lam - c_drop * xi_lag_drop - c_edge * xi_lag_new
                        + c_prev * xi + c_new * xi_new)
             ctx.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam,
@@ -388,32 +431,37 @@ def _run_block(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 rec_counts[:, k, :] = counts
 
     t_final = n * dt
-    u_final, clip_f = control.evaluate(spec, n, t_final, X, Y, A)
-    clipped = clipped or clip_f
+    u_final, clip_f = control.evaluate(spec, n, t_final, X, Y, A,
+                                       starts=starts)
+    clipped |= clip_f
     ctx_final = {"k": n, "t": t_final, "x": X, "y": Y, "a": A, "u": u_final}
     if var is not None:
         ctx_final.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam})
     extras = [acc.finish(st, ctx_final) for acc, st in zip(accumulators, states)]
 
-    records = None
+    rec = None
     if record:
         rec_u[:, n] = u_final
-        tgrid = grid.times
-        records = [
-            PathRecord(t=tgrid, X=rec_X[i], Y=rec_Y[i], A=rec_A[i],
-                       u=rec_u[i], dB=rec_dB[i],
-                       counts=None if rec_counts is None else rec_counts[i],
-                       xi=None if var is None else rec_xi[i],
-                       clipped=clipped)
-            for i in range(nb)
-        ]
-    return records, extras, clipped
+        rec = {"X": rec_X, "Y": rec_Y, "A": rec_A, "u": rec_u, "dB": rec_dB,
+               "counts": rec_counts, "xi": rec_xi}
+    return rec, extras, clipped
 
 
-def _merge_extras(per_block: list, accumulators) -> list:
+def _path_records(grid: TimeGrid, rec: dict, clipped, lanes) -> list:
+    """PathRecords viewing the given lanes of one block group's arrays."""
+    t, counts, xi = grid.times, rec["counts"], rec["xi"]
+    return [PathRecord(t=t, X=rec["X"][i], Y=rec["Y"][i],
+                       A=rec["A"][i], u=rec["u"][i], dB=rec["dB"][i],
+                       counts=None if counts is None else counts[i],
+                       xi=None if xi is None else xi[i],
+                       clipped=bool(clipped[i // BLOCK_SIZE]))
+            for i in lanes]
+
+
+def _merge_extras(per_group: list, accumulators) -> list:
     merged = []
     for i, _acc in enumerate(accumulators):
-        parts = [blk[i] for blk in per_block]
+        parts = [grp[i] for grp in per_group]
         if parts and isinstance(parts[0], tuple):
             merged.append(tuple(np.concatenate([p[j] for p in parts])
                                 for j in range(len(parts[0]))))
@@ -428,31 +476,37 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                       threads: int = 1) -> EnsembleResult:
     """Simulate ``n_paths`` paths in counter-seeded blocks.
 
-    ``accumulators`` is a sequence of StepAccumulator factories (callables
-    returning a fresh accumulator per block, or plain accumulator
-    instances reused when stateless per block via begin()).  ``beta``
+    ``accumulators`` is a sequence of StepAccumulator instances, shared by
+    all groups; each group keeps its own state from begin().  ``beta``
     switches on the variational process driven by that perturbation.
-    Results are bitwise independent of ``threads``.
+    Blocks are stepped in contiguous groups of up to ``GROUP_BLOCKS``;
+    results are bitwise independent of ``threads`` and of the grouping.
     """
     variation = _prepare_variation(spec, beta) if beta is not None else None
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
+    # contiguous groups of at most GROUP_BLOCKS blocks, enough of them to
+    # give every worker one
+    per_group = min(GROUP_BLOCKS, max(1, -(-n_blocks // max(1, threads))))
+    firsts = range(0, n_blocks, per_group)
 
-    def work(block):
-        lanes = min(BLOCK_SIZE, n_paths - block * BLOCK_SIZE)
-        return _run_block(spec, grid, control, seed, block, lanes,
-                          accumulators, record, variation)
+    def work(first):
+        lanes = min(per_group * BLOCK_SIZE, n_paths - first * BLOCK_SIZE)
+        return _run_blocks(spec, grid, control, seed, first, lanes,
+                           accumulators, record, variation)
 
-    if threads > 1 and n_blocks > 1:
+    if threads > 1 and len(firsts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(n_blocks)))
+            results = list(pool.map(work, firsts))
     else:
-        results = [work(b) for b in range(n_blocks)]
+        results = [work(f) for f in firsts]
 
     records = None
     if record:
-        records = [r for blk_records, _, _ in results for r in blk_records]
-    extras = _merge_extras([blk[1] for blk in results], accumulators)
-    clipped = any(blk[2] for blk in results)
+        records = [r for rec, _, clipped in results
+                   for r in _path_records(grid, rec, clipped,
+                                          range(len(rec["X"])))]
+    extras = _merge_extras([grp[1] for grp in results], accumulators)
+    clipped = any(grp[2].any() for grp in results)
     return EnsembleResult(records=records, extras=extras, clipped=clipped,
                           n_paths=n_paths)
 
@@ -466,9 +520,9 @@ def simulate_path(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     """
     seed, path_index = noise
     block, lane = divmod(int(path_index), BLOCK_SIZE)
-    records, _, _ = _run_block(spec, grid, control, seed, block,
-                               min(BLOCK_SIZE, lane + 1), (), True, None)
-    return records[lane]
+    rec, _, clipped = _run_blocks(spec, grid, control, seed, block,
+                                  lane + 1, (), True, None)
+    return _path_records(grid, rec, clipped, [lane])[0]
 
 
 def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
@@ -548,6 +602,6 @@ def simulate_variational(spec: ProblemSpec, grid: TimeGrid,
     seed, path_index = noise
     block, lane = divmod(int(path_index), BLOCK_SIZE)
     variation = _prepare_variation(spec, beta)
-    records, _, _ = _run_block(spec, grid, control, seed, block,
-                               min(BLOCK_SIZE, lane + 1), (), True, variation)
-    return records[lane].xi
+    rec, _, _ = _run_blocks(spec, grid, control, seed, block, lane + 1, (),
+                            True, variation)
+    return rec["xi"][lane]

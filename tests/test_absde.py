@@ -142,6 +142,15 @@ class TestWeightedDistance:
         d2, _, _ = weighted_distance(grid, lam, scale * dp)
         assert d2 == pytest.approx(scale ** 2 * d1, rel=1e-9)
 
+    def test_unit_increment_past_exp_overflow(self):
+        # lambda T = 1066: e^{lambda T} overflows a double
+        grid = make_grid(1.0, 0.05, 10.0)
+        unit = np.ones((4, grid.n + 1 + grid.m))
+        with np.errstate(invalid="raise"):
+            d, d_p, _ = weighted_distance(grid, 106.6, unit, ensemble=True)
+        assert d == pytest.approx(1.0, abs=1e-12)
+        assert d_p == d
+
     def test_zero_iff_zero(self):
         grid = make_grid(1.0, 0.05, 2.0)
         d, _, _ = weighted_distance(grid, 1.0, np.zeros(grid.n + 1 + grid.m))

@@ -203,6 +203,38 @@ class TestExamples:
         assert payload["K"] > 0
 
 
+    def test_closed_form_uses_the_search_section(self, tmp_path):
+        # without control.p0, adjoint --system second searches K with the
+        # config's search section, exactly as example35 does
+        cfg = {
+            "problem": {
+                "selector": "example_3_5",
+                "params": {"sigma0": 0.0},
+                "delta": 1.0, "rho": 0.1, "lambda_avg": 0.1, "discount": 0.1,
+                "control_bounds": [0.0, 1.0],
+                "initial_segment": {"kind": "constant", "value": 1.0},
+            },
+            "grid": {"dt": 0.05, "horizon": 3.0},
+            "search": {"T_search": 20.0, "dt": 0.1},
+        }
+        path = tmp_path / "cfg35.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "ex35"
+        assert run_cli("example35", "--config", str(path), "--out-dir",
+                       str(out)) == EXIT_OK
+        K = json.loads((out / "example35.json").read_text())["K"]
+        searched = tmp_path / "searched"
+        assert run_cli("adjoint", "--config", str(path), "--out-dir",
+                       str(searched), "--system", "second") == EXIT_OK
+        cfg["control"] = {"kind": "closed_form", "p0": K}
+        path.write_text(json.dumps(cfg))
+        given = tmp_path / "given"
+        assert run_cli("adjoint", "--config", str(path), "--out-dir",
+                       str(given), "--system", "second") == EXIT_OK
+        assert ((searched / "adjoint_second.csv").read_bytes()
+                == (given / "adjoint_second.csv").read_bytes())
+
+
 class TestPicardDiagnostics:
     def test_report(self, cfg_path, tmp_path):
         out = tmp_path / "out"

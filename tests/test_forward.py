@@ -1,14 +1,21 @@
 """Forward SDDE engine: delay bookkeeping, moving average, controls,
 jumps, and reproducibility contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayctrl import make_grid
-from delayctrl.errors import BadWindow, NonFiniteSegment
+from delayctrl.errors import BadWindow, NonFiniteSegment, NonFiniteState
 from delayctrl.forward import (
+    BLOCK_SIZE,
+    GROUP_BLOCKS,
+    StepAccumulator,
+    _prepare_variation,
+    _run_blocks,
     bump_control,
     constant_control,
     feedback_control,
@@ -21,6 +28,8 @@ from delayctrl.forward import (
     table_control,
     update_moving_average,
 )
+from delayctrl.model import CoefficientSet, ProblemSpec
+from delayctrl.objective import RunningRewardAccumulator
 
 from conftest import make_jump_spec
 
@@ -159,6 +168,185 @@ class TestReproducibility:
         assert not np.array_equal(a.dB, b.dB)
 
 
+class _ContextSums(StepAccumulator):
+    """Per-path sum of every per-lane array the engine hands to ``step``,
+    plus the final state: sees each context entry of every lane."""
+
+    KEYS = ("x", "y", "a", "u", "dB", "x1", "y1", "a1", "xi", "xi_lag",
+            "Lam", "beta", "xi1")
+
+    def begin(self, n_lanes, spec, grid):
+        return {"s": np.zeros(n_lanes)}
+
+    def step(self, st, k, ctx):
+        for key in self.KEYS:
+            if key in ctx:
+                st["s"] += ctx[key]
+        if ctx["counts"] is not None:
+            st["s"] += ctx["counts"].sum(axis=1)
+
+    def finish(self, st, ctx):
+        return st["s"].copy(), np.array(ctx["x"], float, copy=True)
+
+
+# two groups, the second ending in a partial block
+GROUP_PATHS = GROUP_BLOCKS * BLOCK_SIZE + 37
+
+
+def _wavy(spec):
+    """The spec with a non-constant initial segment, so that each lane's
+    A_0 comes from a real trapezoid sum."""
+    return dataclasses.replace(spec, initial_segment=lambda s: (
+        1.0 + 0.3 * np.sin(7.0 * np.asarray(s, float))))
+
+
+class TestBlockGroups:
+    """Stepping many blocks in one loop leaves every path bitwise as a
+    single block simulates it."""
+
+    @pytest.fixture(scope="class", params=["plain", "jumps", "variational"])
+    def case(self, request, ex34_spec, ex34_control):
+        # m = 10 on every grid: a delay ring long enough to exercise A_0
+        if request.param == "jumps":
+            spec = _wavy(make_jump_spec(intensity=2.0))
+            return (spec, make_grid(0.5, 0.05, 0.5), constant_control(0.2),
+                    None)
+        grid = make_grid(1.0, 0.1, 1.0)
+        beta = constant_control(1.0) if request.param == "variational" else None
+        return _wavy(ex34_spec), grid, ex34_control, beta
+
+    @staticmethod
+    def _accumulators():
+        return (RunningRewardAccumulator(), _ContextSums())
+
+    def _ensemble(self, case, threads):
+        spec, grid, ctl, beta = case
+        return simulate_ensemble(spec, grid, ctl, GROUP_PATHS, 11,
+                                 accumulators=self._accumulators(),
+                                 record=True, beta=beta, threads=threads)
+
+    @pytest.fixture(scope="class")
+    def ensemble(self, case):
+        return self._ensemble(case, threads=1)
+
+    def test_records_and_extras_equal_block_by_block(self, case, ensemble):
+        spec, grid, ctl, beta = case
+        variation = _prepare_variation(spec, beta) if beta is not None else None
+        n_blocks = -(-GROUP_PATHS // BLOCK_SIZE)
+        parts = []
+        for b in range(n_blocks):
+            lanes = min(BLOCK_SIZE, GROUP_PATHS - b * BLOCK_SIZE)
+            rec, extras, _ = _run_blocks(spec, grid, ctl, 11, b, lanes,
+                                         self._accumulators(), True, variation)
+            for name in ("X", "Y", "A", "u", "dB", "counts", "xi"):
+                if rec[name] is None:
+                    continue
+                mine = np.stack([getattr(r, name) for r in
+                                 ensemble.records[b * BLOCK_SIZE:
+                                                  b * BLOCK_SIZE + lanes]])
+                assert np.array_equal(mine, rec[name]), (b, name)
+            parts.append(extras)
+        for i, merged in enumerate(ensemble.extras):
+            for j, arr in enumerate(merged):
+                ref = np.concatenate([p[i][j] for p in parts])
+                assert np.array_equal(arr, ref), (i, j)
+
+    def test_records_equal_single_path_runs(self, case, ensemble):
+        spec, grid, ctl, beta = case
+        # a spread of lanes over every block (a single-path run simulates
+        # lane + 1 lanes of its block), each block's edges and the whole
+        # partial block
+        edges = {e for b in range(1, -(-GROUP_PATHS // BLOCK_SIZE))
+                 for e in (b * BLOCK_SIZE - 1, b * BLOCK_SIZE)}
+        lanes = sorted(edges | set(range(0, GROUP_PATHS, 97))
+                       | set(range(GROUP_PATHS - 37, GROUP_PATHS)))
+        for i in lanes:
+            rec = ensemble.records[i]
+            if beta is None:
+                one = simulate_path(spec, grid, ctl, (11, i))
+                for name in ("X", "Y", "A", "u", "dB", "counts"):
+                    assert np.array_equal(getattr(rec, name),
+                                          getattr(one, name)), (i, name)
+            else:
+                xi = simulate_variational(spec, grid, ctl, beta, (11, i))
+                assert np.array_equal(rec.xi, xi), i
+
+    def test_thread_counts_agree(self, case, ensemble):
+        other = self._ensemble(case, threads=2)
+        for ra, rb in zip(ensemble.records, other.records):
+            for name in ("X", "A", "u", "dB", "counts", "xi"):
+                assert np.array_equal(getattr(ra, name), getattr(rb, name))
+        for ea, eb in zip(ensemble.extras, other.extras):
+            for a, b in zip(ea, eb):
+                assert np.array_equal(a, b)
+
+
+def _zero(t, x, y, a, u):
+    return np.zeros_like(np.asarray(x, float))
+
+
+def _brownian_spec(b=_zero, partials=None, u_hi=1.0):
+    """dX = b dt + dB on a short delay, no reward, u in (-inf, u_hi]."""
+    coeffs = CoefficientSet(
+        b=b, sigma=lambda t, x, y, a, u: np.ones_like(np.asarray(x, float)),
+        theta=None, f=_zero, partials=partials or {})
+    return ProblemSpec(delta=0.2, rho=0.1, discount=0.1, coeffs=coeffs,
+                       control_lo=-np.inf, control_hi=u_hi,
+                       initial_segment=lambda s: np.ones_like(s))
+
+
+def test_clipped_flag_is_per_block():
+    # u = x does not feed back into dX = dB; a bound at the middle block's
+    # largest state clips exactly the block whose paths go higher
+    grid = make_grid(0.2, 0.1, 0.4)
+    ctl = feedback_control(lambda t, x, y, a: x)
+    n_paths = 3 * BLOCK_SIZE
+    free = simulate_ensemble(_brownian_spec(u_hi=np.inf), grid, ctl, n_paths,
+                             2, record=True)
+    assert not free.clipped
+    top = np.array([max(r.X.max() for r in free.records[b * BLOCK_SIZE:
+                                                          (b + 1) * BLOCK_SIZE])
+                    for b in range(3)])
+    ens = simulate_ensemble(_brownian_spec(u_hi=np.median(top)), grid, ctl,
+                            n_paths, 2, record=True)
+    expect = np.repeat(top > np.median(top), BLOCK_SIZE)
+    assert np.array_equal([r.clipped for r in ens.records], expect)
+    assert ens.clipped
+
+
+class TestNonFiniteContext:
+    SEED = 2
+
+    @pytest.mark.parametrize("where", ["state", "xi"])
+    def test_second_block_lane(self, where):
+        grid = make_grid(0.2, 0.1, 0.4)
+        n_paths = 2 * BLOCK_SIZE
+        calm = _brownian_spec()
+        ens = simulate_ensemble(calm, grid, constant_control(0.0), n_paths,
+                                self.SEED, record=True)
+        x1 = np.array([r.X[1] for r in ens.records])
+        # no lane of block 0 passes the threshold; the seed puts one of
+        # block 1 above it
+        thr = x1[:BLOCK_SIZE].max()
+        first = int(np.flatnonzero(x1 > thr)[0])
+        assert first >= BLOCK_SIZE
+
+        def blow(t, x, y, a, u):
+            return np.where(np.asarray(x, float) > thr, np.inf, 0.0)
+
+        if where == "state":
+            spec, beta = _brownian_spec(blow), None
+        else:
+            spec = _brownian_spec(partials={"b": {"x": blow}})
+            beta = constant_control(1.0)
+        with pytest.raises(NonFiniteState) as info:
+            simulate_ensemble(spec, grid, constant_control(0.0), n_paths,
+                              self.SEED, beta=beta)
+        err = info.value
+        assert (err.step, err.block, err.lane) == (2, 1, first - BLOCK_SIZE)
+        assert f"block 1, lane {first - BLOCK_SIZE}" in str(err)
+
+
 class TestDynamics:
     def test_noiseless_matches_closed_form(self, ex34_det_spec):
         from delayctrl.examples import (Example34Params, ex34_feedback,
@@ -206,8 +394,6 @@ class TestDynamics:
         assert step > 0.0
 
     def test_nonfinite_segment_rejected(self, jump_spec):
-        import dataclasses
-
         bad = dataclasses.replace(
             jump_spec, initial_segment=lambda s: np.full_like(
                 np.asarray(s, float), np.nan))
