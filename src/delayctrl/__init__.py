@@ -31,7 +31,7 @@ from .forward import (ControlSpec, EnsembleResult, PathRecord,
                       update_moving_average)
 from .objective import ObjectiveEstimate, compare_controls, estimate_J
 from .hamiltonian import (HamArgs1, HamArgs2, ItoTestFunction, eval_H1,
-                          eval_H2, grad_H, ito_delay_residual, maximize_H,
+                          eval_H2, grad_H, ito_delay_residual,
                           maximize_scalar)
 from .absde import (AdjointTriple, AdvancedDriver, PicardReport,
                     auto_weight, contraction_diagnostics, epsilon_rule,
@@ -44,6 +44,6 @@ from .mp import (NecessityReport, SufficiencyReport, check_sufficient_first,
 from .examples import (Example34Params, Example35Params, ex34_adjoint,
                        ex34_consumption, ex34_control, ex34_feedback,
                        ex34_objective, ex34_p0_star, ex34_state,
-                       ex35_adjoint, ex35_alpha_residual, ex35_control,
+                       ex35_adjoint, ex35_alpha_residual,
                        ex35_feedback, ex35_K, ex35_matched_alpha,
                        make_ex34_problem, make_ex35_problem)

@@ -238,6 +238,17 @@ def _det_sweep(driver: AdvancedDriver, grid: TimeGrid, p_prev, q_prev, r_prev):
 # Regression machinery
 # ---------------------------------------------------------------------------
 
+def monomial_basis(x, y, a, degree: int) -> np.ndarray:
+    """Design matrix of the monomials of (x, y, a) up to total ``degree``,
+    one row per path."""
+    cols = [np.ones_like(x)]
+    for d in range(1, degree + 1):
+        for i in range(d + 1):
+            for j in range(d + 1 - i):
+                cols.append(x ** i * y ** j * a ** (d - i - j))
+    return np.column_stack(cols)
+
+
 class McContext:
     """Forward-path ensemble supplying conditioning variables for the
     least-squares conditional expectations."""
@@ -255,18 +266,6 @@ class McContext:
         self.basis_degree = int(basis_degree)
         self._design_cache = {}
 
-    @classmethod
-    def from_records(cls, records, intensity=0.0, mark_probs=None,
-                     basis_degree: int = 2):
-        counts = (None if records[0].counts is None
-                  else np.stack([rec.counts for rec in records]))
-        return cls(X=np.stack([rec.X for rec in records]),
-                   Y=np.stack([rec.Y for rec in records]),
-                   A=np.stack([rec.A for rec in records]),
-                   dB=np.stack([rec.dB for rec in records]),
-                   counts=counts, intensity=intensity,
-                   mark_probs=mark_probs, basis_degree=basis_degree)
-
     @property
     def n_paths(self) -> int:
         return self.X.shape[0]
@@ -275,13 +274,8 @@ class McContext:
         """Monomials of (X_k, Y_k, A_k) up to total basis_degree."""
         if k in self._design_cache:
             return self._design_cache[k]
-        x, y, a = self.X[:, k], self.Y[:, k], self.A[:, k]
-        cols = [np.ones_like(x)]
-        for d in range(1, self.basis_degree + 1):
-            for i in range(d + 1):
-                for j in range(d + 1 - i):
-                    cols.append(x ** i * y ** j * a ** (d - i - j))
-        M = np.column_stack(cols)
+        M = monomial_basis(self.X[:, k], self.Y[:, k], self.A[:, k],
+                           self.basis_degree)
         if len(self._design_cache) < 4096:
             self._design_cache[k] = M
         return M

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .absde import AdjointTriple, AdvancedDriver, McContext, PicardReport, picard_solve
-from .forward import ControlSpec, simulate_noiseless
+from .forward import ControlSpec, simulate_noiseless, stack_records
 from .model import ProblemSpec, TimeGrid
 
 _PARTIAL_VARS = ("x", "y", "a")
@@ -173,6 +173,14 @@ def build_first_driver(spec: ProblemSpec, grid: TimeGrid, path,
                           n_marks=n_marks, vectorized=False)
 
 
+def picard_options(solver_cfg: Optional[dict]) -> dict:
+    """picard_solve keyword arguments from a solver config section."""
+    cfg = solver_cfg or {}
+    return {"weight_lambda": cfg.get("weight_lambda"),
+            "tol": cfg.get("picard_tol", 1e-12),
+            "max_iter": cfg.get("picard_max_iter", 60)}
+
+
 def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
                         control: ControlSpec, ensemble=None,
                         solver_cfg: Optional[dict] = None):
@@ -185,37 +193,25 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
 
     Returns (AdjointTriple, PicardReport).
     """
-    cfg = dict(solver_cfg or {})
-    tol = cfg.get("picard_tol", 1e-12)
-    max_iter = cfg.get("picard_max_iter", 60)
-    weight_lambda = cfg.get("weight_lambda")
-    basis_degree = cfg.get("basis_degree", 2)
-    seed = cfg.get("seed", 0)
-
+    cfg = solver_cfg or {}
+    options = picard_options(cfg)
     if ensemble is None:
         rec = simulate_noiseless(spec, grid, control)
         path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}
         driver = build_first_driver(spec, grid, path, deterministic=True)
-        return picard_solve(driver, grid, mode="deterministic",
-                            weight_lambda=weight_lambda, tol=tol,
-                            max_iter=max_iter)
+        return picard_solve(driver, grid, mode="deterministic", **options)
 
-    path = {
-        "X": np.stack([r.X for r in ensemble]),
-        "Y": np.stack([r.Y for r in ensemble]),
-        "A": np.stack([r.A for r in ensemble]),
-        "u": np.stack([r.u for r in ensemble]),
-    }
-    driver = build_first_driver(spec, grid, path, deterministic=False)
+    S = stack_records(ensemble, ("X", "Y", "A", "u", "dB", "counts"))
+    driver = build_first_driver(spec, grid, S, deterministic=False)
     intensity = spec.jump.intensity if spec.jump is not None else 0.0
     probs = (spec.jump.marks.probs
              if spec.jump is not None and hasattr(spec.jump.marks, "values")
              else None)
-    ctx = McContext.from_records(ensemble, intensity=intensity,
-                                 mark_probs=probs, basis_degree=basis_degree)
+    ctx = McContext(S["X"], S["Y"], S["A"], S["dB"], S["counts"],
+                    intensity=intensity, mark_probs=probs,
+                    basis_degree=cfg.get("basis_degree", 2))
     return picard_solve(driver, grid, mode="regression", mc_context=ctx,
-                        weight_lambda=weight_lambda, tol=tol,
-                        max_iter=max_iter)
+                        **options)
 
 
 # ---------------------------------------------------------------------------

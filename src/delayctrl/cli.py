@@ -7,7 +7,9 @@ override matching config entries.  Every command writes a manifest
 listing its outputs together with the SHA-256 hash of the config bytes.
 
 Exit codes: 0 ok, 1 usage or configuration error, 2 check failed or
-solver did not converge, 3 inconclusive (noise-dominated verdict).
+solver did not converge, 3 the necessary check's ``boundary`` verdict
+(the candidate sits on a control bound at most probe times, where the
+first-order condition need not hold).
 """
 
 from __future__ import annotations
@@ -23,15 +25,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .absde import contraction_diagnostics
-from .adjoint import solve_first_adjoint, solve_second_adjoint
+from .absde import contraction_diagnostics, picard_solve
+from .adjoint import (build_first_driver, picard_options, solve_first_adjoint,
+                      solve_second_adjoint)
 from .errors import (BadInterval, BadWeight, BadWindow, ConfigError,
                      DelayCtrlError, GridMismatch, NoConvergence)
 from .examples import (Example34Params, Example35Params, ex34_adjoint,
                        ex34_feedback, ex34_objective, ex34_p0_star,
                        ex34_state, ex35_adjoint, ex35_alpha_residual,
                        ex35_feedback, ex35_K, ex35_matched_alpha)
-from .forward import constant_control, simulate_ensemble, table_control
+from .forward import (constant_control, simulate_ensemble, simulate_noiseless,
+                      table_control)
 from .model import build_problem, make_grid
 from .mp import check_sufficient_first, check_sufficient_second, necessary_residual
 from .objective import estimate_J
@@ -93,28 +97,22 @@ def _mc_settings(cfg):
 
 
 def _example_params(cfg):
+    """The selector's closed-form parameters from the keys the config
+    sets, dataclass defaults for the rest.  ``rho`` falls back to
+    problem.rho; ``delta`` and ``lambda_avg`` come from the problem
+    section, ``lambda_avg`` falling back to problem.rho."""
     prob = cfg.get("problem", {})
-    params = prob.get("params", {})
-    selector = prob.get("selector")
-    if selector == "example_3_4":
-        return Example34Params(
-            gamma=float(params.get("gamma", 0.5)),
-            mu=float(params.get("mu", 0.05)),
-            rho=float(params.get("rho", prob.get("rho", 0.1))),
-            sigma0=float(params.get("sigma0", 0.0)),
-            X0=float(params.get("X0", 1.0)))
-    if selector == "example_3_5":
-        return Example35Params(
-            gamma=float(params.get("gamma", 0.5)),
-            mu=float(params.get("mu", 0.05)),
-            alpha=params.get("alpha"),
-            beta=float(params.get("beta", 0.05)),
-            rho=float(params.get("rho", prob.get("rho", 0.1))),
-            delta=float(prob.get("delta", 1.0)),
-            lambda_avg=float(prob.get("lambda_avg", prob.get("rho", 0.1))),
-            sigma0=float(params.get("sigma0", 0.0)),
-            X0=float(params.get("X0", 1.0)))
-    return None
+    cls = {"example_3_4": Example34Params,
+           "example_3_5": Example35Params}.get(prob.get("selector"))
+    if cls is None:
+        return None
+    given = {key: prob[key] for key in ("rho", "delta") if key in prob}
+    given["lambda_avg"] = prob.get("lambda_avg", prob.get("rho"))
+    given.update((key, value) for key, value in prob.get("params", {}).items()
+                 if key not in ("delta", "lambda_avg"))
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{key: float(value) for key, value in given.items()
+                  if key in names and value is not None})
 
 
 def _closed_form_bits(cfg):
@@ -322,7 +320,7 @@ def cmd_adjoint(args):
 def _verdict_exit(verdict):
     if verdict == "pass":
         return EXIT_OK
-    if verdict in ("inconclusive", "boundary"):
+    if verdict == "boundary":
         return EXIT_INCONCLUSIVE
     return EXIT_FAIL
 
@@ -432,14 +430,12 @@ def cmd_picard_diagnostics(args):
     if args.weight_lambda is not None:
         solver_cfg["weight_lambda"] = args.weight_lambda
     control = _resolve_control(run.cfg, spec, grid, args.control)
-    from .adjoint import build_first_driver
-    from .forward import simulate_noiseless
     rec = simulate_noiseless(spec, grid, control)
     path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}
     driver = build_first_driver(spec, grid, path, deterministic=True)
     try:
-        _, report = solve_first_adjoint(spec, grid, control,
-                                        solver_cfg=solver_cfg)
+        _, report = picard_solve(driver, grid, mode="deterministic",
+                                 **picard_options(solver_cfg))
     except (NoConvergence, BadWeight) as exc:
         report = getattr(exc, "report", None)
         payload = report.as_dict() if report is not None else {}

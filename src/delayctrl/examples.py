@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DivergentIntegral, DomainError, NoSignChange
+from .errors import DivergentIntegral, DomainError, NoSignChange, NonFiniteState
 from .forward import ControlSpec, feedback_control, simulate_noiseless
 from .model import CoefficientSet, ProblemSpec, make_grid
 
@@ -172,22 +172,10 @@ def ex35_adjoint(params: Example35Params, t, p0: float):
     return p0 * np.exp(-(params.mu + params.edb) * np.asarray(t, float))
 
 
-def ex35_control(params: Example35Params, t: float, x: float, y: float,
-                 p0: float) -> float:
+def ex35_feedback(params: Example35Params, p0: float) -> ControlSpec:
     """Optimal feedback
     u = p0^{1/(gamma-1)} / W * e^{(rho - mu - e^{rho delta} beta) t / (gamma-1)}
     with W = x + y e^{rho delta} beta."""
-    W = x + y * params.edb
-    if W <= 0:
-        raise DomainError(f"composite wealth must be positive, got {W}")
-    if p0 <= 0:
-        raise DomainError(f"multiplier must be positive, got p0={p0}")
-    g1 = params.gamma - 1.0
-    rate = (params.rho - (params.mu + params.edb)) / g1
-    return (p0 ** (1.0 / g1) / W) * np.exp(rate * t)
-
-
-def ex35_feedback(params: Example35Params, p0: float) -> ControlSpec:
     g1 = params.gamma - 1.0
     c0 = p0 ** (1.0 / g1)
     rate = (params.rho - (params.mu + params.edb)) / g1
@@ -218,7 +206,7 @@ def ex35_K(params: Example35Params, search_cfg: dict = None) -> float:
     def wealth_stays_positive(p0: float) -> bool:
         try:
             rec = simulate_noiseless(spec, grid, ex35_feedback(params, p0))
-        except Exception:
+        except NonFiniteState:
             return False
         W = rec.X + rec.Y * edb
         return bool(np.all(np.isfinite(W)) and np.all(W > 0))

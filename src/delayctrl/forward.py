@@ -145,6 +145,23 @@ def segment_average(segment, dt: float, rho: float):
     return dt * (seg @ w)
 
 
+def _average_weights(dt: float, m: int, rho: float) -> tuple:
+    """Weights (decay, drop, edge, prev, new) of the one-step update of A
+    over a window of m steps of size dt."""
+    delta = m * dt
+    ed = np.exp(-rho * dt)
+    return (ed, 0.5 * dt * np.exp(-rho * (delta + dt)),
+            0.5 * dt * np.exp(-rho * delta), 0.5 * dt * ed, 0.5 * dt)
+
+
+def _average_step(w: tuple, A, drop, edge, prev, new):
+    """A_{k+1} from A_k: ``drop`` = X_{k-m} leaves the window, ``edge`` =
+    X_{k+1-m} becomes its oldest point, ``prev`` = X_k and ``new`` =
+    X_{k+1}."""
+    ed, c_drop, c_edge, c_prev, c_new = w
+    return ed * A - c_drop * drop - c_edge * edge + c_prev * prev + c_new * new
+
+
 def update_moving_average(A, segment, dt: float, rho: float):
     """One-step update of the moving average.
 
@@ -152,17 +169,12 @@ def update_moving_average(A, segment, dt: float, rho: float):
     last axis): the old segment plus the newly computed point.  Returns
     A_{k+1} by exact exponential decay of A_k with trapezoid end
     corrections, which keeps A identical (to roundoff) with re-integrating
-    the segment from scratch.
+    the segment from scratch.  The engine runs this same recursion.
     """
     seg = np.asarray(segment, float)
-    m = seg.shape[-1] - 2
-    delta = m * dt
-    ed = np.exp(-rho * dt)
-    return (ed * np.asarray(A, float)
-            - 0.5 * dt * np.exp(-rho * (delta + dt)) * seg[..., 0]
-            - 0.5 * dt * np.exp(-rho * delta) * seg[..., 1]
-            + 0.5 * dt * ed * seg[..., -2]
-            + 0.5 * dt * seg[..., -1])
+    w = _average_weights(dt, seg.shape[-1] - 2, rho)
+    return _average_step(w, np.asarray(A, float), seg[..., 0], seg[..., 1],
+                         seg[..., -2], seg[..., -1])
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +228,14 @@ class StepAccumulator:
 
     def finish(self, state, ctx: dict):
         raise NotImplementedError
+
+
+def stack_records(records, keys) -> dict:
+    """The named PathRecord fields of an ensemble stacked into arrays with a
+    leading path axis; a field the records leave None maps to None."""
+    return {key: None if getattr(records[0], key) is None
+            else np.stack([getattr(rec, key) for rec in records])
+            for key in keys}
 
 
 @dataclass
@@ -292,11 +312,7 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     X = ring[pos].copy()
     Y = ring[(pos + 1) % (m + 1)].copy()
 
-    ed = np.exp(-rho * dt)
-    c_drop = 0.5 * dt * np.exp(-rho * (grid.delta + dt))
-    c_edge = 0.5 * dt * np.exp(-rho * grid.delta)
-    c_prev = 0.5 * dt * ed
-    c_new = 0.5 * dt
+    w_avg = _average_weights(dt, m, rho)
 
     var = variation
     if var is not None:
@@ -395,22 +411,18 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                                  k, t + dt, first)
 
         pos = (pos + 1) % (m + 1)
-        Y_drop = Y  # X_{k-m}, leaving the averaging window
         ring[pos] = X_new
         Y_new = ring[(pos + 1) % (m + 1)].copy()  # X_{k+1-m}
-        A_new = (ed * A - c_drop * Y_drop - c_edge * Y_new
-                 + c_prev * X + c_new * X_new)
+        A_new = _average_step(w_avg, A, Y, Y_new, X, X_new)
 
         ctx = {"k": k, "t": t, "t1": t + dt, "x": X, "y": Y, "a": A, "u": u,
                "dB": dB, "counts": counts, "theta_marks": th,
                "x1": X_new, "y1": Y_new, "a1": A_new}
 
         if var is not None:
-            xi_lag_drop = xi_lag
             xi_ring[pos] = xi_new
             xi_lag_new = xi_ring[(pos + 1) % (m + 1)].copy()
-            Lam_new = (ed * Lam - c_drop * xi_lag_drop - c_edge * xi_lag_new
-                       + c_prev * xi + c_new * xi_new)
+            Lam_new = _average_step(w_avg, Lam, xi_lag, xi_lag_new, xi, xi_new)
             ctx.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam,
                         "beta": beta_vals, "xi1": xi_new})
 
@@ -530,48 +542,37 @@ def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
     """Integrate the noise-free reduction dX = b dt (sigma and jumps off).
 
     With ``heun`` the drift is integrated by the predictor-corrector rule,
-    second order in dt; the delay and moving-average bookkeeping is
-    identical to the stochastic engine.  Intended for problems whose
-    reference dynamics are deterministic (sigma = 0, no jumps), where it
-    replaces a full Monte Carlo block at a fraction of the cost.
+    second order in dt; the predictor's moving average and the step's own
+    use the engine's recursion.  The path is kept whole as the initial
+    segment followed by X_1, ..., X_n, so Y_k = X_{k-m} is read from it
+    and the returned X and Y are views of it.  Intended for problems
+    whose reference dynamics are deterministic (sigma = 0, no jumps),
+    where it replaces a full Monte Carlo block at a fraction of the cost.
     """
     if (spec.jump is not None and spec.jump.intensity > 0
             and spec.coeffs.theta is not None):
         raise ValueError("noiseless simulation requires no jump component")
     dt, m, n = grid.dt, grid.m, grid.n
-    rho = spec.rho
-    hist = spec.validate_segment(grid)
-    ring = hist.copy()
-    pos = m
-    X = float(ring[pos])
-    Y = float(ring[(pos + 1) % (m + 1)])
-    A = float(segment_average(ring, dt, rho))
-
-    ed = np.exp(-rho * dt)
-    c_drop = 0.5 * dt * np.exp(-rho * (grid.delta + dt))
-    c_edge = 0.5 * dt * np.exp(-rho * grid.delta)
-    c_prev = 0.5 * dt * ed
-    c_new = 0.5 * dt
-
-    Xs = np.empty(n + 1); Ys = np.empty(n + 1); As = np.empty(n + 1)
+    w_avg = _average_weights(dt, m, spec.rho)
+    path = np.empty(m + 1 + n)  # Y_k = path[k], X_k = path[k + m]
+    path[: m + 1] = spec.validate_segment(grid)
+    As = np.empty(n + 1)
     us = np.empty(n + 1)
-    Xs[0], Ys[0], As[0] = X, Y, A
+    As[0] = segment_average(path[: m + 1], dt, spec.rho)
     clipped = False
     b = spec.coeffs.b
     for k in range(n):
         t = k * dt
+        X, Y, A = path[k + m], path[k], As[k]
+        Y1 = path[k + 1]  # X_{k+1-m}
         u, clip_k = control.evaluate(spec, k, t, X, Y, A)
         clipped = clipped or clip_k
         u = float(u)
         us[k] = u
         g0 = float(b(t, X, Y, A, u))
-        pos_next = (pos + 1) % (m + 1)
-        Y_drop = Y
-        Y1 = float(ring[(pos_next + 1) % (m + 1)])  # X_{k+1-m}, unchanged
         if heun:
             X_star = X + dt * g0
-            A_star = (ed * A - c_drop * Y_drop - c_edge * Y1
-                      + c_prev * X + c_new * X_star)
+            A_star = _average_step(w_avg, A, Y, Y1, X, X_star)
             u1, clip_1 = control.evaluate(spec, k + 1, t + dt, X_star, Y1, A_star)
             clipped = clipped or clip_1
             g1 = float(b(t + dt, X_star, Y1, A_star, float(u1)))
@@ -581,16 +582,13 @@ def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
         if not np.isfinite(X_new):
             raise NonFiniteState(
                 f"state became non-finite at step {k + 1}", step=k + 1)
-        pos = pos_next
-        ring[pos] = X_new
-        A = (ed * A - c_drop * Y_drop - c_edge * Y1
-             + c_prev * X + c_new * X_new)
-        X, Y = X_new, Y1
-        Xs[k + 1], Ys[k + 1], As[k + 1] = X, Y, A
-    u_final, clip_f = control.evaluate(spec, n, n * dt, X, Y, A)
+        path[k + 1 + m] = X_new
+        As[k + 1] = _average_step(w_avg, A, Y, Y1, X, X_new)
+    u_final, clip_f = control.evaluate(spec, n, n * dt, path[n + m], path[n],
+                                       As[n])
     us[n] = float(u_final)
     clipped = clipped or clip_f
-    return PathRecord(t=grid.times, X=Xs, Y=Ys, A=As, u=us,
+    return PathRecord(t=grid.times, X=path[m:], Y=path[: n + 1], A=As, u=us,
                       dB=np.zeros(n), clipped=clipped)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import NonFinite
 from .forward import ControlSpec, StepAccumulator, simulate_ensemble
 from .model import ProblemSpec, TimeGrid
+from .objective import mean_stderr
 
 RFun = Union[Callable, np.ndarray, float, None]
 
@@ -196,17 +197,6 @@ def maximize_scalar(fn: Callable[[float], float], lo: float, hi: float,
     return u, fn(u)
 
 
-def maximize_H(spec: ProblemSpec, args, formulation: int = 1):
-    """argmax over the control interval of u -> H(..., u, ...)."""
-    evaluator = eval_H1 if formulation == 1 else eval_H2
-    from dataclasses import replace
-
-    def val(u):
-        return float(evaluator(spec, replace(args, u=u)))
-
-    return maximize_scalar(val, spec.control_lo, spec.control_hi)
-
-
 # ---------------------------------------------------------------------------
 # Delay Ito formula residual
 # ---------------------------------------------------------------------------
@@ -277,8 +267,4 @@ def ito_delay_residual(spec: ProblemSpec, grid: TimeGrid, F: ItoTestFunction,
     acc = _ItoResidualAccumulator(F, control)
     res = simulate_ensemble(spec, grid, control, n_paths, seed,
                             accumulators=(acc,), threads=threads)
-    vals = res.extras[0]
-    mean = float(np.mean(vals))
-    stderr = (float(np.std(vals, ddof=1) / np.sqrt(n_paths))
-              if n_paths > 1 else 0.0)
-    return mean, stderr
+    return mean_stderr(res.extras[0])

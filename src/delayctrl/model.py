@@ -102,7 +102,6 @@ class ContinuousMarks:
     density: Callable[[float], float]
     low: float
     high: float
-    sampler: Optional[Callable] = None  # sampler(rng, size) -> marks
 
     def _nodes(self):
         x, w = np.polynomial.legendre.leggauss(64)
@@ -135,15 +134,12 @@ class JumpModel:
 
     intensity: float
     marks: DiscreteMarks | ContinuousMarks
-    mark_moments: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         if self.intensity < 0:
             raise ConfigError("jump intensity must be nonnegative")
-        moments = self.mark_moments or self.marks.moments()
-        if not all(math.isfinite(m) for m in moments):
+        if not all(math.isfinite(m) for m in self.marks.moments()):
             raise ConfigError("mark moments must be finite")
-        object.__setattr__(self, "mark_moments", tuple(moments))
 
     def mark_expectation(self, g: Callable):
         return self.marks.expectation(g)
@@ -243,9 +239,6 @@ class CoefficientSet:
         if base is None:
             raise ValueError(f"coefficient {name!r} not defined")
         return finite_difference_partial(base, var)
-
-    def has_analytic(self, name: str, var: str) -> bool:
-        return self.partials.get(name, {}).get(var) is not None
 
 
 # ---------------------------------------------------------------------------

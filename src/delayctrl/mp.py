@@ -24,13 +24,14 @@ from typing import Optional
 
 import numpy as np
 
+from .absde import monomial_basis
 from .adjoint import SecondAdjointResult, p3_flatness
 from .errors import AdjointMissing, NonFinite
 from .forward import (ControlSpec, StepAccumulator, feedback_control,
-                      simulate_ensemble)
+                      simulate_ensemble, stack_records)
 from .hamiltonian import HamArgs1, HamArgs2, eval_H1, eval_H2, grad_H, maximize_scalar
 from .model import ProblemSpec, TimeGrid
-from .objective import RunningRewardAccumulator, estimate_J
+from .objective import RunningRewardAccumulator, estimate_J, mean_stderr
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +87,7 @@ class NecessityReport:
 # Ensemble helpers
 # ---------------------------------------------------------------------------
 
-def _stack(records):
-    return {
-        "X": np.stack([r.X for r in records]),
-        "Y": np.stack([r.Y for r in records]),
-        "A": np.stack([r.A for r in records]),
-        "u": np.stack([r.u for r in records]),
-    }
+_STATE = ("X", "Y", "A", "u")
 
 
 def _simulate(spec, grid, control, mc_cfg):
@@ -172,27 +167,15 @@ def _gateaux_terms(spec, grid, control, beta, s, n_paths, seed):
     return reward, x_T * alive
 
 
-def _mean_stderr(vals):
-    vals = np.asarray(vals, float)
-    n = vals.shape[0]
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return mean, stderr
-
-
 def _conditional_residual(values, e_t, lag_state=None, degree: int = 2):
-    """Summary of E[values | E_t]: plain mean under full information, or
-    the rms of the regression projection under lagged information."""
-    mean, stderr = _mean_stderr(values)
+    """Summary of E[values | E_t] with the standard error of the plain
+    mean: the plain mean under full information; under lagged
+    information, the signed value of largest magnitude among the per-path
+    regression projections."""
+    mean, stderr = mean_stderr(values)
     if e_t == "full" or lag_state is None:
         return mean, stderr
-    x, y, a = lag_state
-    cols = [np.ones_like(x)]
-    for d in range(1, degree + 1):
-        for i in range(d + 1):
-            for j in range(d + 1 - i):
-                cols.append(x ** i * y ** j * a ** (d - i - j))
-    M = np.column_stack(cols)
+    M = monomial_basis(*lag_state, degree)
     coef, *_ = np.linalg.lstsq(M, values, rcond=None)
     proj = M @ coef
     signed = proj[np.argmax(np.abs(proj))]
@@ -233,7 +216,7 @@ def _gap_at_probe(spec, t, x, y, a, u_hat, adj, formulation):
         h_hat = np.asarray(_H_paths(spec, formulation, t, x, y, a, u_hat, adj), float)
     ok = np.isfinite(h_star) & np.isfinite(h_hat)
     diff = h_star[ok] - h_hat[ok]
-    gap, stderr = _mean_stderr(diff)
+    gap, stderr = mean_stderr(diff)
     return gap, stderr, float(v_star)
 
 
@@ -297,19 +280,19 @@ def check_sufficient_first(spec: ProblemSpec, grid: TimeGrid,
         raise AdjointMissing("check_sufficient_first needs mc_cfg['adjoint']")
     report = SufficiencyReport()
     records = mc_cfg.get("ensemble") or _simulate(spec, grid, candidate, mc_cfg)
-    S = _stack(records)
+    S = stack_records(records, _STATE)
 
     # (i) transversality ladder over nested horizons
     ladder = mc_cfg.get("horizon_fractions", (0.25, 0.5, 1.0))
     for cmp_idx, cmp_control in enumerate(comparison_controls):
         cmp_records = _simulate(spec, grid, cmp_control, mc_cfg)
-        C = _stack(cmp_records)
+        C = stack_records(cmp_records, _STATE)
         for frac in ladder:
             k = min(grid.n, int(round(frac * grid.n)))
             t = k * grid.dt
             p_hat, _ = _adjoint_values(adjoint, t, S["X"][:, k], S["Y"][:, k],
                                        S["A"][:, k])
-            est, se = _mean_stderr(p_hat * (C["X"][:, k] - S["X"][:, k]))
+            est, se = mean_stderr(p_hat * (C["X"][:, k] - S["X"][:, k]))
             report.transversality.append(
                 {"comparison": cmp_idx, "T": t, "estimate": est, "stderr": se})
 
@@ -377,17 +360,17 @@ def check_sufficient_second(spec: ProblemSpec, grid: TimeGrid,
         raise AdjointMissing("check_sufficient_second needs mc_cfg['adjoint2']")
     report = SufficiencyReport()
     records = mc_cfg.get("ensemble") or _simulate(spec, grid, candidate, mc_cfg)
-    S = _stack(records)
+    S = stack_records(records, _STATE)
 
     ladder = mc_cfg.get("horizon_fractions", (0.25, 0.5, 1.0))
     for cmp_idx, cmp_control in enumerate(comparison_controls):
         cmp_records = _simulate(spec, grid, cmp_control, mc_cfg)
-        C = _stack(cmp_records)
+        C = stack_records(cmp_records, _STATE)
         for frac in ladder:
             k = min(grid.n, int(round(frac * grid.n)))
             t = k * grid.dt
-            est1, se1 = _mean_stderr(adj2.p1[k] * (C["X"][:, k] - S["X"][:, k]))
-            est2, se2 = _mean_stderr(adj2.p2[k] * (C["Y"][:, k] - S["Y"][:, k]))
+            est1, se1 = mean_stderr(adj2.p1[k] * (C["X"][:, k] - S["X"][:, k]))
+            est2, se2 = mean_stderr(adj2.p2[k] * (C["Y"][:, k] - S["Y"][:, k]))
             report.transversality.append(
                 {"comparison": cmp_idx, "T": t,
                  "estimate": est1, "stderr": se1,
@@ -451,7 +434,7 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
 
     report = NecessityReport()
     records = mc_cfg.get("ensemble") or _simulate(spec, grid, candidate, mc_cfg)
-    S = _stack(records)
+    S = stack_records(records, _STATE)
 
     ks = _probe_indices(grid, mc_cfg)
     report.probe_times = [float(k * grid.dt) for k in ks]
@@ -520,7 +503,7 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
                 if p_T is not None:
                     pT = p_T if p_T.shape == diff.shape else np.mean(p_T)
                     diff = diff + pT * (xT_p - xT_m) / (2 * s)
-                est, se = _mean_stderr(diff)
+                est, se = mean_stderr(diff)
                 report.bump_estimates.append(
                     {"window": (ws, wh), "alpha": alpha, "s": s,
                      "estimate": est, "stderr": se})
@@ -612,11 +595,11 @@ def variational_consistency(spec: ProblemSpec, grid: TimeGrid,
         xi_vals = xi_vals + p_T * xi_T
         fd_vals = fd_vals + p_T * (xT_p - xT_m) / (2 * s)
 
-    xi_mean, xi_se = _mean_stderr(xi_vals)
-    fd_mean, fd_se = _mean_stderr(fd_vals)
+    xi_mean, xi_se = mean_stderr(xi_vals)
+    fd_mean, fd_se = mean_stderr(fd_vals)
 
     gap_vals = fd_vals - xi_vals
-    gap_mean, gap_se = _mean_stderr(gap_vals)
+    gap_mean, gap_se = mean_stderr(gap_vals)
     return {
         "fd_derivative": fd_mean, "fd_stderr": fd_se,
         "xi_based_derivative": xi_mean, "xi_stderr": xi_se,

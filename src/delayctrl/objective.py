@@ -75,12 +75,19 @@ class RunningRewardAccumulator(StepAccumulator):
         return st["I"].copy(), np.abs(last), alive.astype(float)
 
 
+def mean_stderr(vals):
+    """Sample mean and standard error of per-path values (first axis)."""
+    vals = np.asarray(vals, float)
+    n = vals.shape[0]
+    mean = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return mean, stderr
+
+
 def _summarize(per_path, tail_abs, alive, spec, grid, n_paths) -> ObjectiveEstimate:
     if not np.all(np.isfinite(per_path)):
         raise NonFiniteObjective("per-path objective integral is not finite")
-    mean = float(np.mean(per_path))
-    stderr = (float(np.std(per_path, ddof=1) / np.sqrt(n_paths))
-              if n_paths > 1 else 0.0)
+    mean, stderr = mean_stderr(per_path)
     tail = float(np.mean(tail_abs) / spec.discount)
     return ObjectiveEstimate(
         mean=mean, stderr=stderr, n_paths=n_paths,
@@ -107,8 +114,4 @@ def compare_controls(spec: ProblemSpec, grid: TimeGrid, u_a: ControlSpec,
     numbers.  Returns (mean, stderr) of the per-path differences."""
     ja = estimate_J(spec, grid, u_a, n_paths, seed, threads=threads)
     jb = estimate_J(spec, grid, u_b, n_paths, seed, threads=threads)
-    diff = ja.per_path - jb.per_path
-    mean = float(np.mean(diff))
-    stderr = (float(np.std(diff, ddof=1) / np.sqrt(n_paths))
-              if n_paths > 1 else 0.0)
-    return mean, stderr
+    return mean_stderr(ja.per_path - jb.per_path)

@@ -43,6 +43,8 @@ from delayctrl.hamiltonian import ItoTestFunction, ito_delay_residual
 from delayctrl.mp import necessary_residual, variational_consistency
 from delayctrl.objective import estimate_J
 
+pytestmark = pytest.mark.slow
+
 
 def report(number, label, passed, detail):
     line = f"criterion {number:2d} [{'PASS' if passed else 'FAIL'}] {label}: {detail}"

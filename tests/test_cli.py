@@ -12,8 +12,10 @@ from delayctrl.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    _example_params,
     main,
 )
+from delayctrl.examples import Example34Params, Example35Params
 
 BASE_CFG = {
     "problem": {
@@ -233,6 +235,28 @@ class TestExamples:
                        str(given), "--system", "second") == EXIT_OK
         assert ((searched / "adjoint_second.csv").read_bytes()
                 == (given / "adjoint_second.csv").read_bytes())
+
+
+class TestExampleParams:
+    @pytest.mark.parametrize("cls, selector", [
+        (Example34Params, "example_3_4"), (Example35Params, "example_3_5")])
+    def test_no_params_section_gives_defaults(self, cls, selector):
+        bare = {"selector": selector}
+        full = {key: value for key, value in BASE_CFG["problem"].items()
+                if key != "params"}
+        full["selector"] = selector
+        for problem in (bare, full):
+            assert _example_params({"problem": problem}) == cls()
+
+    def test_problem_section_fallbacks(self):
+        problem = {"selector": "example_3_5", "rho": 0.2, "delta": 0.5,
+                   "params": {"beta": 0.04, "delta": 9.0, "lambda_avg": 9.0}}
+        assert _example_params({"problem": problem}) == Example35Params(
+            beta=0.04, rho=0.2, delta=0.5, lambda_avg=0.2)
+        problem["lambda_avg"] = 0.3
+        problem["params"]["rho"] = 0.15
+        assert _example_params({"problem": problem}) == Example35Params(
+            beta=0.04, rho=0.15, delta=0.5, lambda_avg=0.3)
 
 
 class TestPicardDiagnostics:

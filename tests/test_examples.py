@@ -111,6 +111,18 @@ class TestRecruitmentClosedForm:
         assert k1 == k2
         assert k1 > 0
 
+    def test_K_search_propagates_unexpected_errors(self, monkeypatch):
+        """Only a non-finite state counts as wealth not staying positive;
+        any other error in the integration surfaces."""
+        from delayctrl import examples
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken integration")
+
+        monkeypatch.setattr(examples, "simulate_noiseless", broken)
+        with pytest.raises(TypeError, match="broken integration"):
+            ex35_K(Example35Params())
+
     def test_K_keeps_deterministic_flow_positive(self):
         """The searched constant keeps the noiseless wealth path positive
         over a long window."""

@@ -86,6 +86,45 @@ class TestDelayExactness:
                                    abs=1e-12)
 
 
+class TestMovingAverageReplay:
+    """The recursion under test is the one the engine runs: replaying
+    update_moving_average over the recorded X, from a non-constant
+    initial segment, reproduces the recorded A bitwise."""
+
+    GRID = make_grid(1.0, 0.05, 4.0)
+
+    @staticmethod
+    def spec():
+        from delayctrl.examples import Example35Params, make_ex35_problem
+
+        spec = make_ex35_problem(Example35Params(sigma0=0.05))
+        return dataclasses.replace(
+            spec, initial_segment=lambda s: 1.0 + 0.3 * np.sin(3.0 * s))
+
+    @staticmethod
+    def replay(spec, grid, rec):
+        full = np.concatenate([spec.validate_segment(grid)[:-1], rec.X])
+        A = [rec.A[0]]
+        for k in range(grid.n):
+            A.append(update_moving_average(A[-1], full[k: k + grid.m + 2],
+                                           grid.dt, spec.rho))
+        return np.array(A)
+
+    @pytest.mark.parametrize("lane", [0, 5, BLOCK_SIZE + 476])
+    def test_simulate_path(self, lane):
+        spec = self.spec()
+        rec = simulate_path(spec, self.GRID, constant_control(0.05),
+                            (11, lane))
+        assert np.array_equal(self.replay(spec, self.GRID, rec), rec.A)
+
+    @pytest.mark.parametrize("heun", [True, False])
+    def test_simulate_noiseless(self, heun):
+        spec = self.spec()
+        rec = simulate_noiseless(spec, self.GRID, constant_control(0.05),
+                                 heun=heun)
+        assert np.array_equal(self.replay(spec, self.GRID, rec), rec.A)
+
+
 class TestControls:
     def test_constant(self, ex34_spec):
         u, clipped = constant_control(0.3).evaluate(

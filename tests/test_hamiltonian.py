@@ -17,7 +17,6 @@ from delayctrl.hamiltonian import (
     eval_H2,
     grad_H,
     ito_delay_residual,
-    maximize_H,
     maximize_scalar,
     nu_theta_r,
 )
@@ -132,8 +131,13 @@ class TestMaximization:
         p0 = ex34_p0_star(ex34_params)
         t, x = 0.8, 1.1
         p = float(ex34_adjoint(ex34_params, t, p0))
-        args = HamArgs1(t=t, x=x, y=x, a=x, u=0.5, p=p, q=0.0)
-        u_star, _ = maximize_H(ex34_spec, args)
+
+        def H(u):
+            return float(eval_H1(ex34_spec, HamArgs1(t=t, x=x, y=x, a=x, u=u,
+                                                     p=p, q=0.0)))
+
+        u_star, _ = maximize_scalar(H, ex34_spec.control_lo,
+                                    ex34_spec.control_hi)
         assert u_star == pytest.approx(ex34_control(ex34_params, t, x, p0),
                                        rel=1e-6)
 
