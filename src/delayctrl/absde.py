@@ -251,7 +251,9 @@ def monomial_basis(x, y, a, degree: int) -> np.ndarray:
 
 class McContext:
     """Forward-path ensemble supplying conditioning variables for the
-    least-squares conditional expectations."""
+    least-squares conditional expectations.  With jump ``counts`` and a
+    positive ``intensity``, ``mark_probs`` gives each count column's mark
+    probability."""
 
     def __init__(self, X, Y, A, dB, counts=None, intensity=0.0,
                  mark_probs=None, basis_degree: int = 2):
@@ -305,11 +307,8 @@ def _reg_sweep(driver: AdvancedDriver, grid: TimeGrid, ctx: McContext,
         p_next = p[:, k + 1]
         q[:, k] = ctx.project(k, p_next * ctx.dB[:, k]) / dt
         if ctx.counts is not None and ctx.intensity > 0:
-            n_mk = ctx.counts.shape[2]
-            probs = (ctx.mark_probs if ctx.mark_probs is not None
-                     else np.full(n_mk, 1.0 / n_mk))
-            for j in range(min(nm, n_mk)):
-                lam_j = ctx.intensity * probs[j] * dt
+            for j in range(min(nm, ctx.counts.shape[2])):
+                lam_j = ctx.intensity * ctx.mark_probs[j] * dt
                 centered = ctx.counts[:, k, j] - lam_j
                 r[:, k, j] = ctx.project(k, p_next * centered) / max(lam_j, 1e-300)
         F = driver.fn(times[k], p_prev[:, k], p_prev[:, k + m],

@@ -56,8 +56,6 @@ def _coefficient_partial_arrays(spec: ProblemSpec, grid: TimeGrid, path):
     lead = X.shape[:-1]
     out = {}
     jump = spec.jump
-    has_jumps = (jump is not None and spec.coeffs.theta is not None
-                 and jump.intensity > 0)
     for name in ("f", "b", "sigma"):
         for var in _PARTIAL_VARS:
             arr = np.zeros(lead + (n + 1 + m,))
@@ -65,7 +63,7 @@ def _coefficient_partial_arrays(spec: ProblemSpec, grid: TimeGrid, path):
                 vals = spec.coeffs.partial(name, var)(t, X, Y, A, u)
             arr[..., : n + 1] = np.broadcast_to(vals, X.shape)
             out[f"{name}_{var}"] = arr
-    if has_jumps:
+    if spec.has_jumps:
         for var in _PARTIAL_VARS:
             dtheta = spec.coeffs.partial("theta", var)
             marks = []
@@ -125,8 +123,7 @@ def build_first_driver(spec: ProblemSpec, grid: TimeGrid, path,
     kernel = _segment_kernel(grid, spec.rho)
     n, m = grid.n, grid.m
     dt = grid.dt
-    n_marks = spec.jump.n_marks if (spec.jump is not None
-                                    and "theta_x" in P) else 0
+    n_marks = spec.jump.n_marks if spec.has_jumps else 0
 
     if deterministic:
         def pad(now, adv):
@@ -203,10 +200,8 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
 
     S = stack_records(ensemble, ("X", "Y", "A", "u", "dB", "counts"))
     driver = build_first_driver(spec, grid, S, deterministic=False)
-    intensity = spec.jump.intensity if spec.jump is not None else 0.0
-    probs = (spec.jump.marks.probs
-             if spec.jump is not None and hasattr(spec.jump.marks, "values")
-             else None)
+    intensity, probs = ((spec.jump.intensity, spec.jump.marks.probs)
+                        if spec.has_jumps else (0.0, None))
     ctx = McContext(S["X"], S["Y"], S["A"], S["dB"], S["counts"],
                     intensity=intensity, mark_probs=probs,
                     basis_degree=cfg.get("basis_degree", 2))

@@ -36,7 +36,7 @@ from .examples import (Example34Params, Example35Params, ex34_adjoint,
                        ex35_feedback, ex35_K, ex35_matched_alpha)
 from .forward import (constant_control, simulate_ensemble, simulate_noiseless,
                       table_control)
-from .model import build_problem, make_grid
+from .model import build_problem, make_grid, require_key
 from .mp import check_sufficient_first, check_sufficient_second, necessary_residual
 from .objective import estimate_J
 
@@ -153,7 +153,7 @@ def _resolve_control(cfg, spec, grid, override=None):
     if kind == "constant":
         return constant_control(float(ctl.get("value", 0.0)))
     if kind == "file":
-        path = ctl["path"]
+        path = require_key(ctl, "control", "path")
         try:
             data = np.genfromtxt(path, delimiter=",", names=True)
         except OSError as exc:
@@ -503,6 +503,9 @@ def cmd_sweep(args):
         cfg = copy.deepcopy(run.cfg)
         cast = int(value) if keys[-1] in ("seed", "n_paths", "threads") else value
         _set_path(cfg, list(keys), cast)
+        # coefficients_ex34 and _ex35 read problem.params.rho before problem.rho
+        if name == "rho" and "rho" in cfg["problem"].get("params", {}):
+            cfg["problem"]["params"]["rho"] = cast
         spec, grid = _build(cfg)
         n_paths, seed, threads = _mc_settings(cfg)
         control = _resolve_control(cfg, spec, grid, args.control)

@@ -121,12 +121,6 @@ def ex34_p0_star(params: Example34Params, quadrature_T: float = None) -> float:
     return (params.X0 / integral) ** (params.gamma - 1.0)
 
 
-def ex34_consumption(params: Example34Params, t, p0: float):
-    """c(t) = u(t) X(t), deterministic along the closed-form solution."""
-    g1 = params.gamma - 1.0
-    return p0 ** (1.0 / g1) * np.exp((params.rho - params.mu) * np.asarray(t, float) / g1)
-
-
 def ex34_objective(params: Example34Params, p0: float) -> float:
     """Closed-form J under the feedback rule with multiplier p0 (exact for
     sigma-rules that leave u X deterministic, e.g. sigma = sigma0 x)."""

@@ -293,10 +293,7 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     lanes = [slice(s, min(s + BLOCK_SIZE, nb)) for s in starts]
     rngs = [_block_rng(seed, first + j) for j in range(len(starts))]
     jump = spec.jump
-    has_jumps = (jump is not None and spec.coeffs.theta is not None
-                 and jump.intensity > 0)
-    if has_jumps and not hasattr(jump.marks, "values"):
-        raise NotImplementedError("path simulation requires discrete marks")
+    has_jumps = spec.has_jumps
     mark_values = jump.marks.values if has_jumps else ()
     mark_probs = jump.marks.probs if has_jumps else None
     rates = [jump.intensity * pz * dt for pz in mark_probs] if has_jumps else []
@@ -549,8 +546,7 @@ def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
     whose reference dynamics are deterministic (sigma = 0, no jumps),
     where it replaces a full Monte Carlo block at a fraction of the cost.
     """
-    if (spec.jump is not None and spec.jump.intensity > 0
-            and spec.coeffs.theta is not None):
+    if spec.has_jumps:
         raise ValueError("noiseless simulation requires no jump component")
     dt, m, n = grid.dt, grid.m, grid.n
     w_avg = _average_weights(dt, m, spec.rho)

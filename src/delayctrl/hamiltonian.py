@@ -1,16 +1,20 @@
-"""Hamiltonians of the two maximum-principle formulations, their
+"""The Hamiltonian of both maximum-principle formulations, its
 gradients, and a Monte Carlo residual check of the delay Ito formula.
 
-First formulation (scalar adjoint):
-    H1 = f + b p + sigma q + int theta(z) r(z) nu(dz).
+One ``eval_H`` serves both formulations.  The first (scalar adjoint) is
 
-Second formulation (three-component adjoint):
-    H2 = f + b p1 + (x - lambda y - e^{-lambda delta} a) p2
-           + sigma q1 + int theta(z) r(z) nu(dz),
-with lambda the averaging decay (lambda_avg of the problem spec).
+    H1 = f + b p + sigma q + int theta(z) r(z) nu(dz);
 
-The nu-integral is intensity times the mark expectation, exact for
-discrete marks.
+the second (three-component adjoint) is H1 with p = p1, q = q1 plus the
+moving-average term of the adjoint p2,
+
+    H2 = H1 + (x - lambda y - e^{-lambda delta} a) p2,
+
+with lambda the averaging decay (lambda_avg of the problem spec).  The
+other two adjoint components, p3 and q2, do not enter H.
+
+The nu-integral is intensity times the expectation over the discrete
+mark distribution.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ RFun = Union[Callable, np.ndarray, float, None]
 
 
 @dataclass(frozen=True)
-class HamArgs1:
-    """Arguments of the scalar-adjoint Hamiltonian."""
+class HamArgs:
+    """Arguments of the Hamiltonian.  ``p2``, the moving-average adjoint,
+    switches on the second formulation; it stays None for the first."""
 
     t: float
     x: float
@@ -40,24 +45,10 @@ class HamArgs1:
     p: float
     q: float
     r: RFun = None
+    p2: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class HamArgs2:
-    """Arguments of the three-adjoint Hamiltonian: p = (p1, p2, p3),
-    q = (q1, q2)."""
-
-    t: float
-    x: float
-    y: float
-    a: float
-    u: float
-    p: tuple
-    q: tuple
-    r: RFun = None
-
-
-def _r_at(r: RFun, jump, j: int, z: float):
+def _r_at(r: RFun, j: int, z: float):
     if r is None:
         return 0.0
     if callable(r):
@@ -70,22 +61,18 @@ def _r_at(r: RFun, jump, j: int, z: float):
 
 def nu_theta_r(spec: ProblemSpec, t, x, y, a, u, r: RFun):
     """int theta(t,x,y,a,u,z) r(z) nu(dz) = intensity * E[theta(Z) r(Z)]."""
-    jump = spec.jump
-    theta = spec.coeffs.theta
-    if jump is None or theta is None or r is None or jump.intensity == 0:
+    if not spec.has_jumps or r is None:
         return 0.0
+    theta = spec.coeffs.theta
     return _nu_weighted(spec, r, lambda z: theta(t, x, y, a, u, z))
 
 
 def _nu_weighted(spec: ProblemSpec, r: RFun, gz: Callable):
     jump = spec.jump
-    if hasattr(jump.marks, "values"):
-        total = 0.0
-        for j, (z, pz) in enumerate(zip(jump.marks.values, jump.marks.probs)):
-            total = total + pz * np.asarray(gz(z), float) * _r_at(r, jump, j, z)
-        return jump.intensity * total
-    return jump.intensity * jump.marks.expectation(
-        lambda z: gz(z) * _r_at(r, jump, None, z))
+    total = 0.0
+    for j, (z, pz) in enumerate(zip(jump.marks.values, jump.marks.probs)):
+        total = total + pz * np.asarray(gz(z), float) * _r_at(r, j, z)
+    return jump.intensity * total
 
 
 def _check_finite(value, label):
@@ -94,35 +81,24 @@ def _check_finite(value, label):
     return value
 
 
-def eval_H1(spec: ProblemSpec, args: HamArgs1, check: bool = True):
+def eval_H(spec: ProblemSpec, args: HamArgs, check: bool = True):
+    """H1, or H2 when ``args.p2`` is given, summed in the order
+    f + b p, the p2 term, sigma q, the nu term."""
     c = spec.coeffs
     t, x, y, a, u = args.t, args.x, args.y, args.a, args.u
-    val = (c.f(t, x, y, a, u)
-           + c.b(t, x, y, a, u) * args.p
-           + c.sigma(t, x, y, a, u) * args.q
+    val = c.f(t, x, y, a, u) + c.b(t, x, y, a, u) * args.p
+    if args.p2 is not None:
+        lam = spec.lambda_avg
+        val = val + (x - lam * y - np.exp(-lam * spec.delta) * a) * args.p2
+    val = (val + c.sigma(t, x, y, a, u) * args.q
            + nu_theta_r(spec, t, x, y, a, u, args.r))
-    return _check_finite(val, "H1") if check else val
+    return _check_finite(val, "H") if check else val
 
 
-def eval_H2(spec: ProblemSpec, args: HamArgs2, check: bool = True):
-    c = spec.coeffs
-    t, x, y, a, u = args.t, args.x, args.y, args.a, args.u
-    p1, p2, _p3 = args.p
-    q1, _q2 = args.q
-    lam = spec.lambda_avg
-    avg_term = (x - lam * y - np.exp(-lam * spec.delta) * a) * p2
-    val = (c.f(t, x, y, a, u)
-           + c.b(t, x, y, a, u) * p1
-           + avg_term
-           + c.sigma(t, x, y, a, u) * q1
-           + nu_theta_r(spec, t, x, y, a, u, args.r))
-    return _check_finite(val, "H2") if check else val
-
-
-def grad_H(spec: ProblemSpec, args, which: str, formulation: int = 1,
-           check: bool = True):
+def grad_H(spec: ProblemSpec, args: HamArgs, which: str, check: bool = True):
     """Partial derivative of the Hamiltonian in x, y, a, or u by the chain
-    rule over the coefficient partials (finite differences fill gaps).
+    rule over the coefficient partials (finite differences fill gaps),
+    plus the p2 coefficient when ``args.p2`` is given.
 
     ``check=False`` returns NaN/inf entries instead of raising, for
     callers that filter out-of-domain ensemble points themselves."""
@@ -130,24 +106,18 @@ def grad_H(spec: ProblemSpec, args, which: str, formulation: int = 1,
         raise ValueError(f"unknown variable {which!r}")
     c = spec.coeffs
     t, x, y, a, u = args.t, args.x, args.y, args.a, args.u
-    if formulation == 1:
-        p, q = args.p, args.q
-    else:
-        p, q = args.p[0], args.q[0]
-
     val = (c.partial("f", which)(t, x, y, a, u)
-           + c.partial("b", which)(t, x, y, a, u) * p
-           + c.partial("sigma", which)(t, x, y, a, u) * q)
-    if spec.jump is not None and c.theta is not None and args.r is not None:
+           + c.partial("b", which)(t, x, y, a, u) * args.p
+           + c.partial("sigma", which)(t, x, y, a, u) * args.q)
+    if spec.has_jumps and args.r is not None:
         dtheta = c.partial("theta", which)
         val = val + _nu_weighted(spec, args.r,
                                  lambda z: dtheta(t, x, y, a, u, z))
-    if formulation == 2:
-        p2 = args.p[1]
+    if args.p2 is not None:
         lam = spec.lambda_avg
         coef = {"x": 1.0, "y": -lam, "a": -np.exp(-lam * spec.delta),
                 "u": 0.0}[which]
-        val = val + coef * p2
+        val = val + coef * args.p2
     return _check_finite(val, f"dH/d{which}") if check else val
 
 
@@ -224,9 +194,8 @@ class _ItoResidualAccumulator(StepAccumulator):
     averaging decay used along the path.
     """
 
-    def __init__(self, F: ItoTestFunction, control: ControlSpec):
+    def __init__(self, F: ItoTestFunction):
         self.Ffun = F
-        self.control = control
 
     def begin(self, n_lanes, spec, grid):
         return {"spec": spec, "grid": grid, "I": np.zeros(n_lanes),
@@ -243,7 +212,7 @@ class _ItoResidualAccumulator(StepAccumulator):
                + c.b(t, x, y, a, u) * F.F_x(t, x, a)
                + 0.5 * c.sigma(t, x, y, a, u) ** 2 * F.F_xx(t, x, a)
                + (x - lam * a - np.exp(-lam * spec.delta) * y) * F.F_a(t, x, a))
-        if spec.jump is not None and c.theta is not None and spec.jump.intensity > 0:
+        if spec.has_jumps:
             def comp(z):
                 th = c.theta(t, x, y, a, u, z)
                 return (F.F(t, x + th, a) - F.F(t, x, a)
@@ -264,7 +233,7 @@ def ito_delay_residual(spec: ProblemSpec, grid: TimeGrid, F: ItoTestFunction,
                        threads: int = 1):
     """Monte Carlo mean and standard error of the compensated delay-Ito
     residual; a correct formula drives the mean to 0 up to O(dt) bias."""
-    acc = _ItoResidualAccumulator(F, control)
+    acc = _ItoResidualAccumulator(F)
     res = simulate_ensemble(spec, grid, control, n_paths, seed,
                             accumulators=(acc,), threads=threads)
     return mean_stderr(res.extras[0])

@@ -10,6 +10,9 @@ jump amplitude theta has signature (t, x, y, a, u, z).  All callbacks must
 accept numpy arrays for the state/control arguments and broadcast
 elementwise; they must be pure (no hidden mutable state) so problem
 specifications can be shared across concurrent workers.
+
+Jump marks are discrete (``DiscreteMarks``), and ``ProblemSpec.has_jumps``
+is the one test of whether jumps act on the state.
 """
 
 from __future__ import annotations
@@ -96,53 +99,24 @@ class DiscreteMarks:
 
 
 @dataclass(frozen=True)
-class ContinuousMarks:
-    """Mark density on [low, high] integrated with 64-point Gauss-Legendre."""
-
-    density: Callable[[float], float]
-    low: float
-    high: float
-
-    def _nodes(self):
-        x, w = np.polynomial.legendre.leggauss(64)
-        mid = 0.5 * (self.high + self.low)
-        half = 0.5 * (self.high - self.low)
-        return mid + half * x, half * w
-
-    def expectation(self, g: Callable):
-        z, w = self._nodes()
-        total = None
-        for zi, wi in zip(z, w):
-            term = wi * self.density(zi) * np.asarray(g(zi), float)
-            total = term if total is None else total + term
-        return total
-
-    def moments(self):
-        m1 = float(self.expectation(lambda z: z))
-        m2 = float(self.expectation(lambda z: z * z))
-        return m1, m2
-
-
-@dataclass(frozen=True)
 class JumpModel:
-    """Compound-Poisson jump component: intensity times a mark law nu(dz).
+    """Compound-Poisson jump component: intensity times a discrete mark
+    law nu(dz).
 
-    Every integral against nu reduces to ``intensity * E[...]`` over the
-    mark distribution, exact for discrete marks and 64-point quadrature
-    otherwise.
+    Every integral against nu reduces exactly to ``intensity * E[...]``
+    over the mark distribution.
     """
 
     intensity: float
-    marks: DiscreteMarks | ContinuousMarks
+    marks: DiscreteMarks
 
     def __post_init__(self):
+        if not isinstance(self.marks, DiscreteMarks):
+            raise ConfigError("jump marks must be a DiscreteMarks distribution")
         if self.intensity < 0:
             raise ConfigError("jump intensity must be nonnegative")
         if not all(math.isfinite(m) for m in self.marks.moments()):
             raise ConfigError("mark moments must be finite")
-
-    def mark_expectation(self, g: Callable):
-        return self.marks.expectation(g)
 
     def nu_integral(self, g: Callable):
         """int g(z) nu(dz) = intensity * E[g(Z)]."""
@@ -150,9 +124,7 @@ class JumpModel:
 
     @property
     def n_marks(self) -> int:
-        if isinstance(self.marks, DiscreteMarks):
-            return len(self.marks.values)
-        return 0
+        return len(self.marks.values)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +248,13 @@ class ProblemSpec:
         if self.lambda_avg <= 0:
             raise ConfigError("lambda_avg must be positive")
 
+    @property
+    def has_jumps(self) -> bool:
+        """Whether jumps act on the state: a jump component with positive
+        intensity and a jump amplitude theta."""
+        return (self.jump is not None and self.coeffs.theta is not None
+                and self.jump.intensity > 0)
+
     def clip_control(self, u):
         return np.clip(u, self.control_lo, self.control_hi)
 
@@ -295,16 +274,23 @@ class ProblemSpec:
 # Config-driven construction
 # ---------------------------------------------------------------------------
 
+def require_key(section: dict, name: str, key: str):
+    """``section[key]``, or a ConfigError naming the section and the key."""
+    if key not in section:
+        raise ConfigError(f"config section {name!r} is missing key {key!r}")
+    return section[key]
+
+
 def _segment_from_config(cfg) -> Callable:
     if callable(cfg):
         return cfg
     kind = cfg.get("kind", "constant")
     if kind == "constant":
-        c = float(cfg["value"])
+        c = float(require_key(cfg, "initial_segment", "value"))
         return lambda s: np.full_like(np.asarray(s, float), c)
     if kind == "linear":
         # X0(s) = value + slope * s on [-delta, 0]
-        c = float(cfg["value"])
+        c = float(require_key(cfg, "initial_segment", "value"))
         slope = float(cfg.get("slope", 0.0))
         return lambda s: c + slope * np.asarray(s, float)
     raise ConfigError(f"unknown initial segment kind {kind!r}")
@@ -315,15 +301,16 @@ def _jump_from_config(cfg) -> Optional[JumpModel]:
         return None
     if isinstance(cfg, JumpModel):
         return cfg
-    marks_cfg = cfg["marks"]
+    marks_cfg = require_key(cfg, "jump", "marks")
     kind = marks_cfg.get("kind", "discrete")
     if kind != "discrete":
         raise ConfigError("config files support discrete mark distributions")
     marks = DiscreteMarks(
-        values=np.asarray(marks_cfg["values"], float),
-        probs=np.asarray(marks_cfg["probs"], float),
+        values=np.asarray(require_key(marks_cfg, "jump.marks", "values"), float),
+        probs=np.asarray(require_key(marks_cfg, "jump.marks", "probs"), float),
     )
-    return JumpModel(intensity=float(cfg["intensity"]), marks=marks)
+    return JumpModel(intensity=float(require_key(cfg, "jump", "intensity")),
+                     marks=marks)
 
 
 def build_problem(raw_config: dict) -> ProblemSpec:
@@ -389,6 +376,7 @@ def build_problem(raw_config: dict) -> ProblemSpec:
     grid_cfg = raw_config.get("grid")
     if grid_cfg is not None:
         # Fail early on delay/grid misalignment.
-        grid = make_grid(delta, float(grid_cfg["dt"]), float(grid_cfg["horizon"]))
+        grid = make_grid(delta, float(require_key(grid_cfg, "grid", "dt")),
+                         float(require_key(grid_cfg, "grid", "horizon")))
         spec.validate_segment(grid)
     return spec

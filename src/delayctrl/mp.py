@@ -4,7 +4,9 @@ conditions for a candidate control.
 Sufficient side: concavity of the Hamiltonian in (x, y, a, u),
 conditional maximization of H at the candidate, empirical integrability
 of the adjoint, and the transversality trend E[p(T)(X(T) - X_hat(T))]
-over a ladder of horizons.
+over a ladder of horizons.  One check serves both formulations, given
+the adjoint as (p, q, p2) at ensemble points; the second formulation
+(p2 given) adds the p2 transversality trend and the flatness of p3.
 
 Necessary side: the first-order condition E[dH/du | E_t] = 0 at probe
 times, cross-checked by Gateaux derivatives of J along rectangular bump
@@ -29,7 +31,7 @@ from .adjoint import SecondAdjointResult, p3_flatness
 from .errors import AdjointMissing, NonFinite
 from .forward import (ControlSpec, StepAccumulator, feedback_control,
                       simulate_ensemble, stack_records)
-from .hamiltonian import HamArgs1, HamArgs2, eval_H1, eval_H2, grad_H, maximize_scalar
+from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
 from .model import ProblemSpec, TimeGrid
 from .objective import RunningRewardAccumulator, estimate_J, mean_stderr
 
@@ -112,7 +114,7 @@ def _superpose(base: ControlSpec, beta: ControlSpec, s: float,
     dt = grid.dt
 
     def rule(t, x, y, a):
-        k = int(round(np.asarray(t, float).ravel()[0] / dt)) if np.ndim(t) else int(round(t / dt))
+        k = int(round(t / dt))
         return base.raw(k, t, x, y, a) + s * beta.raw(k, t, x, y, a)
 
     return feedback_control(rule)
@@ -186,42 +188,33 @@ def _conditional_residual(values, e_t, lag_state=None, degree: int = 2):
 # Hamiltonian evaluation over ensembles
 # ---------------------------------------------------------------------------
 
-def _H_paths(spec, formulation, t, x, y, a, u, adj):
-    if formulation == 1:
-        p, q = adj
-        args = HamArgs1(t=t, x=x, y=y, a=a, u=u, p=p, q=q, r=None)
-        return eval_H1(spec, args, check=False)
-    p1, p2, p3, q1, q2 = adj
-    args = HamArgs2(t=t, x=x, y=y, a=a, u=u, p=(p1, p2, p3), q=(q1, q2), r=None)
-    return eval_H2(spec, args, check=False)
-
-
-def _gap_at_probe(spec, t, x, y, a, u_hat, adj, formulation):
+def _gap_at_probe(spec, t, x, y, a, u_hat, adj):
     """Conditional-maximum gap max_v mean H(v) - mean H(u_hat) plus the
-    paired standard error at the maximizer."""
-    def mean_H(v):
-        vv = np.full_like(x, np.clip(v, spec.control_lo, spec.control_hi))
+    paired standard error at the maximizer; ``adj`` = (p, q, p2)."""
+    p, q, p2 = adj
+
+    def H(u):
+        args = HamArgs(t=t, x=x, y=y, a=a, u=u, p=p, q=q, p2=p2)
         with np.errstate(all="ignore"):
-            vals = _H_paths(spec, formulation, t, x, y, a, vv, adj)
-        vals = np.asarray(vals, float)
+            return np.asarray(eval_H(spec, args, check=False), float)
+
+    def mean_H(v):
+        vals = H(np.full_like(x, np.clip(v, spec.control_lo, spec.control_hi)))
         vals = vals[np.isfinite(vals)]
         if vals.size == 0:
             return -np.inf
         return float(np.mean(vals))
 
     v_star, _ = maximize_scalar(mean_H, spec.control_lo, spec.control_hi)
-    with np.errstate(all="ignore"):
-        h_star = np.asarray(_H_paths(spec, formulation, t, x, y, a,
-                                     np.full_like(x, v_star), adj), float)
-        h_hat = np.asarray(_H_paths(spec, formulation, t, x, y, a, u_hat, adj), float)
+    h_star = H(np.full_like(x, v_star))
+    h_hat = H(u_hat)
     ok = np.isfinite(h_star) & np.isfinite(h_hat)
     diff = h_star[ok] - h_hat[ok]
     gap, stderr = mean_stderr(diff)
     return gap, stderr, float(v_star)
 
 
-def _hessian_proxy(spec, grid, stacked, adjoint_eval, formulation,
-                   n_samples: int, rng):
+def _hessian_proxy(spec, grid, stacked, adjoint_eval, n_samples: int, rng):
     """Max eigenvalue of the (x, y, a, u)-Hessian of H over sampled
     ensemble points, by central differences of the analytic gradient."""
     N, n1 = stacked["X"].shape
@@ -236,17 +229,12 @@ def _hessian_proxy(spec, grid, stacked, adjoint_eval, formulation,
                 "a": stacked["A"][ip, k], "u": stacked["u"][ip, k]}
         if not all(np.isfinite(v) for v in base.values()):
             continue
-        adj = adjoint_eval(t, base["x"], base["y"], base["a"])
+        p, q, p2 = adjoint_eval(t, base["x"], base["y"], base["a"])
 
         def grad_vec(pt):
-            if formulation == 1:
-                args = HamArgs1(t=t, x=pt["x"], y=pt["y"], a=pt["a"],
-                                u=pt["u"], p=adj[0], q=adj[1], r=None)
-            else:
-                args = HamArgs2(t=t, x=pt["x"], y=pt["y"], a=pt["a"],
-                                u=pt["u"], p=adj[:3], q=adj[3:], r=None)
-            return np.array([float(grad_H(spec, args, v, formulation,
-                                          check=False))
+            args = HamArgs(t=t, x=pt["x"], y=pt["y"], a=pt["a"], u=pt["u"],
+                           p=p, q=q, p2=p2)
+            return np.array([float(grad_H(spec, args, v, check=False))
                              for v in var_names])
 
         try:
@@ -266,21 +254,18 @@ def _hessian_proxy(spec, grid, stacked, adjoint_eval, formulation,
 # Sufficient conditions
 # ---------------------------------------------------------------------------
 
-def check_sufficient_first(spec: ProblemSpec, grid: TimeGrid,
-                           candidate: ControlSpec, comparison_controls,
-                           mc_cfg: dict) -> SufficiencyReport:
-    """Concavity, conditional maximization, integrability proxy, and the
-    transversality ladder for the scalar-adjoint formulation.
-
-    mc_cfg requires ``adjoint``: a callable p(t, x, y, a) or a pair
-    (p_fn, q_fn) for the candidate's adjoint.
-    """
-    adjoint = mc_cfg.get("adjoint")
-    if adjoint is None:
-        raise AdjointMissing("check_sufficient_first needs mc_cfg['adjoint']")
+def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
+                      adjoint_eval) -> SufficiencyReport:
+    """Transversality ladder, concavity proxy, integrability proxy and
+    conditional-maximum gaps for the adjoint
+    ``adjoint_eval(t, x, y, a) -> (p, q, p2)``; p2 is None for the
+    first formulation and adds the p2/Y transversality columns."""
     report = SufficiencyReport()
     records = mc_cfg.get("ensemble") or _simulate(spec, grid, candidate, mc_cfg)
     S = stack_records(records, _STATE)
+
+    def state(k):
+        return S["X"][:, k], S["Y"][:, k], S["A"][:, k]
 
     # (i) transversality ladder over nested horizons
     ladder = mc_cfg.get("horizon_fractions", (0.25, 0.5, 1.0))
@@ -290,51 +275,49 @@ def check_sufficient_first(spec: ProblemSpec, grid: TimeGrid,
         for frac in ladder:
             k = min(grid.n, int(round(frac * grid.n)))
             t = k * grid.dt
-            p_hat, _ = _adjoint_values(adjoint, t, S["X"][:, k], S["Y"][:, k],
-                                       S["A"][:, k])
-            est, se = mean_stderr(p_hat * (C["X"][:, k] - S["X"][:, k]))
-            report.transversality.append(
-                {"comparison": cmp_idx, "T": t, "estimate": est, "stderr": se})
+            p, _, p2 = adjoint_eval(t, *state(k))
+            est, se = mean_stderr(p * (C["X"][:, k] - S["X"][:, k]))
+            rec = {"comparison": cmp_idx, "T": t, "estimate": est, "stderr": se}
+            if p2 is not None:
+                rec["estimate_p2"], rec["stderr_p2"] = mean_stderr(
+                    p2 * (C["Y"][:, k] - S["Y"][:, k]))
+            report.transversality.append(rec)
 
     # (ii) concavity proxy over sampled points
     rng = np.random.default_rng(int(mc_cfg.get("seed", 0)) + 1)
-    def adjoint_eval(t, x, y, a):
-        return _adjoint_values(adjoint, t, x, y, a)
-    worst = _hessian_proxy(spec, grid, S, adjoint_eval, 1,
+    worst = _hessian_proxy(spec, grid, S, adjoint_eval,
                            int(mc_cfg.get("hessian_samples", 200)), rng)
     conc_tol = float(mc_cfg.get("concavity_tol", 1e-8))
     report.concavity = {"max_eigenvalue": worst, "tol": conc_tol,
                         "passed": worst <= conc_tol}
 
-    # (iii) integrability proxy: E int p^2 (sigma^2 + int theta^2 nu) dt
-    ts = grid.times
+    # (iii) integrability proxy: E int p^2 (sigma^2 + int theta^2 nu) + q^2 dt
+    stride = max(1, grid.n // 50)
     total = 0.0
-    for k in range(0, grid.n + 1, max(1, grid.n // 50)):
-        t = ts[k]
-        p_hat, q_hat = _adjoint_values(adjoint, t, S["X"][:, k], S["Y"][:, k],
-                                       S["A"][:, k])
+    for k in range(0, grid.n + 1, stride):
+        t = k * grid.dt
+        x, y, a = state(k)
+        u = S["u"][:, k]
+        p, q, _ = adjoint_eval(t, x, y, a)
         with np.errstate(all="ignore"):
-            sig = np.asarray(spec.coeffs.sigma(t, S["X"][:, k], S["Y"][:, k],
-                                               S["A"][:, k], S["u"][:, k]), float)
+            sig = np.asarray(spec.coeffs.sigma(t, x, y, a, u), float)
         jump_sq = 0.0
-        if spec.jump is not None and spec.coeffs.theta is not None:
+        if spec.has_jumps:
             jump_sq = spec.jump.nu_integral(
-                lambda z: np.asarray(spec.coeffs.theta(
-                    t, S["X"][:, k], S["Y"][:, k], S["A"][:, k],
-                    S["u"][:, k], z), float) ** 2)
-        term = np.nanmean(p_hat ** 2 * (sig ** 2 + jump_sq) + q_hat ** 2)
-        total += term * grid.dt * max(1, grid.n // 50)
+                lambda z: np.asarray(spec.coeffs.theta(t, x, y, a, u, z),
+                                     float) ** 2)
+        term = np.nanmean(p ** 2 * (sig ** 2 + jump_sq) + q ** 2)
+        total += term * grid.dt * stride
     report.integrability = {"estimate": float(total),
                             "finite": bool(np.isfinite(total))}
 
-    # (iiii) conditional maximization at probe times
+    # (iv) conditional maximization at probe times
     gaps_ok = True
     for k in _probe_indices(grid, mc_cfg):
         t = k * grid.dt
-        adj = _adjoint_values(adjoint, t, S["X"][:, k], S["Y"][:, k],
-                              S["A"][:, k])
-        gap, se, v_star = _gap_at_probe(spec, t, S["X"][:, k], S["Y"][:, k],
-                                        S["A"][:, k], S["u"][:, k], adj, 1)
+        x, y, a = state(k)
+        gap, se, v_star = _gap_at_probe(spec, t, x, y, a, S["u"][:, k],
+                                        adjoint_eval(t, x, y, a))
         report.max_gap.append({"t": float(t), "gap": gap, "stderr": se,
                                "maximizer": v_star})
         if gap > 2 * se + float(mc_cfg.get("gap_abs_tol", 1e-9)):
@@ -348,69 +331,50 @@ def check_sufficient_first(spec: ProblemSpec, grid: TimeGrid,
     return report
 
 
+def check_sufficient_first(spec: ProblemSpec, grid: TimeGrid,
+                           candidate: ControlSpec, comparison_controls,
+                           mc_cfg: dict) -> SufficiencyReport:
+    """Concavity, conditional maximization, integrability proxy, and the
+    transversality ladder for the scalar-adjoint formulation.
+
+    mc_cfg requires ``adjoint``: a callable p(t, x, y, a) or a pair
+    (p_fn, q_fn) for the candidate's adjoint.
+    """
+    adjoint = mc_cfg.get("adjoint")
+    if adjoint is None:
+        raise AdjointMissing("check_sufficient_first needs mc_cfg['adjoint']")
+
+    def adjoint_eval(t, x, y, a):
+        return (*_adjoint_values(adjoint, t, x, y, a), None)
+
+    return _check_sufficient(spec, grid, candidate, comparison_controls,
+                             mc_cfg, adjoint_eval)
+
+
 def check_sufficient_second(spec: ProblemSpec, grid: TimeGrid,
                             candidate: ControlSpec, comparison_controls,
                             mc_cfg: dict) -> SufficiencyReport:
     """Three-adjoint variant: adds the p2/Y transversality ladder and the
-    p3-flatness check.  mc_cfg requires ``adjoint2``: a
-    SecondAdjointResult solved under the candidate (deterministic grid
-    functions)."""
+    p3-flatness check; integrability is measured on (p1, q1).  mc_cfg
+    requires ``adjoint2``: a SecondAdjointResult solved under the
+    candidate (deterministic grid functions)."""
     adj2 = mc_cfg.get("adjoint2")
     if adj2 is None or not isinstance(adj2, SecondAdjointResult):
         raise AdjointMissing("check_sufficient_second needs mc_cfg['adjoint2']")
-    report = SufficiencyReport()
-    records = mc_cfg.get("ensemble") or _simulate(spec, grid, candidate, mc_cfg)
-    S = stack_records(records, _STATE)
-
-    ladder = mc_cfg.get("horizon_fractions", (0.25, 0.5, 1.0))
-    for cmp_idx, cmp_control in enumerate(comparison_controls):
-        cmp_records = _simulate(spec, grid, cmp_control, mc_cfg)
-        C = stack_records(cmp_records, _STATE)
-        for frac in ladder:
-            k = min(grid.n, int(round(frac * grid.n)))
-            t = k * grid.dt
-            est1, se1 = mean_stderr(adj2.p1[k] * (C["X"][:, k] - S["X"][:, k]))
-            est2, se2 = mean_stderr(adj2.p2[k] * (C["Y"][:, k] - S["Y"][:, k]))
-            report.transversality.append(
-                {"comparison": cmp_idx, "T": t,
-                 "estimate": est1, "stderr": se1,
-                 "estimate_p2": est2, "stderr_p2": se2})
-
-    rng = np.random.default_rng(int(mc_cfg.get("seed", 0)) + 1)
 
     def adjoint_eval(t, x, y, a):
         k = min(grid.n, int(round(t / grid.dt)))
         shape = np.shape(x)
         return (np.broadcast_to(adj2.p1[k], shape),
-                np.broadcast_to(adj2.p2[k], shape),
-                np.broadcast_to(adj2.p3[k], shape),
                 np.broadcast_to(adj2.q1[k], shape),
-                np.broadcast_to(adj2.q2[k], shape))
+                np.broadcast_to(adj2.p2[k], shape))
 
-    worst = _hessian_proxy(spec, grid, S, adjoint_eval, 2,
-                           int(mc_cfg.get("hessian_samples", 200)), rng)
-    conc_tol = float(mc_cfg.get("concavity_tol", 1e-8))
-    report.concavity = {"max_eigenvalue": worst, "tol": conc_tol,
-                        "passed": worst <= conc_tol}
-    report.integrability = {"estimate": 0.0, "finite": True}
-
-    gaps_ok = True
-    for k in _probe_indices(grid, mc_cfg):
-        t = k * grid.dt
-        adj = adjoint_eval(t, S["X"][:, k], S["Y"][:, k], S["A"][:, k])
-        gap, se, v_star = _gap_at_probe(spec, t, S["X"][:, k], S["Y"][:, k],
-                                        S["A"][:, k], S["u"][:, k], adj, 2)
-        report.max_gap.append({"t": float(t), "gap": gap, "stderr": se,
-                               "maximizer": v_star})
-        if gap > 2 * se + float(mc_cfg.get("gap_abs_tol", 1e-9)):
-            gaps_ok = False
-
+    report = _check_sufficient(spec, grid, candidate, comparison_controls,
+                               mc_cfg, adjoint_eval)
     flat, dev = p3_flatness(adj2.p3, float(mc_cfg.get("p3_tol", 1e-6)))
     report.p3_check = {"flat": flat, "max_deviation": dev}
-    trans_ok = all(rec["estimate"] >= -2 * rec["stderr"] - 1e-12
-                   for rec in report.transversality)
-    report.verdict = ("pass" if (gaps_ok and report.concavity["passed"]
-                                 and flat and trans_ok) else "fail")
+    if not flat:
+        report.verdict = "fail"
     return report
 
 
@@ -447,9 +411,9 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
         t = k * grid.dt
         x, y, a, u = S["X"][:, k], S["Y"][:, k], S["A"][:, k], S["u"][:, k]
         p, q = _adjoint_values(adjoint, t, x, y, a)
-        args = HamArgs1(t=t, x=x, y=y, a=a, u=u, p=p, q=q, r=None)
+        args = HamArgs(t=t, x=x, y=y, a=a, u=u, p=p, q=q)
         with np.errstate(all="ignore"):
-            g = np.asarray(grad_H(spec, args, "u", 1, check=False), float)
+            g = np.asarray(grad_H(spec, args, "u", check=False), float)
         ok = np.isfinite(g)
         lag = None
         if lag_steps and k - lag_steps >= 0:

@@ -87,6 +87,7 @@ class TestSecondAdjoint:
         assert np.max(np.abs(res.p2)) < 1e-10
         assert np.max(np.abs(res.p3)) < 1e-10
 
+    @pytest.mark.slow  # runs the ex35_K search
     def test_recruitment_ratio_and_flatness(self):
         """Matched-alpha instance: p1/p2 = e^{-rho delta}/beta along the
         grid and p3 vanishes."""
@@ -103,6 +104,7 @@ class TestSecondAdjoint:
         flat, dev = p3_flatness(res.p3[keep], 1e-6)
         assert flat, f"p3 deviation {dev}"
 
+    @pytest.mark.slow  # runs the ex35_K search
     def test_alpha_perturbation_breaks_flatness(self):
         params = Example35Params(sigma0=0.0)
         K = ex35_K(params)

@@ -184,6 +184,7 @@ class TestExamples:
         data = np.genfromtxt(out / "example34.csv", delimiter=",", names=True)
         assert set(data.dtype.names) == {"t", "p1", "X", "u"}
 
+    @pytest.mark.slow  # runs the ex35_K search
     def test_example35_outputs(self, tmp_path):
         cfg = {
             "problem": {
@@ -288,6 +289,16 @@ class TestSweep:
                        "--param", "problem.params.mu", "--values", "0.05",
                        "--paths", "8") == EXIT_OK
 
+    def test_rho_shorthand_reaches_params(self, cfg_path, tmp_path):
+        """BASE_CFG sets problem.params.rho, which coefficients_ex34
+        reads before problem.rho: the shorthand must move both."""
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg_path, "--out-dir", str(out),
+                       "--param", "rho", "--values", "0.05,0.3",
+                       "--control", "constant:0.1") == EXIT_OK
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert float(rows[1].split(",")[1]) != float(rows[2].split(",")[1])
+
     def test_unknown_parameter(self, cfg_path, tmp_path):
         assert run_cli("sweep", "--config", cfg_path, "--out-dir",
                        str(tmp_path), "--param", "bogus", "--values",
@@ -313,6 +324,24 @@ class TestErrors:
     def test_grid_mismatch(self, tmp_path):
         cfg = json.loads(json.dumps(BASE_CFG))
         cfg["grid"]["dt"] = 0.3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("objective", "--config", str(path), "--out-dir",
+                       str(tmp_path)) == EXIT_USAGE
+
+    @pytest.mark.parametrize("section, value", [
+        ("grid", {"horizon": 3.0}),
+        ("initial_segment", {"kind": "constant"}),
+        ("jump", {"marks": {"kind": "discrete", "values": [0.1],
+                            "probs": [1.0]}}),
+        ("control", {"kind": "file"}),
+    ])
+    def test_missing_key(self, tmp_path, section, value):
+        cfg = json.loads(json.dumps(BASE_CFG))
+        if section == "initial_segment":
+            cfg["problem"][section] = value
+        else:
+            cfg[section] = value
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert run_cli("objective", "--config", str(path), "--out-dir",

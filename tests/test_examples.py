@@ -11,7 +11,6 @@ from delayctrl.examples import (
     Example35Params,
     coefficients_ex34,
     ex34_adjoint,
-    ex34_consumption,
     ex34_control,
     ex34_feedback,
     ex34_objective,
@@ -47,7 +46,8 @@ class TestConsumptionClosedForm:
         x = ex34_state(params, t, p0)
         h = 1e-6
         dx = (ex34_state(params, t + h, p0) - ex34_state(params, t - h, p0)) / (2 * h)
-        rhs = params.mu * x - ex34_consumption(params, t, p0)
+        # consumption c(t) = u(t, x) x, the same for every x > 0
+        rhs = params.mu * x - ex34_control(params, t, 1.0, p0)
         np.testing.assert_allclose(dx, rhs, atol=1e-8)
 
     def test_objective_closed_form_matches_quadrature(self):
@@ -55,8 +55,9 @@ class TestConsumptionClosedForm:
         p0 = ex34_p0_star(params)
 
         def integrand(t):
+            # c(t) = u(t, x) x, the same for every x > 0
             return (np.exp(-params.rho * t)
-                    * ex34_consumption(params, t, p0) ** params.gamma
+                    * ex34_control(params, t, 1.0, p0) ** params.gamma
                     / params.gamma)
 
         target, _ = quad(integrand, 0.0, 400.0, limit=400)
@@ -104,6 +105,7 @@ class TestRecruitmentClosedForm:
         rate = params.mu + params.edb
         np.testing.assert_allclose(p1, 1.7 * np.exp(-rate * t), rtol=1e-12)
 
+    @pytest.mark.slow  # runs the ex35_K search
     def test_K_is_deterministic_and_positive(self):
         params = Example35Params()
         k1 = ex35_K(params)
@@ -123,6 +125,7 @@ class TestRecruitmentClosedForm:
         with pytest.raises(TypeError, match="broken integration"):
             ex35_K(Example35Params())
 
+    @pytest.mark.slow  # runs the ex35_K search
     def test_K_keeps_deterministic_flow_positive(self):
         """The searched constant keeps the noiseless wealth path positive
         over a long window."""

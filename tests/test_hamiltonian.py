@@ -10,11 +10,9 @@ from delayctrl import make_grid
 from delayctrl.errors import NonFinite
 from delayctrl.forward import constant_control
 from delayctrl.hamiltonian import (
-    HamArgs1,
-    HamArgs2,
+    HamArgs,
     ItoTestFunction,
-    eval_H1,
-    eval_H2,
+    eval_H,
     grad_H,
     ito_delay_residual,
     maximize_scalar,
@@ -27,27 +25,27 @@ from conftest import make_jump_spec
 class TestEvaluation:
     def test_h1_hand_value(self, ex34_spec):
         # H1 = f + b p + sigma q at t=0, x=1, u=0.15
-        args = HamArgs1(t=0.0, x=1.0, y=1.0, a=1.0, u=0.15, p=2.0, q=0.5)
+        args = HamArgs(t=0.0, x=1.0, y=1.0, a=1.0, u=0.15, p=2.0, q=0.5)
         f = 0.15 ** 0.5 / 0.5
         b = 0.05 - 0.15
         sig = 0.05
         expected = f + b * 2.0 + sig * 0.5
-        assert eval_H1(ex34_spec, args) == pytest.approx(expected, rel=1e-12)
+        assert eval_H(ex34_spec, args) == pytest.approx(expected, rel=1e-12)
 
     def test_h2_reduces_to_h1_with_zero_extras(self, ex34_spec):
-        a1 = HamArgs1(t=0.5, x=1.2, y=0.9, a=1.1, u=0.2, p=1.5, q=0.3)
-        a2 = HamArgs2(t=0.5, x=1.2, y=0.9, a=1.1, u=0.2,
-                      p=(1.5, 0.0, 0.0), q=(0.3, 0.0))
-        assert eval_H2(ex34_spec, a2) == pytest.approx(
-            float(eval_H1(ex34_spec, a1)), rel=1e-14)
+        a1 = HamArgs(t=0.5, x=1.2, y=0.9, a=1.1, u=0.2, p=1.5, q=0.3)
+        a2 = HamArgs(t=0.5, x=1.2, y=0.9, a=1.1, u=0.2, p=1.5, q=0.3,
+                     p2=0.0)
+        assert eval_H(ex34_spec, a2) == pytest.approx(
+            float(eval_H(ex34_spec, a1)), rel=1e-14)
 
     def test_h2_averaging_term(self, ex34_spec):
         lam = ex34_spec.lambda_avg
-        a2 = HamArgs2(t=0.0, x=2.0, y=1.0, a=0.5, u=0.2,
-                      p=(0.0, 3.0, 0.0), q=(0.0, 0.0))
-        base = HamArgs2(t=0.0, x=2.0, y=1.0, a=0.5, u=0.2,
-                        p=(0.0, 0.0, 0.0), q=(0.0, 0.0))
-        diff = float(eval_H2(ex34_spec, a2)) - float(eval_H2(ex34_spec, base))
+        a2 = HamArgs(t=0.0, x=2.0, y=1.0, a=0.5, u=0.2, p=0.0, q=0.0,
+                     p2=3.0)
+        base = HamArgs(t=0.0, x=2.0, y=1.0, a=0.5, u=0.2, p=0.0, q=0.0,
+                       p2=0.0)
+        diff = float(eval_H(ex34_spec, a2)) - float(eval_H(ex34_spec, base))
         expected = (2.0 - lam * 1.0
                     - np.exp(-lam * ex34_spec.delta) * 0.5) * 3.0
         assert diff == pytest.approx(expected, rel=1e-12)
@@ -59,10 +57,10 @@ class TestEvaluation:
         assert val == pytest.approx(2.0 * 0.025, rel=1e-12)
 
     def test_nonfinite_raises_unless_disabled(self, ex34_spec):
-        args = HamArgs1(t=0.0, x=-1.0, y=1.0, a=1.0, u=0.15, p=1.0, q=0.0)
+        args = HamArgs(t=0.0, x=-1.0, y=1.0, a=1.0, u=0.15, p=1.0, q=0.0)
         with pytest.raises(NonFinite):
-            eval_H1(ex34_spec, args)
-        val = eval_H1(ex34_spec, args, check=False)
+            eval_H(ex34_spec, args)
+        val = eval_H(ex34_spec, args, check=False)
         assert not np.isfinite(val)
 
 
@@ -71,17 +69,17 @@ class TestGradients:
            p=st.floats(-2.0, 2.0))
     @settings(max_examples=40, deadline=None)
     def test_grad_u_matches_fd(self, ex34_spec, x, u, p):
-        args = HamArgs1(t=0.3, x=x, y=x, a=x, u=u, p=p, q=0.4)
+        args = HamArgs(t=0.3, x=x, y=x, a=x, u=u, p=p, q=0.4)
         g = float(grad_H(ex34_spec, args, "u"))
         h = 1e-6 * max(1.0, u)
         from dataclasses import replace
 
-        fd = (float(eval_H1(ex34_spec, replace(args, u=u + h)))
-              - float(eval_H1(ex34_spec, replace(args, u=u - h)))) / (2 * h)
+        fd = (float(eval_H(ex34_spec, replace(args, u=u + h)))
+              - float(eval_H(ex34_spec, replace(args, u=u - h)))) / (2 * h)
         assert g == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
     def test_grad_x_closed_form(self, ex34_spec):
-        args = HamArgs1(t=0.0, x=2.0, y=2.0, a=2.0, u=0.2, p=1.0, q=0.3)
+        args = HamArgs(t=0.0, x=2.0, y=2.0, a=2.0, u=0.2, p=1.0, q=0.3)
         # dH/dx = f_x + (mu - u) p + sigma0 q
         f_x = 0.2 ** 0.5 * 2.0 ** (-0.5)
         expected = f_x + (0.05 - 0.2) * 1.0 + 0.05 * 0.3
@@ -90,15 +88,15 @@ class TestGradients:
 
     def test_grad_formulation2_extra_term(self, ex34_spec):
         lam = ex34_spec.lambda_avg
-        args = HamArgs2(t=0.0, x=1.0, y=1.0, a=1.0, u=0.2,
-                        p=(1.0, 2.0, 0.0), q=(0.0, 0.0))
-        base = HamArgs2(t=0.0, x=1.0, y=1.0, a=1.0, u=0.2,
-                        p=(1.0, 0.0, 0.0), q=(0.0, 0.0))
-        gx = float(grad_H(ex34_spec, args, "x", formulation=2))
-        gx0 = float(grad_H(ex34_spec, base, "x", formulation=2))
+        args = HamArgs(t=0.0, x=1.0, y=1.0, a=1.0, u=0.2, p=1.0, q=0.0,
+                       p2=2.0)
+        base = HamArgs(t=0.0, x=1.0, y=1.0, a=1.0, u=0.2, p=1.0, q=0.0,
+                       p2=0.0)
+        gx = float(grad_H(ex34_spec, args, "x"))
+        gx0 = float(grad_H(ex34_spec, base, "x"))
         assert gx - gx0 == pytest.approx(2.0, rel=1e-12)
-        gy = float(grad_H(ex34_spec, args, "y", formulation=2))
-        gy0 = float(grad_H(ex34_spec, base, "y", formulation=2))
+        gy = float(grad_H(ex34_spec, args, "y"))
+        gy0 = float(grad_H(ex34_spec, base, "y"))
         assert gy - gy0 == pytest.approx(-lam * 2.0, rel=1e-12)
 
     def test_stationarity_of_closed_form(self, ex34_spec, ex34_params):
@@ -110,7 +108,7 @@ class TestGradients:
         for t, x in [(0.0, 1.0), (1.3, 0.7), (4.0, 2.1)]:
             u = ex34_control(ex34_params, t, x, p0)
             p = float(ex34_adjoint(ex34_params, t, p0))
-            args = HamArgs1(t=t, x=x, y=x, a=x, u=u, p=p, q=0.0)
+            args = HamArgs(t=t, x=x, y=x, a=x, u=u, p=p, q=0.0)
             assert float(grad_H(ex34_spec, args, "u")) == pytest.approx(
                 0.0, abs=1e-12)
 
@@ -133,8 +131,8 @@ class TestMaximization:
         p = float(ex34_adjoint(ex34_params, t, p0))
 
         def H(u):
-            return float(eval_H1(ex34_spec, HamArgs1(t=t, x=x, y=x, a=x, u=u,
-                                                     p=p, q=0.0)))
+            return float(eval_H(ex34_spec, HamArgs(t=t, x=x, y=x, a=x, u=u,
+                                                   p=p, q=0.0)))
 
         u_star, _ = maximize_scalar(H, ex34_spec.control_lo,
                                     ex34_spec.control_hi)

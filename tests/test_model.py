@@ -1,5 +1,7 @@
 """Grid construction, configuration parsing, and coefficient plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,15 @@ from hypothesis import strategies as st
 
 from delayctrl import build_problem, make_grid
 from delayctrl.errors import BadInterval, ConfigError, GridMismatch
+from delayctrl.forward import constant_control, simulate_noiseless
+from delayctrl.hamiltonian import nu_theta_r
 from delayctrl.model import (
-    ContinuousMarks,
     DiscreteMarks,
     JumpModel,
     finite_difference_partial,
 )
+
+from conftest import make_jump_spec
 
 BASE_CONFIG = {
     "problem": {
@@ -118,7 +123,7 @@ class TestBuildProblem:
                                  "probs": [0.5, 0.5]}}
         spec = build_problem(cfg)
         assert spec.jump.intensity == 0.5
-        assert spec.jump.mark_expectation(lambda z: z) == pytest.approx(0.0)
+        assert spec.jump.marks.expectation(lambda z: z) == pytest.approx(0.0)
 
     def test_determinism(self):
         a = build_problem(_cfg())
@@ -139,15 +144,32 @@ class TestMarks:
         with pytest.raises(Exception):
             DiscreteMarks(values=np.array([1.0]), probs=np.array([0.5]))
 
-    def test_continuous_expectation_matches_quadrature(self):
-        # uniform density on [1, 3]: E[Z] = 2
-        marks = ContinuousMarks(density=lambda z: 0.5, low=1.0, high=3.0)
-        assert marks.expectation(lambda z: z) == pytest.approx(2.0, abs=1e-10)
+    def test_jump_model_requires_discrete_marks(self):
+        with pytest.raises(ConfigError):
+            JumpModel(intensity=1.0, marks=(np.array([1.0]), np.array([1.0])))
 
     def test_nu_integral_scales_with_intensity(self):
         marks = DiscreteMarks(values=np.array([2.0]), probs=np.array([1.0]))
         jm = JumpModel(intensity=1.5, marks=marks)
         assert jm.nu_integral(lambda z: z ** 2) == pytest.approx(6.0)
+
+
+class TestHasJumps:
+    def test_predicate(self, ex34_spec):
+        spec = make_jump_spec(0.5)
+        assert spec.has_jumps
+        assert not ex34_spec.has_jumps
+        no_theta = dataclasses.replace(
+            spec, coeffs=dataclasses.replace(spec.coeffs, theta=None))
+        assert not no_theta.has_jumps
+        assert not make_jump_spec(0.0).has_jumps
+
+    def test_zero_intensity_runs_noiseless(self):
+        spec = make_jump_spec(0.0)
+        rec = simulate_noiseless(spec, make_grid(0.5, 0.05, 1.0),
+                                 constant_control(0.0))
+        assert np.all(np.isfinite(rec.X))
+        assert nu_theta_r(spec, 0.0, 1.0, 1.0, 1.0, 0.0, lambda z: z) == 0.0
 
 
 class TestPartials:

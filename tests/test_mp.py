@@ -101,6 +101,32 @@ class TestSufficientSecond:
         with pytest.raises(AdjointMissing):
             check_sufficient_second(spec, grid, ctl, [], dict(n_paths=16))
 
+    def test_agrees_with_first_check_when_p2_vanishes(self, setup):
+        """With p2 = p3 = q1 = 0 and p1 the closed-form p, both checks
+        measure the same Hamiltonian on the same ensemble."""
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 5.0)
+        comparisons = [scale_control(ctl, 0.8)]
+        first = check_sufficient_first(spec, grid, ctl, comparisons,
+                                       dict(adjoint=adj, n_paths=256, seed=7))
+        sar = self._closed_form_triple(params, p0, grid)
+        second = check_sufficient_second(spec, grid, ctl, comparisons,
+                                         dict(adjoint2=sar, n_paths=256, seed=7))
+        close = dict(rel=1e-12, abs=0.0)
+        assert len(first.transversality) == len(second.transversality)
+        assert len(first.max_gap) == len(second.max_gap)
+        for r1, r2 in zip(first.transversality, second.transversality):
+            assert r2["estimate"] == pytest.approx(r1["estimate"], **close)
+            assert r2["stderr"] == pytest.approx(r1["stderr"], **close)
+        for g1, g2 in zip(first.max_gap, second.max_gap):
+            for key in ("gap", "stderr", "maximizer"):
+                assert g2[key] == pytest.approx(g1[key], **close)
+        assert second.concavity["max_eigenvalue"] == pytest.approx(
+            first.concavity["max_eigenvalue"], **close)
+        assert first.integrability["estimate"] > 0.0
+        assert second.integrability["estimate"] == pytest.approx(
+            first.integrability["estimate"], **close)
+
 
 class TestNecessary:
     def test_residual_vanishes_at_candidate(self, setup):

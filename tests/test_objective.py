@@ -26,11 +26,12 @@ class TestDeterministicOracle:
         grid = make_grid(1.0, 0.01, 10.0)
         est = estimate_J(spec, grid, ex34_feedback(params, p0), 2, 0)
 
-        from delayctrl.examples import ex34_consumption
+        from delayctrl.examples import ex34_control
 
         def integrand(t):
+            # c(t) = u(t, x) x, the same for every x > 0
             return (np.exp(-params.rho * t)
-                    * ex34_consumption(params, t, p0) ** params.gamma
+                    * ex34_control(params, t, 1.0, p0) ** params.gamma
                     / params.gamma)
 
         oracle, _ = quad(integrand, 0.0, grid.horizon, limit=200)
