@@ -10,6 +10,12 @@ likewise for q, r).  Note the driver sits on the PLUS side of dp.  The
 infinite horizon is truncated at T with p = q = r = 0 beyond T, every
 iterate.
 
+The driver is evaluated on a whole iterate at once: ``fn(p, q, r)``
+receives the padded arrays (n+1+m nodes, so node k+m is t_k + delta and
+nodes k..k+m are the forward segment) and returns F at the n+1 grid
+nodes.  A sweep reads its driver arguments from the previous iterate
+only, so each sweep calls fn once, in both modes.
+
 The solver follows the two-step successive-substitution scheme: an inner
 loop fixes the (q, r) arguments (initialized at zero) and an outer loop
 fixes the p arguments (initialized at zero).  Contraction is monitored in
@@ -35,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadWeight, NoConvergence
 from .model import TimeGrid
@@ -45,18 +50,16 @@ from .model import TimeGrid
 class AdvancedDriver:
     """Driver F plus its declared Lipschitz constant.
 
-    ``fn`` has the ten-argument signature
-    fn(t, p_now, p_adv, p_seg, q_now, q_adv, q_seg, r_now, r_adv, r_seg);
-    the *_adv arguments are values at t + delta and the *_seg arguments
-    are forward grid slices over [t, t + delta] (length m+1).  When
-    ``vectorized`` is true the solver calls fn once per sweep with arrays
-    over the whole grid (first axis = time) instead of once per node.
+    ``fn(p, q, r)`` takes an iterate padded past the horizon: p and q of
+    shape (..., n+1+m), r of shape (..., n+1+m, n_marks), with a leading
+    path axis in regression mode.  It returns F at the n+1 grid nodes,
+    shape (..., n+1); F at node k may read nodes k (t), k+m (t + delta)
+    and k..k+m (the forward segment [t, t + delta]).
     """
 
     fn: Callable
     lipschitz: float
     n_marks: int = 0
-    vectorized: bool = False
 
 
 @dataclass
@@ -199,33 +202,11 @@ def weighted_distance(grid: TimeGrid, lam: float, dp, dq=None, dr=None,
 # Deterministic backward sweep
 # ---------------------------------------------------------------------------
 
-def _driver_values_det(driver: AdvancedDriver, grid: TimeGrid,
-                       p, q, r) -> np.ndarray:
-    """F evaluated at every grid node with all arguments read from the
-    given (previous) iterate."""
-    n, m = grid.n, grid.m
-    times = grid.times
-    if driver.vectorized:
-        p_seg = sliding_window_view(p, m + 1)[: n + 1]
-        q_seg = sliding_window_view(q, m + 1)[: n + 1]
-        r_seg = sliding_window_view(r, (m + 1,), axis=0)[: n + 1]
-        vals = driver.fn(times, p[: n + 1], p[m: n + 1 + m], p_seg,
-                         q[: n + 1], q[m: n + 1 + m], q_seg,
-                         r[: n + 1], r[m: n + 1 + m], r_seg)
-        return np.asarray(vals, float)
-    vals = np.empty(n + 1)
-    for k in range(n + 1):
-        vals[k] = driver.fn(times[k], p[k], p[k + m], p[k: k + m + 1],
-                            q[k], q[k + m], q[k: k + m + 1],
-                            r[k], r[k + m], r[k: k + m + 1])
-    return vals
-
-
 def _det_sweep(driver: AdvancedDriver, grid: TimeGrid, p_prev, q_prev, r_prev):
     """One Picard update in deterministic mode: trapezoid quadrature of
     dp = F dt backward from p(T) = 0 (so p(t) = -int_t^T F ds)."""
     n, m, dt = grid.n, grid.m, grid.dt
-    F = _driver_values_det(driver, grid, p_prev, q_prev, r_prev)
+    F = np.asarray(driver.fn(p_prev, q_prev, r_prev), float)
     steps = 0.5 * dt * (F[:-1] + F[1:])
     p_new = np.zeros(n + 1 + m)
     p_new[: n] = -np.cumsum(steps[::-1])[::-1]
@@ -302,7 +283,7 @@ def _reg_sweep(driver: AdvancedDriver, grid: TimeGrid, ctx: McContext,
     p = np.zeros((N, n + 1 + m))
     q = np.zeros((N, n + 1 + m))
     r = np.zeros((N, n + 1 + m, nm))
-    times = grid.times
+    F = np.asarray(driver.fn(p_prev, q_src, r_src), float)
     for k in range(n - 1, -1, -1):
         p_next = p[:, k + 1]
         q[:, k] = ctx.project(k, p_next * ctx.dB[:, k]) / dt
@@ -311,11 +292,7 @@ def _reg_sweep(driver: AdvancedDriver, grid: TimeGrid, ctx: McContext,
                 lam_j = ctx.intensity * ctx.mark_probs[j] * dt
                 centered = ctx.counts[:, k, j] - lam_j
                 r[:, k, j] = ctx.project(k, p_next * centered) / max(lam_j, 1e-300)
-        F = driver.fn(times[k], p_prev[:, k], p_prev[:, k + m],
-                      p_prev[:, k: k + m + 1],
-                      q_src[:, k], q_src[:, k + m], q_src[:, k: k + m + 1],
-                      r_src[:, k], r_src[:, k + m], r_src[:, k: k + m + 1])
-        p[:, k] = ctx.project(k, p_next - dt * np.asarray(F, float))
+        p[:, k] = ctx.project(k, p_next - dt * F[:, k])
     return p, q, r
 
 

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .absde import AdjointTriple, AdvancedDriver, McContext, PicardReport, picard_solve
+from .absde import AdvancedDriver, McContext, picard_solve
 from .forward import ControlSpec, simulate_noiseless, stack_records
 from .model import ProblemSpec, TimeGrid
 
@@ -116,58 +116,39 @@ def _h_partial(P: dict, var: str, sl, p, q, r):
     return val
 
 
+def _segment_integral(ha: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Kernel-weighted forward-segment sums of ha at every grid node: one
+    "valid" correlation per path row (a 1-D ha is a single row)."""
+    rows = ha.reshape(-1, ha.shape[-1])
+    out = np.array([np.correlate(row, kernel, mode="valid") for row in rows])
+    return out.reshape(ha.shape[:-1] + out.shape[-1:])
+
+
 def build_first_driver(spec: ProblemSpec, grid: TimeGrid, path,
-                       deterministic: bool) -> AdvancedDriver:
-    """Assemble mu(t) as an AdvancedDriver over the given reference path."""
+                       deterministic: Optional[bool] = None) -> AdvancedDriver:
+    """Assemble mu(t) as an AdvancedDriver over the given reference path.
+
+    ``path`` arrays are 1-D (one deterministic path) or carry a leading
+    path axis (regression ensemble); both modes call the same
+    ``fn(p, q, r)``.  ``deterministic`` is accepted for existing callers
+    and no longer changes the driver.
+    """
     P = _coefficient_partial_arrays(spec, grid, path)
     kernel = _segment_kernel(grid, spec.rho)
     n, m = grid.n, grid.m
-    dt = grid.dt
     n_marks = spec.jump.n_marks if spec.has_jumps else 0
+    sl_now, sl_adv = slice(0, n + 1), slice(m, n + 1 + m)
 
-    if deterministic:
-        def pad(now, adv):
-            # rebuild the full padded node array from the two slices
-            if n + 1 - m >= 0:
-                return np.concatenate([now, adv[..., n + 1 - m:]])
-            return np.concatenate([now, adv])
-
-        def fn(t, p_now, p_adv, p_seg, q_now, q_adv, q_seg,
-               r_now, r_adv, r_seg):
-            sl_now = slice(0, n + 1)
-            sl_adv = slice(m, n + 1 + m)
-            hx = _h_partial(P, "x", sl_now, p_now, q_now, r_now)
-            hy = _h_partial(P, "y", sl_adv, p_adv, q_adv, r_adv)
-            # segment integral as a 1-D correlation over padded nodes
-            p_pad, q_pad = pad(p_now, p_adv), pad(q_now, q_adv)
-            ha = P["f_a"] + P["b_a"] * p_pad + P["sigma_a"] * q_pad
-            if "theta_a" in P:
-                w = P["mark_weights"]
-                r_pad = np.concatenate([r_now, r_adv[n + 1 - m:]], axis=0)
-                ha = ha + np.sum(P["theta_a"] * w * r_pad, axis=-1)
-            integral = np.correlate(ha, kernel, mode="valid")
-            return -(hx + hy + integral)
-
-        return AdvancedDriver(fn=fn, lipschitz=_estimate_lipschitz(P, grid),
-                              n_marks=n_marks, vectorized=True)
-
-    def fn(t, p_now, p_adv, p_seg, q_now, q_adv, q_seg, r_now, r_adv, r_seg):
-        k = int(round(t / dt))
-        hx = _h_partial(P, "x", k, p_now, q_now, r_now)
-        hy = _h_partial(P, "y", k + m, p_adv, q_adv, r_adv)
-        sl = slice(k, k + m + 1)
-        ha = (P["f_a"][..., sl] + P["b_a"][..., sl] * p_seg
-              + P["sigma_a"][..., sl] * q_seg)
-        if "theta_a" in P:
-            w = P["mark_weights"]
-            # r_seg has shape (paths, m+1, marks), matching theta_a's slice
-            ha = ha + np.einsum("j,...sj->...s", w,
-                                P["theta_a"][..., sl, :] * r_seg)
-        integral = ha @ kernel
-        return -(hx + hy + integral)
+    def fn(p, q, r):
+        hx = _h_partial(P, "x", sl_now, p[..., sl_now], q[..., sl_now],
+                        r[..., sl_now, :])
+        hy = _h_partial(P, "y", sl_adv, p[..., sl_adv], q[..., sl_adv],
+                        r[..., sl_adv, :])
+        ha = _h_partial(P, "a", slice(None), p, q, r)
+        return -(hx + hy + _segment_integral(ha, kernel))
 
     return AdvancedDriver(fn=fn, lipschitz=_estimate_lipschitz(P, grid),
-                          n_marks=n_marks, vectorized=False)
+                          n_marks=n_marks)
 
 
 def picard_options(solver_cfg: Optional[dict]) -> dict:
@@ -195,11 +176,11 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
     if ensemble is None:
         rec = simulate_noiseless(spec, grid, control)
         path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}
-        driver = build_first_driver(spec, grid, path, deterministic=True)
+        driver = build_first_driver(spec, grid, path)
         return picard_solve(driver, grid, mode="deterministic", **options)
 
     S = stack_records(ensemble, ("X", "Y", "A", "u", "dB", "counts"))
-    driver = build_first_driver(spec, grid, S, deterministic=False)
+    driver = build_first_driver(spec, grid, S)
     intensity, probs = ((spec.jump.intensity, spec.jump.marks.probs)
                         if spec.has_jumps else (0.0, None))
     ctx = McContext(S["X"], S["Y"], S["A"], S["dB"], S["counts"],

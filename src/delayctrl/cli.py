@@ -82,11 +82,11 @@ def _apply_overrides(cfg: dict, args) -> dict:
 
 
 def _build(cfg):
+    """Problem and grid; build_problem has checked that the grid section
+    (which _apply_overrides always creates) sets dt and horizon."""
     spec = build_problem(cfg)
-    grid_cfg = cfg.get("grid", {})
-    grid = make_grid(spec.delta,
-                     float(grid_cfg.get("dt", 0.01)),
-                     float(grid_cfg.get("horizon", 10.0)))
+    grid = make_grid(spec.delta, float(cfg["grid"]["dt"]),
+                     float(cfg["grid"]["horizon"]))
     return spec, grid
 
 
@@ -239,6 +239,31 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
+def _solve_first(run, spec, grid, control, solver_cfg):
+    """solve_first_adjoint in the solver section's mode: ``"regression"``
+    solves on an ensemble of mc.n_paths paths recorded under the control,
+    anything else along the noiseless path."""
+    ensemble = None
+    if solver_cfg.get("mode") == "regression":
+        n_paths, seed, threads = _mc_settings(run.cfg)
+        ensemble = simulate_ensemble(spec, grid, control, n_paths, seed,
+                                     record=True, threads=threads).records
+    return solve_first_adjoint(spec, grid, control, ensemble=ensemble,
+                               solver_cfg=solver_cfg)
+
+
+def _picard_failure(run, name, exc, what):
+    """Write the partial Picard report of a failed solve plus the error
+    to ``name`` and return EXIT_FAIL."""
+    report = getattr(exc, "report", None)
+    payload = report.as_dict() if report is not None else {}
+    payload["error"] = str(exc)
+    run.write_json(name, payload)
+    run.finish()
+    print(f"{what} failed: {exc}", file=sys.stderr)
+    return EXIT_FAIL
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -291,24 +316,10 @@ def cmd_adjoint(args):
               f"max|p3| = {np.max(np.abs(result.p3)):.4g}")
         return EXIT_OK
 
-    n_paths, seed, threads = _mc_settings(run.cfg)
-    ensemble = None
-    if solver_cfg.get("mode") == "regression":
-        res = simulate_ensemble(spec, grid, control, n_paths, seed,
-                                record=True, threads=threads)
-        ensemble = res.records
     try:
-        triple, report = solve_first_adjoint(spec, grid, control,
-                                             ensemble=ensemble,
-                                             solver_cfg=solver_cfg)
+        triple, report = _solve_first(run, spec, grid, control, solver_cfg)
     except (NoConvergence, BadWeight) as exc:
-        report = getattr(exc, "report", None)
-        payload = report.as_dict() if report is not None else {}
-        payload["error"] = str(exc)
-        run.write_json("picard_report.json", payload)
-        run.finish()
-        print(f"adjoint solve failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return _picard_failure(run, "picard_report.json", exc, "adjoint solve")
     triple.to_csv(run.path("adjoint_first.csv"))
     run.write_json("picard_report.json", report.as_dict())
     run.finish()
@@ -340,8 +351,9 @@ def cmd_check(args):
             _, p_fn = _closed_form_bits(run.cfg)
         else:
             # solve the candidate's adjoint and interpolate it in time
-            triple, _ = solve_first_adjoint(spec, grid, candidate,
-                                            solver_cfg=run.cfg.get("solver"))
+            # (the ensemble mean in regression mode)
+            triple, _ = _solve_first(run, spec, grid, candidate,
+                                     run.cfg.get("solver", {}))
             p_grid = triple.p_on_grid()
 
             def p_fn(t, x, y, a, _pg=p_grid):
@@ -432,18 +444,13 @@ def cmd_picard_diagnostics(args):
     control = _resolve_control(run.cfg, spec, grid, args.control)
     rec = simulate_noiseless(spec, grid, control)
     path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}
-    driver = build_first_driver(spec, grid, path, deterministic=True)
+    driver = build_first_driver(spec, grid, path)
     try:
         _, report = picard_solve(driver, grid, mode="deterministic",
                                  **picard_options(solver_cfg))
     except (NoConvergence, BadWeight) as exc:
-        report = getattr(exc, "report", None)
-        payload = report.as_dict() if report is not None else {}
-        payload["error"] = str(exc)
-        run.write_json("picard_diagnostics.json", payload)
-        run.finish()
-        print(f"picard solve failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return _picard_failure(run, "picard_diagnostics.json", exc,
+                               "picard solve")
     diag = contraction_diagnostics(report, driver, spec.delta)
     payload = report.as_dict()
     payload["diagnostics"] = diag

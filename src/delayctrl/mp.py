@@ -33,7 +33,7 @@ from .forward import (ControlSpec, StepAccumulator, feedback_control,
                       simulate_ensemble, stack_records)
 from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
 from .model import ProblemSpec, TimeGrid
-from .objective import RunningRewardAccumulator, estimate_J, mean_stderr
+from .objective import RunningRewardAccumulator, mean_stderr
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from delayctrl import make_grid
 from delayctrl.absde import (
@@ -35,9 +36,11 @@ def advanced_ode_oracle(grid, c, g):
     return p[: n + 1]
 
 
-def make_driver(c, g, lipschitz=None):
+def make_driver(grid, c, g, lipschitz=None):
+    """F = c p(t + delta) + g on the grid's n+1 nodes."""
+    m = grid.m
     return AdvancedDriver(
-        fn=lambda t, p, pa, ps, q, qa, qs, r, ra, rs: c * pa + g,
+        fn=lambda p, q, r: c * p[..., m:] + g,
         lipschitz=abs(c) if lipschitz is None else lipschitz,
         n_marks=0)
 
@@ -55,7 +58,7 @@ class TestWeightRule:
 class TestDeterministicSolve:
     def test_zero_driver_zero_solution(self):
         grid = make_grid(1.0, 0.01, 3.0)
-        triple, report = picard_solve(make_driver(0.3, 0.0), grid)
+        triple, report = picard_solve(make_driver(grid, 0.3, 0.0), grid)
         assert report.converged
         np.testing.assert_array_equal(triple.p_on_grid(), 0.0)
         # the fixed point is hit immediately: no ratio tail to speak of
@@ -63,7 +66,7 @@ class TestDeterministicSolve:
 
     def test_forced_driver_matches_oracle(self):
         grid = make_grid(1.0, 0.01, 3.0)
-        triple, report = picard_solve(make_driver(0.3, 1.0), grid)
+        triple, report = picard_solve(make_driver(grid, 0.3, 1.0), grid)
         assert report.converged
         oracle = advanced_ode_oracle(grid, 0.3, 1.0)
         assert np.max(np.abs(triple.p_on_grid() - oracle)) < 1e-8
@@ -71,21 +74,24 @@ class TestDeterministicSolve:
     def test_unknown_free_driver_is_pure_integral(self):
         """F independent of the unknown: p(t) = -(T - t) g exactly."""
         grid = make_grid(1.0, 0.01, 2.0)
-        triple, _ = picard_solve(make_driver(0.0, 2.0), grid)
+        triple, _ = picard_solve(make_driver(grid, 0.0, 2.0), grid)
         expected = -(grid.horizon - grid.times) * 2.0
         np.testing.assert_allclose(triple.p_on_grid(), expected, atol=1e-12)
 
     def test_contraction_ratio_bounded(self):
         grid = make_grid(1.0, 0.01, 3.0)
-        _, report = picard_solve(make_driver(0.3, 1.0), grid)
+        _, report = picard_solve(make_driver(grid, 0.3, 1.0), grid)
         assert all(r <= 0.6 for r in report.ratios[1:])
 
     def test_advanced_segment_slice_available(self):
         """Driver reading the forward segment: F = mean of p over
         [t, t+delta].  Just has to converge and stay finite."""
         grid = make_grid(1.0, 0.02, 2.0)
+        n, m = grid.n, grid.m
         drv = AdvancedDriver(
-            fn=lambda t, p, pa, ps, q, qa, qs, r, ra, rs: 0.2 * np.mean(ps) + 1.0,
+            fn=lambda p, q, r: 0.2 * np.mean(
+                sliding_window_view(p, m + 1, axis=-1)[..., : n + 1, :],
+                axis=-1) + 1.0,
             lipschitz=0.2, n_marks=0)
         triple, report = picard_solve(drv, grid)
         assert report.converged
@@ -93,7 +99,7 @@ class TestDeterministicSolve:
 
     def test_diagnostics_report(self):
         grid = make_grid(1.0, 0.01, 3.0)
-        drv = make_driver(0.3, 1.0)
+        drv = make_driver(grid, 0.3, 1.0)
         _, report = picard_solve(drv, grid)
         diag = contraction_diagnostics(report, drv, grid.delta)
         assert diag["contracting"]
@@ -105,7 +111,7 @@ class TestFailureModes:
     def test_no_convergence_raises_with_report(self):
         grid = make_grid(1.0, 0.01, 3.0)
         with pytest.raises(NoConvergence) as exc:
-            picard_solve(make_driver(0.3, 1.0), grid, max_iter=2)
+            picard_solve(make_driver(grid, 0.3, 1.0), grid, max_iter=2)
         assert exc.value.report is not None
         assert exc.value.report.iterations == 2
 
@@ -114,8 +120,9 @@ class TestFailureModes:
         # strong coupling through p(t) itself with a declared Lipschitz
         # constant far below the true one: the auto weight is too small
         # and the weighted ratios stall above 1 for several iterations
+        n = grid.n
         drv = AdvancedDriver(
-            fn=lambda t, p, pa, ps, q, qa, qs, r, ra, rs: 8.0 * p + 1.0,
+            fn=lambda p, q, r: 8.0 * p[..., : n + 1] + 1.0,
             lipschitz=0.01, n_marks=0)
         with pytest.raises(BadWeight):
             picard_solve(drv, grid, max_iter=40)
@@ -125,7 +132,7 @@ class TestFailureModes:
         information propagates backward one delay per sweep, so even a
         large coefficient converges in about horizon/delta iterations."""
         grid = make_grid(1.0, 0.05, 3.0)
-        _, report = picard_solve(make_driver(8.0, 1.0), grid)
+        _, report = picard_solve(make_driver(grid, 8.0, 1.0), grid)
         assert report.converged
         assert report.iterations <= 6
 
@@ -171,7 +178,7 @@ class TestUniqueness:
     def test_distinct_initializations_agree(self):
         grid = make_grid(1.0, 0.01, 3.0)
         tol = 1e-12
-        d = uniqueness_probe(make_driver(0.3, 1.0), grid,
+        d = uniqueness_probe(make_driver(grid, 0.3, 1.0), grid,
                              p_init_a=np.zeros(grid.n + 1),
                              p_init_b=5.0 * np.ones(grid.n + 1), tol=tol)
         assert d <= 10 * tol

@@ -178,7 +178,7 @@ def test_04_picard_contraction():
 
     def make_driver(c, g):
         return AdvancedDriver(
-            fn=lambda t, p, pa, ps, q, qa, qs, r, ra, rs: c * pa + g,
+            fn=lambda p, q, r: c * p[..., grid.m:] + g,
             lipschitz=abs(c), n_marks=0)
 
     # the literal homogeneous driver has the zero fixed point: one sweep
@@ -207,7 +207,7 @@ def test_05_uniqueness_probe():
     solution in weighted norm."""
     grid = make_grid(1.0, 0.01, 3.0)
     driver = AdvancedDriver(
-        fn=lambda t, p, pa, ps, q, qa, qs, r, ra, rs: 0.3 * pa + 1.0,
+        fn=lambda p, q, r: 0.3 * p[..., grid.m:] + 1.0,
         lipschitz=0.3, n_marks=0)
     tol = 1e-12
     d = uniqueness_probe(driver, grid, p_init_a=np.zeros(grid.n + 1),

@@ -173,6 +173,31 @@ class TestCheck:
         payload = json.loads((out / "check_sufficient2.json").read_text())
         assert payload["verdict"] == "fail"
 
+    def test_constant_candidate_solves_in_regression_mode(self, tmp_path,
+                                                          monkeypatch):
+        """solver.mode = regression reaches the candidate's adjoint solve:
+        it runs on a recorded ensemble of mc.n_paths paths."""
+        import delayctrl.cli as cli
+
+        ensembles = []
+        solve = cli.solve_first_adjoint
+
+        def spy(*args, **kwargs):
+            ensembles.append(kwargs.get("ensemble"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_first_adjoint", spy)
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["solver"] = {"mode": "regression"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli("check", "--config", str(path), "--out-dir",
+                       str(tmp_path / "out"), "--principle", "sufficient1",
+                       "--paths", "32", "--control", "constant:0.1")
+        assert code in (EXIT_OK, EXIT_FAIL)
+        assert len(ensembles) == 1
+        assert ensembles[0] is not None and len(ensembles[0]) == 32
+
 
 class TestExamples:
     def test_example34_outputs(self, cfg_path, tmp_path):
@@ -346,6 +371,26 @@ class TestErrors:
         path.write_text(json.dumps(cfg))
         assert run_cli("objective", "--config", str(path), "--out-dir",
                        str(tmp_path)) == EXIT_USAGE
+
+    def test_flags_supply_a_missing_grid_section(self, tmp_path):
+        cfg = {key: value for key, value in BASE_CFG.items() if key != "grid"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("objective", "--config", str(path), "--out-dir",
+                       str(out), "--paths", "8", "--dt", "0.1",
+                       "--horizon", "2") == EXIT_OK
+        payload = json.loads((out / "objective.json").read_text())
+        assert payload["truncation_T"] == 2.0
+
+    def test_missing_grid_section_names_grid_dt(self, tmp_path, capsys):
+        cfg = {key: value for key, value in BASE_CFG.items() if key != "grid"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("objective", "--config", str(path), "--out-dir",
+                       str(tmp_path)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'grid'" in err and "'dt'" in err
 
     def test_unknown_control_override(self, cfg_path, tmp_path):
         assert run_cli("simulate", "--config", cfg_path, "--out-dir",
