@@ -104,6 +104,11 @@ class AdjointTriple:
 
 @dataclass
 class PicardReport:
+    """Iteration history of picard_solve.  ``distances`` (and their p and
+    (q, r) parts) are the *squared* normalised weighted norms of
+    successive differences, so convergence at ``tol`` means a root mean
+    square change of about sqrt(tol): picard_tol 1e-12 is about 1e-6."""
+
     distances: list = field(default_factory=list)  # successive weighted dists
     p_distances: list = field(default_factory=list)
     qr_distances: list = field(default_factory=list)
@@ -309,6 +314,11 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
                  p_init: Optional[np.ndarray] = None):
     """Solve the time-advanced backward equation by successive
     substitution; returns (AdjointTriple, PicardReport).
+
+    ``tol`` bounds the *squared* normalised weighted distance between
+    successive iterates (``weighted_distance``), weighted and unweighted,
+    so the iteration stops once their root mean square change is about
+    sqrt(tol): the default 1e-12 is about 1e-6, not 1e-12.
 
     Raises NoConvergence when max_iter is exhausted, BadWeight when the
     measured contraction ratio stays >= 1 for 3 consecutive iterations

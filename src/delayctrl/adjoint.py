@@ -159,25 +159,24 @@ def picard_options(solver_cfg: Optional[dict]) -> dict:
             "max_iter": cfg.get("picard_max_iter", 60)}
 
 
-def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
-                        control: ControlSpec, ensemble=None,
-                        solver_cfg: Optional[dict] = None):
-    """Solve the time-advanced adjoint equation under a reference control.
+def prepare_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
+                          control: ControlSpec, ensemble=None,
+                          solver_cfg: Optional[dict] = None):
+    """The driver of the time-advanced adjoint equation under a reference
+    control, plus the picard_solve keyword arguments that solve it.
 
     Deterministic mode (no ensemble): the reference path is the single
     noiseless path; appropriate when sigma = 0 and there are no jumps.
     Regression mode: pass a list of PathRecords simulated under the
     control; conditional expectations regress on (X, Y, A).
-
-    Returns (AdjointTriple, PicardReport).
     """
     cfg = solver_cfg or {}
     options = picard_options(cfg)
     if ensemble is None:
         rec = simulate_noiseless(spec, grid, control)
         path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}
-        driver = build_first_driver(spec, grid, path)
-        return picard_solve(driver, grid, mode="deterministic", **options)
+        return (build_first_driver(spec, grid, path),
+                dict(mode="deterministic", **options))
 
     S = stack_records(ensemble, ("X", "Y", "A", "u", "dB", "counts"))
     driver = build_first_driver(spec, grid, S)
@@ -186,8 +185,20 @@ def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
     ctx = McContext(S["X"], S["Y"], S["A"], S["dB"], S["counts"],
                     intensity=intensity, mark_probs=probs,
                     basis_degree=cfg.get("basis_degree", 2))
-    return picard_solve(driver, grid, mode="regression", mc_context=ctx,
-                        **options)
+    return driver, dict(mode="regression", mc_context=ctx, **options)
+
+
+def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
+                        control: ControlSpec, ensemble=None,
+                        solver_cfg: Optional[dict] = None):
+    """Solve the time-advanced adjoint equation under a reference control
+    (modes as in ``prepare_first_adjoint``).
+
+    Returns (AdjointTriple, PicardReport).
+    """
+    driver, options = prepare_first_adjoint(spec, grid, control, ensemble,
+                                            solver_cfg)
+    return picard_solve(driver, grid, **options)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .absde import contraction_diagnostics, picard_solve
-from .adjoint import (build_first_driver, picard_options, solve_first_adjoint,
+from .adjoint import (prepare_first_adjoint, solve_first_adjoint,
                       solve_second_adjoint)
 from .errors import (BadInterval, BadWeight, BadWindow, ConfigError,
                      DelayCtrlError, GridMismatch, NoConvergence)
@@ -34,8 +34,7 @@ from .examples import (Example34Params, Example35Params, ex34_adjoint,
                        ex34_feedback, ex34_objective, ex34_p0_star,
                        ex34_state, ex35_adjoint, ex35_alpha_residual,
                        ex35_feedback, ex35_K, ex35_matched_alpha)
-from .forward import (constant_control, simulate_ensemble, simulate_noiseless,
-                      table_control)
+from .forward import constant_control, simulate_ensemble, table_control
 from .model import build_problem, make_grid, require_key
 from .mp import check_sufficient_first, check_sufficient_second, necessary_residual
 from .objective import estimate_J
@@ -239,17 +238,22 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
+def _reference_ensemble(run, spec, grid, control, solver_cfg):
+    """The ensemble the first adjoint is solved on in the solver section's
+    mode: ``"regression"`` records mc.n_paths paths under the control;
+    anything else gives None, the noiseless path."""
+    if solver_cfg.get("mode") != "regression":
+        return None
+    n_paths, seed, threads = _mc_settings(run.cfg)
+    return simulate_ensemble(spec, grid, control, n_paths, seed,
+                             record=True, threads=threads).records
+
+
 def _solve_first(run, spec, grid, control, solver_cfg):
-    """solve_first_adjoint in the solver section's mode: ``"regression"``
-    solves on an ensemble of mc.n_paths paths recorded under the control,
-    anything else along the noiseless path."""
-    ensemble = None
-    if solver_cfg.get("mode") == "regression":
-        n_paths, seed, threads = _mc_settings(run.cfg)
-        ensemble = simulate_ensemble(spec, grid, control, n_paths, seed,
-                                     record=True, threads=threads).records
-    return solve_first_adjoint(spec, grid, control, ensemble=ensemble,
-                               solver_cfg=solver_cfg)
+    """solve_first_adjoint in the solver section's mode."""
+    return solve_first_adjoint(
+        spec, grid, control, solver_cfg=solver_cfg,
+        ensemble=_reference_ensemble(run, spec, grid, control, solver_cfg))
 
 
 def _picard_failure(run, name, exc, what):
@@ -442,12 +446,11 @@ def cmd_picard_diagnostics(args):
     if args.weight_lambda is not None:
         solver_cfg["weight_lambda"] = args.weight_lambda
     control = _resolve_control(run.cfg, spec, grid, args.control)
-    rec = simulate_noiseless(spec, grid, control)
-    path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}
-    driver = build_first_driver(spec, grid, path)
+    driver, options = prepare_first_adjoint(
+        spec, grid, control, solver_cfg=solver_cfg,
+        ensemble=_reference_ensemble(run, spec, grid, control, solver_cfg))
     try:
-        _, report = picard_solve(driver, grid, mode="deterministic",
-                                 **picard_options(solver_cfg))
+        _, report = picard_solve(driver, grid, **options)
     except (NoConvergence, BadWeight) as exc:
         return _picard_failure(run, "picard_diagnostics.json", exc,
                                "picard solve")

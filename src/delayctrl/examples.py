@@ -26,9 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DivergentIntegral, DomainError, NoSignChange, NonFiniteState
+from .errors import DivergentIntegral, DomainError, NoSignChange
 from .forward import ControlSpec, feedback_control, simulate_noiseless
 from .model import CoefficientSet, ProblemSpec, make_grid
+
+# bisection levels of the ex35_K search integrated as lanes of one
+# noiseless pass (2^L - 1 lanes); chosen by timing the search
+K_SEARCH_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,22 @@ def ex34_control(params: Example34Params, t: float, x: float, p0: float) -> floa
     return (p0 ** (1.0 / g1) / x) * np.exp((params.rho - params.mu) * t / g1)
 
 
-def ex34_feedback(params: Example34Params, p0: float) -> ControlSpec:
-    """Vectorized feedback-rule wrapper around ex34_control."""
+def _consumption_scale(p0, gamma: float):
+    """p0^{1/(gamma-1)}; a sequence of multipliers gives one entry per
+    lane, each the power a scalar p0 gets."""
+    expo = 1.0 / (gamma - 1.0)
+    if np.ndim(p0) == 0:
+        return p0 ** expo
+    return np.array([float(p) ** expo for p in p0])
+
+
+def ex34_feedback(params: Example34Params, p0) -> ControlSpec:
+    """Vectorized feedback-rule wrapper around ex34_control.  A sequence
+    of multipliers gives a rule over a lane axis, lane i consuming with
+    p0[i] exactly as the scalar rule does (for
+    ``simulate_noiseless(..., lanes=len(p0))``)."""
     g1 = params.gamma - 1.0
-    c0 = p0 ** (1.0 / g1)
+    c0 = _consumption_scale(p0, params.gamma)
     rate = (params.rho - params.mu) / g1
 
     def rule(t, x, y, a):
@@ -166,12 +182,13 @@ def ex35_adjoint(params: Example35Params, t, p0: float):
     return p0 * np.exp(-(params.mu + params.edb) * np.asarray(t, float))
 
 
-def ex35_feedback(params: Example35Params, p0: float) -> ControlSpec:
+def ex35_feedback(params: Example35Params, p0) -> ControlSpec:
     """Optimal feedback
     u = p0^{1/(gamma-1)} / W * e^{(rho - mu - e^{rho delta} beta) t / (gamma-1)}
-    with W = x + y e^{rho delta} beta."""
+    with W = x + y e^{rho delta} beta; a sequence of multipliers gives a
+    rule over a lane axis, as in ex34_feedback."""
     g1 = params.gamma - 1.0
-    c0 = p0 ** (1.0 / g1)
+    c0 = _consumption_scale(p0, params.gamma)
     rate = (params.rho - (params.mu + params.edb)) / g1
     edb = params.edb
 
@@ -185,7 +202,15 @@ def ex35_feedback(params: Example35Params, p0: float) -> ControlSpec:
 
 def ex35_K(params: Example35Params, search_cfg: dict = None) -> float:
     """Smallest multiplier keeping the composite wealth positive along the
-    noiseless flow, located by bisection on p1(0)."""
+    noiseless flow, located by bisection on p1(0).
+
+    The bisection runs ``K_SEARCH_LEVELS`` levels per noiseless pass: the
+    midpoints of every bracket those levels can reach are integrated as
+    lanes of one pass (the first pass also carries the two bracket ends),
+    then the tree is walked with the per-lane verdicts.  Each midpoint is
+    the scalar search's own ``0.5 * (p_lo + p_hi)`` and each lane is
+    bitwise its scalar run, so the brackets, and K, are those of one run
+    per level."""
     cfg = dict(search_cfg or {})
     T_search = cfg.get("T_search", 80.0)
     dt = cfg.get("dt", 1e-2)
@@ -197,35 +222,71 @@ def ex35_K(params: Example35Params, search_cfg: dict = None) -> float:
     grid = make_grid(params.delta, dt, T_search)
     edb = params.edb
 
-    def wealth_stays_positive(p0: float) -> bool:
-        try:
-            rec = simulate_noiseless(spec, grid, ex35_feedback(params, p0))
-        except NonFiniteState:
-            return False
+    def wealth_stays_positive(p0s) -> np.ndarray:
+        # a lane whose state goes non-finite fails the finiteness test
+        rec = simulate_noiseless(spec, grid, ex35_feedback(params, p0s),
+                                 lanes=len(p0s))
         W = rec.X + rec.Y * edb
-        return bool(np.all(np.isfinite(W)) and np.all(W > 0))
+        return np.all(np.isfinite(W) & (W > 0), axis=-1)
 
-    # larger multiplier means smaller consumption, hence safer wealth
+    # larger multiplier means smaller consumption, hence safer wealth; the
+    # first pass also integrates the first levels of the bisection, which
+    # stand unless a bracket end has to move
+    bracket = (p_lo, p_hi)
+    mids = _bisection_midpoints(p_lo, p_hi, tol, K_SEARCH_LEVELS)
+    hi_ok, lo_ok, *safe = wealth_stays_positive([p_hi, p_lo, *mids.values()])
     expansions = 0
-    while not wealth_stays_positive(p_hi):
+    while not hi_ok:
         p_hi *= 2.0
         expansions += 1
         if expansions > 60:
             raise NoSignChange("no multiplier keeps the wealth positive")
+        (hi_ok,) = wealth_stays_positive([p_hi])
     expansions = 0
-    while wealth_stays_positive(p_lo):
+    while lo_ok:
         p_lo *= 0.5
         expansions += 1
         if expansions > 60:
             raise NoSignChange("wealth stays positive for every multiplier probed")
+        (lo_ok,) = wealth_stays_positive([p_lo])
 
+    if (p_lo, p_hi) != bracket:
+        mids = {}
     while p_hi - p_lo > tol:
-        mid = 0.5 * (p_lo + p_hi)
-        if wealth_stays_positive(mid):
-            p_hi = mid
-        else:
-            p_lo = mid
+        if not mids:
+            mids = _bisection_midpoints(p_lo, p_hi, tol, K_SEARCH_LEVELS)
+            safe = wealth_stays_positive(list(mids.values()))
+        verdict = dict(zip(mids, safe))
+        node = 0
+        while node in mids:
+            if verdict[node]:
+                p_hi = mids[node]
+                node = 2 * node + 1
+            else:
+                p_lo = mids[node]
+                node = 2 * node + 2
+        mids = {}
     return 0.5 * (p_lo + p_hi)
+
+
+def _bisection_midpoints(p_lo: float, p_hi: float, tol: float,
+                         levels: int) -> dict:
+    """Midpoints of the next ``levels`` bisection steps from the bracket
+    (p_lo, p_hi), keyed by heap index: node i's bracket splits at its
+    midpoint into (lo, mid) for node 2i+1 and (mid, hi) for node 2i+2,
+    and a bracket no wider than ``tol`` is not split."""
+    brackets = {0: (p_lo, p_hi)}
+    mids = {}
+    for node in range(2 ** levels - 1):
+        if node not in brackets:
+            continue
+        lo, hi = brackets[node]
+        if not hi - lo > tol:
+            continue
+        mids[node] = mid = 0.5 * (lo + hi)
+        brackets[2 * node + 1] = (lo, mid)
+        brackets[2 * node + 2] = (mid, hi)
+    return mids
 
 
 # ---------------------------------------------------------------------------

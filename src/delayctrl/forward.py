@@ -535,7 +535,8 @@ def simulate_path(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
 
 
 def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
-                       control: ControlSpec, heun: bool = True) -> PathRecord:
+                       control: ControlSpec, heun: bool = True,
+                       lanes: Optional[int] = None) -> PathRecord:
     """Integrate the noise-free reduction dX = b dt (sigma and jumps off).
 
     With ``heun`` the drift is integrated by the predictor-corrector rule,
@@ -545,47 +546,75 @@ def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
     and the returned X and Y are views of it.  Intended for problems
     whose reference dynamics are deterministic (sigma = 0, no jumps),
     where it replaces a full Monte Carlo block at a fraction of the cost.
+
+    With ``lanes`` = L the control is evaluated on arrays of L states (a
+    rule vectorised over a lane axis, such as one multiplier per lane),
+    every record array gains a leading lane axis and ``clipped`` holds
+    one flag per lane.  Lane i is bitwise the scalar run of the rule it
+    sees, except that a lane whose state goes non-finite runs on with
+    non-finite values instead of raising NonFiniteState (floating-point
+    warnings are off in this mode).
     """
     if spec.has_jumps:
         raise ValueError("noiseless simulation requires no jump component")
+    if lanes is not None:
+        with np.errstate(all="ignore"):
+            return _noiseless(spec, grid, control, heun, (int(lanes),))
+    return _noiseless(spec, grid, control, heun, ())
+
+
+def _noiseless(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
+               heun: bool, shape: tuple) -> PathRecord:
+    """simulate_noiseless on states of the given shape: () is one scalar
+    path, (L,) a lane array."""
     dt, m, n = grid.dt, grid.m, grid.n
     w_avg = _average_weights(dt, m, spec.rho)
-    path = np.empty(m + 1 + n)  # Y_k = path[k], X_k = path[k + m]
-    path[: m + 1] = spec.validate_segment(grid)
-    As = np.empty(n + 1)
-    us = np.empty(n + 1)
-    As[0] = segment_average(path[: m + 1], dt, spec.rho)
-    clipped = False
+    hist = spec.validate_segment(grid)
+    path = np.empty((m + 1 + n,) + shape)  # Y_k = path[k], X_k = path[k + m]
+    path[: m + 1] = hist.reshape((m + 1,) + (1,) * len(shape))
+    As = np.empty((n + 1,) + shape)
+    us = np.empty((n + 1,) + shape)
+    As[0] = segment_average(hist, dt, spec.rho)
+    if shape:
+        starts = np.arange(shape[0])  # one clip flag per lane
+
+        def value(v):
+            v = np.asarray(v, float)
+            return v if v.shape == shape else np.broadcast_to(v, shape)
+    else:
+        starts, value = None, float
+    clipped = np.zeros(shape, dtype=bool) if shape else False
     b = spec.coeffs.b
     for k in range(n):
         t = k * dt
         X, Y, A = path[k + m], path[k], As[k]
         Y1 = path[k + 1]  # X_{k+1-m}
-        u, clip_k = control.evaluate(spec, k, t, X, Y, A)
-        clipped = clipped or clip_k
-        u = float(u)
+        u, clip_k = control.evaluate(spec, k, t, X, Y, A, starts=starts)
+        clipped |= clip_k
+        u = value(u)
         us[k] = u
-        g0 = float(b(t, X, Y, A, u))
+        g0 = value(b(t, X, Y, A, u))
         if heun:
             X_star = X + dt * g0
             A_star = _average_step(w_avg, A, Y, Y1, X, X_star)
-            u1, clip_1 = control.evaluate(spec, k + 1, t + dt, X_star, Y1, A_star)
-            clipped = clipped or clip_1
-            g1 = float(b(t + dt, X_star, Y1, A_star, float(u1)))
+            u1, clip_1 = control.evaluate(spec, k + 1, t + dt, X_star, Y1,
+                                          A_star, starts=starts)
+            clipped |= clip_1
+            g1 = value(b(t + dt, X_star, Y1, A_star, value(u1)))
             X_new = X + 0.5 * dt * (g0 + g1)
         else:
             X_new = X + dt * g0
-        if not np.isfinite(X_new):
+        if not shape and not np.isfinite(X_new):
             raise NonFiniteState(
                 f"state became non-finite at step {k + 1}", step=k + 1)
         path[k + 1 + m] = X_new
         As[k + 1] = _average_step(w_avg, A, Y, Y1, X, X_new)
     u_final, clip_f = control.evaluate(spec, n, n * dt, path[n + m], path[n],
-                                       As[n])
-    us[n] = float(u_final)
-    clipped = clipped or clip_f
-    return PathRecord(t=grid.times, X=path[m:], Y=path[: n + 1], A=As, u=us,
-                      dB=np.zeros(n), clipped=clipped)
+                                       As[n], starts=starts)
+    us[n] = value(u_final)
+    clipped |= clip_f
+    return PathRecord(t=grid.times, X=path[m:].T, Y=path[: n + 1].T, A=As.T,
+                      u=us.T, dB=np.zeros(shape + (n,)), clipped=clipped)
 
 
 def simulate_variational(spec: ProblemSpec, grid: TimeGrid,

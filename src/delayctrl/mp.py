@@ -12,7 +12,12 @@ Necessary side: the first-order condition E[dH/du | E_t] = 0 at probe
 times, cross-checked by Gateaux derivatives of J along rectangular bump
 perturbations, and the consistency between the finite-difference
 derivative of J and the chain-rule integral driven by the variational
-process xi.
+process xi.  A bump derivative in direction alpha on a window takes the
+ensembles of the candidate plus the bump +/- s alpha there; a mirrored
+pair (alpha, s) and (-alpha, s) needs the same two, so with the default
+alphas +/-1 the check simulates 2 |windows| |s| bump ensembles (not 4)
+besides the candidate's, and the -alpha estimate is the exact negation of
+the +alpha one.
 
 The information structure E_t is either ``full`` (E_t = F_t, conditional
 estimates reduce to plain path averages) or ``("lagged", D)`` (condition
@@ -21,7 +26,7 @@ on the state observed at t - D via least-squares regression).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -154,13 +159,13 @@ class TerminalStateAccumulator(StepAccumulator):
                 np.array(ctx["a"], float, copy=True))
 
 
-def _gateaux_terms(spec, grid, control, beta, s, n_paths, seed):
-    """Per-path (reward integral, terminal state) under control + s beta.
+def _gateaux_terms(spec, grid, shifted, n_paths, seed):
+    """Per-path (reward integral, terminal state) under the perturbed
+    control ``shifted``.
 
     The terminal state is zeroed on paths that left the domain of f
     before the horizon: their continuation value is zero, so they must
     not contribute to the adjoint-weighted tail correction."""
-    shifted = _superpose(control, beta, s, grid)
     res = simulate_ensemble(spec, grid, shifted, n_paths, seed,
                             accumulators=(RunningRewardAccumulator(),
                                           TerminalStateAccumulator()))
@@ -451,18 +456,23 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
         p_T = np.asarray(_adjoint_values(
             adjoint, grid.horizon, S["X"][:, nn], S["Y"][:, nn],
             S["A"][:, nn])[0], float)
+    # (alpha, s) and (-alpha, s) need the same two bumped ensembles, so
+    # each (window, shift) is simulated once
+    terms = {}
+
+    def bumped(ws, wh, shift):
+        key = (ws, wh, shift)
+        if key not in terms:
+            control = replace(candidate, bumps=candidate.bumps
+                              + ((shift, float(ws), float(wh)),))
+            terms[key] = _gateaux_terms(spec, grid, control, n_paths, seed)
+        return terms[key]
+
     for (ws, wh) in windows:
         for alpha in mc_cfg.get("bump_alphas", (1.0, -1.0)):
-            def beta_rule(t, x, y, a, _ws=ws, _wh=wh, _al=alpha):
-                ind = (np.asarray(t, float) >= _ws - 1e-12) & \
-                      (np.asarray(t, float) <= _ws + _wh + 1e-12)
-                return _al * ind * np.ones_like(np.asarray(x, float))
-            beta = feedback_control(beta_rule)
             for s in s_values:
-                rew_p, xT_p = _gateaux_terms(spec, grid, candidate, beta,
-                                             s, n_paths, seed)
-                rew_m, xT_m = _gateaux_terms(spec, grid, candidate, beta,
-                                             -s, n_paths, seed)
+                rew_p, xT_p = bumped(ws, wh, s * alpha)
+                rew_m, xT_m = bumped(ws, wh, -s * alpha)
                 diff = (rew_p - rew_m) / (2 * s)
                 if p_T is not None:
                     pT = p_T if p_T.shape == diff.shape else np.mean(p_T)
@@ -547,8 +557,10 @@ def variational_consistency(spec: ProblemSpec, grid: TimeGrid,
     xi_vals, xi_T = res.extras[0]
     x_T, y_T, a_T = res.extras[1]
 
-    rew_p, xT_p = _gateaux_terms(spec, grid, candidate, beta, s, n_paths, seed)
-    rew_m, xT_m = _gateaux_terms(spec, grid, candidate, beta, -s, n_paths, seed)
+    rew_p, xT_p = _gateaux_terms(
+        spec, grid, _superpose(candidate, beta, s, grid), n_paths, seed)
+    rew_m, xT_m = _gateaux_terms(
+        spec, grid, _superpose(candidate, beta, -s, grid), n_paths, seed)
     fd_vals = (rew_p - rew_m) / (2 * s)
 
     if adjoint is not None:

@@ -294,6 +294,26 @@ class TestPicardDiagnostics:
         assert payload["converged"]
         assert payload["diagnostics"]["contracting"]
 
+    def test_follows_the_solver_mode(self, tmp_path):
+        """With solver.mode = regression the diagnostics solve on the
+        recorded ensemble the adjoint command solves on: the same mode
+        and the same Picard distances."""
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["solver"] = {"mode": "regression"}
+        cfg["mc"]["n_paths"] = 64
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        diag, adj = tmp_path / "diag", tmp_path / "adj"
+        assert run_cli("picard-diagnostics", "--config", str(path),
+                       "--out-dir", str(diag)) == EXIT_OK
+        assert run_cli("adjoint", "--config", str(path), "--out-dir",
+                       str(adj), "--system", "first") == EXIT_OK
+        payload = json.loads((diag / "picard_diagnostics.json").read_text())
+        report = json.loads((adj / "picard_report.json").read_text())
+        assert payload["mode"] == report["mode"] == "regression"
+        assert payload["distances"] == report["distances"]
+        assert payload["iterations"] == report["iterations"]
+
 
 class TestSweep:
     def test_shorthand_parameter(self, cfg_path, tmp_path):

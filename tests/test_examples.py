@@ -125,6 +125,63 @@ class TestRecruitmentClosedForm:
         with pytest.raises(TypeError, match="broken integration"):
             ex35_K(Example35Params())
 
+    @pytest.mark.parametrize("search", [
+        {"T_search": 80, "dt": 0.1},
+        # both bracket ends must move first
+        {"T_search": 40, "dt": 0.1, "bracket_lo": 3.5, "bracket_hi": 1.0},
+    ])
+    def test_K_search_matches_scalar_bisection(self, search, monkeypatch):
+        """The lane search walks the brackets of one scalar run per
+        bisection level, K_SEARCH_LEVELS levels per noiseless pass, and
+        returns the same K bitwise."""
+        from delayctrl import examples
+        from delayctrl.errors import NonFiniteState
+        from delayctrl.forward import simulate_noiseless
+
+        params = Example35Params()
+        spec = make_ex35_problem(params, u_hi=1e12)
+        grid = make_grid(params.delta, search["dt"], search["T_search"])
+
+        def stays_positive(p0):
+            try:
+                rec = simulate_noiseless(spec, grid, ex35_feedback(params, p0))
+            except NonFiniteState:
+                return False
+            W = rec.X + rec.Y * params.edb
+            return bool(np.all(np.isfinite(W)) and np.all(W > 0))
+
+        p_lo = search.get("bracket_lo", 1e-3)
+        p_hi = search.get("bracket_hi", 4.0)
+        moves = 0
+        while not stays_positive(p_hi):
+            p_hi *= 2.0
+            moves += 1
+        while stays_positive(p_lo):
+            p_lo *= 0.5
+            moves += 1
+        levels = 0
+        while p_hi - p_lo > 1e-6:
+            mid = 0.5 * (p_lo + p_hi)
+            if stays_positive(mid):
+                p_hi = mid
+            else:
+                p_lo = mid
+            levels += 1
+
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(kwargs.get("lanes"))
+            return simulate_noiseless(*args, **kwargs)
+
+        monkeypatch.setattr(examples, "simulate_noiseless", counted)
+        assert ex35_K(params, search) == 0.5 * (p_lo + p_hi)
+        # the first pass checks the bracket ends and, when neither moves,
+        # carries the first levels too
+        tree_passes = -(-levels // examples.K_SEARCH_LEVELS)
+        assert len(passes) == (tree_passes if moves == 0
+                               else 1 + moves + tree_passes)
+
     @pytest.mark.slow  # runs the ex35_K search
     def test_K_keeps_deterministic_flow_positive(self):
         """The searched constant keeps the noiseless wealth path positive

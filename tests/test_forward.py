@@ -386,6 +386,64 @@ class TestNonFiniteContext:
         assert f"block 1, lane {first - BLOCK_SIZE}" in str(err)
 
 
+class TestNoiselessLanes:
+    """simulate_noiseless(..., lanes=L) steps L controls as one lane array;
+    lane i is bitwise the scalar run of the rule it sees."""
+
+    @staticmethod
+    def example(name):
+        from delayctrl.examples import (Example34Params, Example35Params,
+                                        ex34_feedback, ex34_p0_star,
+                                        ex35_feedback, make_ex34_problem,
+                                        make_ex35_problem)
+        if name == "3.4":
+            params = Example34Params()
+            p0 = ex34_p0_star(params)
+            return (make_ex34_problem(params, u_hi=50.0), params,
+                    ex34_feedback, [0.5 * p0, p0, 1.7 * p0])
+        # below K = 3.19... the composite wealth crosses zero and the
+        # control clips at 0
+        return (make_ex35_problem(Example35Params(), u_hi=1e12),
+                Example35Params(), ex35_feedback, [2.5, 3.192668142, 3.5])
+
+    @pytest.mark.parametrize("heun", [True, False])
+    @pytest.mark.parametrize("name", ["3.4", "3.5"])
+    def test_lanes_match_scalar_runs(self, name, heun):
+        spec, params, feedback, p0s = self.example(name)
+        grid = make_grid(1.0, 0.05, 30.0)
+        lanes = simulate_noiseless(spec, grid, feedback(params, p0s),
+                                   heun=heun, lanes=len(p0s))
+        assert lanes.X.shape == lanes.A.shape == (len(p0s), grid.n + 1)
+        for i, p0 in enumerate(p0s):
+            one = simulate_noiseless(spec, grid, feedback(params, p0),
+                                     heun=heun)
+            for key in ("X", "Y", "A", "u"):
+                assert np.array_equal(getattr(lanes, key)[i],
+                                      getattr(one, key)), (key, i)
+            assert lanes.clipped[i] == one.clipped
+
+    def test_nonfinite_lane_runs_on(self):
+        """A lane that overflows keeps running with non-finite values where
+        its scalar run raises NonFiniteState; the other lanes are
+        untouched."""
+        spec = _brownian_spec(b=lambda t, x, y, a, u: u * np.asarray(x, float),
+                              u_hi=np.inf)
+        grid = make_grid(0.2, 0.1, 1.0)
+        rates = [0.1, 1e308, 0.2]
+        lanes = simulate_noiseless(
+            spec, grid, feedback_control(lambda t, x, y, a: np.array(rates)),
+            lanes=3)
+        assert not np.all(np.isfinite(lanes.X[1]))
+        for i in (0, 2):
+            one = simulate_noiseless(
+                spec, grid, feedback_control(lambda t, x, y, a: rates[i]))
+            assert np.array_equal(lanes.X[i], one.X)
+            assert np.array_equal(lanes.A[i], one.A)
+        with pytest.raises(NonFiniteState), np.errstate(over="ignore"):
+            simulate_noiseless(
+                spec, grid, feedback_control(lambda t, x, y, a: rates[1]))
+
+
 class TestDynamics:
     def test_noiseless_matches_closed_form(self, ex34_det_spec):
         from delayctrl.examples import (Example34Params, ex34_feedback,

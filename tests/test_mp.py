@@ -177,6 +177,58 @@ class TestNecessary:
         ests = {b["alpha"]: b["estimate"] for b in report.bump_estimates}
         assert ests[1.0] == pytest.approx(-ests[-1.0], rel=1e-12)
 
+    def test_bumps_match_superposed_construction(self, setup, monkeypatch):
+        """Each bump estimate equals, bitwise, the one built from a
+        feedback beta = alpha 1_window superposed at +/- s; the mirrored
+        pairs share their ensembles, so the check simulates 2 |windows|
+        |s| bump ensembles besides the candidate's."""
+        import delayctrl.mp as mp
+        from delayctrl.forward import feedback_control, simulate_ensemble
+        from delayctrl.objective import RunningRewardAccumulator, mean_stderr
+
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 5.0)
+        windows, s_values = [(0.5, 0.5), (2.0, 1.0)], (1e-2, 1e-3)
+        mc = dict(adjoint=adj, n_paths=256, seed=9, bump_windows=windows,
+                  bump_s=s_values)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return simulate_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "simulate_ensemble", spy)
+        report = necessary_residual(spec, grid, ctl, mc)
+        monkeypatch.undo()
+        assert len(calls) == 1 + 2 * len(windows) * len(s_values)
+
+        def terms(beta, s):
+            res = simulate_ensemble(
+                spec, grid, mp._superpose(ctl, beta, s, grid), 256, 9,
+                accumulators=(RunningRewardAccumulator(),
+                              mp.TerminalStateAccumulator()))
+            reward, _, alive = res.extras[0]
+            return reward, res.extras[1][0] * alive
+
+        p_T = np.broadcast_to(adj(grid.horizon, None, None, None), (256,))
+        expected = []
+        for ws, wh in windows:
+            for alpha in (1.0, -1.0):
+                def beta_rule(t, x, y, a, _ws=ws, _wh=wh, _al=alpha):
+                    ind = ((np.asarray(t, float) >= _ws - 1e-12)
+                           & (np.asarray(t, float) <= _ws + _wh + 1e-12))
+                    return _al * ind * np.ones_like(np.asarray(x, float))
+                beta = feedback_control(beta_rule)
+                for s in s_values:
+                    rew_p, xT_p = terms(beta, s)
+                    rew_m, xT_m = terms(beta, -s)
+                    diff = ((rew_p - rew_m) / (2 * s)
+                            + p_T * (xT_p - xT_m) / (2 * s))
+                    est, se = mean_stderr(diff)
+                    expected.append({"window": (ws, wh), "alpha": alpha,
+                                     "s": s, "estimate": est, "stderr": se})
+        assert report.bump_estimates == expected
+
     def test_boundary_verdict(self, setup):
         """A candidate pinned at the upper control bound is reported as
         boundary, not as an interior failure."""
