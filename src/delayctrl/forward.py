@@ -17,6 +17,14 @@ Randomness is counter-based (Philox).  Paths are organized in blocks of
 s * 2^64 + j and always draws full-width variates before slicing.  At each
 step a block draws its normals, then its Poisson counts mark by mark.
 
+Without jumps a block's stream holds normals only, so one draw of shape
+(c, ``BLOCK_SIZE``) is bitwise c consecutive per-step draws.  The engine
+then draws ``NOISE_CHUNK`` steps of normals at a time, and while it steps
+one chunk a producer thread (one per block group) draws the next and
+scales it to increments dB; the draws release the GIL.  Jump streams
+interleave Poisson counts with the normals and keep drawing inline, step
+by step.
+
 The engine steps a contiguous group of up to ``GROUP_BLOCKS`` blocks as
 one lane array: each block draws from its own generator and the draws are
 joined in block order, while the control, the coefficients, the delay ring,
@@ -42,6 +50,7 @@ from .model import ProblemSpec, TimeGrid
 
 BLOCK_SIZE = 1024
 GROUP_BLOCKS = 8  # blocks stepped together in one loop; bounds ring memory
+NOISE_CHUNK = 16  # steps of normals drawn at once without jumps; >= 2
 _WINDOW_TOL = 1e-12
 
 
@@ -66,7 +75,9 @@ class ControlSpec:
 
     def raw(self, k: int, t: float, x, y, a):
         if self.kind == "feedback":
-            u = self.scale * np.asarray(self.feedback(t, x, y, a), float)
+            u = np.asarray(self.feedback(t, x, y, a), float)
+            if self.scale != 1.0:
+                u = self.scale * u
         elif self.kind == "table":
             u = np.full_like(np.asarray(x, float), self.scale * self.table[k])
         elif self.kind == "constant":
@@ -90,11 +101,14 @@ class ControlSpec:
             u = np.full(np.shape(x), float(u))
         lo, hi = spec.control_lo, spec.control_hi
         outside = (u < lo) | (u > hi)
-        if outside.any():
-            u = np.clip(u, lo, hi)
         if starts is None:
-            return u, bool(outside.any())
-        return u, np.logical_or.reduceat(outside, starts)
+            flag = clip = bool(outside.any())
+        else:
+            flag = np.logical_or.reduceat(outside, starts)
+            clip = flag.any()
+        if clip:
+            u = np.clip(u, lo, hi)
+        return u, flag
 
 
 def constant_control(value: float) -> ControlSpec:
@@ -200,13 +214,11 @@ class PathRecord:
     clipped: bool = False
 
     def to_csv(self, path: str):
+        rows = np.column_stack((self.t, self.X, self.Y, self.A, self.u))
         with open(path, "w") as fh:
             fh.write("t,X,Y,A,u\n")
-            for k in range(len(self.t)):
-                fh.write(",".join(
-                    format(v, ".17g")
-                    for v in (self.t[k], self.X[k], self.Y[k], self.A[k], self.u[k])
-                ) + "\n")
+            fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
+                          for row in rows.tolist())
 
 
 class StepAccumulator:
@@ -252,6 +264,24 @@ class EnsembleResult:
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + block))
+
+
+def lane_values(v, shape: tuple):
+    """A callback's value as a float array of the lanes' shape, broadcast
+    only when the callback did not return one."""
+    v = np.asarray(v, float)
+    return v if v.shape == shape else np.broadcast_to(v, shape)
+
+
+def _normal_chunk(rngs, lanes, n_lanes: int, steps: int, sqdt):
+    """Increments dB of the next ``steps`` steps, one row per step.
+
+    Each block draws all rows in one full-width call, bitwise the same
+    normals as ``steps`` consecutive per-step draws of its stream."""
+    z = np.empty((steps, n_lanes))
+    for rng, sl in zip(rngs, lanes):
+        z[:, sl] = rng.standard_normal((steps, BLOCK_SIZE))[:, :sl.stop - sl.start]
+    return np.multiply(sqdt, z, out=z)
 
 
 def _prepare_variation(spec: ProblemSpec, beta: ControlSpec) -> dict:
@@ -335,109 +365,126 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     sqdt = np.sqrt(dt)
     z = np.empty(nb)
 
-    for k in range(n):
-        t = k * dt
-        u, clip_k = control.evaluate(spec, k, t, X, Y, A, starts=starts)
-        clipped |= clip_k
-        if record:
-            rec_u[:, k] = u
+    # the producer thread starts at the first submit: never with jumps,
+    # nor when one chunk holds every step
+    with ThreadPoolExecutor(max_workers=1) as producer:
+        for k in range(n):
+            t = k * dt
+            u, clip_k = control.evaluate(spec, k, t, X, Y, A, starts=starts)
+            clipped |= clip_k
+            if record:
+                rec_u[:, k] = u
 
-        with np.errstate(all="ignore"):
-            bval = np.broadcast_to(np.asarray(
-                spec.coeffs.b(t, X, Y, A, u), float), X.shape)
-            sval = np.broadcast_to(np.asarray(
-                spec.coeffs.sigma(t, X, Y, A, u), float), X.shape)
-
-        # per block: full-width normals, then Poisson counts per mark;
-        # full-width draws keep each stream independent of the lane count
-        counts = (np.empty((nb, len(mark_values)), dtype=np.int64)
-                  if has_jumps else None)
-        for rng, sl in zip(rngs, lanes):
-            w = sl.stop - sl.start
-            z[sl] = rng.standard_normal(BLOCK_SIZE)[:w]
-            for j, lam in enumerate(rates):
-                counts[sl, j] = rng.poisson(lam, BLOCK_SIZE)[:w]
-        dB = sqdt * z
-
-        drift = bval * dt
-        th = None
-        jump_term = 0.0
-        if has_jumps:
             with np.errstate(all="ignore"):
-                th = np.stack([
-                    np.broadcast_to(np.asarray(
-                        spec.coeffs.theta(t, X, Y, A, u, zv), float), X.shape)
-                    for zv in mark_values
-                ], axis=0)  # (n_marks, nb)
-            # compensator: subtract intensity * E[theta] dt from the drift
-            drift -= jump.intensity * (mark_probs @ th) * dt
-            jump_term = np.einsum("ij,ji->i", counts, th)
+                bval = lane_values(spec.coeffs.b(t, X, Y, A, u), X.shape)
+                sval = lane_values(spec.coeffs.sigma(t, X, Y, A, u), X.shape)
 
-        X_new = X + drift + sval * dB + jump_term
-        if not np.all(np.isfinite(X_new)):
-            raise _nonfinite("state became non-finite", X_new, k, t + dt,
-                             first)
+            counts = None
+            if has_jumps:
+                # per block: full-width normals, then Poisson counts per
+                # mark; full-width draws keep each stream independent of
+                # the lane count
+                counts = np.empty((nb, len(mark_values)), dtype=np.int64)
+                for rng, sl in zip(rngs, lanes):
+                    w = sl.stop - sl.start
+                    z[sl] = rng.standard_normal(BLOCK_SIZE)[:w]
+                    for j, lam in enumerate(rates):
+                        counts[sl, j] = rng.poisson(lam, BLOCK_SIZE)[:w]
+                dB = sqdt * z
+            else:
+                # the first chunk is drawn here, each later one on the
+                # producer while the chunk before it is stepped; it is
+                # submitted at that chunk's second step, once the chunk
+                # before is unreferenced, so at most two chunks are alive
+                row = k % NOISE_CHUNK
+                k_next = k - row + NOISE_CHUNK  # first step of the next chunk
+                if row == 0:
+                    chunk = (ahead.result() if k else _normal_chunk(
+                        rngs, lanes, nb, min(NOISE_CHUNK, n), sqdt))
+                elif row == 1 and k_next < n:
+                    ahead = producer.submit(
+                        _normal_chunk, rngs, lanes, nb,
+                        min(NOISE_CHUNK, n - k_next), sqdt)
+                dB = chunk[row]
 
-        if var is not None:
-            P = var["partials"]
-            beta_vals = np.broadcast_to(np.asarray(
-                var["beta"].raw(k, t, X, Y, A), float), X.shape)
-
-            def lin(name):
-                with np.errstate(all="ignore"):
-                    return (P[name]["x"](t, X, Y, A, u) * xi
-                            + P[name]["y"](t, X, Y, A, u) * xi_lag
-                            + P[name]["a"](t, X, Y, A, u) * Lam
-                            + P[name]["u"](t, X, Y, A, u) * beta_vals)
-
-            dxi = lin("b") * dt + lin("sigma") * dB
+            drift = bval * dt
+            th = None
+            jump_term = 0.0
             if has_jumps:
                 with np.errstate(all="ignore"):
-                    dth = np.stack([
-                        (P["theta"]["x"](t, X, Y, A, u, zv) * xi
-                         + P["theta"]["y"](t, X, Y, A, u, zv) * xi_lag
-                         + P["theta"]["a"](t, X, Y, A, u, zv) * Lam
-                         + P["theta"]["u"](t, X, Y, A, u, zv) * beta_vals)
+                    th = np.stack([
+                        lane_values(spec.coeffs.theta(t, X, Y, A, u, zv),
+                                    X.shape)
                         for zv in mark_values
-                    ], axis=0)
-                dxi += (np.einsum("ij,ji->i", counts, dth)
-                        - jump.intensity * (mark_probs @ dth) * dt)
-            xi_new = xi + dxi
-            if not np.all(np.isfinite(xi_new)):
-                raise _nonfinite("variational process non-finite", xi_new,
-                                 k, t + dt, first)
+                    ], axis=0)  # (n_marks, nb)
+                # compensator: subtract intensity * E[theta] dt from the drift
+                drift -= jump.intensity * (mark_probs @ th) * dt
+                jump_term = np.einsum("ij,ji->i", counts, th)
 
-        pos = (pos + 1) % (m + 1)
-        ring[pos] = X_new
-        Y_new = ring[(pos + 1) % (m + 1)].copy()  # X_{k+1-m}
-        A_new = _average_step(w_avg, A, Y, Y_new, X, X_new)
+            X_new = X + drift + sval * dB + jump_term
+            if not np.all(np.isfinite(X_new)):
+                raise _nonfinite("state became non-finite", X_new, k, t + dt,
+                                 first)
 
-        ctx = {"k": k, "t": t, "t1": t + dt, "x": X, "y": Y, "a": A, "u": u,
-               "dB": dB, "counts": counts, "theta_marks": th,
-               "x1": X_new, "y1": Y_new, "a1": A_new}
+            if var is not None:
+                P = var["partials"]
+                beta_vals = lane_values(var["beta"].raw(k, t, X, Y, A), X.shape)
 
-        if var is not None:
-            xi_ring[pos] = xi_new
-            xi_lag_new = xi_ring[(pos + 1) % (m + 1)].copy()
-            Lam_new = _average_step(w_avg, Lam, xi_lag, xi_lag_new, xi, xi_new)
-            ctx.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam,
-                        "beta": beta_vals, "xi1": xi_new})
+                def lin(name):
+                    with np.errstate(all="ignore"):
+                        return (P[name]["x"](t, X, Y, A, u) * xi
+                                + P[name]["y"](t, X, Y, A, u) * xi_lag
+                                + P[name]["a"](t, X, Y, A, u) * Lam
+                                + P[name]["u"](t, X, Y, A, u) * beta_vals)
 
-        for acc, st in zip(accumulators, states):
-            acc.step(st, k, ctx)
+                dxi = lin("b") * dt + lin("sigma") * dB
+                if has_jumps:
+                    with np.errstate(all="ignore"):
+                        dth = np.stack([
+                            (P["theta"]["x"](t, X, Y, A, u, zv) * xi
+                             + P["theta"]["y"](t, X, Y, A, u, zv) * xi_lag
+                             + P["theta"]["a"](t, X, Y, A, u, zv) * Lam
+                             + P["theta"]["u"](t, X, Y, A, u, zv) * beta_vals)
+                            for zv in mark_values
+                        ], axis=0)
+                    dxi += (np.einsum("ij,ji->i", counts, dth)
+                            - jump.intensity * (mark_probs @ dth) * dt)
+                xi_new = xi + dxi
+                if not np.all(np.isfinite(xi_new)):
+                    raise _nonfinite("variational process non-finite", xi_new,
+                                     k, t + dt, first)
 
-        X, Y, A = X_new, Y_new, A_new
-        if var is not None:
-            xi, xi_lag, Lam = xi_new, xi_lag_new, Lam_new
+            pos = (pos + 1) % (m + 1)
+            ring[pos] = X_new
+            Y_new = ring[(pos + 1) % (m + 1)].copy()  # X_{k+1-m}
+            A_new = _average_step(w_avg, A, Y, Y_new, X, X_new)
+
+            ctx = {"k": k, "t": t, "t1": t + dt, "x": X, "y": Y, "a": A, "u": u,
+                   "dB": dB, "counts": counts, "theta_marks": th,
+                   "x1": X_new, "y1": Y_new, "a1": A_new}
+
+            if var is not None:
+                xi_ring[pos] = xi_new
+                xi_lag_new = xi_ring[(pos + 1) % (m + 1)].copy()
+                Lam_new = _average_step(w_avg, Lam, xi_lag, xi_lag_new, xi, xi_new)
+                ctx.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam,
+                            "beta": beta_vals, "xi1": xi_new})
+
+            for acc, st in zip(accumulators, states):
+                acc.step(st, k, ctx)
+
+            X, Y, A = X_new, Y_new, A_new
+            if var is not None:
+                xi, xi_lag, Lam = xi_new, xi_lag_new, Lam_new
+                if record:
+                    rec_xi[:, k + 1] = xi
             if record:
-                rec_xi[:, k + 1] = xi
-        if record:
-            rec_X[:, k + 1] = X
-            rec_Y[:, k + 1] = Y
-            rec_A[:, k + 1] = A
-            rec_dB[:, k] = dB
-            if rec_counts is not None:
-                rec_counts[:, k, :] = counts
+                rec_X[:, k + 1] = X
+                rec_Y[:, k + 1] = Y
+                rec_A[:, k + 1] = A
+                rec_dB[:, k] = dB
+                if rec_counts is not None:
+                    rec_counts[:, k, :] = counts
 
     t_final = n * dt
     u_final, clip_f = control.evaluate(spec, n, t_final, X, Y, A,
@@ -489,7 +536,10 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     all groups; each group keeps its own state from begin().  ``beta``
     switches on the variational process driven by that perturbation.
     Blocks are stepped in contiguous groups of up to ``GROUP_BLOCKS``;
-    results are bitwise independent of ``threads`` and of the grouping.
+    ``threads`` counts the workers that step groups, and without jumps
+    each group also has one noise producer thread drawing normals
+    ``NOISE_CHUNK`` steps ahead.  Results are bitwise independent of
+    ``threads`` and of the grouping.
     """
     variation = _prepare_variation(spec, beta) if beta is not None else None
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -579,8 +629,7 @@ def _noiseless(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         starts = np.arange(shape[0])  # one clip flag per lane
 
         def value(v):
-            v = np.asarray(v, float)
-            return v if v.shape == shape else np.broadcast_to(v, shape)
+            return lane_values(v, shape)
     else:
         starts, value = None, float
     clipped = np.zeros(shape, dtype=bool) if shape else False

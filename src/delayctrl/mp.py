@@ -159,7 +159,7 @@ class TerminalStateAccumulator(StepAccumulator):
                 np.array(ctx["a"], float, copy=True))
 
 
-def _gateaux_terms(spec, grid, shifted, n_paths, seed):
+def _gateaux_terms(spec, grid, shifted, n_paths, seed, threads):
     """Per-path (reward integral, terminal state) under the perturbed
     control ``shifted``.
 
@@ -168,7 +168,8 @@ def _gateaux_terms(spec, grid, shifted, n_paths, seed):
     not contribute to the adjoint-weighted tail correction."""
     res = simulate_ensemble(spec, grid, shifted, n_paths, seed,
                             accumulators=(RunningRewardAccumulator(),
-                                          TerminalStateAccumulator()))
+                                          TerminalStateAccumulator()),
+                            threads=threads)
     reward, _, alive = res.extras[0]
     x_T, _, _ = res.extras[1]
     return reward, x_T * alive
@@ -446,6 +447,7 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     s_values = mc_cfg.get("bump_s", (1e-2, 1e-3))
     n_paths = int(mc_cfg.get("n_paths", 2000))
     seed = int(mc_cfg.get("seed", 0))
+    threads = int(mc_cfg.get("threads", 1))
     # The truncated objective misses the tail E int_T^inf f dt whose first
     # variation is E[p(T) xi(T)]; with the candidate's adjoint available,
     # adding p(T) (X_+(T) - X_-(T)) / 2s per path removes that bias, so the
@@ -465,7 +467,8 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
         if key not in terms:
             control = replace(candidate, bumps=candidate.bumps
                               + ((shift, float(ws), float(wh)),))
-            terms[key] = _gateaux_terms(spec, grid, control, n_paths, seed)
+            terms[key] = _gateaux_terms(spec, grid, control, n_paths, seed,
+                                        threads)
         return terms[key]
 
     for (ws, wh) in windows:
@@ -547,20 +550,23 @@ def variational_consistency(spec: ProblemSpec, grid: TimeGrid,
     n_paths = int(mc_cfg.get("n_paths", 2000))
     seed = int(mc_cfg.get("seed", 0))
     s = float(mc_cfg.get("s", 1e-3))
+    threads = int(mc_cfg.get("threads", 1))
     adjoint = mc_cfg.get("adjoint")
 
     res = simulate_ensemble(spec, grid, candidate,
                             n_paths, seed,
                             accumulators=(ChainRuleAccumulator(beta),
                                           TerminalStateAccumulator()),
-                            beta=beta)
+                            beta=beta, threads=threads)
     xi_vals, xi_T = res.extras[0]
     x_T, y_T, a_T = res.extras[1]
 
     rew_p, xT_p = _gateaux_terms(
-        spec, grid, _superpose(candidate, beta, s, grid), n_paths, seed)
+        spec, grid, _superpose(candidate, beta, s, grid), n_paths, seed,
+        threads)
     rew_m, xT_m = _gateaux_terms(
-        spec, grid, _superpose(candidate, beta, -s, grid), n_paths, seed)
+        spec, grid, _superpose(candidate, beta, -s, grid), n_paths, seed,
+        threads)
     fd_vals = (rew_p - rew_m) / (2 * s)
 
     if adjoint is not None:

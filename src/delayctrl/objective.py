@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteObjective
-from .forward import ControlSpec, StepAccumulator, simulate_ensemble
+from .forward import (ControlSpec, StepAccumulator, lane_values,
+                      simulate_ensemble)
 from .model import ProblemSpec, TimeGrid
 
 
@@ -45,19 +46,27 @@ class RunningRewardAccumulator(StepAccumulator):
             "I": np.zeros(n_lanes),
             "prev_f": None,
             "alive": np.ones(n_lanes, dtype=bool),
+            "all_alive": True,  # no lane has left the domain of f yet
             "last_f": np.zeros(n_lanes),
         }
 
     def _f(self, st, ctx):
         spec = st["spec"]
         with np.errstate(all="ignore"):
-            f = np.asarray(spec.coeffs.f(ctx["t"], ctx["x"], ctx["y"],
-                                         ctx["a"], ctx["u"]), float)
-        return np.broadcast_to(f, ctx["x"].shape)
+            f = spec.coeffs.f(ctx["t"], ctx["x"], ctx["y"], ctx["a"],
+                              ctx["u"])
+        return lane_values(f, ctx["x"].shape)
 
     def step(self, st, k, ctx):
         f = self._f(st, ctx)
         ok = np.isfinite(f)
+        if st["all_alive"] and ok.all():
+            # every lane alive: the where passes below would select f
+            if st["prev_f"] is not None:
+                st["I"] += 0.5 * st["dt"] * (st["prev_f"] + f)
+            st["prev_f"] = st["last_f"] = f
+            return
+        st["all_alive"] = False
         st["alive"] &= ok
         alive = st["alive"]
         if st["prev_f"] is not None:

@@ -1,4 +1,7 @@
-"""Shared fixtures: small problem instances reused across test modules."""
+"""Shared fixtures: small problem instances reused across test modules,
+and a guard against threads left running."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +15,17 @@ from delayctrl.examples import (
     make_ex34_problem,
     make_ex35_problem,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a new live thread behind, such as an engine
+    noise producer or group worker that was never shut down."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t for t in threading.enumerate()
+              if t not in before and t.is_alive()]
+    assert not leaked, f"live threads left behind: {leaked}"
 
 
 @pytest.fixture(scope="session")

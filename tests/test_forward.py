@@ -2,6 +2,7 @@
 jumps, and reproducibility contracts."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from delayctrl.errors import BadWindow, NonFiniteSegment, NonFiniteState
 from delayctrl.forward import (
     BLOCK_SIZE,
     GROUP_BLOCKS,
+    NOISE_CHUNK,
     StepAccumulator,
     _prepare_variation,
     _run_blocks,
@@ -384,6 +386,92 @@ class TestNonFiniteContext:
         err = info.value
         assert (err.step, err.block, err.lane) == (2, 1, first - BLOCK_SIZE)
         assert f"block 1, lane {first - BLOCK_SIZE}" in str(err)
+
+
+def _philox_replay(seed, n_paths, steps, rates=()):
+    """Increments dB and jump counts of every path, redrawn step by step
+    from each block's Philox stream in the documented order: full-width
+    normals, then full-width Poisson counts mark by mark."""
+    dB = np.empty((n_paths, steps))
+    counts = np.empty((n_paths, steps, len(rates)), dtype=np.int64)
+    for block, lo in enumerate(range(0, n_paths, BLOCK_SIZE)):
+        hi = min(lo + BLOCK_SIZE, n_paths)
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + block))
+        for k in range(steps):
+            dB[lo:hi, k] = rng.standard_normal(BLOCK_SIZE)[:hi - lo]
+            for j, lam in enumerate(rates):
+                counts[lo:hi, k, j] = rng.poisson(lam, BLOCK_SIZE)[:hi - lo]
+    return dB, counts
+
+
+class TestNoiseProducer:
+    """Without jumps the engine draws NOISE_CHUNK steps of normals ahead on
+    a producer thread; every variate must be the one a per-step draw of
+    the block's stream gives, whatever the step count and lane split."""
+
+    SEED = 5
+    N_PATHS = 2 * BLOCK_SIZE + 37  # the last block is partial
+
+    @pytest.mark.parametrize("steps", [1, NOISE_CHUNK - 3, NOISE_CHUNK,
+                                       NOISE_CHUNK + 1, 3 * NOISE_CHUNK + 5])
+    def test_increments_equal_per_step_draws(self, steps):
+        dt = 0.2
+        grid = make_grid(0.2, dt, steps * dt)
+        assert grid.n == steps
+        ens = simulate_ensemble(_brownian_spec(), grid, constant_control(0.0),
+                                self.N_PATHS, self.SEED, record=True)
+        z, _ = _philox_replay(self.SEED, self.N_PATHS, steps)
+        dB = np.stack([r.dB for r in ens.records])
+        assert np.array_equal(dB, np.sqrt(dt) * z)
+        # dX = dB from X = 1: each step adds its row of increments
+        x = np.ones(self.N_PATHS)
+        for k, rec_x in enumerate(np.stack([r.X for r in ens.records]).T[1:]):
+            x = x + dB[:, k]
+            assert np.array_equal(rec_x, x)
+
+    def test_thread_counts_agree(self):
+        grid = make_grid(0.2, 0.1, (3 * NOISE_CHUNK + 5) * 0.1)
+        ens = [simulate_ensemble(_brownian_spec(), grid,
+                                 feedback_control(lambda t, x, y, a: -x),
+                                 self.N_PATHS, self.SEED, record=True,
+                                 threads=threads)
+               for threads in (1, 2)]
+        for key in ("X", "A", "u", "dB"):
+            assert np.array_equal(
+                np.stack([getattr(r, key) for r in ens[0].records]),
+                np.stack([getattr(r, key) for r in ens[1].records]))
+
+    def test_jump_streams_draw_inline(self, jump_spec):
+        dt = 0.1
+        steps = NOISE_CHUNK + 4
+        grid = make_grid(0.5, dt, steps * dt)
+        ens = simulate_ensemble(jump_spec, grid, constant_control(0.3),
+                                self.N_PATHS, self.SEED, record=True)
+        jump = jump_spec.jump
+        rates = [jump.intensity * pz * dt for pz in jump.marks.probs]
+        z, counts = _philox_replay(self.SEED, self.N_PATHS, steps, rates)
+        assert np.array_equal(np.stack([r.dB for r in ens.records]),
+                              np.sqrt(dt) * z)
+        assert np.array_equal(np.stack([r.counts for r in ens.records]),
+                              counts)
+
+    def test_nonfinite_mid_chunk_stops_the_producer(self):
+        # the drift blows up one step into the second chunk, while the
+        # producer is drawing the third
+        dt = 0.1
+        k_bad = NOISE_CHUNK + 1
+        grid = make_grid(0.2, dt, 4 * NOISE_CHUNK * dt)
+
+        def blow(t, x, y, a, u):
+            bad = np.inf if t >= (k_bad - 0.5) * dt else 0.0
+            return np.full_like(np.asarray(x, float), bad)
+
+        before = threading.active_count()
+        with pytest.raises(NonFiniteState) as info:
+            simulate_ensemble(_brownian_spec(blow), grid,
+                              constant_control(0.0), self.N_PATHS, self.SEED)
+        assert info.value.step == k_bad + 1
+        assert threading.active_count() == before
 
 
 class TestNoiselessLanes:

@@ -1,6 +1,8 @@
 """Maximum-principle verification machinery: sufficiency, necessity, and
 variational consistency."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,38 @@ class TestNecessary:
         grid = make_grid(1.0, 0.05, 3.0)
         with pytest.raises(AdjointMissing):
             necessary_residual(spec, grid, ctl, dict(n_paths=16))
+
+
+class TestThreads:
+    """mc.threads reaches every ensemble a check simulates, and the
+    reports do not depend on it."""
+
+    def _run(self, setup, threads, monkeypatch):
+        import delayctrl.mp as mp
+        from delayctrl.forward import simulate_ensemble
+
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 3.0)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("threads"))
+            return simulate_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "simulate_ensemble", spy)
+        mc = dict(adjoint=adj, n_paths=2 * 1024 + 5, seed=4, threads=threads)
+        necessity = necessary_residual(spec, grid, ctl, mc).as_dict()
+        consistency = variational_consistency(
+            spec, grid, ctl, constant_control(1.0), mc)
+        monkeypatch.undo()
+        return seen, json.dumps([necessity, consistency])
+
+    def test_threads_reach_every_ensemble(self, setup, monkeypatch):
+        seen, report = self._run(setup, 2, monkeypatch)
+        assert len(seen) == 1 + 12 + 3
+        assert seen == [2] * len(seen)
+        _, serial = self._run(setup, 1, monkeypatch)
+        assert report == serial
 
 
 class TestVariationalConsistency:

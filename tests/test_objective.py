@@ -1,4 +1,7 @@
-"""Objective estimation: quadrature oracles, tail bounds, CRN pairing."""
+"""Objective estimation: quadrature oracles, tail bounds, CRN pairing,
+domain-exit truncation."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +15,18 @@ from delayctrl.examples import (
     ex34_p0_star,
     make_ex34_problem,
 )
-from delayctrl.forward import constant_control, scale_control
-from delayctrl.objective import compare_controls, estimate_J
+from delayctrl.forward import (
+    StepAccumulator,
+    constant_control,
+    scale_control,
+    simulate_ensemble,
+)
+from delayctrl.model import CoefficientSet, ProblemSpec
+from delayctrl.objective import (
+    RunningRewardAccumulator,
+    compare_controls,
+    estimate_J,
+)
 
 
 class TestDeterministicOracle:
@@ -111,3 +124,91 @@ class TestCompareControls:
         worse = scale_control(ctl, 0.8)
         diff, _ = compare_controls(spec, grid, ctl, worse, 1, 0)
         assert diff > 0.0
+
+
+class _WhereAccumulator(StepAccumulator):
+    """The reward accumulator as it was before its all-alive fast path:
+    three where passes on every step."""
+
+    def begin(self, n_lanes, spec, grid):
+        return {"spec": spec, "dt": grid.dt, "I": np.zeros(n_lanes),
+                "prev_f": None, "alive": np.ones(n_lanes, dtype=bool),
+                "last_f": np.zeros(n_lanes)}
+
+    def _f(self, st, ctx):
+        with np.errstate(all="ignore"):
+            f = np.asarray(st["spec"].coeffs.f(ctx["t"], ctx["x"], ctx["y"],
+                                               ctx["a"], ctx["u"]), float)
+        return np.broadcast_to(f, ctx["x"].shape)
+
+    def step(self, st, k, ctx):
+        f = self._f(st, ctx)
+        ok = np.isfinite(f)
+        st["alive"] &= ok
+        alive = st["alive"]
+        if st["prev_f"] is not None:
+            st["I"] += np.where(alive,
+                                0.5 * st["dt"] * (st["prev_f"] + f), 0.0)
+        st["prev_f"] = np.where(alive, f, 0.0)
+        st["last_f"] = np.where(alive, f, st["last_f"])
+
+    def finish(self, st, ctx):
+        f = self._f(st, ctx)
+        ok = np.isfinite(f)
+        alive = st["alive"] & ok
+        st["I"] += np.where(alive, 0.5 * st["dt"] * (st["prev_f"] + f), 0.0)
+        last = np.where(alive, f, st["last_f"])
+        return st["I"].copy(), np.abs(last), alive.astype(float)
+
+
+class TestDomainExit:
+    """The accumulator skips its where passes while every lane is in the
+    domain of f; per_path, tail and alive must stay bitwise those of the
+    where-based reduction, wherever the first NaN of f appears."""
+
+    N_LANES, N_STEPS = 64, 40
+    SPEC = SimpleNamespace(coeffs=SimpleNamespace(
+        f=lambda t, x, y, a, u: x))  # f reads the lane values off ctx
+    GRID = SimpleNamespace(dt=0.1)
+
+    def _run(self, acc, values):
+        st = acc.begin(self.N_LANES, self.SPEC, self.GRID)
+        for k, x in enumerate(values[:-1]):
+            acc.step(st, k, {"t": 0.1 * k, "x": x, "y": None, "a": None,
+                             "u": None})
+        return acc.finish(st, {"t": 0.1 * self.N_STEPS, "x": values[-1],
+                               "y": None, "a": None, "u": None})
+
+    @pytest.mark.parametrize("nan_at", [None, 0, 17, "final"])
+    def test_matches_where_reduction(self, nan_at):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(self.N_STEPS + 1, self.N_LANES))
+        if nan_at == "final":
+            values[-1, ::7] = np.nan
+        elif nan_at is not None:
+            values[nan_at, ::5] = np.nan
+            values[nan_at + 3:, 1] = np.inf  # a second exit, later
+        got = self._run(RunningRewardAccumulator(), values)
+        want = self._run(_WhereAccumulator(), values)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert got[2].all() == (nan_at is None)
+
+    def test_ensemble_matches_where_reduction(self):
+        # f = sqrt(x) on dX = dB from X = 1 leaves the domain where the
+        # state turns negative, at different steps on different paths
+        ones = lambda t, x, y, a, u: np.ones_like(np.asarray(x, float))
+        coeffs = CoefficientSet(
+            b=lambda t, x, y, a, u: 0.0 * np.asarray(x, float), sigma=ones,
+            theta=None, f=lambda t, x, y, a, u: np.sqrt(x), partials={})
+        spec = ProblemSpec(delta=0.2, rho=0.1, discount=0.1, coeffs=coeffs,
+                           control_lo=0.0, control_hi=1.0,
+                           initial_segment=lambda s: np.ones_like(s))
+        grid = make_grid(0.2, 0.05, 3.0)
+        res = simulate_ensemble(spec, grid, constant_control(0.5), 1500, 3,
+                                accumulators=(RunningRewardAccumulator(),
+                                              _WhereAccumulator()))
+        got, want = res.extras
+        assert 0.0 < got[2].mean() < 1.0
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
