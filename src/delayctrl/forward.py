@@ -35,12 +35,21 @@ block computes, so path i is bitwise reproducible regardless of how many
 paths are requested, how blocks are grouped, or how groups are scheduled
 across workers.  The cap bounds the memory of the delay ring, (m+1) values per
 lane, for long delays.
+
+A recorded run can save its engine state before chosen steps (the delay
+ring and its position, A, the per-block clip flags and a copy of each
+accumulator's state), and a later run can resume from such a state in
+the same step loop.  The resumed run reads dB and the jump counts of the
+remaining steps from the saved run's record, a chunk of steps at a time,
+so it draws no noise.  Under common random numbers a control that agrees
+with the saved run's before the save step, such as a bump whose window
+starts there, gives every path bitwise as a full run does.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -144,6 +153,16 @@ def bump_control(base: ControlSpec, alpha: float, s: float, h: float,
     return replace(base, bumps=base.bumps + ((float(alpha), float(s), float(h)),))
 
 
+def bump_start_step(grid: TimeGrid, s: float) -> int:
+    """The first step a bump window starting at ``s`` acts on: the least k
+    with k * dt >= s - tol, t = k * dt formed as the engine forms it and
+    tested as ``ControlSpec.raw`` tests it; n when no step reaches s."""
+    k = min(grid.n, max(0, int((s - _WINDOW_TOL) / grid.dt) - 1))
+    while k < grid.n and k * grid.dt < s - _WINDOW_TOL:
+        k += 1
+    return k
+
+
 # ---------------------------------------------------------------------------
 # Moving average
 # ---------------------------------------------------------------------------
@@ -241,6 +260,13 @@ class StepAccumulator:
     def finish(self, state, ctx: dict):
         raise NotImplementedError
 
+    def copy_state(self, state):
+        """A copy of ``state`` that stepping leaves the original unchanged,
+        kept in a saved engine state and handed to each run resumed from
+        it.  The default copies the array values of a dict state."""
+        return {key: v.copy() if isinstance(v, np.ndarray) else v
+                for key, v in state.items()}
+
 
 def stack_records(records, keys) -> dict:
     """The named PathRecord fields of an ensemble stacked into arrays with a
@@ -250,12 +276,33 @@ def stack_records(records, keys) -> dict:
             for key in keys}
 
 
+@dataclass(frozen=True, eq=False)
+class EngineState:
+    """A recorded ensemble's engine state before step ``step``.
+
+    ``groups`` holds one dict per block group: the delay ring and its
+    position (X and Y are ring entries), A, the per-block clip flags, a
+    copy of each accumulator's state, and the group's record, whose
+    increments a run resumed from this state reads.  The other fields
+    name the run a resume must match."""
+
+    step: int
+    spec: ProblemSpec
+    grid: TimeGrid
+    n_paths: int
+    seed: int
+    per_group: int  # blocks per group
+    accumulators: tuple  # accumulator classes
+    groups: tuple
+
+
 @dataclass
 class EnsembleResult:
     records: Optional[list]  # PathRecords when recording was requested
     extras: list  # one entry per accumulator: concatenated per-path arrays
     clipped: bool
     n_paths: int
+    states: dict = field(default_factory=dict)  # step -> EngineState
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +353,19 @@ def _nonfinite(what: str, values, k: int, t: float, first: int):
 
 def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 seed: int, first: int, n_lanes: int,
-                accumulators, record: bool, variation: Optional[dict] = None):
+                accumulators, record: bool, variation: Optional[dict] = None,
+                save_at=frozenset(), resume: Optional[dict] = None):
     """Simulate blocks first, first+1, ... as one array of ``n_lanes``
     lanes, every block full but the last.
 
     Each block draws from its own generator exactly what it would draw
     alone, and the draws are joined in block order; everything else runs
-    once per step over all lanes.  Returns (rec, extras, clipped): ``rec``
-    maps each recorded quantity to its (n_lanes, ...) array (None without
-    ``record``), ``clipped`` holds one flag per block.
+    once per step over all lanes.  Returns (rec, extras, clipped, saved):
+    ``rec`` maps each recorded quantity to its (n_lanes, ...) array (None
+    without ``record``), ``clipped`` holds one flag per block and
+    ``saved`` maps each step of ``save_at`` to the group's state before
+    that step.  With ``resume``, such a saved state, the run starts at
+    its step and reads the increments from its record.
     """
     dt, m, n = grid.dt, grid.m, grid.n
     rho = spec.rho
@@ -328,14 +379,25 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     mark_probs = jump.marks.probs if has_jumps else None
     rates = [jump.intensity * pz * dt for pz in mark_probs] if has_jumps else []
 
-    hist = spec.validate_segment(grid)  # m+1 values on [-delta, 0]
-    # A_0 as a full block computes it, lane by lane, so a lane's start does
-    # not depend on how many lanes its block holds
-    A = np.tile(segment_average(np.tile(hist, (BLOCK_SIZE, 1)), dt, rho),
-                len(starts))[:nb]
-    # ring[pos] is the newest entry; the oldest sits at (pos+1) mod (m+1)
-    ring = np.repeat(hist[:, None], nb, axis=1)
-    pos = m
+    if resume is None:
+        k0 = 0
+        hist = spec.validate_segment(grid)  # m+1 values on [-delta, 0]
+        # A_0 as a full block computes it, lane by lane, so a lane's start
+        # does not depend on how many lanes its block holds
+        A = np.tile(segment_average(np.tile(hist, (BLOCK_SIZE, 1)), dt, rho),
+                    len(starts))[:nb]
+        # ring[pos] is the newest entry; the oldest sits at (pos+1) mod (m+1)
+        ring = np.repeat(hist[:, None], nb, axis=1)
+        pos = m
+        clipped = np.zeros(len(starts), dtype=bool)
+        states = [acc.begin(nb, spec, grid) for acc in accumulators]
+        source = None
+    else:
+        k0, pos, source = resume["k"], resume["pos"], resume["rec"]
+        ring, A, clipped = (resume[key].copy()
+                            for key in ("ring", "A", "clipped"))
+        states = [acc.copy_state(st)
+                  for acc, st in zip(accumulators, resume["acc"])]
     X = ring[pos].copy()
     Y = ring[(pos + 1) % (m + 1)].copy()
 
@@ -348,6 +410,7 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         xi_ring = np.zeros((m + 1, nb))
         Lam = np.zeros(nb)  # moving average of xi, same kernel as A
 
+    rec = None
     if record:
         rec_X = np.empty((nb, n + 1)); rec_X[:, 0] = X
         rec_Y = np.empty((nb, n + 1)); rec_Y[:, 0] = Y
@@ -359,16 +422,25 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         rec_xi = np.empty((nb, n + 1)) if var is not None else None
         if rec_xi is not None:
             rec_xi[:, 0] = 0.0
+        rec = {"X": rec_X, "Y": rec_Y, "A": rec_A, "u": rec_u, "dB": rec_dB,
+               "counts": rec_counts, "xi": rec_xi}
+        if source is not None:
+            # the saved run's record up to the resume step
+            for key in ("X", "Y", "A", "u", "dB", "counts"):
+                if rec[key] is not None:
+                    rec[key][:, :k0 + 1] = source[key][:, :k0 + 1]
 
-    states = [acc.begin(nb, spec, grid) for acc in accumulators]
-    clipped = np.zeros(len(starts), dtype=bool)
+    saved = {}
     sqdt = np.sqrt(dt)
     z = np.empty(nb)
 
     # the producer thread starts at the first submit: never with jumps,
-    # nor when one chunk holds every step
+    # nor on a resumed run, nor when one chunk holds every step
     with ThreadPoolExecutor(max_workers=1) as producer:
-        for k in range(n):
+        for k in range(k0, n):
+            if k in save_at:
+                saved[k] = _snapshot(k, pos, ring, A, clipped, rec,
+                                     accumulators, states)
             t = k * dt
             u, clip_k = control.evaluate(spec, k, t, X, Y, A, starts=starts)
             clipped |= clip_k
@@ -380,7 +452,20 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 sval = lane_values(spec.coeffs.sigma(t, X, Y, A, u), X.shape)
 
             counts = None
-            if has_jumps:
+            if source is not None:
+                # the saved run's increments (and counts), read
+                # NOISE_CHUNK steps at a time as rows
+                row = (k - k0) % NOISE_CHUNK
+                if row == 0:
+                    steps = slice(k, min(k + NOISE_CHUNK, n))
+                    chunk = np.ascontiguousarray(source["dB"][:, steps].T)
+                    if has_jumps:
+                        count_chunk = np.ascontiguousarray(
+                            source["counts"][:, steps].transpose(1, 0, 2))
+                dB = chunk[row]
+                if has_jumps:
+                    counts = count_chunk[row]
+            elif has_jumps:
                 # per block: full-width normals, then Poisson counts per
                 # mark; full-width draws keep each stream independent of
                 # the lane count
@@ -486,6 +571,9 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 if rec_counts is not None:
                     rec_counts[:, k, :] = counts
 
+    if n in save_at:
+        saved[n] = _snapshot(n, pos, ring, A, clipped, rec, accumulators,
+                             states)
     t_final = n * dt
     u_final, clip_f = control.evaluate(spec, n, t_final, X, Y, A,
                                        starts=starts)
@@ -494,13 +582,17 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     if var is not None:
         ctx_final.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam})
     extras = [acc.finish(st, ctx_final) for acc, st in zip(accumulators, states)]
-
-    rec = None
     if record:
         rec_u[:, n] = u_final
-        rec = {"X": rec_X, "Y": rec_Y, "A": rec_A, "u": rec_u, "dB": rec_dB,
-               "counts": rec_counts, "xi": rec_xi}
-    return rec, extras, clipped
+    return rec, extras, clipped, saved
+
+
+def _snapshot(k, pos, ring, A, clipped, rec, accumulators, states) -> dict:
+    """A block group's state before step k, copied where stepping on
+    would change it."""
+    return {"k": k, "pos": pos, "ring": ring.copy(), "A": A.copy(),
+            "clipped": clipped.copy(), "rec": rec,
+            "acc": [acc.copy_state(st) for acc, st in zip(accumulators, states)]}
 
 
 def _path_records(grid: TimeGrid, rec: dict, clipped, lanes) -> list:
@@ -529,7 +621,8 @@ def _merge_extras(per_group: list, accumulators) -> list:
 def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                       n_paths: int, seed: int, *, accumulators=(),
                       record: bool = False, beta: Optional[ControlSpec] = None,
-                      threads: int = 1) -> EnsembleResult:
+                      threads: int = 1, save_at=(),
+                      resume: Optional[EngineState] = None) -> EnsembleResult:
     """Simulate ``n_paths`` paths in counter-seeded blocks.
 
     ``accumulators`` is a sequence of StepAccumulator instances, shared by
@@ -540,6 +633,17 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     each group also has one noise producer thread drawing normals
     ``NOISE_CHUNK`` steps ahead.  Results are bitwise independent of
     ``threads`` and of the grouping.
+
+    Save and resume: a recorded run without ``beta`` saves its engine
+    state before each step k of ``save_at`` (0 <= k <= n; k = n is the
+    final point) into ``states[k]`` of the result.  A run given
+    ``resume=`` such a state starts at its step in the same step loop,
+    with the same spec, grid, ``n_paths``, seed, block grouping and
+    accumulator classes, and a control that agrees with the saved run's
+    before that step.  It reads dB and the jump counts from the saved
+    run's record, so it repeats no earlier step, draws no noise and
+    starts no producer thread, and every result, the record included,
+    is bitwise that of the full run.
     """
     variation = _prepare_variation(spec, beta) if beta is not None else None
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -547,27 +651,45 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     # give every worker one
     per_group = min(GROUP_BLOCKS, max(1, -(-n_blocks // max(1, threads))))
     firsts = range(0, n_blocks, per_group)
+    kinds = tuple(type(acc) for acc in accumulators)
+    save_at = frozenset(int(k) for k in save_at)
+    if save_at and (not record or beta is not None
+                    or not all(0 <= k <= grid.n for k in save_at)):
+        raise ValueError("saving needs a recorded run without beta and "
+                         f"steps in [0, {grid.n}]")
+    if resume is not None and (
+            beta is not None or save_at or resume.spec is not spec
+            or resume.grid != grid
+            or (resume.n_paths, resume.seed, resume.per_group,
+                resume.accumulators) != (n_paths, seed, per_group, kinds)):
+        raise ValueError("a run resumes only the spec, grid, n_paths, seed, "
+                         "block grouping and accumulators it was saved "
+                         "from, without beta or save_at")
 
-    def work(first):
+    def work(i, first):
         lanes = min(per_group * BLOCK_SIZE, n_paths - first * BLOCK_SIZE)
         return _run_blocks(spec, grid, control, seed, first, lanes,
-                           accumulators, record, variation)
+                           accumulators, record, variation, save_at,
+                           None if resume is None else resume.groups[i])
 
     if threads > 1 and len(firsts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, firsts))
+            results = list(pool.map(work, range(len(firsts)), firsts))
     else:
-        results = [work(f) for f in firsts]
+        results = [work(i, f) for i, f in enumerate(firsts)]
 
     records = None
     if record:
-        records = [r for rec, _, clipped in results
+        records = [r for rec, _, clipped, _ in results
                    for r in _path_records(grid, rec, clipped,
                                           range(len(rec["X"])))]
     extras = _merge_extras([grp[1] for grp in results], accumulators)
     clipped = any(grp[2].any() for grp in results)
+    states = {k: EngineState(k, spec, grid, n_paths, seed, per_group, kinds,
+                             tuple(grp[3][k] for grp in results))
+              for k in sorted(save_at)}
     return EnsembleResult(records=records, extras=extras, clipped=clipped,
-                          n_paths=n_paths)
+                          n_paths=n_paths, states=states)
 
 
 def simulate_path(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
@@ -577,11 +699,7 @@ def simulate_path(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     The containing block is simulated in full so the returned record is
     bitwise identical to the same path inside any larger ensemble.
     """
-    seed, path_index = noise
-    block, lane = divmod(int(path_index), BLOCK_SIZE)
-    rec, _, clipped = _run_blocks(spec, grid, control, seed, block,
-                                  lane + 1, (), True, None)
-    return _path_records(grid, rec, clipped, [lane])[0]
+    return _lane_record(spec, grid, control, noise, None)
 
 
 def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
@@ -671,9 +789,15 @@ def simulate_variational(spec: ProblemSpec, grid: TimeGrid,
                          noise) -> np.ndarray:
     """The variational process xi along one path (same noise contract as
     simulate_path); xi vanishes on the initial segment by construction."""
+    return _lane_record(spec, grid, control, noise,
+                        _prepare_variation(spec, beta)).xi
+
+
+def _lane_record(spec, grid, control, noise, variation) -> PathRecord:
+    """The record of path noise = (seed, path_index), from a run of its
+    block up to that lane."""
     seed, path_index = noise
     block, lane = divmod(int(path_index), BLOCK_SIZE)
-    variation = _prepare_variation(spec, beta)
-    rec, _, _ = _run_blocks(spec, grid, control, seed, block, lane + 1, (),
-                            True, variation)
-    return rec["xi"][lane]
+    rec, _, clipped, _ = _run_blocks(spec, grid, control, seed, block,
+                                     lane + 1, (), True, variation)
+    return _path_records(grid, rec, clipped, [lane])[0]

@@ -17,7 +17,10 @@ ensembles of the candidate plus the bump +/- s alpha there; a mirrored
 pair (alpha, s) and (-alpha, s) needs the same two, so with the default
 alphas +/-1 the check simulates 2 |windows| |s| bump ensembles (not 4)
 besides the candidate's, and the -alpha estimate is the exact negation of
-the +alpha one.
+the +alpha one.  A bump cannot act before its window, so each bumped
+ensemble resumes the candidate's engine state saved at the window's
+first step (``bump_start_step``) instead of simulating from t = 0; every
+estimate is bitwise that of a full run.
 
 The information structure E_t is either ``full`` (E_t = F_t, conditional
 estimates reduce to plain path averages) or ``("lagged", D)`` (condition
@@ -26,7 +29,7 @@ on the state observed at t - D via least-squares regression).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -34,8 +37,8 @@ import numpy as np
 from .absde import monomial_basis
 from .adjoint import SecondAdjointResult, p3_flatness
 from .errors import AdjointMissing, NonFinite
-from .forward import (ControlSpec, StepAccumulator, feedback_control,
-                      simulate_ensemble, stack_records)
+from .forward import (ControlSpec, StepAccumulator, bump_start_step,
+                      feedback_control, simulate_ensemble, stack_records)
 from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
 from .model import ProblemSpec, TimeGrid
 from .objective import RunningRewardAccumulator, mean_stderr
@@ -47,12 +50,12 @@ from .objective import RunningRewardAccumulator, mean_stderr
 
 @dataclass
 class SufficiencyReport:
-    transversality: list = field(default_factory=list)
-    concavity: dict = field(default_factory=dict)
-    integrability: dict = field(default_factory=dict)
-    max_gap: list = field(default_factory=list)
-    p3_check: Optional[dict] = None
-    verdict: str = "inconclusive"
+    transversality: list
+    concavity: dict
+    integrability: dict
+    max_gap: list
+    p3_check: Optional[dict]
+    verdict: str
 
     def as_dict(self):
         return {
@@ -67,22 +70,19 @@ class SufficiencyReport:
 
 @dataclass
 class NecessityReport:
-    probe_times: np.ndarray = None
-    residuals: np.ndarray = None
-    residual_stderr: np.ndarray = None
-    bump_estimates: list = field(default_factory=list)
-    interior_fraction: float = 1.0
-    boundary_control: bool = False
-    verdict: str = "inconclusive"
+    probe_times: list
+    residuals: np.ndarray
+    residual_stderr: np.ndarray
+    bump_estimates: list
+    interior_fraction: float
+    boundary_control: bool
+    verdict: str
 
     def as_dict(self):
         return {
-            "probe_times": (None if self.probe_times is None
-                            else [float(v) for v in self.probe_times]),
-            "residuals": (None if self.residuals is None
-                          else [float(v) for v in self.residuals]),
-            "residual_stderr": (None if self.residual_stderr is None
-                                else [float(v) for v in self.residual_stderr]),
+            "probe_times": [float(v) for v in self.probe_times],
+            "residuals": [float(v) for v in self.residuals],
+            "residual_stderr": [float(v) for v in self.residual_stderr],
             "bump_estimates": self.bump_estimates,
             "interior_fraction": self.interior_fraction,
             "boundary_control": self.boundary_control,
@@ -159,17 +159,20 @@ class TerminalStateAccumulator(StepAccumulator):
                 np.array(ctx["a"], float, copy=True))
 
 
-def _gateaux_terms(spec, grid, shifted, n_paths, seed, threads):
+def _gateaux_accumulators():
+    return RunningRewardAccumulator(), TerminalStateAccumulator()
+
+
+def _gateaux_terms(spec, grid, shifted, n_paths, seed, threads, resume=None):
     """Per-path (reward integral, terminal state) under the perturbed
-    control ``shifted``.
+    control ``shifted``, optionally resumed from a saved engine state.
 
     The terminal state is zeroed on paths that left the domain of f
     before the horizon: their continuation value is zero, so they must
     not contribute to the adjoint-weighted tail correction."""
     res = simulate_ensemble(spec, grid, shifted, n_paths, seed,
-                            accumulators=(RunningRewardAccumulator(),
-                                          TerminalStateAccumulator()),
-                            threads=threads)
+                            accumulators=_gateaux_accumulators(),
+                            threads=threads, resume=resume)
     reward, _, alive = res.extras[0]
     x_T, _, _ = res.extras[1]
     return reward, x_T * alive
@@ -261,20 +264,20 @@ def _hessian_proxy(spec, grid, stacked, adjoint_eval, n_samples: int, rng):
 # ---------------------------------------------------------------------------
 
 def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
-                      adjoint_eval) -> SufficiencyReport:
+                      adjoint_eval, p3_check=None) -> SufficiencyReport:
     """Transversality ladder, concavity proxy, integrability proxy and
     conditional-maximum gaps for the adjoint
     ``adjoint_eval(t, x, y, a) -> (p, q, p2)``; p2 is None for the
-    first formulation and adds the p2/Y transversality columns."""
-    report = SufficiencyReport()
-    records = mc_cfg.get("ensemble") or _simulate(spec, grid, candidate, mc_cfg)
-    S = stack_records(records, _STATE)
+    first formulation and adds the p2/Y transversality columns.  A
+    ``p3_check`` that is not flat fails the verdict."""
+    S = stack_records(_simulate(spec, grid, candidate, mc_cfg), _STATE)
 
     def state(k):
         return S["X"][:, k], S["Y"][:, k], S["A"][:, k]
 
     # (i) transversality ladder over nested horizons
     ladder = mc_cfg.get("horizon_fractions", (0.25, 0.5, 1.0))
+    transversality = []
     for cmp_idx, cmp_control in enumerate(comparison_controls):
         cmp_records = _simulate(spec, grid, cmp_control, mc_cfg)
         C = stack_records(cmp_records, _STATE)
@@ -287,15 +290,15 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
             if p2 is not None:
                 rec["estimate_p2"], rec["stderr_p2"] = mean_stderr(
                     p2 * (C["Y"][:, k] - S["Y"][:, k]))
-            report.transversality.append(rec)
+            transversality.append(rec)
 
     # (ii) concavity proxy over sampled points
     rng = np.random.default_rng(int(mc_cfg.get("seed", 0)) + 1)
     worst = _hessian_proxy(spec, grid, S, adjoint_eval,
                            int(mc_cfg.get("hessian_samples", 200)), rng)
     conc_tol = float(mc_cfg.get("concavity_tol", 1e-8))
-    report.concavity = {"max_eigenvalue": worst, "tol": conc_tol,
-                        "passed": worst <= conc_tol}
+    concavity = {"max_eigenvalue": worst, "tol": conc_tol,
+                 "passed": worst <= conc_tol}
 
     # (iii) integrability proxy: E int p^2 (sigma^2 + int theta^2 nu) + q^2 dt
     stride = max(1, grid.n // 50)
@@ -314,27 +317,28 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
                                      float) ** 2)
         term = np.nanmean(p ** 2 * (sig ** 2 + jump_sq) + q ** 2)
         total += term * grid.dt * stride
-    report.integrability = {"estimate": float(total),
-                            "finite": bool(np.isfinite(total))}
+    integrability = {"estimate": float(total),
+                     "finite": bool(np.isfinite(total))}
 
     # (iv) conditional maximization at probe times
+    max_gap = []
     gaps_ok = True
     for k in _probe_indices(grid, mc_cfg):
         t = k * grid.dt
         x, y, a = state(k)
         gap, se, v_star = _gap_at_probe(spec, t, x, y, a, S["u"][:, k],
                                         adjoint_eval(t, x, y, a))
-        report.max_gap.append({"t": float(t), "gap": gap, "stderr": se,
-                               "maximizer": v_star})
+        max_gap.append({"t": float(t), "gap": gap, "stderr": se,
+                        "maximizer": v_star})
         if gap > 2 * se + float(mc_cfg.get("gap_abs_tol", 1e-9)):
             gaps_ok = False
 
     trans_ok = all(rec["estimate"] >= -2 * rec["stderr"] - 1e-12
-                   for rec in report.transversality)
-    report.verdict = ("pass" if (gaps_ok and report.concavity["passed"]
-                                 and report.integrability["finite"] and trans_ok)
-                      else "fail")
-    return report
+                   for rec in transversality)
+    ok = (gaps_ok and concavity["passed"] and integrability["finite"]
+          and trans_ok and (p3_check is None or p3_check["flat"]))
+    return SufficiencyReport(transversality, concavity, integrability,
+                             max_gap, p3_check, "pass" if ok else "fail")
 
 
 def check_sufficient_first(spec: ProblemSpec, grid: TimeGrid,
@@ -375,13 +379,10 @@ def check_sufficient_second(spec: ProblemSpec, grid: TimeGrid,
                 np.broadcast_to(adj2.q1[k], shape),
                 np.broadcast_to(adj2.p2[k], shape))
 
-    report = _check_sufficient(spec, grid, candidate, comparison_controls,
-                               mc_cfg, adjoint_eval)
     flat, dev = p3_flatness(adj2.p3, float(mc_cfg.get("p3_tol", 1e-6)))
-    report.p3_check = {"flat": flat, "max_deviation": dev}
-    if not flat:
-        report.verdict = "fail"
-    return report
+    return _check_sufficient(spec, grid, candidate, comparison_controls,
+                             mc_cfg, adjoint_eval,
+                             {"flat": flat, "max_deviation": dev})
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +402,25 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     if isinstance(e_t, tuple):
         lag_steps = int(round(e_t[1] / grid.dt))
         e_t = "lagged"
+    windows = mc_cfg.get("bump_windows")
+    if windows is None:
+        T = grid.horizon
+        windows = [(0.1 * T, 0.1 * T), (0.4 * T, 0.1 * T), (0.7 * T, 0.1 * T)]
+    s_values = mc_cfg.get("bump_s", (1e-2, 1e-3))
+    n_paths = int(mc_cfg.get("n_paths", 2000))
+    seed = int(mc_cfg.get("seed", 0))
+    threads = int(mc_cfg.get("threads", 1))
 
-    report = NecessityReport()
-    records = mc_cfg.get("ensemble") or _simulate(spec, grid, candidate, mc_cfg)
-    S = stack_records(records, _STATE)
+    # a bump acts from its window's first step on, so each bumped ensemble
+    # resumes the candidate's engine state saved there
+    first_step = {ws: bump_start_step(grid, float(ws)) for ws, _ in windows}
+    cand = simulate_ensemble(spec, grid, candidate, n_paths, seed,
+                             accumulators=_gateaux_accumulators(),
+                             record=True, threads=threads,
+                             save_at=first_step.values())
+    S = stack_records(cand.records, _STATE)
 
     ks = _probe_indices(grid, mc_cfg)
-    report.probe_times = [float(k * grid.dt) for k in ks]
     resid = np.empty(len(ks))
     rse = np.empty(len(ks))
     tol_b = 1e-9 * max(1.0, abs(spec.control_hi) + abs(spec.control_lo))
@@ -434,20 +447,9 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
         if u_ok.size and np.mean(on_bound) > 0.5:
             boundary_hits += 1
         interior_fracs.append(1.0 - (np.mean(on_bound) if u_ok.size else 0.0))
-    report.residuals = resid
-    report.residual_stderr = rse
-    report.boundary_control = boundary_hits > len(ks) / 2
-    report.interior_fraction = float(np.mean(interior_fracs))
+    boundary_control = boundary_hits > len(ks) / 2
 
     # bump (Gateaux) derivatives by symmetric differences under CRN
-    windows = mc_cfg.get("bump_windows")
-    if windows is None:
-        T = grid.horizon
-        windows = [(0.1 * T, 0.1 * T), (0.4 * T, 0.1 * T), (0.7 * T, 0.1 * T)]
-    s_values = mc_cfg.get("bump_s", (1e-2, 1e-3))
-    n_paths = int(mc_cfg.get("n_paths", 2000))
-    seed = int(mc_cfg.get("seed", 0))
-    threads = int(mc_cfg.get("threads", 1))
     # The truncated objective misses the tail E int_T^inf f dt whose first
     # variation is E[p(T) xi(T)]; with the candidate's adjoint available,
     # adding p(T) (X_+(T) - X_-(T)) / 2s per path removes that bias, so the
@@ -468,9 +470,10 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
             control = replace(candidate, bumps=candidate.bumps
                               + ((shift, float(ws), float(wh)),))
             terms[key] = _gateaux_terms(spec, grid, control, n_paths, seed,
-                                        threads)
+                                        threads, cand.states[first_step[ws]])
         return terms[key]
 
+    bump_estimates = []
     for (ws, wh) in windows:
         for alpha in mc_cfg.get("bump_alphas", (1.0, -1.0)):
             for s in s_values:
@@ -481,19 +484,23 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
                     pT = p_T if p_T.shape == diff.shape else np.mean(p_T)
                     diff = diff + pT * (xT_p - xT_m) / (2 * s)
                 est, se = mean_stderr(diff)
-                report.bump_estimates.append(
+                bump_estimates.append(
                     {"window": (ws, wh), "alpha": alpha, "s": s,
                      "estimate": est, "stderr": se})
 
     resid_ok = np.all(np.abs(resid) <= 3 * rse + float(mc_cfg.get("resid_abs_tol", 1e-9)))
     bumps_ok = all(abs(b["estimate"]) <= 3 * b["stderr"]
                    + float(mc_cfg.get("bump_abs_tol", 1e-9))
-                   for b in report.bump_estimates)
-    if report.boundary_control:
-        report.verdict = "boundary"
+                   for b in bump_estimates)
+    if boundary_control:
+        verdict = "boundary"
     else:
-        report.verdict = "pass" if (resid_ok and bumps_ok) else "fail"
-    return report
+        verdict = "pass" if (resid_ok and bumps_ok) else "fail"
+    return NecessityReport(
+        probe_times=[float(k * grid.dt) for k in ks], residuals=resid,
+        residual_stderr=rse, bump_estimates=bump_estimates,
+        interior_fraction=float(np.mean(interior_fracs)),
+        boundary_control=boundary_control, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

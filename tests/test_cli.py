@@ -160,6 +160,24 @@ class TestCheck:
         assert "verdict:   pass" in text
         assert "np.float64" not in text
 
+    @pytest.mark.parametrize("principle", ["necessary", "sufficient1"])
+    def test_mc_ensemble_key_is_not_an_input(self, tmp_path, principle):
+        """A config's mc.ensemble entry reaches the checks' settings; they
+        simulate their candidate themselves and write the same bytes."""
+        outputs = []
+        for extra in ({}, {"ensemble": True}):
+            cfg = json.loads(json.dumps(BASE_CFG))
+            cfg["mc"].update(extra)
+            path = tmp_path / f"cfg{len(outputs)}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"out{len(outputs)}"
+            code = run_cli("check", "--config", str(path), "--out-dir",
+                           str(out), "--principle", principle, "--paths", "64")
+            outputs.append((code,
+                            (out / f"check_{principle}.json").read_bytes(),
+                            (out / f"check_{principle}.txt").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_exit_code_tracks_verdict(self, tmp_path):
         """A truncated numerical adjoint misprices the control at short
         horizons: the sufficiency check honestly fails and exits 2."""

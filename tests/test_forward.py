@@ -19,6 +19,7 @@ from delayctrl.forward import (
     _prepare_variation,
     _run_blocks,
     bump_control,
+    bump_start_step,
     constant_control,
     feedback_control,
     scale_control,
@@ -277,8 +278,9 @@ class TestBlockGroups:
         parts = []
         for b in range(n_blocks):
             lanes = min(BLOCK_SIZE, GROUP_PATHS - b * BLOCK_SIZE)
-            rec, extras, _ = _run_blocks(spec, grid, ctl, 11, b, lanes,
-                                         self._accumulators(), True, variation)
+            rec, extras, _, _ = _run_blocks(spec, grid, ctl, 11, b, lanes,
+                                            self._accumulators(), True,
+                                            variation)
             for name in ("X", "Y", "A", "u", "dB", "counts", "xi"):
                 if rec[name] is None:
                     continue
@@ -472,6 +474,128 @@ class TestNoiseProducer:
                               constant_control(0.0), self.N_PATHS, self.SEED)
         assert info.value.step == k_bad + 1
         assert threading.active_count() == before
+
+
+class TestResume:
+    """A run resumed from a saved engine state is bitwise the full run of
+    its control: every record array, accumulator extra and clip flag."""
+
+    SEED = 7
+    N_PATHS = 2 * BLOCK_SIZE + 37  # the last block is partial
+    DT = 0.1
+    STEPS = 3 * NOISE_CHUNK + 5
+
+    @classmethod
+    def save_steps(cls):
+        # chunk edges, the last step, and the final point alone
+        return (0, 1, NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1,
+                cls.STEPS - 1, cls.STEPS)
+
+    @pytest.fixture(scope="class", params=["ex34", "jumps"])
+    def case(self, request, ex34_spec, ex34_control):
+        horizon = self.STEPS * self.DT
+        if request.param == "jumps":
+            spec = _wavy(make_jump_spec(intensity=2.0))
+            return spec, make_grid(0.5, self.DT, horizon), constant_control(0.2)
+        return _wavy(ex34_spec), make_grid(1.0, self.DT, horizon), ex34_control
+
+    @pytest.fixture(scope="class", params=[1, 2])
+    def threads(self, request):
+        return request.param
+
+    @staticmethod
+    def _accumulators():
+        return (RunningRewardAccumulator(), _ContextSums())
+
+    @pytest.fixture(scope="class")
+    def saved(self, case, threads):
+        spec, grid, ctl = case
+        assert grid.n == self.STEPS
+        return simulate_ensemble(spec, grid, ctl, self.N_PATHS, self.SEED,
+                                 accumulators=self._accumulators(),
+                                 record=True, threads=threads,
+                                 save_at=self.save_steps())
+
+    @staticmethod
+    def assert_same(a, b):
+        for name in ("X", "Y", "A", "u", "dB", "counts", "clipped"):
+            va = [getattr(r, name) for r in a.records]
+            if va[0] is None:
+                assert all(getattr(r, name) is None for r in b.records), name
+                continue
+            assert np.array_equal(np.stack(va), np.stack(
+                [getattr(r, name) for r in b.records])), name
+        for ea, eb in zip(a.extras, b.extras, strict=True):
+            for xa, xb in zip(ea, eb, strict=True):
+                assert np.array_equal(xa, xb)
+        assert a.clipped == b.clipped
+
+    def test_resumed_equals_full_run(self, case, threads, saved):
+        spec, grid, ctl = case
+        for k in self.save_steps():
+            # a bump from step k on: the control agrees with the saved
+            # run's before k and differs from it at k
+            s = k * grid.dt
+            assert bump_start_step(grid, s) == k
+            bumped = dataclasses.replace(
+                ctl, bumps=ctl.bumps + ((0.05, s, 0.3),))
+            args = (spec, grid, bumped, self.N_PATHS, self.SEED)
+            kwargs = dict(accumulators=self._accumulators(), record=True,
+                          threads=threads)
+            full = simulate_ensemble(*args, **kwargs)
+            resumed = simulate_ensemble(*args, **kwargs,
+                                        resume=saved.states[k])
+            assert not np.array_equal(full.records[0].u[k],
+                                      saved.records[0].u[k])
+            self.assert_same(full, resumed)
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_clip_flags(self, where):
+        # u = 2 passes the bound 1 only before, or only from, the save step
+        grid = make_grid(0.2, self.DT, 4.0)
+        k_save = 2 * NOISE_CHUNK + 3
+        t_c = (k_save - 0.5) * grid.dt
+
+        def rule(t, x, y, a):
+            over = t < t_c if where == "before" else t >= t_c
+            return np.full_like(np.asarray(x, float), 2.0 if over else 0.0)
+
+        spec, ctl = _brownian_spec(), feedback_control(rule)
+        args = (spec, grid, ctl, self.N_PATHS, self.SEED)
+        full = simulate_ensemble(*args, record=True, save_at=[k_save])
+        resumed = simulate_ensemble(*args, record=True,
+                                    resume=full.states[k_save])
+        assert resumed.clipped and all(r.clipped for r in resumed.records)
+        self.assert_same(full, resumed)
+
+    def test_mismatched_resume_raises(self, ex34_spec, ex34_control):
+        grid = make_grid(1.0, self.DT, 2.0)
+        run = dict(spec=ex34_spec, grid=grid, control=ex34_control,
+                   n_paths=self.N_PATHS, seed=self.SEED,
+                   accumulators=self._accumulators())
+        state = simulate_ensemble(**run, record=True,
+                                  save_at=[5]).states[5]
+        simulate_ensemble(**run, resume=state)  # the matching run resumes
+        for change in (dict(beta=constant_control(1.0)),
+                       dict(spec=dataclasses.replace(ex34_spec)),
+                       dict(grid=make_grid(1.0, self.DT, 2.1)),
+                       dict(n_paths=self.N_PATHS - 1),
+                       dict(seed=self.SEED + 1),
+                       dict(threads=2),  # groups of 2 blocks, not 3
+                       dict(accumulators=(RunningRewardAccumulator(),)),
+                       dict(record=True, save_at=[6])):
+            with pytest.raises(ValueError):
+                simulate_ensemble(**{**run, **change}, resume=state)
+
+    @pytest.mark.parametrize("change", [dict(record=False),
+                                        dict(beta=constant_control(1.0)),
+                                        dict(save_at=[21])])
+    def test_bad_save_raises(self, ex34_spec, ex34_control, change):
+        grid = make_grid(1.0, self.DT, 2.0)
+        kwargs = {**dict(record=True, save_at=[5]), **change}
+        with pytest.raises(ValueError):
+            simulate_ensemble(ex34_spec, grid, ex34_control, 64, self.SEED,
+                              **kwargs)
 
 
 class TestNoiselessLanes:

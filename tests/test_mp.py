@@ -180,17 +180,20 @@ class TestNecessary:
         assert ests[1.0] == pytest.approx(-ests[-1.0], rel=1e-12)
 
     def test_bumps_match_superposed_construction(self, setup, monkeypatch):
-        """Each bump estimate equals, bitwise, the one built from a
-        feedback beta = alpha 1_window superposed at +/- s; the mirrored
-        pairs share their ensembles, so the check simulates 2 |windows|
-        |s| bump ensembles besides the candidate's."""
+        """Each bump estimate equals, bitwise, the one built from full
+        runs of a feedback beta = alpha 1_window superposed at +/- s,
+        although the check resumes each bumped ensemble at its window;
+        the mirrored pairs share their ensembles, so the check simulates
+        2 |windows| |s| bump ensembles besides the candidate's."""
         import delayctrl.mp as mp
         from delayctrl.forward import feedback_control, simulate_ensemble
         from delayctrl.objective import RunningRewardAccumulator, mean_stderr
 
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.05, 5.0)
-        windows, s_values = [(0.5, 0.5), (2.0, 1.0)], (1e-2, 1e-3)
+        # windows starting at 0, on and between grid points, and at T
+        windows = [(0.0, 0.5), (0.5, 0.5), (1.33, 0.4), (2.0, 1.0), (5.0, 0.0)]
+        s_values = (1e-2, 1e-3)
         mc = dict(adjoint=adj, n_paths=256, seed=9, bump_windows=windows,
                   bump_s=s_values)
         calls = []
@@ -230,6 +233,49 @@ class TestNecessary:
                     expected.append({"window": (ws, wh), "alpha": alpha,
                                      "s": s, "estimate": est, "stderr": se})
         assert report.bump_estimates == expected
+
+    def test_bump_ensembles_resume_at_their_windows(self, setup, monkeypatch):
+        """With the default windows and shifts the check makes 12 bump
+        calls, each resumed at the first step of its window, and no
+        resumed call starts a thread (the candidate's starts its noise
+        producer)."""
+        import threading
+
+        import delayctrl.mp as mp
+        from delayctrl.forward import bump_start_step, simulate_ensemble
+
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 5.0)
+        calls, started = [], []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            return start(thread)
+
+        def spy(*args, **kwargs):
+            before = len(started)
+            out = simulate_ensemble(*args, **kwargs)
+            calls.append((args[2], kwargs.get("resume"),
+                          len(started) - before))
+            return out
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        monkeypatch.setattr(mp, "simulate_ensemble", spy)
+        necessary_residual(spec, grid, ctl,
+                           dict(adjoint=adj, n_paths=256, seed=9))
+        monkeypatch.undo()
+        (_, cand_resume, cand_threads), *bumps = calls
+        assert cand_resume is None and cand_threads > 0
+        assert len(bumps) == 12
+        steps = set()
+        for control, resume, threads_started in bumps:
+            ws = control.bumps[-1][1]
+            assert resume.step == bump_start_step(grid, ws)
+            assert resume.step == round(ws / grid.dt)
+            assert threads_started == 0
+            steps.add(resume.step)
+        assert steps == {10, 40, 70}
 
     def test_boundary_verdict(self, setup):
         """A candidate pinned at the upper control bound is reported as
