@@ -167,8 +167,9 @@ def prepare_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
 
     Deterministic mode (no ensemble): the reference path is the single
     noiseless path; appropriate when sigma = 0 and there are no jumps.
-    Regression mode: pass a list of PathRecords simulated under the
-    control; conditional expectations regress on (X, Y, A).
+    Regression mode: pass an ensemble simulated under the control, as
+    its ``EnsembleResult.arrays`` or as a list of PathRecords (stacked
+    here, a copy); conditional expectations regress on (X, Y, A).
     """
     cfg = solver_cfg or {}
     options = picard_options(cfg)
@@ -178,7 +179,8 @@ def prepare_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
         return (build_first_driver(spec, grid, path),
                 dict(mode="deterministic", **options))
 
-    S = stack_records(ensemble, ("X", "Y", "A", "u", "dB", "counts"))
+    S = (ensemble if isinstance(ensemble, dict) else
+         stack_records(ensemble, ("X", "Y", "A", "u", "dB", "counts")))
     driver = build_first_driver(spec, grid, S)
     intensity, probs = ((spec.jump.intensity, spec.jump.marks.probs)
                         if spec.has_jumps else (0.0, None))

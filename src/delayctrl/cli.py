@@ -240,13 +240,13 @@ def _fmt(v):
 
 def _reference_ensemble(run, spec, grid, control, solver_cfg):
     """The ensemble the first adjoint is solved on in the solver section's
-    mode: ``"regression"`` records mc.n_paths paths under the control;
-    anything else gives None, the noiseless path."""
+    mode: ``"regression"`` records mc.n_paths paths under the control
+    (their arrays); anything else gives None, the noiseless path."""
     if solver_cfg.get("mode") != "regression":
         return None
     n_paths, seed, threads = _mc_settings(run.cfg)
     return simulate_ensemble(spec, grid, control, n_paths, seed,
-                             record=True, threads=threads).records
+                             record=True, threads=threads).arrays
 
 
 def _solve_first(run, spec, grid, control, solver_cfg):

@@ -36,20 +36,27 @@ paths are requested, how blocks are grouped, or how groups are scheduled
 across workers.  The cap bounds the memory of the delay ring, (m+1) values per
 lane, for long delays.
 
+A recorded run allocates each recorded quantity once for all its paths,
+time-major: X, Y, A and u as (n+1, N) arrays, dB as (n, N), the jump
+counts as (n, N, n_marks).  Each block group writes its lanes' slice of
+one row per step, and the result hands the arrays out as (N, ...) views,
+with one PathRecord per path viewing the same memory.
+
 A recorded run can save its engine state before chosen steps (the delay
 ring and its position, A, the per-block clip flags and a copy of each
 accumulator's state), and a later run can resume from such a state in
 the same step loop.  The resumed run reads dB and the jump counts of the
-remaining steps from the saved run's record, a chunk of steps at a time,
-so it draws no noise.  Under common random numbers a control that agrees
-with the saved run's before the save step, such as a bump whose window
-starts there, gives every path bitwise as a full run does.
+remaining steps as rows of the saved run's record, so it draws no noise.
+Under common random numbers a control that agrees with the saved run's
+before the save step, such as a bump whose window starts there, gives
+every path bitwise as a full run does.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,6 +67,7 @@ from .model import ProblemSpec, TimeGrid
 BLOCK_SIZE = 1024
 GROUP_BLOCKS = 8  # blocks stepped together in one loop; bounds ring memory
 NOISE_CHUNK = 16  # steps of normals drawn at once without jumps; >= 2
+RECORD_KEYS = ("X", "Y", "A", "u", "dB", "counts", "xi")
 _WINDOW_TOL = 1e-12
 
 
@@ -219,7 +227,10 @@ class PathRecord:
     """One simulated path sampled on the grid.
 
     State arrays have length n+1; increment arrays length n.  ``counts``
-    holds per-step Poisson jump counts, one column per mark value.
+    holds per-step Poisson jump counts, one column per mark value.  A
+    path of an ensemble views its lane of the ensemble's time-major
+    arrays (``EnsembleResult.arrays``), so its arrays are strided and
+    writing to them writes the ensemble's.
     """
 
     t: np.ndarray
@@ -269,8 +280,10 @@ class StepAccumulator:
 
 
 def stack_records(records, keys) -> dict:
-    """The named PathRecord fields of an ensemble stacked into arrays with a
-    leading path axis; a field the records leave None maps to None."""
+    """The named PathRecord fields of a list of records stacked into
+    arrays with a leading path axis; a field the records leave None maps
+    to None.  This copies: a fresh ensemble's ``arrays`` already hold the
+    same values without one."""
     return {key: None if getattr(records[0], key) is None
             else np.stack([getattr(rec, key) for rec in records])
             for key in keys}
@@ -282,9 +295,10 @@ class EngineState:
 
     ``groups`` holds one dict per block group: the delay ring and its
     position (X and Y are ring entries), A, the per-block clip flags, a
-    copy of each accumulator's state, and the group's record, whose
-    increments a run resumed from this state reads.  The other fields
-    name the run a resume must match."""
+    copy of each accumulator's state, and under ``rec`` the group's lane
+    slices of the ensemble's time-major record arrays (views, not
+    copies), whose increments a run resumed from this state reads.  The
+    other fields name the run a resume must match."""
 
     step: int
     spec: ProblemSpec
@@ -298,11 +312,31 @@ class EngineState:
 
 @dataclass
 class EnsembleResult:
-    records: Optional[list]  # PathRecords when recording was requested
+    """What ``simulate_ensemble`` returns.
+
+    A recorded run's ``arrays`` maps X, Y, A, u and xi to (N, n+1)
+    arrays, dB to (N, n) and counts to (N, n, n_marks); each is the
+    transposed view of one time-major array the engine wrote, and a
+    quantity the run did not record (counts without jumps, xi without
+    beta) maps to None.  ``records`` is the same memory as one PathRecord
+    per path, built when first read.  Unrecorded runs leave both None.
+    """
+
+    arrays: Optional[dict]
     extras: list  # one entry per accumulator: concatenated per-path arrays
     clipped: bool
     n_paths: int
     states: dict = field(default_factory=dict)  # step -> EngineState
+    grid: Optional[TimeGrid] = None
+    block_clipped: Optional[np.ndarray] = None  # one flag per block
+
+    @cached_property
+    def records(self) -> Optional[list]:
+        if self.arrays is None:
+            return None
+        t = self.grid.times
+        return [_path_record(t, self.arrays, i, self.block_clipped)
+                for i in range(self.n_paths)]
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +387,21 @@ def _nonfinite(what: str, values, k: int, t: float, first: int):
 
 def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 seed: int, first: int, n_lanes: int,
-                accumulators, record: bool, variation: Optional[dict] = None,
-                save_at=frozenset(), resume: Optional[dict] = None):
+                accumulators, rec: Optional[dict],
+                variation: Optional[dict] = None, save_at=frozenset(),
+                resume: Optional[dict] = None):
     """Simulate blocks first, first+1, ... as one array of ``n_lanes``
     lanes, every block full but the last.
 
     Each block draws from its own generator exactly what it would draw
     alone, and the draws are joined in block order; everything else runs
-    once per step over all lanes.  Returns (rec, extras, clipped, saved):
-    ``rec`` maps each recorded quantity to its (n_lanes, ...) array (None
-    without ``record``), ``clipped`` holds one flag per block and
+    once per step over all lanes.  ``rec``, when given, maps each
+    recorded quantity to the group's lane slice of its time-major array
+    (``_record_arrays``), which the run fills one row per step.  Returns
+    (extras, clipped, saved): ``clipped`` holds one flag per block and
     ``saved`` maps each step of ``save_at`` to the group's state before
     that step.  With ``resume``, such a saved state, the run starts at
-    its step and reads the increments from its record.
+    its step and reads the increments as rows of its record.
     """
     dt, m, n = grid.dt, grid.m, grid.n
     rho = spec.rho
@@ -410,25 +446,18 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         xi_ring = np.zeros((m + 1, nb))
         Lam = np.zeros(nb)  # moving average of xi, same kernel as A
 
-    rec = None
+    record = rec is not None
     if record:
-        rec_X = np.empty((nb, n + 1)); rec_X[:, 0] = X
-        rec_Y = np.empty((nb, n + 1)); rec_Y[:, 0] = Y
-        rec_A = np.empty((nb, n + 1)); rec_A[:, 0] = A
-        rec_u = np.empty((nb, n + 1))
-        rec_dB = np.empty((nb, n))
-        rec_counts = (np.empty((nb, n, jump.n_marks), dtype=np.int64)
-                      if has_jumps else None)
-        rec_xi = np.empty((nb, n + 1)) if var is not None else None
+        rec_X, rec_Y, rec_A, rec_u, rec_dB, rec_counts, rec_xi = (
+            rec[key] for key in RECORD_KEYS)
+        rec_X[0], rec_Y[0], rec_A[0] = X, Y, A
         if rec_xi is not None:
-            rec_xi[:, 0] = 0.0
-        rec = {"X": rec_X, "Y": rec_Y, "A": rec_A, "u": rec_u, "dB": rec_dB,
-               "counts": rec_counts, "xi": rec_xi}
+            rec_xi[0] = 0.0
         if source is not None:
             # the saved run's record up to the resume step
             for key in ("X", "Y", "A", "u", "dB", "counts"):
                 if rec[key] is not None:
-                    rec[key][:, :k0 + 1] = source[key][:, :k0 + 1]
+                    rec[key][:k0 + 1] = source[key][:k0 + 1]
 
     saved = {}
     sqdt = np.sqrt(dt)
@@ -445,7 +474,7 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             u, clip_k = control.evaluate(spec, k, t, X, Y, A, starts=starts)
             clipped |= clip_k
             if record:
-                rec_u[:, k] = u
+                rec_u[k] = u
 
             with np.errstate(all="ignore"):
                 bval = lane_values(spec.coeffs.b(t, X, Y, A, u), X.shape)
@@ -453,18 +482,11 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
 
             counts = None
             if source is not None:
-                # the saved run's increments (and counts), read
-                # NOISE_CHUNK steps at a time as rows
-                row = (k - k0) % NOISE_CHUNK
-                if row == 0:
-                    steps = slice(k, min(k + NOISE_CHUNK, n))
-                    chunk = np.ascontiguousarray(source["dB"][:, steps].T)
-                    if has_jumps:
-                        count_chunk = np.ascontiguousarray(
-                            source["counts"][:, steps].transpose(1, 0, 2))
-                dB = chunk[row]
+                # the saved run's increments (and counts): row k of its
+                # record, read in place
+                dB = source["dB"][k]
                 if has_jumps:
-                    counts = count_chunk[row]
+                    counts = source["counts"][k]
             elif has_jumps:
                 # per block: full-width normals, then Poisson counts per
                 # mark; full-width draws keep each stream independent of
@@ -562,14 +584,14 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             if var is not None:
                 xi, xi_lag, Lam = xi_new, xi_lag_new, Lam_new
                 if record:
-                    rec_xi[:, k + 1] = xi
+                    rec_xi[k + 1] = xi
             if record:
-                rec_X[:, k + 1] = X
-                rec_Y[:, k + 1] = Y
-                rec_A[:, k + 1] = A
-                rec_dB[:, k] = dB
+                rec_X[k + 1] = X
+                rec_Y[k + 1] = Y
+                rec_A[k + 1] = A
+                rec_dB[k] = dB
                 if rec_counts is not None:
-                    rec_counts[:, k, :] = counts
+                    rec_counts[k] = counts
 
     if n in save_at:
         saved[n] = _snapshot(n, pos, ring, A, clipped, rec, accumulators,
@@ -583,8 +605,8 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         ctx_final.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam})
     extras = [acc.finish(st, ctx_final) for acc, st in zip(accumulators, states)]
     if record:
-        rec_u[:, n] = u_final
-    return rec, extras, clipped, saved
+        rec_u[n] = u_final
+    return extras, clipped, saved
 
 
 def _snapshot(k, pos, ring, A, clipped, rec, accumulators, states) -> dict:
@@ -595,15 +617,34 @@ def _snapshot(k, pos, ring, A, clipped, rec, accumulators, states) -> dict:
             "acc": [acc.copy_state(st) for acc, st in zip(accumulators, states)]}
 
 
-def _path_records(grid: TimeGrid, rec: dict, clipped, lanes) -> list:
-    """PathRecords viewing the given lanes of one block group's arrays."""
-    t, counts, xi = grid.times, rec["counts"], rec["xi"]
-    return [PathRecord(t=t, X=rec["X"][i], Y=rec["Y"][i],
-                       A=rec["A"][i], u=rec["u"][i], dB=rec["dB"][i],
-                       counts=None if counts is None else counts[i],
-                       xi=None if xi is None else xi[i],
-                       clipped=bool(clipped[i // BLOCK_SIZE]))
-            for i in lanes]
+def _record_arrays(spec: ProblemSpec, grid: TimeGrid, n_lanes: int,
+                   xi: bool) -> dict:
+    """One time-major array per recorded quantity of ``n_lanes`` paths
+    (None for counts without jumps and for xi unless asked)."""
+    n = grid.n
+    arrays = {key: np.empty((n + 1, n_lanes)) for key in ("X", "Y", "A", "u")}
+    arrays["dB"] = np.empty((n, n_lanes))
+    arrays["counts"] = (
+        np.empty((n, n_lanes, spec.jump.n_marks), dtype=np.int64)
+        if spec.has_jumps else None)
+    arrays["xi"] = np.empty((n + 1, n_lanes)) if xi else None
+    return arrays
+
+
+def _path_major(arrays: dict) -> dict:
+    """The (N, ...) views of time-major record arrays."""
+    return {key: None if v is None else v.swapaxes(0, 1)
+            for key, v in arrays.items()}
+
+
+def _path_record(t, arrays: dict, i: int, block_clipped) -> PathRecord:
+    """The PathRecord viewing path i of path-major record arrays."""
+    counts, xi = arrays["counts"], arrays["xi"]
+    return PathRecord(t=t, X=arrays["X"][i], Y=arrays["Y"][i],
+                      A=arrays["A"][i], u=arrays["u"][i], dB=arrays["dB"][i],
+                      counts=None if counts is None else counts[i],
+                      xi=None if xi is None else xi[i],
+                      clipped=bool(block_clipped[i // BLOCK_SIZE]))
 
 
 def _merge_extras(per_group: list, accumulators) -> list:
@@ -634,16 +675,21 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     ``NOISE_CHUNK`` steps ahead.  Results are bitwise independent of
     ``threads`` and of the grouping.
 
+    With ``record`` each recorded quantity is one time-major array for
+    all paths, which every group fills in place; the result's ``arrays``
+    are (N, ...) views of them and its ``records`` view them path by
+    path, so neither copies.
+
     Save and resume: a recorded run without ``beta`` saves its engine
     state before each step k of ``save_at`` (0 <= k <= n; k = n is the
     final point) into ``states[k]`` of the result.  A run given
     ``resume=`` such a state starts at its step in the same step loop,
     with the same spec, grid, ``n_paths``, seed, block grouping and
     accumulator classes, and a control that agrees with the saved run's
-    before that step.  It reads dB and the jump counts from the saved
-    run's record, so it repeats no earlier step, draws no noise and
-    starts no producer thread, and every result, the record included,
-    is bitwise that of the full run.
+    before that step.  It reads dB and the jump counts as rows of the
+    saved run's record arrays, so it repeats no earlier step, draws no
+    noise and starts no producer thread, and every result, the record
+    included, is bitwise that of the full run.
     """
     variation = _prepare_variation(spec, beta) if beta is not None else None
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -666,10 +712,18 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                          "block grouping and accumulators it was saved "
                          "from, without beta or save_at")
 
+    arrays = None
+    if record:
+        arrays = _record_arrays(spec, grid, n_paths, variation is not None)
+
     def work(i, first):
-        lanes = min(per_group * BLOCK_SIZE, n_paths - first * BLOCK_SIZE)
+        lo = first * BLOCK_SIZE
+        lanes = min(per_group * BLOCK_SIZE, n_paths - lo)
+        rec = None if arrays is None else {
+            key: None if v is None else v[:, lo:lo + lanes]
+            for key, v in arrays.items()}
         return _run_blocks(spec, grid, control, seed, first, lanes,
-                           accumulators, record, variation, save_at,
+                           accumulators, rec, variation, save_at,
                            None if resume is None else resume.groups[i])
 
     if threads > 1 and len(firsts) > 1:
@@ -678,18 +732,16 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     else:
         results = [work(i, f) for i, f in enumerate(firsts)]
 
-    records = None
-    if record:
-        records = [r for rec, _, clipped, _ in results
-                   for r in _path_records(grid, rec, clipped,
-                                          range(len(rec["X"])))]
-    extras = _merge_extras([grp[1] for grp in results], accumulators)
-    clipped = any(grp[2].any() for grp in results)
+    extras = _merge_extras([grp[0] for grp in results], accumulators)
+    block_clipped = (np.concatenate([grp[1] for grp in results]) if results
+                     else np.zeros(0, dtype=bool))
     states = {k: EngineState(k, spec, grid, n_paths, seed, per_group, kinds,
-                             tuple(grp[3][k] for grp in results))
+                             tuple(grp[2][k] for grp in results))
               for k in sorted(save_at)}
-    return EnsembleResult(records=records, extras=extras, clipped=clipped,
-                          n_paths=n_paths, states=states)
+    return EnsembleResult(
+        arrays=None if arrays is None else _path_major(arrays),
+        extras=extras, clipped=bool(block_clipped.any()), n_paths=n_paths,
+        states=states, grid=grid, block_clipped=block_clipped)
 
 
 def simulate_path(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
@@ -798,6 +850,7 @@ def _lane_record(spec, grid, control, noise, variation) -> PathRecord:
     block up to that lane."""
     seed, path_index = noise
     block, lane = divmod(int(path_index), BLOCK_SIZE)
-    rec, _, clipped, _ = _run_blocks(spec, grid, control, seed, block,
-                                     lane + 1, (), True, variation)
-    return _path_records(grid, rec, clipped, [lane])[0]
+    arrays = _record_arrays(spec, grid, lane + 1, variation is not None)
+    _, clipped, _ = _run_blocks(spec, grid, control, seed, block, lane + 1,
+                                (), arrays, variation)
+    return _path_record(grid.times, _path_major(arrays), lane, clipped)

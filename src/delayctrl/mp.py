@@ -20,7 +20,13 @@ besides the candidate's, and the -alpha estimate is the exact negation of
 the +alpha one.  A bump cannot act before its window, so each bumped
 ensemble resumes the candidate's engine state saved at the window's
 first step (``bump_start_step``) instead of simulating from t = 0; every
-estimate is bitwise that of a full run.
+estimate is bitwise that of a full run.  A bump window narrower than one
+grid step is refused: on the grid it would act on a single point and
+measure a trapezoid end weight, not a derivative.
+
+Both checks read the candidate's recorded ensemble through its arrays,
+without copying; the sufficiency ladder's comparison ensembles are not
+recorded, only their states at the ladder steps are kept.
 
 The information structure E_t is either ``full`` (E_t = F_t, conditional
 estimates reduce to plain path averages) or ``("lagged", D)`` (condition
@@ -36,9 +42,9 @@ import numpy as np
 
 from .absde import monomial_basis
 from .adjoint import SecondAdjointResult, p3_flatness
-from .errors import AdjointMissing, NonFinite
+from .errors import AdjointMissing, BadWindow, NonFinite
 from .forward import (ControlSpec, StepAccumulator, bump_start_step,
-                      feedback_control, simulate_ensemble, stack_records)
+                      feedback_control, simulate_ensemble)
 from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
 from .model import ProblemSpec, TimeGrid
 from .objective import RunningRewardAccumulator, mean_stderr
@@ -94,15 +100,12 @@ class NecessityReport:
 # Ensemble helpers
 # ---------------------------------------------------------------------------
 
-_STATE = ("X", "Y", "A", "u")
-
-
-def _simulate(spec, grid, control, mc_cfg):
-    n_paths = int(mc_cfg.get("n_paths", 2000))
-    seed = int(mc_cfg.get("seed", 0))
-    res = simulate_ensemble(spec, grid, control, n_paths, seed, record=True,
-                            threads=int(mc_cfg.get("threads", 1)))
-    return res.records
+def _simulate(spec, grid, control, mc_cfg, **kwargs):
+    """simulate_ensemble with mc_cfg's path count, seed and threads."""
+    return simulate_ensemble(spec, grid, control,
+                             int(mc_cfg.get("n_paths", 2000)),
+                             int(mc_cfg.get("seed", 0)),
+                             threads=int(mc_cfg.get("threads", 1)), **kwargs)
 
 
 def _probe_indices(grid: TimeGrid, mc_cfg, default_count: int = 20):
@@ -144,23 +147,36 @@ def _adjoint_values(adjoint, t, x, y, a):
     return p, q
 
 
-class TerminalStateAccumulator(StepAccumulator):
-    """Per-path state at the truncation horizon."""
+class StateAtStepsAccumulator(StepAccumulator):
+    """Per-path state (X, Y, A) at chosen grid steps, without recording
+    the run: ``finish`` returns three (N, len(steps)) arrays whose column
+    j holds the state at ``steps[j]``.  The terminal state is
+    ``steps=(n,)``."""
+
+    def __init__(self, steps):
+        self.steps = tuple(int(k) for k in steps)
 
     def begin(self, n_lanes, spec, grid):
-        return {}
+        return {key: np.full((n_lanes, len(self.steps)), np.nan)
+                for key in "xya"}
 
     def step(self, st, k, ctx):
-        pass
+        for j, kj in enumerate(self.steps):
+            if kj == k:
+                for key in "xya":
+                    st[key][:, j] = ctx[key]
 
     def finish(self, st, ctx):
-        return (np.array(ctx["x"], float, copy=True),
-                np.array(ctx["y"], float, copy=True),
-                np.array(ctx["a"], float, copy=True))
+        self.step(st, ctx["k"], ctx)
+        return st["x"], st["y"], st["a"]
 
 
-def _gateaux_accumulators():
-    return RunningRewardAccumulator(), TerminalStateAccumulator()
+# the name perfbench's tracer times this accumulator under
+TerminalStateAccumulator = StateAtStepsAccumulator
+
+
+def _gateaux_accumulators(grid):
+    return RunningRewardAccumulator(), StateAtStepsAccumulator((grid.n,))
 
 
 def _gateaux_terms(spec, grid, shifted, n_paths, seed, threads, resume=None):
@@ -171,10 +187,10 @@ def _gateaux_terms(spec, grid, shifted, n_paths, seed, threads, resume=None):
     before the horizon: their continuation value is zero, so they must
     not contribute to the adjoint-weighted tail correction."""
     res = simulate_ensemble(spec, grid, shifted, n_paths, seed,
-                            accumulators=_gateaux_accumulators(),
+                            accumulators=_gateaux_accumulators(grid),
                             threads=threads, resume=resume)
     reward, _, alive = res.extras[0]
-    x_T, _, _ = res.extras[1]
+    x_T = res.extras[1][0][:, 0]
     return reward, x_T * alive
 
 
@@ -270,26 +286,28 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
     ``adjoint_eval(t, x, y, a) -> (p, q, p2)``; p2 is None for the
     first formulation and adds the p2/Y transversality columns.  A
     ``p3_check`` that is not flat fails the verdict."""
-    S = stack_records(_simulate(spec, grid, candidate, mc_cfg), _STATE)
+    S = _simulate(spec, grid, candidate, mc_cfg, record=True).arrays
 
     def state(k):
         return S["X"][:, k], S["Y"][:, k], S["A"][:, k]
 
-    # (i) transversality ladder over nested horizons
+    # (i) transversality ladder over nested horizons; a comparison run
+    # keeps its states at the ladder steps only
     ladder = mc_cfg.get("horizon_fractions", (0.25, 0.5, 1.0))
+    steps = [min(grid.n, int(round(frac * grid.n))) for frac in ladder]
     transversality = []
     for cmp_idx, cmp_control in enumerate(comparison_controls):
-        cmp_records = _simulate(spec, grid, cmp_control, mc_cfg)
-        C = stack_records(cmp_records, _STATE)
-        for frac in ladder:
-            k = min(grid.n, int(round(frac * grid.n)))
+        res = _simulate(spec, grid, cmp_control, mc_cfg,
+                        accumulators=(StateAtStepsAccumulator(steps),))
+        cmp_X, cmp_Y, _ = res.extras[0]
+        for j, k in enumerate(steps):
             t = k * grid.dt
             p, _, p2 = adjoint_eval(t, *state(k))
-            est, se = mean_stderr(p * (C["X"][:, k] - S["X"][:, k]))
+            est, se = mean_stderr(p * (cmp_X[:, j] - S["X"][:, k]))
             rec = {"comparison": cmp_idx, "T": t, "estimate": est, "stderr": se}
             if p2 is not None:
                 rec["estimate_p2"], rec["stderr_p2"] = mean_stderr(
-                    p2 * (C["Y"][:, k] - S["Y"][:, k]))
+                    p2 * (cmp_Y[:, j] - S["Y"][:, k]))
             transversality.append(rec)
 
     # (ii) concavity proxy over sampled points
@@ -406,6 +424,10 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     if windows is None:
         T = grid.horizon
         windows = [(0.1 * T, 0.1 * T), (0.4 * T, 0.1 * T), (0.7 * T, 0.1 * T)]
+    for ws, wh in windows:
+        if wh < grid.dt - 1e-12:
+            raise BadWindow(f"bump window [{ws}, {ws + wh}] is narrower than "
+                            f"one grid step (dt={grid.dt})")
     s_values = mc_cfg.get("bump_s", (1e-2, 1e-3))
     n_paths = int(mc_cfg.get("n_paths", 2000))
     seed = int(mc_cfg.get("seed", 0))
@@ -415,10 +437,10 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     # resumes the candidate's engine state saved there
     first_step = {ws: bump_start_step(grid, float(ws)) for ws, _ in windows}
     cand = simulate_ensemble(spec, grid, candidate, n_paths, seed,
-                             accumulators=_gateaux_accumulators(),
+                             accumulators=_gateaux_accumulators(grid),
                              record=True, threads=threads,
                              save_at=first_step.values())
-    S = stack_records(cand.records, _STATE)
+    S = cand.arrays
 
     ks = _probe_indices(grid, mc_cfg)
     resid = np.empty(len(ks))
@@ -563,10 +585,10 @@ def variational_consistency(spec: ProblemSpec, grid: TimeGrid,
     res = simulate_ensemble(spec, grid, candidate,
                             n_paths, seed,
                             accumulators=(ChainRuleAccumulator(beta),
-                                          TerminalStateAccumulator()),
+                                          StateAtStepsAccumulator((grid.n,))),
                             beta=beta, threads=threads)
     xi_vals, xi_T = res.extras[0]
-    x_T, y_T, a_T = res.extras[1]
+    x_T, y_T, a_T = (v[:, 0] for v in res.extras[1])
 
     rew_p, xT_p = _gateaux_terms(
         spec, grid, _superpose(candidate, beta, s, grid), n_paths, seed,

@@ -214,7 +214,25 @@ class TestCheck:
                        "--paths", "32", "--control", "constant:0.1")
         assert code in (EXIT_OK, EXIT_FAIL)
         assert len(ensembles) == 1
-        assert ensembles[0] is not None and len(ensembles[0]) == 32
+        assert ensembles[0] is not None and len(ensembles[0]["X"]) == 32
+
+    def test_window_narrower_than_a_step_is_a_usage_error(self, tmp_path,
+                                                           capsys):
+        """A zero-width bump window at T on the Example 3.4 settings of
+        the benchmark (dt 0.01, T 10) would measure the trapezoid end
+        weight of the truncated objective and fail the optimum; the check
+        refuses it and exits 1 with a message naming the window and dt."""
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["grid"] = {"dt": 0.01, "horizon": 10.0}
+        cfg["mc"]["bump_windows"] = [[10.0, 0.0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli("check", "--config", str(path), "--out-dir",
+                       str(tmp_path / "out"), "--principle", "necessary",
+                       "--paths", "64")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "[10.0, 10.0]" in err and "dt=0.01" in err
 
 
 class TestExamples:

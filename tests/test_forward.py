@@ -15,8 +15,10 @@ from delayctrl.forward import (
     BLOCK_SIZE,
     GROUP_BLOCKS,
     NOISE_CHUNK,
+    RECORD_KEYS,
     StepAccumulator,
     _prepare_variation,
+    _record_arrays,
     _run_blocks,
     bump_control,
     bump_start_step,
@@ -278,16 +280,17 @@ class TestBlockGroups:
         parts = []
         for b in range(n_blocks):
             lanes = min(BLOCK_SIZE, GROUP_PATHS - b * BLOCK_SIZE)
-            rec, extras, _, _ = _run_blocks(spec, grid, ctl, 11, b, lanes,
-                                            self._accumulators(), True,
-                                            variation)
+            rec = _record_arrays(spec, grid, lanes, beta is not None)
+            extras, _, _ = _run_blocks(spec, grid, ctl, 11, b, lanes,
+                                       self._accumulators(), rec, variation)
             for name in ("X", "Y", "A", "u", "dB", "counts", "xi"):
                 if rec[name] is None:
                     continue
                 mine = np.stack([getattr(r, name) for r in
                                  ensemble.records[b * BLOCK_SIZE:
                                                   b * BLOCK_SIZE + lanes]])
-                assert np.array_equal(mine, rec[name]), (b, name)
+                assert np.array_equal(mine, rec[name].swapaxes(0, 1)), (
+                    b, name)
             parts.append(extras)
         for i, merged in enumerate(ensemble.extras):
             for j, arr in enumerate(merged):
@@ -322,6 +325,82 @@ class TestBlockGroups:
         for ea, eb in zip(ensemble.extras, other.extras):
             for a, b in zip(ea, eb):
                 assert np.array_equal(a, b)
+
+
+class TestRecordArrays:
+    """A recorded ensemble's ``arrays`` are the memory its PathRecords
+    view: every record shares it, and stacking the records, as callers
+    once had to, gives the same arrays bitwise."""
+
+    SMALL = 1500  # one block group with threads=1, two with threads=2
+
+    @staticmethod
+    def make_case(name, ex34_spec, ex34_control):
+        if name == "jumps":
+            return (_wavy(make_jump_spec(intensity=2.0)),
+                    make_grid(0.5, 0.05, 0.5), constant_control(0.2), None)
+        beta = constant_control(1.0) if name == "variational" else None
+        return _wavy(ex34_spec), make_grid(1.0, 0.1, 1.0), ex34_control, beta
+
+    @pytest.fixture(scope="class", params=["plain", "jumps", "variational"])
+    def case(self, request, ex34_spec, ex34_control):
+        return self.make_case(request.param, ex34_spec, ex34_control)
+
+    @staticmethod
+    def assert_views(res):
+        for key in RECORD_KEYS:
+            arr = res.arrays[key]
+            rows = [getattr(r, key) for r in res.records]
+            if arr is None:
+                assert all(v is None for v in rows), key
+                continue
+            assert len(arr) == res.n_paths
+            assert np.array_equal(arr, np.stack(rows)), key
+            assert all(np.shares_memory(arr, v) for v in rows), key
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n_paths", [SMALL, GROUP_PATHS])
+    def test_arrays_are_the_records(self, case, n_paths, threads):
+        spec, grid, ctl, beta = case
+        res = simulate_ensemble(spec, grid, ctl, n_paths, 11, record=True,
+                                beta=beta, threads=threads)
+        self.assert_views(res)
+        assert res.arrays["X"].shape == (n_paths, grid.n + 1)
+        assert (res.arrays["counts"] is None) == (not spec.has_jumps)
+        assert (res.arrays["xi"] is None) == (beta is None)
+        # each group wrote its own lanes: the first paths are those of a
+        # smaller run
+        small = simulate_ensemble(spec, grid, ctl, 100, 11, record=True,
+                                  beta=beta)
+        for key in RECORD_KEYS:
+            if small.arrays[key] is not None:
+                assert np.array_equal(res.arrays[key][:100],
+                                      small.arrays[key]), key
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", ["plain", "jumps"])  # no beta: no resume
+    def test_resumed_run_records_views(self, name, threads, ex34_spec,
+                                       ex34_control):
+        spec, grid, ctl, _ = self.make_case(name, ex34_spec, ex34_control)
+        k = grid.n // 2
+        bumped = dataclasses.replace(
+            ctl, bumps=ctl.bumps + ((0.05, k * grid.dt, 0.3),))
+        args = (spec, grid, bumped, self.SMALL, 11)
+        saved = simulate_ensemble(spec, grid, ctl, self.SMALL, 11,
+                                  record=True, threads=threads, save_at=[k])
+        full = simulate_ensemble(*args, record=True, threads=threads)
+        resumed = simulate_ensemble(*args, record=True, threads=threads,
+                                    resume=saved.states[k])
+        self.assert_views(resumed)
+        for key in RECORD_KEYS:
+            if full.arrays[key] is not None:
+                assert np.array_equal(full.arrays[key],
+                                      resumed.arrays[key]), key
+                assert not np.shares_memory(resumed.arrays[key],
+                                            saved.arrays[key]), key
+        # the saved state holds slices of the saved run's arrays
+        for group in saved.states[k].groups:
+            assert np.shares_memory(group["rec"]["dB"], saved.arrays["dB"])
 
 
 def _zero(t, x, y, a, u):

@@ -8,7 +8,7 @@ import pytest
 
 from delayctrl import build_problem, make_grid
 from delayctrl.adjoint import SecondAdjointResult
-from delayctrl.errors import AdjointMissing
+from delayctrl.errors import AdjointMissing, BadWindow
 from delayctrl.examples import (
     Example34Params,
     ex34_adjoint,
@@ -16,13 +16,24 @@ from delayctrl.examples import (
     ex34_p0_star,
     make_ex34_problem,
 )
-from delayctrl.forward import constant_control, scale_control
+from delayctrl.forward import (
+    BLOCK_SIZE,
+    StepAccumulator,
+    bump_control,
+    constant_control,
+    scale_control,
+    simulate_ensemble,
+)
 from delayctrl.mp import (
+    StateAtStepsAccumulator,
+    _adjoint_values,
+    _gateaux_terms,
     check_sufficient_first,
     check_sufficient_second,
     necessary_residual,
     variational_consistency,
 )
+from delayctrl.objective import RunningRewardAccumulator, mean_stderr
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +202,10 @@ class TestNecessary:
 
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.05, 5.0)
-        # windows starting at 0, on and between grid points, and at T
-        windows = [(0.0, 0.5), (0.5, 0.5), (1.33, 0.4), (2.0, 1.0), (5.0, 0.0)]
+        # windows starting at 0, on and between grid points, and the
+        # last step
+        windows = [(0.0, 0.5), (0.5, 0.5), (1.33, 0.4), (2.0, 1.0),
+                   (4.95, 0.05)]
         s_values = (1e-2, 1e-3)
         mc = dict(adjoint=adj, n_paths=256, seed=9, bump_windows=windows,
                   bump_s=s_values)
@@ -211,9 +224,9 @@ class TestNecessary:
             res = simulate_ensemble(
                 spec, grid, mp._superpose(ctl, beta, s, grid), 256, 9,
                 accumulators=(RunningRewardAccumulator(),
-                              mp.TerminalStateAccumulator()))
+                              mp.StateAtStepsAccumulator((grid.n,))))
             reward, _, alive = res.extras[0]
-            return reward, res.extras[1][0] * alive
+            return reward, res.extras[1][0][:, 0] * alive
 
         p_T = np.broadcast_to(adj(grid.horizon, None, None, None), (256,))
         expected = []
@@ -306,6 +319,25 @@ class TestNecessary:
         with pytest.raises(AdjointMissing):
             necessary_residual(spec, grid, ctl, dict(n_paths=16))
 
+    @pytest.mark.parametrize("window", [(3.0, 0.0), (1.0, 0.04),
+                                        (1.0, -0.1)])
+    def test_window_narrower_than_a_step_refused(self, setup, window):
+        """On the grid such a window acts on one point, so its estimate
+        is a trapezoid end weight, not a derivative."""
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 3.0)
+        mc = dict(adjoint=adj, n_paths=16, bump_windows=[(1.0, 0.5), window])
+        with pytest.raises(BadWindow, match=r"dt=0\.05"):
+            necessary_residual(spec, grid, ctl, mc)
+
+    def test_window_of_one_step_accepted(self, setup):
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 3.0)
+        mc = dict(adjoint=adj, n_paths=16, bump_windows=[(2.95, 0.05)],
+                  bump_s=(1e-2,))
+        report = necessary_residual(spec, grid, ctl, mc)
+        assert len(report.bump_estimates) == 2
+
 
 class TestThreads:
     """mc.threads reaches every ensemble a check simulates, and the
@@ -389,3 +421,132 @@ class TestVariationalConsistency:
                  adjoint=lambda t, x, y, a: ex34_adjoint(params, t, p0)))
         bar = 2 * np.hypot(out["fd_stderr"], out["xi_stderr"])
         assert abs(out["fd_derivative"] - out["xi_based_derivative"]) <= bar
+
+
+class _TerminalStateCopies(StepAccumulator):
+    """The terminal-state accumulator the Gateaux terms used before the
+    states-at-steps accumulator: copies of x, y, a at the final point."""
+
+    def begin(self, n_lanes, spec, grid):
+        return {}
+
+    def step(self, st, k, ctx):
+        pass
+
+    def finish(self, st, ctx):
+        return tuple(np.array(ctx[key], float, copy=True) for key in "xya")
+
+
+class TestStatesAtSteps:
+    """The comparison ensembles of the sufficiency ladder and the bump
+    ensembles keep their states at chosen steps instead of being
+    recorded, with the same bytes as reading a recorded ensemble."""
+
+    N_PATHS = BLOCK_SIZE + 7  # two block groups with threads=2
+    SEED = 3
+
+    def _recorded(self, spec, grid, control):
+        return simulate_ensemble(spec, grid, control, self.N_PATHS,
+                                 self.SEED, record=True, threads=2).arrays
+
+    def test_ladder_matches_recorded_comparison(self, setup):
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 5.0)
+        n, t = grid.n, grid.times
+        z = np.zeros(n + 1)
+        # a non-zero p2, so that the p2 columns are not zero
+        sar = SecondAdjointResult(grid=grid, p1=ex34_adjoint(params, t, p0),
+                                  p2=0.3 * np.cos(t), p3=z.copy(),
+                                  q1=z.copy(), q2=z.copy(),
+                                  r=np.zeros((n + 1, 1)))
+        comparisons = [scale_control(ctl, 0.8), constant_control(0.1)]
+        fractions = (0.25, 0.5, 0.5, 0.77, 1.0)  # a rung twice
+        mc = dict(n_paths=self.N_PATHS, seed=self.SEED, threads=2,
+                  horizon_fractions=fractions)
+        first = check_sufficient_first(spec, grid, ctl, comparisons,
+                                       {**mc, "adjoint": adj})
+        second = check_sufficient_second(spec, grid, ctl, comparisons,
+                                         {**mc, "adjoint2": sar})
+
+        S = self._recorded(spec, grid, ctl)
+        want_first, want_second = [], []
+        for i, control in enumerate(comparisons):
+            C = self._recorded(spec, grid, control)
+            for frac in fractions:
+                k = min(n, int(round(frac * n)))
+                x, y, a = S["X"][:, k], S["Y"][:, k], S["A"][:, k]
+                dx, dy = C["X"][:, k] - x, C["Y"][:, k] - y
+                p, _ = _adjoint_values(adj, k * grid.dt, x, y, a)
+                est, se = mean_stderr(p * dx)
+                want_first.append({"comparison": i, "T": k * grid.dt,
+                                   "estimate": est, "stderr": se})
+                est, se = mean_stderr(np.broadcast_to(sar.p1[k], x.shape)
+                                      * dx)
+                est2, se2 = mean_stderr(np.broadcast_to(sar.p2[k], x.shape)
+                                        * dy)
+                want_second.append({"comparison": i, "T": k * grid.dt,
+                                    "estimate": est, "stderr": se,
+                                    "estimate_p2": est2, "stderr_p2": se2})
+        assert first.transversality == want_first
+        assert second.transversality == want_second
+        assert any(r["estimate_p2"] != 0.0 for r in second.transversality)
+
+    def test_states_equal_recorded_rows(self, setup):
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 5.0)
+        steps = (0, 7, grid.n, 7, 50)
+        res = simulate_ensemble(
+            spec, grid, ctl, self.N_PATHS, self.SEED, threads=2,
+            accumulators=(StateAtStepsAccumulator(steps),))
+        S = self._recorded(spec, grid, ctl)
+        for got, key in zip(res.extras[0], "XYA", strict=True):
+            assert got.shape == (self.N_PATHS, len(steps))
+            assert np.array_equal(got, S[key][:, list(steps)]), key
+
+    def test_gateaux_terms_bytes_unchanged(self, setup):
+        """_gateaux_terms gives the bytes of the reward accumulator plus
+        copies of the terminal state."""
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 5.0)
+        shifted = bump_control(ctl, 0.01, 1.0, 0.5, grid.horizon)
+        reward, x_T = _gateaux_terms(spec, grid, shifted, self.N_PATHS,
+                                     self.SEED, 2)
+        res = simulate_ensemble(
+            spec, grid, shifted, self.N_PATHS, self.SEED, threads=2,
+            accumulators=(RunningRewardAccumulator(), _TerminalStateCopies()))
+        want_reward, _, alive = res.extras[0]
+        assert reward.tobytes() == want_reward.tobytes()
+        assert x_T.tobytes() == (res.extras[1][0] * alive).tobytes()
+
+
+class TestMemory:
+    """The checks read the candidate's record in place and record no
+    comparison ensemble, so their traced peak stays within 1.3 times the
+    bytes of one recorded ensemble (stacking copies of the records, and
+    recording the comparison, took it past 2)."""
+
+    @pytest.mark.parametrize("check", ["sufficient1", "necessary"])
+    def test_traced_peak(self, setup, check):
+        import tracemalloc
+
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 10.0)
+        n_paths = 1024
+        one = 8 * n_paths * (4 * (grid.n + 1) + grid.n)  # X, Y, A, u, dB
+        mc = dict(adjoint=adj, n_paths=n_paths, seed=7)
+
+        def run():
+            if check == "sufficient1":
+                check_sufficient_first(spec, grid, ctl,
+                                       [scale_control(ctl, 0.8)], mc)
+            else:
+                necessary_residual(spec, grid, ctl, mc)
+
+        run()  # first-call allocations (caches, imports) stay out
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * one, f"peak {peak / one:.2f}x one ensemble"
