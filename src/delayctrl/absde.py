@@ -24,7 +24,8 @@ auto-selected from the driver's Lipschitz constant via the rule
 lambda = C / eps with eps = 1/(12 (2 + e^{-lambda delta})), solved
 self-consistently, times a 1.1 margin.
 
-Two evaluation modes:
+Two evaluation modes, regression when an ``McContext`` ensemble is
+given and deterministic otherwise:
   deterministic - all processes are deterministic functions of time;
       conditional expectation is the identity, q = r = 0, and the
       backward sweep is trapezoid quadrature of the driver.
@@ -44,6 +45,9 @@ import numpy as np
 
 from .errors import BadWeight, NoConvergence
 from .model import TimeGrid
+
+_INNER_MAX_ITER = 8  # inner (q, r) sweeps per outer regression iteration
+_CONTRACTING_RATIO = 0.75  # measured ratio that still counts as contracting
 
 
 @dataclass(frozen=True)
@@ -306,14 +310,14 @@ def _reg_sweep(driver: AdvancedDriver, grid: TimeGrid, ctx: McContext,
 # ---------------------------------------------------------------------------
 
 def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
-                 mode: str = "deterministic",
                  mc_context: Optional[McContext] = None,
                  weight_lambda: Optional[float] = None,
                  tol: float = 1e-12, max_iter: int = 60,
-                 inner_max_iter: int = 8,
                  p_init: Optional[np.ndarray] = None):
     """Solve the time-advanced backward equation by successive
-    substitution; returns (AdjointTriple, PicardReport).
+    substitution; returns (AdjointTriple, PicardReport).  The solve is in
+    regression mode on the ``mc_context`` ensemble when one is given, in
+    deterministic mode otherwise.
 
     ``tol`` bounds the *squared* normalised weighted distance between
     successive iterates (``weighted_distance``), weighted and unweighted,
@@ -325,16 +329,13 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
     (the weight is too small for the driver's Lipschitz constant).  Both
     carry the partial report.
     """
-    if mode not in ("deterministic", "regression"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "regression" and mc_context is None:
-        raise ValueError("regression mode requires an mc_context ensemble")
+    ensemble = mc_context is not None
     lam = (auto_weight(driver.lipschitz, grid.delta)
            if weight_lambda is None else float(weight_lambda))
-    report = PicardReport(weight_lambda=lam, mode=mode)
+    report = PicardReport(weight_lambda=lam,
+                          mode="regression" if ensemble else "deterministic")
     n, m = grid.n, grid.m
     nm = max(driver.n_marks, 1)
-    ensemble = mode == "regression"
 
     if ensemble:
         N = mc_context.n_paths
@@ -356,7 +357,7 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
         if ensemble:
             # inner Step-1 iteration on the (q, r) arguments
             inner_q, inner_r = np.zeros_like(q), np.zeros_like(r)
-            for _inner in range(inner_max_iter):
+            for _inner in range(_INNER_MAX_ITER):
                 p_new, q_new, r_new = _reg_sweep(
                     driver, grid, mc_context, p, q, r,
                     inner_qr=(inner_q, inner_r))
@@ -406,7 +407,7 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
 
 
 def contraction_diagnostics(report: PicardReport, driver: AdvancedDriver,
-                            delta: float, slack: float = 0.25) -> dict:
+                            delta: float) -> dict:
     """Compare the measured geometric ratio against the theoretical
     sufficient weight; diagnostic only, never raises."""
     lam_star = auto_weight(driver.lipschitz, delta, margin=1.0)
@@ -418,21 +419,20 @@ def contraction_diagnostics(report: PicardReport, driver: AdvancedDriver,
         "weight_sufficient": lam_star,
         "epsilon": eps,
         "measured_ratio": measured,
-        "contracting": measured <= 0.5 + slack,
+        "contracting": measured <= _CONTRACTING_RATIO,
         "iterations": report.iterations,
     }
 
 
 def uniqueness_probe(driver: AdvancedDriver, grid: TimeGrid,
-                     mode: str = "deterministic",
                      mc_context: Optional[McContext] = None,
                      p_init_a=None, p_init_b=None, tol: float = 1e-12,
                      **kwargs) -> float:
     """Weighted distance between converged solutions started from two
     different initializations; Lipschitz drivers must agree to 10*tol."""
-    ta, _ = picard_solve(driver, grid, mode, mc_context, tol=tol,
+    ta, _ = picard_solve(driver, grid, mc_context, tol=tol,
                          p_init=p_init_a, **kwargs)
-    tb, _ = picard_solve(driver, grid, mode, mc_context, tol=tol,
+    tb, _ = picard_solve(driver, grid, mc_context, tol=tol,
                          p_init=p_init_b, **kwargs)
     d, _, _ = weighted_distance(grid, 0.0, ta.p - tb.p, ta.q - tb.q,
                                 ta.r - tb.r, ensemble=ta.ensemble)

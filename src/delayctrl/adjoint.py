@@ -176,8 +176,7 @@ def prepare_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
     if ensemble is None:
         rec = simulate_noiseless(spec, grid, control)
         path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}
-        return (build_first_driver(spec, grid, path),
-                dict(mode="deterministic", **options))
+        return build_first_driver(spec, grid, path), options
 
     S = (ensemble if isinstance(ensemble, dict) else
          stack_records(ensemble, ("X", "Y", "A", "u", "dB", "counts")))
@@ -187,7 +186,7 @@ def prepare_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
     ctx = McContext(S["X"], S["Y"], S["A"], S["dB"], S["counts"],
                     intensity=intensity, mark_probs=probs,
                     basis_degree=cfg.get("basis_degree", 2))
-    return driver, dict(mode="regression", mc_context=ctx, **options)
+    return driver, dict(mc_context=ctx, **options)
 
 
 def solve_first_adjoint(spec: ProblemSpec, grid: TimeGrid,

@@ -351,7 +351,7 @@ def cmd_check(args):
     if args.principle in ("sufficient1", "necessary"):
         ctl_kind = (args.control or run.cfg.get("control", {})
                     .get("kind", "closed_form"))
-        if ctl_kind == "closed_form" or str(ctl_kind).startswith("closed"):
+        if ctl_kind == "closed_form":
             _, p_fn = _closed_form_bits(run.cfg)
         else:
             # solve the candidate's adjoint and interpolate it in time
@@ -490,9 +490,6 @@ def _set_path(cfg, keys, value):
 
 def cmd_sweep(args):
     run = _Run(args, "sweep")
-    if not args.values:
-        print("sweep: empty value list", file=sys.stderr)
-        return EXIT_USAGE
     name = args.param
     keys = _SWEEP_SHORTHAND.get(name, tuple(name.split(".")))
     if keys[0] not in ("problem", "grid", "mc", "solver", "jump", "control"):

@@ -50,6 +50,15 @@ remaining steps as rows of the saved run's record, so it draws no noise.
 Under common random numbers a control that agrees with the saved run's
 before the save step, such as a bump whose window starts there, gives
 every path bitwise as a full run does.
+
+``simulate_noiseless``, the reference path of a noise-free problem, is a
+separate integrator, not a mode of the engine's step loop: it is Heun's
+predictor-corrector, keeps the whole path instead of a ring, and its
+lanes run on past non-finite values instead of raising, so a shared loop
+would branch on which caller it serves.  At sigma = 0 the engine gives
+the first-order (Euler) path.  Its scalar and lane forms share one body;
+the shape of the states selects between them, and the scalar form is the
+faster one for a single control.
 """
 
 from __future__ import annotations
@@ -755,13 +764,13 @@ def simulate_path(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
 
 
 def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
-                       control: ControlSpec, heun: bool = True,
+                       control: ControlSpec,
                        lanes: Optional[int] = None) -> PathRecord:
     """Integrate the noise-free reduction dX = b dt (sigma and jumps off).
 
-    With ``heun`` the drift is integrated by the predictor-corrector rule,
-    second order in dt; the predictor's moving average and the step's own
-    use the engine's recursion.  The path is kept whole as the initial
+    The drift is integrated by Heun's predictor-corrector rule, second
+    order in dt; the predictor's moving average and the step's own use
+    the engine's recursion.  The path is kept whole as the initial
     segment followed by X_1, ..., X_n, so Y_k = X_{k-m} is read from it
     and the returned X and Y are views of it.  Intended for problems
     whose reference dynamics are deterministic (sigma = 0, no jumps),
@@ -779,12 +788,12 @@ def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
         raise ValueError("noiseless simulation requires no jump component")
     if lanes is not None:
         with np.errstate(all="ignore"):
-            return _noiseless(spec, grid, control, heun, (int(lanes),))
-    return _noiseless(spec, grid, control, heun, ())
+            return _noiseless(spec, grid, control, (int(lanes),))
+    return _noiseless(spec, grid, control, ())
 
 
 def _noiseless(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
-               heun: bool, shape: tuple) -> PathRecord:
+               shape: tuple) -> PathRecord:
     """simulate_noiseless on states of the given shape: () is one scalar
     path, (L,) a lane array."""
     dt, m, n = grid.dt, grid.m, grid.n
@@ -813,16 +822,13 @@ def _noiseless(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         u = value(u)
         us[k] = u
         g0 = value(b(t, X, Y, A, u))
-        if heun:
-            X_star = X + dt * g0
-            A_star = _average_step(w_avg, A, Y, Y1, X, X_star)
-            u1, clip_1 = control.evaluate(spec, k + 1, t + dt, X_star, Y1,
-                                          A_star, starts=starts)
-            clipped |= clip_1
-            g1 = value(b(t + dt, X_star, Y1, A_star, value(u1)))
-            X_new = X + 0.5 * dt * (g0 + g1)
-        else:
-            X_new = X + dt * g0
+        X_star = X + dt * g0
+        A_star = _average_step(w_avg, A, Y, Y1, X, X_star)
+        u1, clip_1 = control.evaluate(spec, k + 1, t + dt, X_star, Y1,
+                                      A_star, starts=starts)
+        clipped |= clip_1
+        g1 = value(b(t + dt, X_star, Y1, A_star, value(u1)))
+        X_new = X + 0.5 * dt * (g0 + g1)
         if not shape and not np.isfinite(X_new):
             raise NonFiniteState(
                 f"state became non-finite at step {k + 1}", step=k + 1)

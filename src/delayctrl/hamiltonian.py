@@ -20,7 +20,7 @@ mark distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,13 +29,13 @@ from .forward import ControlSpec, StepAccumulator, simulate_ensemble
 from .model import ProblemSpec, TimeGrid
 from .objective import mean_stderr
 
-RFun = Union[Callable, np.ndarray, float, None]
-
 
 @dataclass(frozen=True)
 class HamArgs:
-    """Arguments of the Hamiltonian.  ``p2``, the moving-average adjoint,
-    switches on the second formulation; it stays None for the first."""
+    """Arguments of the Hamiltonian.  ``r`` is the jump adjoint as a
+    function of the mark, None for zero.  ``p2``, the moving-average
+    adjoint, switches on the second formulation; it stays None for the
+    first."""
 
     t: float
     x: float
@@ -44,22 +44,11 @@ class HamArgs:
     u: float
     p: float
     q: float
-    r: RFun = None
+    r: Optional[Callable] = None
     p2: Optional[float] = None
 
 
-def _r_at(r: RFun, j: int, z: float):
-    if r is None:
-        return 0.0
-    if callable(r):
-        return r(z)
-    arr = np.asarray(r, float)
-    if arr.ndim == 0:
-        return float(arr)
-    return arr[j]
-
-
-def nu_theta_r(spec: ProblemSpec, t, x, y, a, u, r: RFun):
+def nu_theta_r(spec: ProblemSpec, t, x, y, a, u, r: Optional[Callable]):
     """int theta(t,x,y,a,u,z) r(z) nu(dz) = intensity * E[theta(Z) r(Z)]."""
     if not spec.has_jumps or r is None:
         return 0.0
@@ -67,11 +56,11 @@ def nu_theta_r(spec: ProblemSpec, t, x, y, a, u, r: RFun):
     return _nu_weighted(spec, r, lambda z: theta(t, x, y, a, u, z))
 
 
-def _nu_weighted(spec: ProblemSpec, r: RFun, gz: Callable):
+def _nu_weighted(spec: ProblemSpec, r: Callable, gz: Callable):
     jump = spec.jump
     total = 0.0
-    for j, (z, pz) in enumerate(zip(jump.marks.values, jump.marks.probs)):
-        total = total + pz * np.asarray(gz(z), float) * _r_at(r, j, z)
+    for z, pz in zip(jump.marks.values, jump.marks.probs):
+        total = total + pz * np.asarray(gz(z), float) * r(z)
     return jump.intensity * total
 
 
@@ -126,10 +115,11 @@ def grad_H(spec: ProblemSpec, args: HamArgs, which: str, check: bool = True):
 # ---------------------------------------------------------------------------
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 60
+_NEWTON_STEPS = 3
 
 
-def maximize_scalar(fn: Callable[[float], float], lo: float, hi: float,
-                    iters: int = 60, newton_steps: int = 3):
+def maximize_scalar(fn: Callable[[float], float], lo: float, hi: float):
     """Maximize fn on [lo, hi]: golden-section bracketing refined by a few
     Newton steps when the local curvature is negative.  Robust for
     non-concave fn; returns (argmax, value)."""
@@ -139,7 +129,7 @@ def maximize_scalar(fn: Callable[[float], float], lo: float, hi: float,
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -152,7 +142,7 @@ def maximize_scalar(fn: Callable[[float], float], lo: float, hi: float,
             break
     u = 0.5 * (a + b)
     h = max(1e-6, 1e-6 * abs(u))
-    for _ in range(newton_steps):
+    for _ in range(_NEWTON_STEPS):
         f0, fp, fm = fn(u), fn(u + h), fn(u - h)
         g = (fp - fm) / (2 * h)
         curv = (fp - 2 * f0 + fm) / h**2

@@ -255,9 +255,6 @@ class ProblemSpec:
         return (self.jump is not None and self.coeffs.theta is not None
                 and self.jump.intensity > 0)
 
-    def clip_control(self, u):
-        return np.clip(u, self.control_lo, self.control_hi)
-
     def validate_segment(self, grid: TimeGrid) -> np.ndarray:
         """Evaluate the initial segment on the history grid; reject NaN/inf."""
         s = grid.history_times()

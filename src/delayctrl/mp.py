@@ -14,15 +14,16 @@ perturbations, and the consistency between the finite-difference
 derivative of J and the chain-rule integral driven by the variational
 process xi.  A bump derivative in direction alpha on a window takes the
 ensembles of the candidate plus the bump +/- s alpha there; a mirrored
-pair (alpha, s) and (-alpha, s) needs the same two, so with the default
-alphas +/-1 the check simulates 2 |windows| |s| bump ensembles (not 4)
+pair (alpha, s) and (-alpha, s) needs the same two, so with the alphas
++/-1 the check simulates 2 |windows| |s| bump ensembles (not 4)
 besides the candidate's, and the -alpha estimate is the exact negation of
 the +alpha one.  A bump cannot act before its window, so each bumped
 ensemble resumes the candidate's engine state saved at the window's
 first step (``bump_start_step``) instead of simulating from t = 0; every
 estimate is bitwise that of a full run.  A bump window narrower than one
 grid step is refused: on the grid it would act on a single point and
-measure a trapezoid end weight, not a derivative.
+measure a trapezoid end weight, not a derivative.  So is a window outside
+[0, T]: the truncated objective cannot see the part past T.
 
 Both checks read the candidate's recorded ensemble through its arrays,
 without copying; the sufficiency ladder's comparison ensembles are not
@@ -35,7 +36,7 @@ on the state observed at t - D via least-squares regression).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,11 +44,22 @@ import numpy as np
 from .absde import monomial_basis
 from .adjoint import SecondAdjointResult, p3_flatness
 from .errors import AdjointMissing, BadWindow, NonFinite
-from .forward import (ControlSpec, StepAccumulator, bump_start_step,
-                      feedback_control, simulate_ensemble)
+from .forward import (ControlSpec, StepAccumulator, bump_control,
+                      bump_start_step, feedback_control, simulate_ensemble)
 from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
 from .model import ProblemSpec, TimeGrid
 from .objective import RunningRewardAccumulator, mean_stderr
+
+# The checks' fixed settings: Hessian samples of the concavity proxy, the
+# absolute slack each pass test allows beyond its standard errors, and the
+# bump directions of the necessary check.
+_HESSIAN_SAMPLES = 200
+_CONCAVITY_TOL = 1e-8
+_GAP_ABS_TOL = 1e-9
+_P3_TOL = 1e-6
+_RESID_ABS_TOL = 1e-9
+_BUMP_ABS_TOL = 1e-9
+_BUMP_ALPHAS = (1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,22 +141,12 @@ def _superpose(base: ControlSpec, beta: ControlSpec, s: float,
 
 
 def _adjoint_values(adjoint, t, x, y, a):
-    """Evaluate a supplied adjoint representation at ensemble points.
-
-    Accepts a callable p(t, x, y, a) or a pair (p_fn, q_fn); returns
-    (p, q) arrays (q defaults to zero)."""
+    """The adjoint callable p(t, x, y, a) at ensemble points, as (p, q)
+    arrays with q zero."""
     if adjoint is None:
         raise AdjointMissing("this check requires a solved or closed-form adjoint")
-    if isinstance(adjoint, tuple):
-        p_fn, q_fn = adjoint
-    else:
-        p_fn, q_fn = adjoint, None
-    p = np.broadcast_to(np.asarray(p_fn(t, x, y, a), float), np.shape(x))
-    if q_fn is None:
-        q = np.zeros_like(p)
-    else:
-        q = np.broadcast_to(np.asarray(q_fn(t, x, y, a), float), np.shape(x))
-    return p, q
+    p = np.broadcast_to(np.asarray(adjoint(t, x, y, a), float), np.shape(x))
+    return p, np.zeros_like(p)
 
 
 class StateAtStepsAccumulator(StepAccumulator):
@@ -312,11 +314,10 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
 
     # (ii) concavity proxy over sampled points
     rng = np.random.default_rng(int(mc_cfg.get("seed", 0)) + 1)
-    worst = _hessian_proxy(spec, grid, S, adjoint_eval,
-                           int(mc_cfg.get("hessian_samples", 200)), rng)
-    conc_tol = float(mc_cfg.get("concavity_tol", 1e-8))
-    concavity = {"max_eigenvalue": worst, "tol": conc_tol,
-                 "passed": worst <= conc_tol}
+    worst = _hessian_proxy(spec, grid, S, adjoint_eval, _HESSIAN_SAMPLES,
+                           rng)
+    concavity = {"max_eigenvalue": worst, "tol": _CONCAVITY_TOL,
+                 "passed": worst <= _CONCAVITY_TOL}
 
     # (iii) integrability proxy: E int p^2 (sigma^2 + int theta^2 nu) + q^2 dt
     stride = max(1, grid.n // 50)
@@ -348,7 +349,7 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
                                         adjoint_eval(t, x, y, a))
         max_gap.append({"t": float(t), "gap": gap, "stderr": se,
                         "maximizer": v_star})
-        if gap > 2 * se + float(mc_cfg.get("gap_abs_tol", 1e-9)):
+        if gap > 2 * se + _GAP_ABS_TOL:
             gaps_ok = False
 
     trans_ok = all(rec["estimate"] >= -2 * rec["stderr"] - 1e-12
@@ -365,8 +366,8 @@ def check_sufficient_first(spec: ProblemSpec, grid: TimeGrid,
     """Concavity, conditional maximization, integrability proxy, and the
     transversality ladder for the scalar-adjoint formulation.
 
-    mc_cfg requires ``adjoint``: a callable p(t, x, y, a) or a pair
-    (p_fn, q_fn) for the candidate's adjoint.
+    mc_cfg requires ``adjoint``: a callable p(t, x, y, a) for the
+    candidate's adjoint.
     """
     adjoint = mc_cfg.get("adjoint")
     if adjoint is None:
@@ -397,7 +398,7 @@ def check_sufficient_second(spec: ProblemSpec, grid: TimeGrid,
                 np.broadcast_to(adj2.q1[k], shape),
                 np.broadcast_to(adj2.p2[k], shape))
 
-    flat, dev = p3_flatness(adj2.p3, float(mc_cfg.get("p3_tol", 1e-6)))
+    flat, dev = p3_flatness(adj2.p3, _P3_TOL)
     return _check_sufficient(spec, grid, candidate, comparison_controls,
                              mc_cfg, adjoint_eval,
                              {"flat": flat, "max_deviation": dev})
@@ -428,6 +429,8 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
         if wh < grid.dt - 1e-12:
             raise BadWindow(f"bump window [{ws}, {ws + wh}] is narrower than "
                             f"one grid step (dt={grid.dt})")
+        # raises BadWindow for a window outside [0, T]
+        bump_control(candidate, 0.0, ws, wh, horizon=grid.horizon)
     s_values = mc_cfg.get("bump_s", (1e-2, 1e-3))
     n_paths = int(mc_cfg.get("n_paths", 2000))
     seed = int(mc_cfg.get("seed", 0))
@@ -473,15 +476,13 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
 
     # bump (Gateaux) derivatives by symmetric differences under CRN
     # The truncated objective misses the tail E int_T^inf f dt whose first
-    # variation is E[p(T) xi(T)]; with the candidate's adjoint available,
-    # adding p(T) (X_+(T) - X_-(T)) / 2s per path removes that bias, so the
-    # estimate targets the infinite-horizon derivative.
-    p_T = None
-    if bool(mc_cfg.get("tail_correction", True)):
-        nn = grid.n
-        p_T = np.asarray(_adjoint_values(
-            adjoint, grid.horizon, S["X"][:, nn], S["Y"][:, nn],
-            S["A"][:, nn])[0], float)
+    # variation is E[p(T) xi(T)]; adding p(T) (X_+(T) - X_-(T)) / 2s per
+    # path with the candidate's adjoint removes that bias, so the estimate
+    # targets the infinite-horizon derivative.
+    nn = grid.n
+    p_T = np.asarray(_adjoint_values(
+        adjoint, grid.horizon, S["X"][:, nn], S["Y"][:, nn],
+        S["A"][:, nn])[0], float)
     # (alpha, s) and (-alpha, s) need the same two bumped ensembles, so
     # each (window, shift) is simulated once
     terms = {}
@@ -489,30 +490,28 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     def bumped(ws, wh, shift):
         key = (ws, wh, shift)
         if key not in terms:
-            control = replace(candidate, bumps=candidate.bumps
-                              + ((shift, float(ws), float(wh)),))
+            control = bump_control(candidate, shift, ws, wh,
+                                   horizon=grid.horizon)
             terms[key] = _gateaux_terms(spec, grid, control, n_paths, seed,
                                         threads, cand.states[first_step[ws]])
         return terms[key]
 
     bump_estimates = []
     for (ws, wh) in windows:
-        for alpha in mc_cfg.get("bump_alphas", (1.0, -1.0)):
+        for alpha in _BUMP_ALPHAS:
             for s in s_values:
                 rew_p, xT_p = bumped(ws, wh, s * alpha)
                 rew_m, xT_m = bumped(ws, wh, -s * alpha)
                 diff = (rew_p - rew_m) / (2 * s)
-                if p_T is not None:
-                    pT = p_T if p_T.shape == diff.shape else np.mean(p_T)
-                    diff = diff + pT * (xT_p - xT_m) / (2 * s)
+                pT = p_T if p_T.shape == diff.shape else np.mean(p_T)
+                diff = diff + pT * (xT_p - xT_m) / (2 * s)
                 est, se = mean_stderr(diff)
                 bump_estimates.append(
                     {"window": (ws, wh), "alpha": alpha, "s": s,
                      "estimate": est, "stderr": se})
 
-    resid_ok = np.all(np.abs(resid) <= 3 * rse + float(mc_cfg.get("resid_abs_tol", 1e-9)))
-    bumps_ok = all(abs(b["estimate"]) <= 3 * b["stderr"]
-                   + float(mc_cfg.get("bump_abs_tol", 1e-9))
+    resid_ok = np.all(np.abs(resid) <= 3 * rse + _RESID_ABS_TOL)
+    bumps_ok = all(abs(b["estimate"]) <= 3 * b["stderr"] + _BUMP_ABS_TOL
                    for b in bump_estimates)
     if boundary_control:
         verdict = "boundary"

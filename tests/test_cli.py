@@ -234,6 +234,22 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "[10.0, 10.0]" in err and "dt=0.01" in err
 
+    @pytest.mark.parametrize("window", [[7.0, 1.0], [-3.0, 1.0], [4.5, 2.0]])
+    def test_window_outside_horizon_is_a_usage_error(self, tmp_path, capsys,
+                                                     window):
+        """A window outside [0, T] reads 0 (or a bias from the part past
+        T) instead of a derivative; the check refuses it and exits 1."""
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["grid"] = {"dt": 0.05, "horizon": 5.0}
+        cfg["mc"]["bump_windows"] = [window]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli("check", "--config", str(path), "--out-dir",
+                       str(tmp_path / "out"), "--principle", "necessary",
+                       "--paths", "64")
+        assert code == EXIT_USAGE
+        assert "not contained in [0, 5.0]" in capsys.readouterr().err
+
 
 class TestExamples:
     def test_example34_outputs(self, cfg_path, tmp_path):

@@ -122,11 +122,9 @@ class TestMovingAverageReplay:
                             (11, lane))
         assert np.array_equal(self.replay(spec, self.GRID, rec), rec.A)
 
-    @pytest.mark.parametrize("heun", [True, False])
-    def test_simulate_noiseless(self, heun):
+    def test_simulate_noiseless(self):
         spec = self.spec()
-        rec = simulate_noiseless(spec, self.GRID, constant_control(0.05),
-                                 heun=heun)
+        rec = simulate_noiseless(spec, self.GRID, constant_control(0.05))
         assert np.array_equal(self.replay(spec, self.GRID, rec), rec.A)
 
 
@@ -697,17 +695,15 @@ class TestNoiselessLanes:
         return (make_ex35_problem(Example35Params(), u_hi=1e12),
                 Example35Params(), ex35_feedback, [2.5, 3.192668142, 3.5])
 
-    @pytest.mark.parametrize("heun", [True, False])
     @pytest.mark.parametrize("name", ["3.4", "3.5"])
-    def test_lanes_match_scalar_runs(self, name, heun):
+    def test_lanes_match_scalar_runs(self, name):
         spec, params, feedback, p0s = self.example(name)
         grid = make_grid(1.0, 0.05, 30.0)
         lanes = simulate_noiseless(spec, grid, feedback(params, p0s),
-                                   heun=heun, lanes=len(p0s))
+                                   lanes=len(p0s))
         assert lanes.X.shape == lanes.A.shape == (len(p0s), grid.n + 1)
         for i, p0 in enumerate(p0s):
-            one = simulate_noiseless(spec, grid, feedback(params, p0),
-                                     heun=heun)
+            one = simulate_noiseless(spec, grid, feedback(params, p0))
             for key in ("X", "Y", "A", "u"):
                 assert np.array_equal(getattr(lanes, key)[i],
                                       getattr(one, key)), (key, i)
@@ -746,6 +742,29 @@ class TestDynamics:
                                  ex34_feedback(params, p0))
         exact = ex34_state(params, grid.times, p0)
         assert np.max(np.abs(rec.X - exact)) < 5e-7
+
+    def test_convergence_orders(self, ex34_det_spec):
+        """Observed orders of the max error on [0, 10] as dt halves:
+        Heun (simulate_noiseless) is second order, the engine at
+        sigma = 0 (Euler) first order."""
+        from delayctrl.examples import (Example34Params, ex34_feedback,
+                                        ex34_p0_star, ex34_state)
+        params = Example34Params(sigma0=0.0)
+        p0 = ex34_p0_star(params)
+        control = ex34_feedback(params, p0)
+        errors = {"heun": [], "engine": []}
+        for dt in (0.04, 0.02, 0.01, 0.005):
+            grid = make_grid(1.0, dt, 10.0)
+            exact = ex34_state(params, grid.times, p0)
+            heun = simulate_noiseless(ex34_det_spec, grid, control).X
+            engine = simulate_ensemble(ex34_det_spec, grid, control, 1, 0,
+                                       record=True).arrays["X"][0]
+            errors["heun"].append(np.max(np.abs(heun - exact)))
+            errors["engine"].append(np.max(np.abs(engine - exact)))
+        for name, order in (("heun", 2.0), ("engine", 1.0)):
+            observed = np.log2(np.divide(errors[name][:-1], errors[name][1:]))
+            np.testing.assert_allclose(observed, order, atol=0.1,
+                                       err_msg=name)
 
     def test_brownian_increments_have_unit_variance_scale(self, ex34_spec,
                                                           ex34_control):

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module,
+and every private module-level name is read somewhere in the package.
 
-The package ``__init__`` re-exports names on purpose and is exempt."""
+The package ``__init__`` re-exports names on purpose and is exempt from
+the import check."""
 
 import ast
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "delayctrl"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -36,3 +39,49 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each underscore-prefixed module-level
+    function, class or constant that no module of ``sources`` (module
+    name -> source text) reads: as a loaded name, an attribute or an
+    imported name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, node.lineno, name) for name in names
+                        if _private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_detects_an_unread_private_name():
+    sources = {
+        "a": "_USED = 1\n_UNUSED = 2\ndef _f():\n    return _USED\n"
+             "class _C:\n    pass\n__all__ = []\n",
+        "b": "from a import _C\n",
+    }
+    assert unread_private_names(sources) == [("a", 2, "_UNUSED"),
+                                             ("a", 3, "_f")]
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert unread_private_names(sources) == []

@@ -190,7 +190,3 @@ class TestPartials:
         d = finite_difference_partial(fn, "x")
         assert d(0.0, x, 0.0, 0.0, u) == pytest.approx(np.cos(x) * u,
                                                        rel=1e-5, abs=1e-7)
-
-    def test_clip_control(self, ex34_spec):
-        assert ex34_spec.clip_control(-1.0) == 0.0
-        assert ex34_spec.clip_control(999.0) == 50.0

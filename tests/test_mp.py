@@ -330,6 +330,25 @@ class TestNecessary:
         with pytest.raises(BadWindow, match=r"dt=0\.05"):
             necessary_residual(spec, grid, ctl, mc)
 
+    @pytest.mark.parametrize("window", [(7.0, 1.0), (-3.0, 1.0),
+                                        (2.5, 1.0)])
+    def test_window_outside_horizon_refused(self, setup, window,
+                                            monkeypatch):
+        """The truncated objective cannot see a bump past T (nor one before
+        0), so such a window is refused before anything is simulated."""
+        import delayctrl.mp as mp
+
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 3.0)
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before refusing the window")
+
+        monkeypatch.setattr(mp, "simulate_ensemble", no_simulation)
+        mc = dict(adjoint=adj, n_paths=16, bump_windows=[(1.0, 0.5), window])
+        with pytest.raises(BadWindow, match=r"not contained in \[0, 3\.0\]"):
+            necessary_residual(spec, grid, ctl, mc)
+
     def test_window_of_one_step_accepted(self, setup):
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.05, 3.0)
