@@ -31,9 +31,10 @@ from .adjoint import (prepare_first_adjoint, solve_first_adjoint,
 from .errors import (BadInterval, BadWeight, BadWindow, ConfigError,
                      DelayCtrlError, GridMismatch, NoConvergence)
 from .examples import (Example34Params, Example35Params, ex34_adjoint,
-                       ex34_feedback, ex34_objective, ex34_p0_star,
-                       ex34_state, ex35_adjoint, ex35_alpha_residual,
-                       ex35_feedback, ex35_K, ex35_matched_alpha)
+                       ex34_control, ex34_feedback, ex34_objective,
+                       ex34_p0_star, ex34_state, ex35_adjoint,
+                       ex35_alpha_residual, ex35_feedback, ex35_K,
+                       ex35_matched_alpha, example_params)
 from .forward import constant_control, simulate_ensemble, table_control
 from .model import build_problem, make_grid, require_key
 from .mp import check_sufficient_first, check_sufficient_second, necessary_residual
@@ -77,6 +78,8 @@ def _apply_overrides(cfg: dict, args) -> dict:
         mc["n_paths"] = args.paths
     if args.threads is not None:
         mc["threads"] = args.threads
+    if getattr(args, "weight_lambda", None) is not None:
+        cfg.setdefault("solver", {})["weight_lambda"] = args.weight_lambda
     return cfg
 
 
@@ -95,46 +98,10 @@ def _mc_settings(cfg):
             int(mc.get("threads", 1)))
 
 
-def _example_params(cfg):
-    """The selector's closed-form parameters from the keys the config
-    sets, dataclass defaults for the rest.  ``rho`` falls back to
-    problem.rho; ``delta`` and ``lambda_avg`` come from the problem
-    section, ``lambda_avg`` falling back to problem.rho."""
-    prob = cfg.get("problem", {})
-    cls = {"example_3_4": Example34Params,
-           "example_3_5": Example35Params}.get(prob.get("selector"))
-    if cls is None:
-        return None
-    given = {key: prob[key] for key in ("rho", "delta") if key in prob}
-    given["lambda_avg"] = prob.get("lambda_avg", prob.get("rho"))
-    given.update((key, value) for key, value in prob.get("params", {}).items()
-                 if key not in ("delta", "lambda_avg"))
-    names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{key: float(value) for key, value in given.items()
-                  if key in names and value is not None})
-
-
-def _closed_form_bits(cfg):
-    """(control, p_fn) for the built-in benchmark selectors."""
-    selector = cfg.get("problem", {}).get("selector")
-    params = _example_params(cfg)
-    p0_cfg = cfg.get("control", {}).get("p0")
-    if selector == "example_3_4":
-        p0 = float(p0_cfg) if p0_cfg is not None else ex34_p0_star(params)
-        return (ex34_feedback(params, p0),
-                lambda t, x, y, a: ex34_adjoint(params, t, p0))
-    if selector == "example_3_5":
-        p0 = (float(p0_cfg) if p0_cfg is not None
-              else ex35_K(params, cfg.get("search")))
-        return (ex35_feedback(params, p0),
-                lambda t, x, y, a: ex35_adjoint(params, t, p0))
-    raise ConfigError(
-        f"no closed-form control for selector {selector!r}")
-
-
-def _resolve_control(cfg, spec, grid, override=None):
-    """Control from the config's ``control`` section or a CLI override of
-    the form closed_form | constant:V | file:PATH."""
+def _resolve_control(cfg, grid, override=None):
+    """(control, adjoint) from the config's ``control`` section or a CLI
+    override of the form closed_form | constant:V | file:PATH; the
+    adjoint is the closed form's p_fn, None for any other kind."""
     ctl = dict(cfg.get("control", {}))
     if override:
         if override == "closed_form":
@@ -147,10 +114,20 @@ def _resolve_control(cfg, spec, grid, override=None):
             raise ConfigError(f"unknown control specifier {override!r}")
     kind = ctl.get("kind", "closed_form")
     if kind == "closed_form":
-        control, _ = _closed_form_bits(cfg)
-        return control
+        params = example_params(cfg)
+        p0 = ctl.get("p0")
+        if isinstance(params, Example34Params):
+            p0 = ex34_p0_star(params) if p0 is None else float(p0)
+            return (ex34_feedback(params, p0),
+                    lambda t, x, y, a: ex34_adjoint(params, t, p0))
+        if isinstance(params, Example35Params):
+            p0 = ex35_K(params, cfg.get("search")) if p0 is None else float(p0)
+            return (ex35_feedback(params, p0),
+                    lambda t, x, y, a: ex35_adjoint(params, t, p0))
+        selector = cfg.get("problem", {}).get("selector")
+        raise ConfigError(f"no closed-form control for selector {selector!r}")
     if kind == "constant":
-        return constant_control(float(ctl.get("value", 0.0)))
+        return constant_control(float(ctl.get("value", 0.0))), None
     if kind == "file":
         path = require_key(ctl, "control", "path")
         try:
@@ -163,7 +140,7 @@ def _resolve_control(cfg, spec, grid, override=None):
         if len(table) < grid.n + 1:
             raise ConfigError(
                 f"control table has {len(table)} rows, grid needs {grid.n + 1}")
-        return table_control(table[: grid.n + 1])
+        return table_control(table[: grid.n + 1]), None
     raise ConfigError(f"unknown control kind {kind!r}")
 
 
@@ -276,7 +253,7 @@ def cmd_simulate(args):
     run = _Run(args, "simulate")
     spec, grid = _build(run.cfg)
     n_paths, seed, threads = _mc_settings(run.cfg)
-    control = _resolve_control(run.cfg, spec, grid, args.control)
+    control, _ = _resolve_control(run.cfg, grid, args.control)
     res = simulate_ensemble(spec, grid, control, n_paths, seed,
                             record=True, threads=threads)
     for i, rec in enumerate(res.records):
@@ -291,7 +268,7 @@ def cmd_objective(args):
     run = _Run(args, "objective")
     spec, grid = _build(run.cfg)
     n_paths, seed, threads = _mc_settings(run.cfg)
-    control = _resolve_control(run.cfg, spec, grid, args.control)
+    control, _ = _resolve_control(run.cfg, grid, args.control)
     est = estimate_J(spec, grid, control, n_paths, seed, threads=threads)
     run.write_json("objective.json", {
         "mean": est.mean, "stderr": est.stderr, "n_paths": est.n_paths,
@@ -307,10 +284,8 @@ def cmd_objective(args):
 def cmd_adjoint(args):
     run = _Run(args, "adjoint")
     spec, grid = _build(run.cfg)
-    solver_cfg = dict(run.cfg.get("solver", {}))
-    if args.weight_lambda is not None:
-        solver_cfg["weight_lambda"] = args.weight_lambda
-    control = _resolve_control(run.cfg, spec, grid, args.control)
+    solver_cfg = run.cfg.get("solver", {})
+    control, _ = _resolve_control(run.cfg, grid, args.control)
 
     if args.system == "second":
         result = solve_second_adjoint(spec, grid, control, solver_cfg)
@@ -344,16 +319,12 @@ def cmd_check(args):
     run = _Run(args, "check")
     spec, grid = _build(run.cfg)
     n_paths, seed, threads = _mc_settings(run.cfg)
-    candidate = _resolve_control(run.cfg, spec, grid, args.control)
+    candidate, p_fn = _resolve_control(run.cfg, grid, args.control)
     mc_cfg = dict(run.cfg.get("mc", {}))
     mc_cfg.update({"n_paths": n_paths, "seed": seed, "threads": threads})
 
     if args.principle in ("sufficient1", "necessary"):
-        ctl_kind = (args.control or run.cfg.get("control", {})
-                    .get("kind", "closed_form"))
-        if ctl_kind == "closed_form":
-            _, p_fn = _closed_form_bits(run.cfg)
-        else:
+        if p_fn is None:
             # solve the candidate's adjoint and interpolate it in time
             # (the ensemble mean in regression mode)
             triple, _ = _solve_first(run, spec, grid, candidate,
@@ -395,7 +366,7 @@ def cmd_check(args):
 def cmd_example34(args):
     run = _Run(args, "example34")
     spec, grid = _build(run.cfg)
-    params = _example_params(run.cfg)
+    params = example_params(run.cfg)
     if not isinstance(params, Example34Params):
         raise ConfigError("example34 requires selector example_3_4")
     p0 = ex34_p0_star(params)
@@ -405,8 +376,7 @@ def cmd_example34(args):
         for k in range(grid.n + 1):
             x = ex34_state(params, ts[k], p0)
             p1 = ex34_adjoint(params, ts[k], p0)
-            u = (p0 ** (1.0 / (params.gamma - 1.0)) / x
-                 * np.exp((params.rho - params.mu) * ts[k] / (params.gamma - 1.0)))
+            u = ex34_control(params, ts[k], x, p0)
             fh.write(",".join(_fmt(v) for v in (ts[k], p1, x, u)) + "\n")
     run.write_json("example34.json", {
         "p0_star": p0, "objective": ex34_objective(params, p0)})
@@ -418,7 +388,7 @@ def cmd_example34(args):
 def cmd_example35(args):
     run = _Run(args, "example35")
     spec, grid = _build(run.cfg)
-    params = _example_params(run.cfg)
+    params = example_params(run.cfg)
     if not isinstance(params, Example35Params):
         raise ConfigError("example35 requires selector example_3_5")
     K = ex35_K(params, run.cfg.get("search"))
@@ -442,10 +412,8 @@ def cmd_example35(args):
 def cmd_picard_diagnostics(args):
     run = _Run(args, "picard-diagnostics")
     spec, grid = _build(run.cfg)
-    solver_cfg = dict(run.cfg.get("solver", {}))
-    if args.weight_lambda is not None:
-        solver_cfg["weight_lambda"] = args.weight_lambda
-    control = _resolve_control(run.cfg, spec, grid, args.control)
+    solver_cfg = run.cfg.get("solver", {})
+    control, _ = _resolve_control(run.cfg, grid, args.control)
     driver, options = prepare_first_adjoint(
         spec, grid, control, solver_cfg=solver_cfg,
         ensemble=_reference_ensemble(run, spec, grid, control, solver_cfg))
@@ -492,7 +460,7 @@ def cmd_sweep(args):
     run = _Run(args, "sweep")
     name = args.param
     keys = _SWEEP_SHORTHAND.get(name, tuple(name.split(".")))
-    if keys[0] not in ("problem", "grid", "mc", "solver", "jump", "control"):
+    if keys[0] not in ("problem", "grid", "mc", "solver", "control"):
         print(f"sweep: unknown parameter {name!r}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -510,12 +478,12 @@ def cmd_sweep(args):
         cfg = copy.deepcopy(run.cfg)
         cast = int(value) if keys[-1] in ("seed", "n_paths", "threads") else value
         _set_path(cfg, list(keys), cast)
-        # coefficients_ex34 and _ex35 read problem.params.rho before problem.rho
+        # the example parameters read problem.params.rho before problem.rho
         if name == "rho" and "rho" in cfg["problem"].get("params", {}):
             cfg["problem"]["params"]["rho"] = cast
         spec, grid = _build(cfg)
         n_paths, seed, threads = _mc_settings(cfg)
-        control = _resolve_control(cfg, spec, grid, args.control)
+        control, _ = _resolve_control(cfg, grid, args.control)
         est = estimate_J(spec, grid, control, n_paths, seed, threads=threads)
         rows.append((value, est))
 

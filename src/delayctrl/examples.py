@@ -16,19 +16,23 @@ optimality checks:
   has the same consumption structure with decay mu + e^{rho delta} beta.
 
 This module also provides the coefficient-set builders behind the
-configuration selectors.
+configuration selectors, and ``example_params``, the one reader of an
+example selector's parameters: the simulated coefficients and the closed
+forms are built from the same dataclass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DivergentIntegral, DomainError, NoSignChange
+from .errors import ConfigError, DivergentIntegral, DomainError, NoSignChange
 from .forward import ControlSpec, feedback_control, simulate_noiseless
-from .model import CoefficientSet, ProblemSpec, make_grid
+from .model import (CoefficientSet, ProblemSpec, constant_segment, make_grid,
+                    problem_rates)
 
 # bisection levels of the ex35_K search integrated as lanes of one
 # noiseless pass (2^L - 1 lanes); chosen by timing the search
@@ -45,9 +49,9 @@ class Example34Params:
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie strictly inside (0, 1)")
+            raise ConfigError("gamma must lie strictly inside (0, 1)")
         if self.rho <= 0:
-            raise ValueError("rho must be positive")
+            raise ConfigError("rho must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,9 +68,9 @@ class Example35Params:
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie strictly inside (0, 1)")
+            raise ConfigError("gamma must lie strictly inside (0, 1)")
         if self.rho <= 0 or self.delta <= 0:
-            raise ValueError("rho and delta must be positive")
+            raise ConfigError("rho and delta must be positive")
         if self.alpha is None:
             object.__setattr__(self, "alpha", ex35_matched_alpha(self))
 
@@ -298,12 +302,8 @@ def _power(base, expo):
         return np.asarray(base, float) ** expo
 
 
-def coefficients_ex34(params: dict, *, rho, delta, lambda_avg, discount):
-    p = dict(params)
-    gamma = float(p.get("gamma", 0.5))
-    mu = float(p.get("mu", 0.05))
-    sigma0 = float(p.get("sigma0", 0.0))
-    rr = float(p.get("rho", rho))
+def coefficients_ex34(params: Example34Params) -> CoefficientSet:
+    gamma, mu, rr, sigma0 = params.gamma, params.mu, params.rho, params.sigma0
 
     def b(t, x, y, a, u):
         return mu * x - u * x
@@ -325,19 +325,12 @@ def coefficients_ex34(params: dict, *, rho, delta, lambda_avg, discount):
               "y": zero, "a": zero,
               "u": lambda t, x, y, a, u: np.exp(-rr * t) * _power(u, gamma - 1.0) * _power(x, gamma)},
     }
-    coeffs = CoefficientSet(b=b, sigma=sigma, theta=None, f=f, partials=partials)
-    return coeffs, {"selector": "example_3_4"}
+    return CoefficientSet(b=b, sigma=sigma, theta=None, f=f, partials=partials)
 
 
-def coefficients_ex35(params: dict, *, rho, delta, lambda_avg, discount):
-    p = dict(params)
-    gamma = float(p.get("gamma", 0.5))
-    mu = float(p.get("mu", 0.05))
-    beta = float(p.get("beta", 0.05))
-    rr = float(p.get("rho", rho))
-    edb = float(np.exp(rr * delta) * beta)
-    alpha = float(p.get("alpha", edb * (mu + lambda_avg + edb)))
-    sigma0 = float(p.get("sigma0", 0.0))
+def coefficients_ex35(params: Example35Params) -> CoefficientSet:
+    gamma, mu, rr, sigma0 = params.gamma, params.mu, params.rho, params.sigma0
+    alpha, beta, edb = params.alpha, params.beta, params.edb
 
     def W(x, y):
         return np.asarray(x, float) + np.asarray(y, float) * edb
@@ -370,19 +363,10 @@ def coefficients_ex35(params: dict, *, rho, delta, lambda_avg, discount):
               "a": zero,
               "u": lambda t, x, y, a, u: np.exp(-rr * t) * _power(u, gamma - 1.0) * _power(W(x, y), gamma)},
     }
-    coeffs = CoefficientSet(b=b, sigma=sigma, theta=None, f=f, partials=partials)
-    residual = alpha - edb * (mu + lambda_avg + edb)
-    flags = {
-        "selector": "example_3_5",
-        "alpha_constraint_violated": bool(abs(residual) > 1e-10 * max(1.0, abs(alpha))),
-        "alpha_residual": residual,
-    }
-    return coeffs, flags
+    return CoefficientSet(b=b, sigma=sigma, theta=None, f=f, partials=partials)
 
 
-def coefficients_linear_quadratic(params: dict, *, rho, delta, lambda_avg,
-                                  discount):
-    p = dict(params)
+def coefficients_linear_quadratic(p: dict, discount: float) -> CoefficientSet:
     kx = float(p.get("kx", -0.2))
     ky = float(p.get("ky", 0.1))
     ka = float(p.get("ka", 0.05))
@@ -412,16 +396,14 @@ def coefficients_linear_quadratic(params: dict, *, rho, delta, lambda_avg,
               "y": zero, "a": zero,
               "u": lambda t, x, y, a, u: np.exp(-disc * t) * (2 * cu * u + cl)},
     }
-    coeffs = CoefficientSet(b=b, sigma=sigma, theta=None, f=f, partials=partials)
-    return coeffs, {"selector": "linear_quadratic"}
+    return CoefficientSet(b=b, sigma=sigma, theta=None, f=f, partials=partials)
 
 
-def coefficients_polynomial(params: dict, *, rho, delta, lambda_avg, discount):
+def coefficients_polynomial(p: dict) -> CoefficientSet:
     """Coefficients as sums of monomials c * x^i y^j a^k u^l; each of
     b / sigma / f is a list of [c, i, j, k, l] terms, optionally with a
     discount factor e^{-rate t} applied to f.  Partials fall back to
     central finite differences."""
-    p = dict(params)
 
     def poly(terms):
         terms = [tuple(term) for term in terms]
@@ -445,50 +427,54 @@ def coefficients_polynomial(params: dict, *, rho, delta, lambda_avg, discount):
     def f(t, x, y, a, u):
         return np.exp(-f_rate * t) * f_poly(t, x, y, a, u)
 
-    coeffs = CoefficientSet(b=b, sigma=sigma, theta=None, f=f, partials={})
-    return coeffs, {"selector": "custom_polynomial"}
+    return CoefficientSet(b=b, sigma=sigma, theta=None, f=f, partials={})
 
 
-def coefficients_zero(params: dict, *, rho, delta, lambda_avg, discount):
+def coefficients_zero() -> CoefficientSet:
     zero = lambda t, x, y, a, u: np.zeros_like(np.asarray(x, float))
-    zfun = lambda t, x, y, a, u: np.zeros_like(np.asarray(x, float))
     partials = {name: {v: zero for v in ("x", "y", "a", "u")}
                 for name in ("b", "sigma", "f")}
-    coeffs = CoefficientSet(b=zfun, sigma=zfun, theta=None, f=zfun,
-                            partials=partials)
-    return coeffs, {"selector": "zero"}
+    return CoefficientSet(b=zero, sigma=zero, theta=None, f=zero,
+                          partials=partials)
 
 
 # ---------------------------------------------------------------------------
 # Problem-spec conveniences
 # ---------------------------------------------------------------------------
 
+def example_params(raw_config: dict):
+    """The closed-form parameters of an example selector's config, or
+    None for any other selector: the keys ``problem.params`` sets, the
+    dataclass defaults for the rest.  ``rho`` falls back to problem.rho;
+    ``delta`` and ``lambda_avg`` are the problem section's resolved values
+    (``model.problem_rates``), whatever ``params`` says."""
+    prob = raw_config.get("problem", {})
+    cls = {"example_3_4": Example34Params,
+           "example_3_5": Example35Params}.get(prob.get("selector"))
+    if cls is None:
+        return None
+    delta, rho, lambda_avg, _ = problem_rates(prob)
+    given = {"rho": rho, **prob.get("params", {}),
+             "delta": delta, "lambda_avg": lambda_avg}
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{key: float(value) for key, value in given.items()
+                  if key in names and value is not None})
+
+
 def make_ex34_problem(params: Example34Params, delta: float = 1.0,
                       u_hi: float = 1.0) -> ProblemSpec:
     """Full ProblemSpec for the no-delay benchmark (delta only affects the
     bookkeeping; the coefficients ignore y and a)."""
-    coeffs, flags = coefficients_ex34(
-        {"gamma": params.gamma, "mu": params.mu, "rho": params.rho,
-         "sigma0": params.sigma0},
-        rho=params.rho, delta=delta, lambda_avg=params.rho,
-        discount=params.rho)
-    x0 = params.X0
     return ProblemSpec(
         delta=delta, rho=params.rho, lambda_avg=params.rho,
-        discount=params.rho, coeffs=coeffs, control_lo=0.0, control_hi=u_hi,
-        initial_segment=lambda s: np.full_like(np.asarray(s, float), x0),
-        jump=None, flags=flags)
+        discount=params.rho, coeffs=coefficients_ex34(params),
+        control_lo=0.0, control_hi=u_hi,
+        initial_segment=constant_segment(params.X0))
 
 
 def make_ex35_problem(params: Example35Params, u_hi: float = 1.0) -> ProblemSpec:
-    coeffs, flags = coefficients_ex35(
-        {"gamma": params.gamma, "mu": params.mu, "beta": params.beta,
-         "alpha": params.alpha, "rho": params.rho, "sigma0": params.sigma0},
-        rho=params.rho, delta=params.delta, lambda_avg=params.lambda_avg,
-        discount=params.rho)
-    x0 = params.X0
     return ProblemSpec(
         delta=params.delta, rho=params.rho, lambda_avg=params.lambda_avg,
-        discount=params.rho, coeffs=coeffs, control_lo=0.0, control_hi=u_hi,
-        initial_segment=lambda s: np.full_like(np.asarray(s, float), x0),
-        jump=None, flags=flags)
+        discount=params.rho, coeffs=coefficients_ex35(params),
+        control_lo=0.0, control_hi=u_hi,
+        initial_segment=constant_segment(params.X0))

@@ -230,7 +230,6 @@ class ProblemSpec:
     initial_segment: Callable[[np.ndarray], np.ndarray]
     lambda_avg: float = None  # defaults to rho
     jump: Optional[JumpModel] = None
-    flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -278,13 +277,17 @@ def require_key(section: dict, name: str, key: str):
     return section[key]
 
 
+def constant_segment(value: float) -> Callable:
+    """The initial segment X(s) = value on [-delta, 0]."""
+    return lambda s: np.full_like(np.asarray(s, float), value)
+
+
 def _segment_from_config(cfg) -> Callable:
     if callable(cfg):
         return cfg
     kind = cfg.get("kind", "constant")
     if kind == "constant":
-        c = float(require_key(cfg, "initial_segment", "value"))
-        return lambda s: np.full_like(np.asarray(s, float), c)
+        return constant_segment(float(require_key(cfg, "initial_segment", "value")))
     if kind == "linear":
         # X0(s) = value + slope * s on [-delta, 0]
         c = float(require_key(cfg, "initial_segment", "value"))
@@ -293,30 +296,27 @@ def _segment_from_config(cfg) -> Callable:
     raise ConfigError(f"unknown initial segment kind {kind!r}")
 
 
-def _jump_from_config(cfg) -> Optional[JumpModel]:
-    if cfg is None:
-        return None
-    if isinstance(cfg, JumpModel):
-        return cfg
-    marks_cfg = require_key(cfg, "jump", "marks")
-    kind = marks_cfg.get("kind", "discrete")
-    if kind != "discrete":
-        raise ConfigError("config files support discrete mark distributions")
-    marks = DiscreteMarks(
-        values=np.asarray(require_key(marks_cfg, "jump.marks", "values"), float),
-        probs=np.asarray(require_key(marks_cfg, "jump.marks", "probs"), float),
-    )
-    return JumpModel(intensity=float(require_key(cfg, "jump", "intensity")),
-                     marks=marks)
+def problem_rates(prob: dict) -> tuple:
+    """(delta, rho, lambda_avg, discount) of a ``problem`` section.
+    delta defaults to 1; rho falls back to params.rho, then to 0.1; the
+    averaging decay lambda_avg and the discount fall back to rho."""
+    rho = float(prob.get("rho", prob.get("params", {}).get("rho", 0.1)))
+    lambda_avg = prob.get("lambda_avg")
+    return (float(prob.get("delta", 1.0)), rho,
+            rho if lambda_avg is None else float(lambda_avg),
+            float(prob.get("discount", rho)))
 
 
 def build_problem(raw_config: dict) -> ProblemSpec:
     """Build and validate a ProblemSpec from a parsed configuration record.
 
-    The record follows the documented schema with sections ``problem`` and
-    (optionally) ``jump``.  Selector-specific parameters live under
-    ``problem.params``; built-in selectors are ``example_3_4``,
-    ``example_3_5``, ``linear_quadratic`` and ``custom_polynomial``.
+    The record follows the documented schema with a ``problem`` section.
+    Selector-specific parameters live under ``problem.params``; built-in
+    selectors are ``example_3_4``, ``example_3_5``, ``linear_quadratic``,
+    ``custom_polynomial`` and ``zero``.  An example selector's closed-form
+    parameters (``examples.example_params``) build its coefficients and
+    its constant initial segment X0.  Jump models are built in code: a
+    ``jump`` section is refused, since no selector supplies theta.
     Deterministic: identical config content yields identical specs.
     """
     from . import examples  # deferred: examples imports model types
@@ -325,14 +325,15 @@ def build_problem(raw_config: dict) -> ProblemSpec:
         prob = raw_config["problem"]
     except KeyError as exc:
         raise ConfigError("config missing 'problem' section") from exc
+    if "jump" in raw_config:
+        raise ConfigError(
+            "config files cannot set a 'jump' section: no selector supplies "
+            "a jump amplitude theta; build jump models in code "
+            "(ProblemSpec(jump=...))")
 
     selector = prob.get("selector")
-    params = dict(prob.get("params", {}))
-    delta = float(prob.get("delta", 1.0))
-    rho = float(prob.get("rho", params.get("rho", 0.1)))
-    lambda_avg = prob.get("lambda_avg")
-    lambda_avg = float(lambda_avg) if lambda_avg is not None else None
-    discount = float(prob.get("discount", rho))
+    params = prob.get("params", {})
+    delta, rho, lambda_avg, discount = problem_rates(prob)
     bounds = prob.get("control_bounds", [0.0, 1.0])
     if len(bounds) != 2:
         raise ConfigError("control_bounds must be [u_lo, u_hi]")
@@ -340,23 +341,26 @@ def build_problem(raw_config: dict) -> ProblemSpec:
     if u_lo > u_hi:
         raise BadInterval(f"u_lo={u_lo} exceeds u_hi={u_hi}")
 
-    flags = {}
-    builders = {
-        "example_3_4": examples.coefficients_ex34,
-        "example_3_5": examples.coefficients_ex35,
-        "linear_quadratic": examples.coefficients_linear_quadratic,
-        "custom_polynomial": examples.coefficients_polynomial,
-        "zero": examples.coefficients_zero,
-    }
-    if selector not in builders:
+    example = examples.example_params(raw_config)
+    if selector == "example_3_4":
+        coeffs = examples.coefficients_ex34(example)
+    elif selector == "example_3_5":
+        coeffs = examples.coefficients_ex35(example)
+    elif selector == "linear_quadratic":
+        coeffs = examples.coefficients_linear_quadratic(params, discount)
+    elif selector == "custom_polynomial":
+        coeffs = examples.coefficients_polynomial(params)
+    elif selector == "zero":
+        coeffs = examples.coefficients_zero()
+    else:
         raise ConfigError(f"unknown coefficient selector {selector!r}")
-    coeffs, builder_flags = builders[selector](
-        params, rho=rho, delta=delta, lambda_avg=lambda_avg or rho,
-        discount=discount,
-    )
-    flags.update(builder_flags)
 
-    segment_cfg = prob.get("initial_segment", {"kind": "constant", "value": 1.0})
+    x0 = 1.0 if example is None else example.X0
+    segment = _segment_from_config(prob.get("initial_segment", {"value": x0}))
+    if example is not None and np.any(segment(np.array([-delta, 0.0])) != x0):
+        raise ConfigError(
+            f"selector {selector!r} starts from the constant segment "
+            f"params.X0 = {x0!r}; the configured initial_segment differs")
     spec = ProblemSpec(
         delta=delta,
         rho=rho,
@@ -365,9 +369,7 @@ def build_problem(raw_config: dict) -> ProblemSpec:
         coeffs=coeffs,
         control_lo=u_lo,
         control_hi=u_hi,
-        initial_segment=_segment_from_config(segment_cfg),
-        jump=_jump_from_config(raw_config.get("jump")),
-        flags=flags,
+        initial_segment=segment,
     )
 
     grid_cfg = raw_config.get("grid")

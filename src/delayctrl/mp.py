@@ -31,7 +31,9 @@ recorded, only their states at the ladder steps are kept.
 
 The information structure E_t is either ``full`` (E_t = F_t, conditional
 estimates reduce to plain path averages) or ``("lagged", D)`` (condition
-on the state observed at t - D via least-squares regression).
+on the state observed at t - D via least-squares regression); a JSON
+config gives the pair as the list ``["lagged", D]``, and any other value
+is refused with ConfigError.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from .absde import monomial_basis
 from .adjoint import SecondAdjointResult, p3_flatness
-from .errors import AdjointMissing, BadWindow, NonFinite
+from .errors import AdjointMissing, BadWindow, ConfigError, NonFinite
 from .forward import (ControlSpec, StepAccumulator, bump_control,
                       bump_start_step, feedback_control, simulate_ensemble)
 from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
@@ -196,13 +198,26 @@ def _gateaux_terms(spec, grid, shifted, n_paths, seed, threads, resume=None):
     return reward, x_T * alive
 
 
-def _conditional_residual(values, e_t, lag_state=None, degree: int = 2):
+def _lag_steps(e_t, grid: TimeGrid) -> int:
+    """Grid steps of the information lag: 0 for ``"full"``, D / dt for
+    ``("lagged", D)`` (a list, as JSON gives it, or a tuple), D >= 0."""
+    if e_t == "full":
+        return 0
+    if (isinstance(e_t, (list, tuple)) and len(e_t) == 2
+            and e_t[0] == "lagged" and isinstance(e_t[1], (int, float))
+            and e_t[1] >= 0):
+        return int(round(e_t[1] / grid.dt))
+    raise ConfigError(
+        f"e_t must be \"full\" or [\"lagged\", D] with D >= 0, got {e_t!r}")
+
+
+def _conditional_residual(values, lag_state=None, degree: int = 2):
     """Summary of E[values | E_t] with the standard error of the plain
-    mean: the plain mean under full information; under lagged
-    information, the signed value of largest magnitude among the per-path
-    regression projections."""
+    mean: the plain mean under full information (no ``lag_state``);
+    under lagged information, the signed value of largest magnitude among
+    the per-path regression projections on the lagged state."""
     mean, stderr = mean_stderr(values)
-    if e_t == "full" or lag_state is None:
+    if lag_state is None:
         return mean, stderr
     M = monomial_basis(*lag_state, degree)
     coef, *_ = np.linalg.lstsq(M, values, rcond=None)
@@ -416,11 +431,7 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     adjoint = mc_cfg.get("adjoint")
     if adjoint is None:
         raise AdjointMissing("necessary_residual needs mc_cfg['adjoint']")
-    e_t = mc_cfg.get("e_t", "full")
-    lag_steps = 0
-    if isinstance(e_t, tuple):
-        lag_steps = int(round(e_t[1] / grid.dt))
-        e_t = "lagged"
+    lag_steps = _lag_steps(mc_cfg.get("e_t", "full"), grid)
     windows = mc_cfg.get("bump_windows")
     if windows is None:
         T = grid.horizon
@@ -464,7 +475,7 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
             kl = k - lag_steps
             lag = (S["X"][ok, kl], S["Y"][ok, kl], S["A"][ok, kl])
         resid[i], rse[i] = _conditional_residual(
-            g[ok], e_t, lag, int(mc_cfg.get("basis_degree", 2)))
+            g[ok], lag, int(mc_cfg.get("basis_degree", 2)))
         # boundary statistics over in-domain paths only
         u_ok = u[ok]
         on_bound = ((u_ok <= spec.control_lo + tol_b)

@@ -95,7 +95,7 @@ def make_jump_spec(intensity: float = 0.5):
         delta=0.5, rho=0.1, lambda_avg=0.1, discount=0.1, coeffs=coeffs,
         control_lo=0.0, control_hi=1.0,
         initial_segment=lambda s: np.full_like(np.asarray(s, float), 1.0),
-        jump=jump, flags={})
+        jump=jump)
 
 
 @pytest.fixture(scope="session")

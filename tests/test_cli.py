@@ -3,6 +3,7 @@ formats, and override precedence."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from delayctrl.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
-    _example_params,
     main,
 )
-from delayctrl.examples import Example34Params, Example35Params
+from delayctrl import build_problem
+from delayctrl.errors import ConfigError
+from delayctrl.examples import (Example34Params, Example35Params,
+                                ex35_matched_alpha, example_params)
 
 BASE_CFG = {
     "problem": {
@@ -149,6 +152,23 @@ class TestAdjoint:
         np.testing.assert_allclose(data["p2"], 0.0, atol=1e-12)
 
 
+class TestWeightLambda:
+    @pytest.mark.parametrize("command, report", [
+        ("adjoint", "picard_report.json"),
+        ("picard-diagnostics", "picard_diagnostics.json")])
+    def test_flag_overrides_the_solver_section(self, tmp_path, command,
+                                               report):
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["solver"] = {"weight_lambda": 3.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(path), "--out-dir", str(out),
+                       "--weight-lambda", "2.5") == EXIT_OK
+        payload = json.loads((out / report).read_text())
+        assert payload["weight_lambda"] == 2.5
+
+
 class TestCheck:
     def test_necessary_passes(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -215,6 +235,33 @@ class TestCheck:
         assert code in (EXIT_OK, EXIT_FAIL)
         assert len(ensembles) == 1
         assert ensembles[0] is not None and len(ensembles[0]["X"]) == 32
+
+    def test_one_closed_form_search_per_check(self, tmp_path, monkeypatch):
+        """An Example 3.5 closed-form candidate without control.p0: the
+        control and the adjoint of the check come from one ex35_K search."""
+        import delayctrl.cli as cli
+
+        searches = []
+        search = cli.ex35_K
+
+        def spy(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ex35_K", spy)
+        cfg = {
+            "problem": {"selector": "example_3_5", "params": {"sigma0": 0.0},
+                        "delta": 1.0, "rho": 0.1, "control_bounds": [0.0, 1.0]},
+            "grid": {"dt": 0.05, "horizon": 3.0},
+            "mc": {"n_paths": 16, "seed": 3},
+            "search": {"T_search": 20.0, "dt": 0.1},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli("check", "--config", str(path), "--out-dir",
+                       str(tmp_path / "out"), "--principle", "necessary")
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE)
+        assert len(searches) == 1
 
     def test_window_narrower_than_a_step_is_a_usage_error(self, tmp_path,
                                                            capsys):
@@ -324,17 +371,66 @@ class TestExampleParams:
                 if key != "params"}
         full["selector"] = selector
         for problem in (bare, full):
-            assert _example_params({"problem": problem}) == cls()
+            assert example_params({"problem": problem}) == cls()
 
     def test_problem_section_fallbacks(self):
         problem = {"selector": "example_3_5", "rho": 0.2, "delta": 0.5,
                    "params": {"beta": 0.04, "delta": 9.0, "lambda_avg": 9.0}}
-        assert _example_params({"problem": problem}) == Example35Params(
+        assert example_params({"problem": problem}) == Example35Params(
             beta=0.04, rho=0.2, delta=0.5, lambda_avg=0.2)
         problem["lambda_avg"] = 0.3
         problem["params"]["rho"] = 0.15
-        assert _example_params({"problem": problem}) == Example35Params(
+        assert example_params({"problem": problem}) == Example35Params(
             beta=0.04, rho=0.15, delta=0.5, lambda_avg=0.3)
+
+
+    def test_decay_falls_back_to_the_simulated_rho(self):
+        """With params.rho and no problem.rho, the simulated drift and the
+        closed form share the averaging decay: the matched alpha is the
+        simulated b_y at u = 0."""
+        cfg = {"problem": {"selector": "example_3_5", "params": {"rho": 0.2}}}
+        spec = build_problem(cfg)
+        b_y = spec.coeffs.partial("b", "y")(0.0, 1.0, 1.0, 1.0, 0.0)
+        assert ex35_matched_alpha(example_params(cfg)) == float(b_y)
+
+    def test_invalid_parameter_is_a_config_error(self, tmp_path):
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["problem"]["params"]["gamma"] = 1.5
+        with pytest.raises(ConfigError, match="gamma"):
+            build_problem(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("objective", "--config", str(path), "--out-dir",
+                       str(tmp_path)) == EXIT_USAGE
+
+
+class TestInitialState:
+    def _config(self, tmp_path, x0, segment=None):
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["problem"]["params"]["X0"] = x0
+        del cfg["problem"]["initial_segment"]
+        if segment is not None:
+            cfg["problem"]["initial_segment"] = segment
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def test_params_x0_sets_the_segment(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", self._config(tmp_path, 2.0),
+                       "--out-dir", str(out), "--paths", "1") == EXIT_OK
+        data = np.genfromtxt(out / "path_00000.csv", delimiter=",",
+                             names=True)
+        assert data["X"][0] == 2.0
+
+    @pytest.mark.parametrize("segment", [
+        {"kind": "constant", "value": 1.0},
+        {"kind": "linear", "value": 2.0, "slope": 0.5}])
+    def test_segment_other_than_x0_refused(self, tmp_path, segment, capsys):
+        assert run_cli("simulate", "--config",
+                       self._config(tmp_path, 2.0, segment),
+                       "--out-dir", str(tmp_path), "--paths", "1") == EXIT_USAGE
+        assert "X0" in capsys.readouterr().err
 
 
 class TestPicardDiagnostics:
@@ -368,9 +464,15 @@ class TestPicardDiagnostics:
 
 
 class TestSweep:
-    def test_shorthand_parameter(self, cfg_path, tmp_path):
+    def test_shorthand_parameter(self, tmp_path):
+        # X0 sets the example's constant initial segment, so the config
+        # gives no segment of its own
+        cfg = json.loads(json.dumps(BASE_CFG))
+        del cfg["problem"]["initial_segment"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
-        assert run_cli("sweep", "--config", cfg_path, "--out-dir", str(out),
+        assert run_cli("sweep", "--config", str(path), "--out-dir", str(out),
                        "--param", "X0", "--values", "1.0,2.0",
                        "--paths", "8") == EXIT_OK
         rows = (out / "sweep.csv").read_text().splitlines()
@@ -467,3 +569,18 @@ class TestErrors:
     def test_unknown_control_override(self, cfg_path, tmp_path):
         assert run_cli("simulate", "--config", cfg_path, "--out-dir",
                        str(tmp_path), "--control", "wavelet:3") == EXIT_USAGE
+
+
+def test_readme_minimal_config(tmp_path):
+    """README's minimal config builds and runs as printed."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("A minimal config:", 1)[1]
+    cfg = json.loads(block.split("```json\n", 1)[1].split("```", 1)[0])
+    spec = build_problem(cfg)
+    assert spec.initial_segment(0.0) == 1.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli("objective", "--config", str(path), "--out-dir", str(out),
+                   "--paths", "16") == EXIT_OK
+    assert np.isfinite(json.loads((out / "objective.json").read_text())["mean"])

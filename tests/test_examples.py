@@ -198,8 +198,7 @@ class TestRecruitmentClosedForm:
 
 class TestCoefficientBundles:
     def test_ex34_partials_match_fd(self):
-        coeffs, _ = coefficients_ex34({}, rho=0.1, delta=1.0, lambda_avg=0.1,
-                                      discount=0.1)
+        coeffs = coefficients_ex34(Example34Params())
         t, x, y, a, u = 0.4, 1.3, 1.1, 0.9, 0.2
         for name in ("b", "f"):
             fn = coeffs.fn(name)
@@ -225,8 +224,7 @@ class TestCoefficientBundles:
         assert float(val) == pytest.approx(expected, rel=1e-12)
 
     def test_power_domain_guard(self):
-        coeffs, _ = coefficients_ex34({}, rho=0.1, delta=1.0, lambda_avg=0.1,
-                                      discount=0.1)
+        coeffs = coefficients_ex34(Example34Params())
         val = coeffs.f(0.0, np.array([-1.0]), np.array([1.0]),
                        np.array([1.0]), np.array([0.5]))
         assert not np.isfinite(val[0])

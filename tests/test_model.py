@@ -86,7 +86,6 @@ class TestBuildProblem:
         assert spec.delta == 1.0
         assert spec.control_lo == 0.0
         assert spec.control_hi == 1.0
-        assert spec.flags["selector"] == "linear_quadratic"
 
     def test_missing_problem_section(self):
         with pytest.raises(ConfigError):
@@ -117,13 +116,14 @@ class TestBuildProblem:
                 "problem.initial_segment": {"kind": "spline", "value": 1.0}}))
 
     def test_jump_section(self):
+        """No selector supplies theta, so a config jump section could
+        only build a jump model that acts on nothing: it is refused."""
         cfg = _cfg()
         cfg["jump"] = {"intensity": 0.5,
                        "marks": {"kind": "discrete", "values": [1.0, -1.0],
                                  "probs": [0.5, 0.5]}}
-        spec = build_problem(cfg)
-        assert spec.jump.intensity == 0.5
-        assert spec.jump.marks.expectation(lambda z: z) == pytest.approx(0.0)
+        with pytest.raises(ConfigError, match="jump"):
+            build_problem(cfg)
 
     def test_determinism(self):
         a = build_problem(_cfg())

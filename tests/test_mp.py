@@ -8,7 +8,7 @@ import pytest
 
 from delayctrl import build_problem, make_grid
 from delayctrl.adjoint import SecondAdjointResult
-from delayctrl.errors import AdjointMissing, BadWindow
+from delayctrl.errors import AdjointMissing, BadWindow, ConfigError
 from delayctrl.examples import (
     Example34Params,
     ex34_adjoint,
@@ -312,6 +312,31 @@ class TestNecessary:
         report = necessary_residual(spec, grid, ctl, mc)
         assert report.verdict == "pass"
         assert np.max(np.abs(report.residuals)) < 1e-12
+
+    def test_lagged_information_from_json(self, setup):
+        """A JSON config gives the lag pair as a list: it runs the lagged
+        check exactly as the tuple does, not the full-information one."""
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 5.0)
+        candidate = scale_control(ctl, 1.2)
+
+        def residuals(e_t):
+            mc = dict(adjoint=adj, n_paths=256, seed=5, e_t=e_t,
+                      bump_windows=[], bump_s=())
+            return necessary_residual(spec, grid, candidate, mc).residuals
+
+        lagged = residuals(("lagged", 1.0))
+        assert np.array_equal(residuals(["lagged", 1.0]), lagged)
+        assert not np.allclose(residuals("full"), lagged, rtol=1e-3)
+
+    @pytest.mark.parametrize("e_t", ["partial", ["lagged"], ("lagged", -1.0),
+                                     ["delayed", 1.0], ["lagged", "1"]])
+    def test_unknown_information_structure_refused(self, setup, e_t):
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 3.0)
+        with pytest.raises(ConfigError, match="e_t"):
+            necessary_residual(spec, grid, ctl,
+                               dict(adjoint=adj, n_paths=16, e_t=e_t))
 
     def test_requires_adjoint(self, setup):
         params, p0, spec, ctl, adj = setup
