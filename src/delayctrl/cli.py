@@ -20,6 +20,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -159,7 +160,6 @@ class RunManifest:
     outputs: list = dataclasses.field(default_factory=list)
 
     def write(self, out_dir):
-        import os
         self.finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
         path = os.path.join(out_dir, "manifest.json")
         with open(path, "w") as fh:
@@ -172,7 +172,6 @@ class _Run:
     """Shared per-command state: config, output directory, manifest."""
 
     def __init__(self, args, command):
-        import os
         cfg, raw = _load_config(args.config)
         self.cfg = _apply_overrides(cfg, args)
         self.out_dir = args.out_dir or "."
@@ -185,7 +184,6 @@ class _Run:
             started=datetime.datetime.now(datetime.timezone.utc).isoformat())
 
     def path(self, name):
-        import os
         p = os.path.join(self.out_dir, name)
         self.manifest.outputs.append(name)
         return p

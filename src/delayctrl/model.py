@@ -277,6 +277,15 @@ def require_key(section: dict, name: str, key: str):
     return section[key]
 
 
+def refuse_unknown_params(params: dict, known) -> None:
+    """ConfigError naming the first ``problem.params`` key that is neither in
+    ``known`` nor ``rho``, which ``problem_rates`` reads for every selector."""
+    unknown = sorted(set(params) - {*known, "rho"})
+    if unknown:
+        raise ConfigError(f"problem.params has unknown key {unknown[0]!r}; "
+                          f"this selector reads {sorted({*known, 'rho'})}")
+
+
 def constant_segment(value: float) -> Callable:
     """The initial segment X(s) = value on [-delta, 0]."""
     return lambda s: np.full_like(np.asarray(s, float), value)
@@ -351,6 +360,7 @@ def build_problem(raw_config: dict) -> ProblemSpec:
     elif selector == "custom_polynomial":
         coeffs = examples.coefficients_polynomial(params)
     elif selector == "zero":
+        refuse_unknown_params(params, ())
         coeffs = examples.coefficients_zero()
     else:
         raise ConfigError(f"unknown coefficient selector {selector!r}")

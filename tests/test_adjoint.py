@@ -34,12 +34,6 @@ from delayctrl.examples import (
 )
 
 
-def truncated_p0(params, T):
-    """First-order condition constant for the horizon-T truncation of the
-    consumption problem, from the same quadrature as the closed form."""
-    return ex34_p0_star(params, quadrature_T=T)
-
-
 class TestFirstAdjoint:
     def test_deterministic_solve_matches_truncated_closed_form(self):
         params = Example34Params(sigma0=0.0)

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from delayctrl import make_grid
+from delayctrl.errors import DivergentIntegral
 from delayctrl.examples import (
     Example34Params,
     Example35Params,
@@ -34,10 +35,22 @@ class TestConsumptionClosedForm:
         assert ex34_p0_star(params) == pytest.approx(0.15 ** -0.5, rel=1e-12)
 
     def test_p0_star_quadrature_agrees(self):
+        """The normalizing integral I = int_0^inf e^{-kappa s} ds = 1/kappa
+        behind p0*, against quadrature over a long horizon T: they agree
+        to 1e-6 relative plus the truncated tail e^{-kappa T} / kappa."""
         params = Example34Params(gamma=0.3, mu=0.02, rho=0.08)
         kappa = params.mu + (params.rho - params.mu) / (1.0 - params.gamma)
-        closed = (params.X0 * kappa) ** (params.gamma - 1.0)
-        assert ex34_p0_star(params) == pytest.approx(closed, rel=1e-8)
+        T = 400.0
+        num, _ = quad(lambda s: np.exp(-kappa * s), 0.0, T)
+        assert abs(num - 1.0 / kappa) <= 1e-6 / kappa + np.exp(-kappa * T) / kappa
+        assert ex34_p0_star(params) == pytest.approx(
+            (params.X0 / num) ** (params.gamma - 1.0), rel=1e-6)
+
+    def test_p0_star_refuses_divergent_integral(self):
+        # kappa = 0.5 + (0.1 - 0.5) / 0.5 = -0.3
+        params = Example34Params(gamma=0.5, mu=0.5, rho=0.1)
+        with pytest.raises(DivergentIntegral, match="diverges"):
+            ex34_p0_star(params)
 
     def test_state_flow_solves_ode(self):
         params = Example34Params()

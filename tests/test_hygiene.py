@@ -1,10 +1,16 @@
 """Source hygiene: every name a module imports is used in that module,
-and every private module-level name is read somewhere in the package.
+every private module-level name is read somewhere in the package, and
+the package imports nothing at run time beyond the standard library and
+numpy.
 
 The package ``__init__`` re-exports names on purpose and is exempt from
-the import check."""
+the unused-import check."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +91,53 @@ def test_detects_an_unread_private_name():
 def test_no_unread_private_names():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert unread_private_names(sources) == []
+
+
+def foreign_imports(source: str) -> list:
+    """(line, module) of each module-level import that is neither of the
+    standard library, nor numpy, nor relative to the package."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, module) for module in modules
+                  if module.split(".")[0] not in sys.stdlib_module_names
+                  and module.split(".")[0] != "numpy"]
+    return found
+
+
+def test_detects_a_foreign_import():
+    source = ("import os.path\nimport numpy as np\nfrom . import model\n"
+              "from scipy.integrate import quad\nimport numba, json\n")
+    assert foreign_imports(source) == [(4, "scipy.integrate"), (5, "numba")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_stdlib_and_numpy(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    """A fresh interpreter that runs ``delayctrl example34`` in process has
+    loaded no scipy module: scipy is a test dependency only."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "problem": {"selector": "example_3_4", "params": {"sigma0": 0.05}},
+        "grid": {"dt": 0.05, "horizon": 1.0}}))
+    script = (
+        "import sys\n"
+        "from delayctrl import cli\n"
+        f"assert cli.main(['example34', '--config', {str(config)!r}, "
+        f"'--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

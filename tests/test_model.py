@@ -125,6 +125,34 @@ class TestBuildProblem:
         with pytest.raises(ConfigError, match="jump"):
             build_problem(cfg)
 
+    @pytest.mark.parametrize("selector, key", [
+        ("example_3_4", "gama"), ("example_3_4", "beta"),
+        ("example_3_5", "gama"), ("linear_quadratic", "kxx"),
+        ("custom_polynomial", "g"), ("zero", "kx")])
+    def test_unknown_params_key_refused(self, selector, key):
+        """A key in problem.params that the selector does not read, such
+        as a misspelt one, is a ConfigError naming it, not a silent run
+        of the default."""
+        cfg = _cfg(**{"problem.selector": selector,
+                      "problem.params": {key: 0.3}})
+        with pytest.raises(ConfigError, match=repr(key)):
+            build_problem(cfg)
+
+    @pytest.mark.parametrize("selector, params", [
+        ("linear_quadratic", dict.fromkeys(
+            ["kx", "ky", "ka", "ku", "s0", "sx", "cx", "cu", "cl",
+             "discount"], 0.1)),
+        ("custom_polynomial", {"b": [[0.1, 1, 0, 0, 0]], "sigma": [],
+                               "f": [], "f_discount": 0.1}),
+        ("zero", {})])
+    def test_every_read_params_key_accepted(self, selector, params):
+        """Each key a selector reads is accepted, and so is params.rho,
+        the fallback of problem.rho."""
+        cfg = _cfg(**{"problem.selector": selector,
+                      "problem.params": {**params, "rho": 0.2}})
+        del cfg["problem"]["rho"]
+        assert build_problem(cfg).rho == 0.2
+
     def test_determinism(self):
         a = build_problem(_cfg())
         b = build_problem(_cfg())
