@@ -42,14 +42,16 @@ counts as (n, N, n_marks).  Each block group writes its lanes' slice of
 one row per step, and the result hands the arrays out as (N, ...) views,
 with one PathRecord per path viewing the same memory.
 
-A recorded run can save its engine state before chosen steps (the delay
-ring and its position, A, the per-block clip flags and a copy of each
+A run can save its engine state before chosen steps (the delay ring and
+its position, A, the per-block clip flags and a copy of each
 accumulator's state), and a later run can resume from such a state in
 the same step loop.  The resumed run reads dB and the jump counts of the
-remaining steps as rows of the saved run's record, so it draws no noise.
-Under common random numbers a control that agrees with the saved run's
-before the save step, such as a bump whose window starts there, gives
-every path bitwise as a full run does.
+remaining steps as rows kept by the saved run, so it draws no noise: a
+recorded run keeps them in its record, an unrecorded one keeps only
+these increments, from its first save step on.  Under common random
+numbers a control that agrees with the saved run's before the save step,
+such as a bump whose window starts there, gives every path bitwise as a
+full run does.
 
 ``simulate_noiseless``, the reference path of a noise-free problem, is a
 separate integrator, not a mode of the engine's step loop: it is Heun's
@@ -263,12 +265,14 @@ class PathRecord:
 class StepAccumulator:
     """Per-step reduction over a block of paths.
 
-    The engine calls ``begin`` once per block, ``step`` for k = 0..n-1
-    with a context holding the pre-step state (x, y, a, u at t_k), the
-    increments (dB, jump counts), and the post-step state (x1, y1, a1).
-    ``finish`` receives the final grid point and returns a per-path array
-    (or tuple of arrays); the engine concatenates across blocks in block
-    order, so the reduction is independent of scheduling.
+    The engine calls ``begin`` once per block group, ``step`` for
+    k = 0..n-1 with a context holding the pre-step state (x, y, a, u at
+    t_k), the increments (dB, jump counts), the post-step state (x1, y1,
+    a1) and ``path0``, the ensemble index of the group's first lane.
+    ``finish`` receives the final grid point and returns an array (or
+    tuple of arrays), per path unless the accumulator says otherwise; the
+    engine concatenates them across groups in block order, so the
+    reduction is independent of scheduling.
     """
 
     def begin(self, n_lanes: int, spec: ProblemSpec, grid: TimeGrid):
@@ -300,14 +304,16 @@ def stack_records(records, keys) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class EngineState:
-    """A recorded ensemble's engine state before step ``step``.
+    """An ensemble's engine state before step ``step``.
 
     ``groups`` holds one dict per block group: the delay ring and its
     position (X and Y are ring entries), A, the per-block clip flags, a
-    copy of each accumulator's state, and under ``rec`` the group's lane
-    slices of the ensemble's time-major record arrays (views, not
-    copies), whose increments a run resumed from this state reads.  The
-    other fields name the run a resume must match."""
+    copy of each accumulator's state, under ``rec`` the group's lane
+    slices of the ensemble's time-major record arrays (None for an
+    unrecorded run), and under ``kept`` the lane slices of the rows of dB
+    and the jump counts a run resumed from this state reads, the first of
+    them for step ``kept0`` (views, not copies).  The other fields name
+    the run a resume must match."""
 
     step: int
     spec: ProblemSpec
@@ -363,12 +369,13 @@ def lane_values(v, shape: tuple):
     return v if v.shape == shape else np.broadcast_to(v, shape)
 
 
-def _normal_chunk(rngs, lanes, n_lanes: int, steps: int, sqdt):
-    """Increments dB of the next ``steps`` steps, one row per step.
+def _normal_chunk(rngs, lanes, n_lanes: int, steps: int, sqdt, out=None):
+    """Increments dB of the next ``steps`` steps, one row per step, in
+    ``out`` when given.
 
     Each block draws all rows in one full-width call, bitwise the same
     normals as ``steps`` consecutive per-step draws of its stream."""
-    z = np.empty((steps, n_lanes))
+    z = np.empty((steps, n_lanes)) if out is None else out
     for rng, sl in zip(rngs, lanes):
         z[:, sl] = rng.standard_normal((steps, BLOCK_SIZE))[:, :sl.stop - sl.start]
     return np.multiply(sqdt, z, out=z)
@@ -398,7 +405,7 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 seed: int, first: int, n_lanes: int,
                 accumulators, rec: Optional[dict],
                 variation: Optional[dict] = None, save_at=frozenset(),
-                resume: Optional[dict] = None):
+                resume: Optional[dict] = None, kept: Optional[dict] = None):
     """Simulate blocks first, first+1, ... as one array of ``n_lanes``
     lanes, every block full but the last.
 
@@ -409,8 +416,11 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     (``_record_arrays``), which the run fills one row per step.  Returns
     (extras, clipped, saved): ``clipped`` holds one flag per block and
     ``saved`` maps each step of ``save_at`` to the group's state before
-    that step.  With ``resume``, such a saved state, the run starts at
-    its step and reads the increments as rows of its record.
+    that step.  An unrecorded run that saves writes dB and the jump
+    counts of each step from the first save step on into ``kept``, the
+    group's lane slices of ``_increment_arrays``.  With ``resume``, such a
+    saved state, the run starts at its step and reads the increments as
+    rows kept by the saved run.
     """
     dt, m, n = grid.dt, grid.m, grid.n
     rho = spec.rho
@@ -423,6 +433,7 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     mark_values = jump.marks.values if has_jumps else ()
     mark_probs = jump.marks.probs if has_jumps else None
     rates = [jump.intensity * pz * dt for pz in mark_probs] if has_jumps else []
+    path0 = first * BLOCK_SIZE
 
     if resume is None:
         k0 = 0
@@ -438,7 +449,8 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         states = [acc.begin(nb, spec, grid) for acc in accumulators]
         source = None
     else:
-        k0, pos, source = resume["k"], resume["pos"], resume["rec"]
+        k0, pos, source = resume["k"], resume["pos"], resume["kept"]
+        src0 = resume["kept0"]
         ring, A, clipped = (resume[key].copy()
                             for key in ("ring", "A", "clipped"))
         states = [acc.copy_state(st)
@@ -457,8 +469,8 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
 
     record = rec is not None
     if record:
-        rec_X, rec_Y, rec_A, rec_u, rec_dB, rec_counts, rec_xi = (
-            rec[key] for key in RECORD_KEYS)
+        rec_X, rec_Y, rec_A, rec_u, rec_xi = (
+            rec[key] for key in ("X", "Y", "A", "u", "xi"))
         rec_X[0], rec_Y[0], rec_A[0] = X, Y, A
         if rec_xi is not None:
             rec_xi[0] = 0.0
@@ -466,19 +478,29 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             # the saved run's record up to the resume step
             for key in ("X", "Y", "A", "u", "dB", "counts"):
                 if rec[key] is not None:
-                    rec[key][:k0 + 1] = source[key][:k0 + 1]
+                    rec[key][:k0 + 1] = resume["rec"][key][:k0 + 1]
+        kept = rec  # a recorded run keeps every step's increments
+    kept0 = min(save_at) if kept is not None and not record else 0
+    if kept is not None:
+        kept_dB, kept_counts = kept["dB"], kept["counts"]
 
     saved = {}
     sqdt = np.sqrt(dt)
     z = np.empty(nb)
+
+    def draw(k, steps):
+        # a chunk of steps the run keeps goes straight into its kept rows
+        out = kept_dB[k - kept0:k - kept0 + steps] if (
+            kept is not None and k >= kept0) else None
+        return _normal_chunk(rngs, lanes, nb, steps, sqdt, out)
 
     # the producer thread starts at the first submit: never with jumps,
     # nor on a resumed run, nor when one chunk holds every step
     with ThreadPoolExecutor(max_workers=1) as producer:
         for k in range(k0, n):
             if k in save_at:
-                saved[k] = _snapshot(k, pos, ring, A, clipped, rec,
-                                     accumulators, states)
+                saved[k] = _snapshot(k, pos, ring, A, clipped, rec, kept,
+                                     kept0, accumulators, states)
             t = k * dt
             u, clip_k = control.evaluate(spec, k, t, X, Y, A, starts=starts)
             clipped |= clip_k
@@ -490,12 +512,13 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 sval = lane_values(spec.coeffs.sigma(t, X, Y, A, u), X.shape)
 
             counts = None
+            in_kept = False  # dB already sits in its kept row
             if source is not None:
-                # the saved run's increments (and counts): row k of its
-                # record, read in place
-                dB = source["dB"][k]
+                # the saved run's increments (and counts) of step k, read
+                # in place
+                dB = source["dB"][k - src0]
                 if has_jumps:
-                    counts = source["counts"][k]
+                    counts = source["counts"][k - src0]
             elif has_jumps:
                 # per block: full-width normals, then Poisson counts per
                 # mark; full-width draws keep each stream independent of
@@ -515,13 +538,13 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 row = k % NOISE_CHUNK
                 k_next = k - row + NOISE_CHUNK  # first step of the next chunk
                 if row == 0:
-                    chunk = (ahead.result() if k else _normal_chunk(
-                        rngs, lanes, nb, min(NOISE_CHUNK, n), sqdt))
+                    chunk = (ahead.result() if k
+                             else draw(0, min(NOISE_CHUNK, n)))
                 elif row == 1 and k_next < n:
-                    ahead = producer.submit(
-                        _normal_chunk, rngs, lanes, nb,
-                        min(NOISE_CHUNK, n - k_next), sqdt)
+                    ahead = producer.submit(draw, k_next,
+                                            min(NOISE_CHUNK, n - k_next))
                 dB = chunk[row]
+                in_kept = kept is not None and k - row >= kept0
 
             drift = bval * dt
             th = None
@@ -577,7 +600,7 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
 
             ctx = {"k": k, "t": t, "t1": t + dt, "x": X, "y": Y, "a": A, "u": u,
                    "dB": dB, "counts": counts, "theta_marks": th,
-                   "x1": X_new, "y1": Y_new, "a1": A_new}
+                   "x1": X_new, "y1": Y_new, "a1": A_new, "path0": path0}
 
             if var is not None:
                 xi_ring[pos] = xi_new
@@ -598,18 +621,20 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 rec_X[k + 1] = X
                 rec_Y[k + 1] = Y
                 rec_A[k + 1] = A
-                rec_dB[k] = dB
-                if rec_counts is not None:
-                    rec_counts[k] = counts
+            if kept is not None and k >= kept0 and not in_kept:
+                kept_dB[k - kept0] = dB
+                if kept_counts is not None:
+                    kept_counts[k - kept0] = counts
 
     if n in save_at:
-        saved[n] = _snapshot(n, pos, ring, A, clipped, rec, accumulators,
-                             states)
+        saved[n] = _snapshot(n, pos, ring, A, clipped, rec, kept, kept0,
+                             accumulators, states)
     t_final = n * dt
     u_final, clip_f = control.evaluate(spec, n, t_final, X, Y, A,
                                        starts=starts)
     clipped |= clip_f
-    ctx_final = {"k": n, "t": t_final, "x": X, "y": Y, "a": A, "u": u_final}
+    ctx_final = {"k": n, "t": t_final, "x": X, "y": Y, "a": A, "u": u_final,
+                 "path0": path0}
     if var is not None:
         ctx_final.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam})
     extras = [acc.finish(st, ctx_final) for acc, st in zip(accumulators, states)]
@@ -618,11 +643,13 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     return extras, clipped, saved
 
 
-def _snapshot(k, pos, ring, A, clipped, rec, accumulators, states) -> dict:
+def _snapshot(k, pos, ring, A, clipped, rec, kept, kept0, accumulators,
+              states) -> dict:
     """A block group's state before step k, copied where stepping on
     would change it."""
     return {"k": k, "pos": pos, "ring": ring.copy(), "A": A.copy(),
-            "clipped": clipped.copy(), "rec": rec,
+            "clipped": clipped.copy(), "rec": rec, "kept": kept,
+            "kept0": kept0,
             "acc": [acc.copy_state(st) for acc, st in zip(accumulators, states)]}
 
 
@@ -632,12 +659,18 @@ def _record_arrays(spec: ProblemSpec, grid: TimeGrid, n_lanes: int,
     (None for counts without jumps and for xi unless asked)."""
     n = grid.n
     arrays = {key: np.empty((n + 1, n_lanes)) for key in ("X", "Y", "A", "u")}
-    arrays["dB"] = np.empty((n, n_lanes))
-    arrays["counts"] = (
-        np.empty((n, n_lanes, spec.jump.n_marks), dtype=np.int64)
-        if spec.has_jumps else None)
+    arrays.update(_increment_arrays(spec, n, n_lanes))
     arrays["xi"] = np.empty((n + 1, n_lanes)) if xi else None
     return arrays
+
+
+def _increment_arrays(spec: ProblemSpec, steps: int, n_lanes: int) -> dict:
+    """Time-major dB and jump counts (None without jumps) of ``steps``
+    steps of ``n_lanes`` paths."""
+    return {"dB": np.empty((steps, n_lanes)),
+            "counts": (np.empty((steps, n_lanes, spec.jump.n_marks),
+                                dtype=np.int64)
+                       if spec.has_jumps else None)}
 
 
 def _path_major(arrays: dict) -> dict:
@@ -660,7 +693,9 @@ def _merge_extras(per_group: list, accumulators) -> list:
     merged = []
     for i, _acc in enumerate(accumulators):
         parts = [grp[i] for grp in per_group]
-        if parts and isinstance(parts[0], tuple):
+        if len(parts) == 1:
+            merged.append(parts[0])  # one group's output, already whole
+        elif parts and isinstance(parts[0], tuple):
             merged.append(tuple(np.concatenate([p[j] for p in parts])
                                 for j in range(len(parts[0]))))
         else:
@@ -689,16 +724,20 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     are (N, ...) views of them and its ``records`` view them path by
     path, so neither copies.
 
-    Save and resume: a recorded run without ``beta`` saves its engine
-    state before each step k of ``save_at`` (0 <= k <= n; k = n is the
-    final point) into ``states[k]`` of the result.  A run given
-    ``resume=`` such a state starts at its step in the same step loop,
-    with the same spec, grid, ``n_paths``, seed, block grouping and
-    accumulator classes, and a control that agrees with the saved run's
-    before that step.  It reads dB and the jump counts as rows of the
-    saved run's record arrays, so it repeats no earlier step, draws no
-    noise and starts no producer thread, and every result, the record
-    included, is bitwise that of the full run.
+    Save and resume: a run without ``beta`` saves its engine state
+    before each step k of ``save_at`` (0 <= k <= n; k = n is the final
+    point) into ``states[k]`` of the result.  A run given ``resume=``
+    such a state starts at its step in the same step loop, with the same
+    spec, grid, ``n_paths``, seed, block grouping and accumulator
+    classes, and a control that agrees with the saved run's before that
+    step.  It reads dB and the jump counts as rows kept by the saved run,
+    so it repeats no earlier step, draws no noise and starts no producer
+    thread, and every result, the record included, is bitwise that of
+    the full run.  A recorded run keeps these rows in its record; an
+    unrecorded one keeps only them, from its first save step on, about
+    8 (n - min(save_at)) bytes per path without jumps.  A recorded run
+    resumes only from a recorded one, whose record it copies up to the
+    resume step.
     """
     variation = _prepare_variation(spec, beta) if beta is not None else None
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -708,10 +747,10 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     firsts = range(0, n_blocks, per_group)
     kinds = tuple(type(acc) for acc in accumulators)
     save_at = frozenset(int(k) for k in save_at)
-    if save_at and (not record or beta is not None
+    if save_at and (beta is not None
                     or not all(0 <= k <= grid.n for k in save_at)):
-        raise ValueError("saving needs a recorded run without beta and "
-                         f"steps in [0, {grid.n}]")
+        raise ValueError("saving needs a run without beta and steps in "
+                         f"[0, {grid.n}]")
     if resume is not None and (
             beta is not None or save_at or resume.spec is not spec
             or resume.grid != grid
@@ -720,20 +759,30 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         raise ValueError("a run resumes only the spec, grid, n_paths, seed, "
                          "block grouping and accumulators it was saved "
                          "from, without beta or save_at")
+    if record and resume is not None and any(
+            grp["rec"] is None for grp in resume.groups):
+        raise ValueError("a recorded run resumes only from a recorded one: "
+                         "an unrecorded save keeps no record to copy")
 
-    arrays = None
+    arrays = kept = None
     if record:
         arrays = _record_arrays(spec, grid, n_paths, variation is not None)
+    elif save_at:
+        kept = _increment_arrays(spec, grid.n - min(save_at), n_paths)
+
+    def lane_slices(time_major, lo, lanes):
+        return None if time_major is None else {
+            key: None if v is None else v[:, lo:lo + lanes]
+            for key, v in time_major.items()}
 
     def work(i, first):
         lo = first * BLOCK_SIZE
         lanes = min(per_group * BLOCK_SIZE, n_paths - lo)
-        rec = None if arrays is None else {
-            key: None if v is None else v[:, lo:lo + lanes]
-            for key, v in arrays.items()}
         return _run_blocks(spec, grid, control, seed, first, lanes,
-                           accumulators, rec, variation, save_at,
-                           None if resume is None else resume.groups[i])
+                           accumulators, lane_slices(arrays, lo, lanes),
+                           variation, save_at,
+                           None if resume is None else resume.groups[i],
+                           lane_slices(kept, lo, lanes))
 
     if threads > 1 and len(firsts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -25,9 +25,15 @@ grid step is refused: on the grid it would act on a single point and
 measure a trapezoid end weight, not a derivative.  So is a window outside
 [0, T]: the truncated objective cannot see the part past T.
 
-Both checks read the candidate's recorded ensemble through its arrays,
-without copying; the sufficiency ladder's comparison ensembles are not
-recorded, only their states at the ladder steps are kept.
+Neither check records an ensemble.  The candidate keeps (x, y, a, u) at
+the steps its check reads: the probe steps, their lag steps and n for
+the necessary check; the ladder, integrability and probe steps, plus the
+concavity proxy's sampled (path, step) points, for the sufficient one.
+The necessary check's candidate also keeps dB (and the jump counts) from
+the first bump window's step on, which its resumed bump ensembles read;
+the sufficiency ladder's comparison ensembles keep their states at the
+ladder steps.  So a check holds O(N x captured steps + N x (n - first
+window step)) floats, not the O(N x n) of a record.
 
 The information structure E_t is either ``full`` (E_t = F_t, conditional
 estimates reduce to plain path averages) or ``("lagged", D)`` (condition
@@ -152,27 +158,104 @@ def _adjoint_values(adjoint, t, x, y, a):
 
 
 class StateAtStepsAccumulator(StepAccumulator):
-    """Per-path state (X, Y, A) at chosen grid steps, without recording
-    the run: ``finish`` returns three (N, len(steps)) arrays whose column
-    j holds the state at ``steps[j]``.  The terminal state is
-    ``steps=(n,)``."""
+    """Per-path values at chosen grid steps, without recording the run:
+    ``finish`` returns one (N, len(steps)) array per key of ``keys`` (the
+    state x, y, a by default; "xyau" adds the control), whose column j
+    holds the value at ``steps[j]`` and is contiguous.  The terminal
+    state is ``steps=(n,)``.
 
-    def __init__(self, steps):
+    A run writes its values into one array it allocates at its first
+    capture.  A copied state (saved, or resumed from) refers to the
+    columns captured so far by step and key, without copying them: they
+    are never written again.  A run resumed from it takes its values at
+    steps before the resume step from there, so the saved run must have
+    captured its keys."""
+
+    def __init__(self, steps, keys="xya"):
         self.steps = tuple(int(k) for k in steps)
+        self.keys = tuple(keys)
+        self._columns = {}  # step -> its columns
+        for j, k in enumerate(self.steps):
+            self._columns.setdefault(k, []).append(j)
 
     def begin(self, n_lanes, spec, grid):
-        return {key: np.full((n_lanes, len(self.steps)), np.nan)
-                for key in "xya"}
+        # "own": step -> {key: column} written by this run into "out";
+        # "inherited": the same for the run it was resumed from
+        return {"out": None, "own": {}, "inherited": {}}
+
+    def _out(self, st, n_lanes):
+        if st["out"] is None:
+            st["out"] = np.full((len(self.keys), len(self.steps), n_lanes),
+                                np.nan)
+        return st["out"]
 
     def step(self, st, k, ctx):
-        for j, kj in enumerate(self.steps):
-            if kj == k:
-                for key in "xya":
-                    st[key][:, j] = ctx[key]
+        cols = self._columns.get(k)
+        if cols is None:
+            return
+        out = self._out(st, len(ctx["x"]))
+        for i, key in enumerate(self.keys):
+            out[i, cols] = ctx[key]
+        st["own"][k] = dict(zip(self.keys, out[:, cols[0]]))
 
     def finish(self, st, ctx):
         self.step(st, ctx["k"], ctx)
-        return st["x"], st["y"], st["a"]
+        out = self._out(st, len(ctx["x"]))
+        for k, captured in st["inherited"].items():
+            for j in self._columns.get(k, ()):
+                for i, key in enumerate(self.keys):
+                    out[i, j] = captured[key]
+        return tuple(v.T for v in out)
+
+    def copy_state(self, st):
+        return {"out": None, "own": {},
+                "inherited": {**st["inherited"], **st["own"]}}
+
+    def by_step(self, extras) -> dict:
+        """``finish``'s arrays (merged over paths) as step -> tuple of
+        columns, one per key."""
+        return {k: tuple(v[:, j] for v in extras)
+                for j, k in enumerate(self.steps)}
+
+
+class StatePointsAccumulator(StepAccumulator):
+    """(x, y, a, u) of single paths at single steps: point j is path
+    ``paths[j]`` at step ``steps[j]``.  ``finish`` returns, for the points
+    among a group's paths, their indices j and a (len, 4) array of their
+    values, so the merged output lists every point once; ``values``
+    orders it by j."""
+
+    def __init__(self, paths, steps):
+        self._at = {}  # step -> [(point, path)]
+        for j, (i, k) in enumerate(zip(paths, steps)):
+            self._at.setdefault(int(k), []).append((j, int(i)))
+        self.n_points = len(paths)
+
+    def begin(self, n_lanes, spec, grid):
+        return {"n": n_lanes, "points": [], "values": []}
+
+    def step(self, st, k, ctx):
+        for j, i in self._at.get(k, ()):
+            lane = i - ctx["path0"]
+            if 0 <= lane < st["n"]:
+                st["points"].append(j)
+                st["values"].append([ctx[key][lane] for key in "xyau"])
+
+    def finish(self, st, ctx):
+        self.step(st, ctx["k"], ctx)
+        return (np.array(st["points"], dtype=int),
+                np.array(st["values"], float).reshape(-1, 4))
+
+    def copy_state(self, st):
+        return {"n": st["n"], "points": list(st["points"]),
+                "values": list(st["values"])}
+
+    def values(self, extras) -> np.ndarray:
+        """The merged output as a (len(paths), 4) array, row j point j."""
+        points, vals = extras
+        out = np.full((self.n_points, 4), np.nan)
+        out[points] = vals
+        return out
 
 
 # the name perfbench's tracer times this accumulator under
@@ -256,19 +339,16 @@ def _gap_at_probe(spec, t, x, y, a, u_hat, adj):
     return gap, stderr, float(v_star)
 
 
-def _hessian_proxy(spec, grid, stacked, adjoint_eval, n_samples: int, rng):
+def _hessian_proxy(spec, grid, steps, points, adjoint_eval):
     """Max eigenvalue of the (x, y, a, u)-Hessian of H over sampled
-    ensemble points, by central differences of the analytic gradient."""
-    N, n1 = stacked["X"].shape
-    idx_p = rng.integers(0, N, n_samples)
-    idx_k = rng.integers(0, n1, n_samples)
+    ensemble points, by central differences of the analytic gradient;
+    row j of ``points`` holds (x, y, a, u) at step ``steps[j]``."""
     h = 1e-5
     worst = -np.inf
     var_names = ("x", "y", "a", "u")
-    for ip, k in zip(idx_p, idx_k):
+    for k, values in zip(steps, points):
         t = k * grid.dt
-        base = {"x": stacked["X"][ip, k], "y": stacked["Y"][ip, k],
-                "a": stacked["A"][ip, k], "u": stacked["u"][ip, k]}
+        base = dict(zip(var_names, values))
         if not all(np.isfinite(v) for v in base.values()):
             continue
         p, q, p2 = adjoint_eval(t, base["x"], base["y"], base["a"])
@@ -302,45 +382,55 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
     conditional-maximum gaps for the adjoint
     ``adjoint_eval(t, x, y, a) -> (p, q, p2)``; p2 is None for the
     first formulation and adds the p2/Y transversality columns.  A
-    ``p3_check`` that is not flat fails the verdict."""
-    S = _simulate(spec, grid, candidate, mc_cfg, record=True).arrays
+    ``p3_check`` that is not flat fails the verdict.
 
-    def state(k):
-        return S["X"][:, k], S["Y"][:, k], S["A"][:, k]
+    The candidate is not recorded: it keeps (x, y, a, u) at the steps the
+    parts below read (ladder, integrability stride, probes) and at the
+    concavity proxy's sampled (path, step) points only."""
+    ladder = mc_cfg.get("horizon_fractions", (0.25, 0.5, 1.0))
+    steps = [min(grid.n, int(round(frac * grid.n))) for frac in ladder]
+    stride = max(1, grid.n // 50)
+    probes = _probe_indices(grid, mc_cfg)
+    rng = np.random.default_rng(int(mc_cfg.get("seed", 0)) + 1)
+    sample_paths = rng.integers(0, int(mc_cfg.get("n_paths", 2000)),
+                                _HESSIAN_SAMPLES)
+    sample_steps = rng.integers(0, grid.n + 1, _HESSIAN_SAMPLES)
+    capture = StateAtStepsAccumulator(
+        sorted({*steps, *range(0, grid.n + 1, stride), *probes}), "xyau")
+    points = StatePointsAccumulator(sample_paths, sample_steps)
+    res = _simulate(spec, grid, candidate, mc_cfg,
+                    accumulators=(capture, points))
+    S = capture.by_step(res.extras[0])
 
     # (i) transversality ladder over nested horizons; a comparison run
     # keeps its states at the ladder steps only
-    ladder = mc_cfg.get("horizon_fractions", (0.25, 0.5, 1.0))
-    steps = [min(grid.n, int(round(frac * grid.n))) for frac in ladder]
     transversality = []
     for cmp_idx, cmp_control in enumerate(comparison_controls):
-        res = _simulate(spec, grid, cmp_control, mc_cfg,
-                        accumulators=(StateAtStepsAccumulator(steps),))
-        cmp_X, cmp_Y, _ = res.extras[0]
+        res_cmp = _simulate(spec, grid, cmp_control, mc_cfg,
+                            accumulators=(StateAtStepsAccumulator(steps),))
+        cmp_X, cmp_Y, _ = res_cmp.extras[0]
         for j, k in enumerate(steps):
             t = k * grid.dt
-            p, _, p2 = adjoint_eval(t, *state(k))
-            est, se = mean_stderr(p * (cmp_X[:, j] - S["X"][:, k]))
+            x, y, a, _ = S[k]
+            p, _, p2 = adjoint_eval(t, x, y, a)
+            est, se = mean_stderr(p * (cmp_X[:, j] - x))
             rec = {"comparison": cmp_idx, "T": t, "estimate": est, "stderr": se}
             if p2 is not None:
                 rec["estimate_p2"], rec["stderr_p2"] = mean_stderr(
-                    p2 * (cmp_Y[:, j] - S["Y"][:, k]))
+                    p2 * (cmp_Y[:, j] - y))
             transversality.append(rec)
 
     # (ii) concavity proxy over sampled points
-    rng = np.random.default_rng(int(mc_cfg.get("seed", 0)) + 1)
-    worst = _hessian_proxy(spec, grid, S, adjoint_eval, _HESSIAN_SAMPLES,
-                           rng)
+    worst = _hessian_proxy(spec, grid, sample_steps,
+                           points.values(res.extras[1]), adjoint_eval)
     concavity = {"max_eigenvalue": worst, "tol": _CONCAVITY_TOL,
                  "passed": worst <= _CONCAVITY_TOL}
 
     # (iii) integrability proxy: E int p^2 (sigma^2 + int theta^2 nu) + q^2 dt
-    stride = max(1, grid.n // 50)
     total = 0.0
     for k in range(0, grid.n + 1, stride):
         t = k * grid.dt
-        x, y, a = state(k)
-        u = S["u"][:, k]
+        x, y, a, u = S[k]
         p, q, _ = adjoint_eval(t, x, y, a)
         with np.errstate(all="ignore"):
             sig = np.asarray(spec.coeffs.sigma(t, x, y, a, u), float)
@@ -357,10 +447,10 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
     # (iv) conditional maximization at probe times
     max_gap = []
     gaps_ok = True
-    for k in _probe_indices(grid, mc_cfg):
+    for k in probes:
         t = k * grid.dt
-        x, y, a = state(k)
-        gap, se, v_star = _gap_at_probe(spec, t, x, y, a, S["u"][:, k],
+        x, y, a, u = S[k]
+        gap, se, v_star = _gap_at_probe(spec, t, x, y, a, u,
                                         adjoint_eval(t, x, y, a))
         max_gap.append({"t": float(t), "gap": gap, "stderr": se,
                         "maximizer": v_star})
@@ -448,15 +538,20 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     threads = int(mc_cfg.get("threads", 1))
 
     # a bump acts from its window's first step on, so each bumped ensemble
-    # resumes the candidate's engine state saved there
+    # resumes the candidate's engine state saved there.  The candidate is
+    # not recorded: it runs the classes of _gateaux_accumulators, which a
+    # resume must match, and keeps (x, y, a, u) at the probe steps, their
+    # lag steps and n
+    ks = _probe_indices(grid, mc_cfg)
+    nn = grid.n
+    lag_ks = [k - lag_steps for k in ks if lag_steps and k - lag_steps >= 0]
+    capture = StateAtStepsAccumulator(sorted({*ks, *lag_ks, nn}), "xyau")
     first_step = {ws: bump_start_step(grid, float(ws)) for ws, _ in windows}
     cand = simulate_ensemble(spec, grid, candidate, n_paths, seed,
-                             accumulators=_gateaux_accumulators(grid),
-                             record=True, threads=threads,
-                             save_at=first_step.values())
-    S = cand.arrays
+                             accumulators=(RunningRewardAccumulator(), capture),
+                             threads=threads, save_at=first_step.values())
+    S = capture.by_step(cand.extras[1])
 
-    ks = _probe_indices(grid, mc_cfg)
     resid = np.empty(len(ks))
     rse = np.empty(len(ks))
     tol_b = 1e-9 * max(1.0, abs(spec.control_hi) + abs(spec.control_lo))
@@ -464,7 +559,7 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     interior_fracs = []
     for i, k in enumerate(ks):
         t = k * grid.dt
-        x, y, a, u = S["X"][:, k], S["Y"][:, k], S["A"][:, k], S["u"][:, k]
+        x, y, a, u = S[k]
         p, q = _adjoint_values(adjoint, t, x, y, a)
         args = HamArgs(t=t, x=x, y=y, a=a, u=u, p=p, q=q)
         with np.errstate(all="ignore"):
@@ -472,8 +567,7 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
         ok = np.isfinite(g)
         lag = None
         if lag_steps and k - lag_steps >= 0:
-            kl = k - lag_steps
-            lag = (S["X"][ok, kl], S["Y"][ok, kl], S["A"][ok, kl])
+            lag = tuple(v[ok] for v in S[k - lag_steps][:3])
         resid[i], rse[i] = _conditional_residual(
             g[ok], lag, int(mc_cfg.get("basis_degree", 2)))
         # boundary statistics over in-domain paths only
@@ -490,10 +584,8 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     # variation is E[p(T) xi(T)]; adding p(T) (X_+(T) - X_-(T)) / 2s per
     # path with the candidate's adjoint removes that bias, so the estimate
     # targets the infinite-horizon derivative.
-    nn = grid.n
     p_T = np.asarray(_adjoint_values(
-        adjoint, grid.horizon, S["X"][:, nn], S["Y"][:, nn],
-        S["A"][:, nn])[0], float)
+        adjoint, grid.horizon, *S[nn][:3])[0], float)
     # (alpha, s) and (-alpha, s) need the same two bumped ensembles, so
     # each (window, shift) is simulated once
     terms = {}

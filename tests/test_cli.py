@@ -236,6 +236,46 @@ class TestCheck:
         assert len(ensembles) == 1
         assert ensembles[0] is not None and len(ensembles[0]["X"]) == 32
 
+    def test_solved_triple_released_before_the_check(self, tmp_path,
+                                                     monkeypatch):
+        """A regression-mode check keeps only p on the grid of the solved
+        adjoint: when the check starts, less than half the bytes of the
+        triple's per-path p, q and r are still held since the command
+        began (holding the triple kept all of them).  A first run keeps
+        the allocations of first calls (imports, caches) out."""
+        import tracemalloc
+
+        import delayctrl.cli as cli
+
+        held = []
+        check = cli.necessary_residual
+
+        def spy(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "necessary_residual", spy)
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["solver"] = {"mode": "regression"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        n_paths = 512
+        argv = ("check", "--config", str(path), "--out-dir",
+                str(tmp_path / "out"), "--principle", "necessary",
+                "--paths", str(n_paths), "--control", "constant:0.1")
+        run_cli(*argv)
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv)
+        finally:
+            tracemalloc.stop()
+        assert code in (EXIT_OK, EXIT_FAIL)
+        grid = cfg["grid"]
+        nodes = (round(grid["horizon"] / grid["dt"]) + 1
+                 + round(cfg["problem"]["delta"] / grid["dt"]))
+        triple = 3 * 8 * n_paths * nodes  # p, q and r, one mark column
+        assert held[1] < 0.5 * triple, f"{held[1] / triple:.2f}x the triple"
+
     def test_one_closed_form_search_per_check(self, tmp_path, monkeypatch):
         """An Example 3.5 closed-form candidate without control.p0: the
         control and the adjoint of the check come from one ex35_K search."""

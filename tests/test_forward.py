@@ -626,6 +626,51 @@ class TestResume:
                                       saved.records[0].u[k])
             self.assert_same(full, resumed)
 
+    def test_unrecorded_save_resumes_like_a_recorded_one(self, case, threads,
+                                                         saved):
+        """An unrecorded run that saves keeps only the increments from its
+        first save step on; every run resumed from its states is bitwise
+        the one resumed from the recorded run's states, and its own
+        extras are the recorded run's."""
+        spec, grid, ctl = case
+        steps = self.save_steps()[2:]  # the first save is past step 0
+        args = (spec, grid, ctl, self.N_PATHS, self.SEED)
+        bare = simulate_ensemble(*args, accumulators=self._accumulators(),
+                                 threads=threads, save_at=steps)
+        assert bare.arrays is None
+        for ea, eb in zip(saved.extras, bare.extras, strict=True):
+            for xa, xb in zip(ea, eb, strict=True):
+                assert np.array_equal(xa, xb)
+        for k in steps:
+            state = bare.states[k]
+            for grp in state.groups:
+                assert grp["rec"] is None and grp["kept0"] == steps[0]
+                assert grp["kept"]["dB"].shape[0] == grid.n - steps[0]
+            bumped = dataclasses.replace(
+                ctl, bumps=ctl.bumps + ((0.05, k * grid.dt, 0.3),))
+            kwargs = dict(accumulators=self._accumulators(), threads=threads)
+            from_bare = simulate_ensemble(spec, grid, bumped, self.N_PATHS,
+                                          self.SEED, **kwargs, resume=state)
+            from_recorded = simulate_ensemble(
+                spec, grid, bumped, self.N_PATHS, self.SEED, **kwargs,
+                resume=saved.states[k])
+            for ea, eb in zip(from_recorded.extras, from_bare.extras,
+                              strict=True):
+                for xa, xb in zip(ea, eb, strict=True):
+                    assert np.array_equal(xa, xb)
+            assert np.array_equal(from_recorded.block_clipped,
+                                  from_bare.block_clipped)
+
+    def test_recording_resume_from_unrecorded_save_raises(self, ex34_spec,
+                                                          ex34_control):
+        grid = make_grid(1.0, self.DT, 2.0)
+        run = dict(spec=ex34_spec, grid=grid, control=ex34_control,
+                   n_paths=self.N_PATHS, seed=self.SEED)
+        state = simulate_ensemble(**run, save_at=[5]).states[5]
+        simulate_ensemble(**run, resume=state)  # an unrecorded resume runs
+        with pytest.raises(ValueError, match="recorded"):
+            simulate_ensemble(**run, record=True, resume=state)
+
     @pytest.mark.parametrize("where", ["before", "after"])
     def test_clip_flags(self, where):
         # u = 2 passes the bound 1 only before, or only from, the save step
@@ -664,7 +709,7 @@ class TestResume:
             with pytest.raises(ValueError):
                 simulate_ensemble(**{**run, **change}, resume=state)
 
-    @pytest.mark.parametrize("change", [dict(record=False),
+    @pytest.mark.parametrize("change", [dict(save_at=[-1]),
                                         dict(beta=constant_control(1.0)),
                                         dict(save_at=[21])])
     def test_bad_save_raises(self, ex34_spec, ex34_control, change):

@@ -1,13 +1,15 @@
 """Maximum-principle verification machinery: sufficiency, necessity, and
 variational consistency."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from delayctrl import build_problem, make_grid
-from delayctrl.adjoint import SecondAdjointResult
+from delayctrl import mp
+from delayctrl.adjoint import SecondAdjointResult, p3_flatness
 from delayctrl.errors import AdjointMissing, BadWindow, ConfigError
 from delayctrl.examples import (
     Example34Params,
@@ -20,12 +22,16 @@ from delayctrl.forward import (
     BLOCK_SIZE,
     StepAccumulator,
     bump_control,
+    bump_start_step,
     constant_control,
+    feedback_control,
     scale_control,
     simulate_ensemble,
 )
+from delayctrl.hamiltonian import HamArgs, grad_H
 from delayctrl.mp import (
     StateAtStepsAccumulator,
+    StatePointsAccumulator,
     _adjoint_values,
     _gateaux_terms,
     check_sufficient_first,
@@ -34,6 +40,8 @@ from delayctrl.mp import (
     variational_consistency,
 )
 from delayctrl.objective import RunningRewardAccumulator, mean_stderr
+
+from conftest import make_jump_spec
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +206,7 @@ class TestNecessary:
         2 |windows| |s| bump ensembles besides the candidate's."""
         import delayctrl.mp as mp
         from delayctrl.forward import feedback_control, simulate_ensemble
+        from delayctrl.hamiltonian import HamArgs, grad_H
         from delayctrl.objective import RunningRewardAccumulator, mean_stderr
 
         params, p0, spec, ctl, adj = setup
@@ -547,6 +556,45 @@ class TestStatesAtSteps:
             assert got.shape == (self.N_PATHS, len(steps))
             assert np.array_equal(got, S[key][:, list(steps)]), key
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_points_equal_recorded_entries(self, setup, threads):
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 5.0)
+        last = self.N_PATHS - 1
+        paths = [0, 5, BLOCK_SIZE - 1, BLOCK_SIZE, last, last, 5]
+        steps = [0, grid.n, 7, 7, 50, 0, grid.n]
+        points = StatePointsAccumulator(paths, steps)
+        res = simulate_ensemble(spec, grid, ctl, self.N_PATHS, self.SEED,
+                                threads=threads, accumulators=(points,))
+        S = self._recorded(spec, grid, ctl)
+        want = np.stack([S[key][paths, steps] for key in "XYAu"], axis=1)
+        assert np.array_equal(points.values(res.extras[0]), want)
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_resumed_run_returns_the_full_runs_columns(self, setup, record):
+        """A run resumed at step 40 returns, for steps before 40, the
+        columns the saved run captured, and its own after; with a bump
+        from step 40 on, both equal the bumped full run's."""
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 5.0)
+        steps = (0, 39, 40, 41, 7, grid.n)
+
+        def run(control, **kwargs):
+            acc = StateAtStepsAccumulator(steps, "xyau")
+            return simulate_ensemble(spec, grid, control, self.N_PATHS,
+                                     self.SEED, threads=2, record=record,
+                                     accumulators=(acc,), **kwargs)
+
+        saved = run(ctl, save_at=[40])
+        bumped = bump_control(ctl, 0.2, 40 * grid.dt, 1.0, grid.horizon)
+        full, resumed = run(bumped), run(bumped, resume=saved.states[40])
+        for got, want, keep in zip(resumed.extras[0], full.extras[0],
+                                   saved.extras[0], strict=True):
+            assert np.array_equal(got, want)
+            assert np.array_equal(got[:, [0, 1, 4]], keep[:, [0, 1, 4]])
+        assert not np.array_equal(full.extras[0][3][:, 2],
+                                  saved.extras[0][3][:, 2])
+
     def test_gateaux_terms_bytes_unchanged(self, setup):
         """_gateaux_terms gives the bytes of the reward accumulator plus
         copies of the terminal state."""
@@ -563,11 +611,252 @@ class TestStatesAtSteps:
         assert x_T.tobytes() == (res.extras[1][0] * alive).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# The checks as computed from a fully recorded candidate: the reference
+# the unrecorded checks must match byte for byte
+# ---------------------------------------------------------------------------
+
+def _recorded_sufficient(spec, grid, candidate, comparisons, mc,
+                         adjoint_eval, p3_check=None):
+    """mp._check_sufficient reading every state from the candidate's
+    record."""
+    S = mp._simulate(spec, grid, candidate, mc, record=True).arrays
+
+    def state(k):
+        return S["X"][:, k], S["Y"][:, k], S["A"][:, k]
+
+    ladder = mc.get("horizon_fractions", (0.25, 0.5, 1.0))
+    steps = [min(grid.n, int(round(frac * grid.n))) for frac in ladder]
+    transversality = []
+    for cmp_idx, cmp_control in enumerate(comparisons):
+        C = mp._simulate(spec, grid, cmp_control, mc, record=True).arrays
+        for k in steps:
+            t = k * grid.dt
+            p, _, p2 = adjoint_eval(t, *state(k))
+            est, se = mean_stderr(p * (C["X"][:, k] - S["X"][:, k]))
+            rec = {"comparison": cmp_idx, "T": t, "estimate": est,
+                   "stderr": se}
+            if p2 is not None:
+                rec["estimate_p2"], rec["stderr_p2"] = mean_stderr(
+                    p2 * (C["Y"][:, k] - S["Y"][:, k]))
+            transversality.append(rec)
+
+    rng = np.random.default_rng(int(mc.get("seed", 0)) + 1)
+    N, n1 = S["X"].shape
+    idx_p = rng.integers(0, N, mp._HESSIAN_SAMPLES)
+    idx_k = rng.integers(0, n1, mp._HESSIAN_SAMPLES)
+    points = np.stack([S[key][idx_p, idx_k] for key in ("X", "Y", "A", "u")],
+                      axis=1)
+    worst = mp._hessian_proxy(spec, grid, idx_k, points, adjoint_eval)
+    concavity = {"max_eigenvalue": worst, "tol": mp._CONCAVITY_TOL,
+                 "passed": worst <= mp._CONCAVITY_TOL}
+
+    stride = max(1, grid.n // 50)
+    total = 0.0
+    for k in range(0, grid.n + 1, stride):
+        t = k * grid.dt
+        x, y, a = state(k)
+        u = S["u"][:, k]
+        p, q, _ = adjoint_eval(t, x, y, a)
+        with np.errstate(all="ignore"):
+            sig = np.asarray(spec.coeffs.sigma(t, x, y, a, u), float)
+        jump_sq = 0.0
+        if spec.has_jumps:
+            jump_sq = spec.jump.nu_integral(
+                lambda z: np.asarray(spec.coeffs.theta(t, x, y, a, u, z),
+                                     float) ** 2)
+        total += np.nanmean(p ** 2 * (sig ** 2 + jump_sq) + q ** 2) \
+            * grid.dt * stride
+    integrability = {"estimate": float(total),
+                     "finite": bool(np.isfinite(total))}
+
+    max_gap, gaps_ok = [], True
+    for k in mp._probe_indices(grid, mc):
+        t = k * grid.dt
+        x, y, a = state(k)
+        gap, se, v_star = mp._gap_at_probe(spec, t, x, y, a, S["u"][:, k],
+                                           adjoint_eval(t, x, y, a))
+        max_gap.append({"t": float(t), "gap": gap, "stderr": se,
+                        "maximizer": v_star})
+        gaps_ok &= not gap > 2 * se + mp._GAP_ABS_TOL
+    trans_ok = all(rec["estimate"] >= -2 * rec["stderr"] - 1e-12
+                   for rec in transversality)
+    ok = (gaps_ok and concavity["passed"] and integrability["finite"]
+          and trans_ok and (p3_check is None or p3_check["flat"]))
+    return mp.SufficiencyReport(transversality, concavity, integrability,
+                                max_gap, p3_check, "pass" if ok else "fail")
+
+
+def _recorded_necessary(spec, grid, candidate, mc):
+    """mp.necessary_residual reading every state from the candidate's
+    record; its bump ensembles resume recorded saved states."""
+    adjoint = mc["adjoint"]
+    lag_steps = mp._lag_steps(mc.get("e_t", "full"), grid)
+    T = grid.horizon
+    windows = mc.get("bump_windows") or [(0.1 * T, 0.1 * T),
+                                         (0.4 * T, 0.1 * T),
+                                         (0.7 * T, 0.1 * T)]
+    s_values = mc.get("bump_s", (1e-2, 1e-3))
+    n_paths, seed = int(mc["n_paths"]), int(mc["seed"])
+    threads = int(mc.get("threads", 1))
+    first_step = {ws: bump_start_step(grid, float(ws)) for ws, _ in windows}
+    cand = simulate_ensemble(spec, grid, candidate, n_paths, seed,
+                             accumulators=mp._gateaux_accumulators(grid),
+                             record=True, threads=threads,
+                             save_at=first_step.values())
+    S = cand.arrays
+
+    ks = mp._probe_indices(grid, mc)
+    resid, rse = np.empty(len(ks)), np.empty(len(ks))
+    tol_b = 1e-9 * max(1.0, abs(spec.control_hi) + abs(spec.control_lo))
+    boundary_hits, interior_fracs = 0, []
+    for i, k in enumerate(ks):
+        t = k * grid.dt
+        x, y, a, u = S["X"][:, k], S["Y"][:, k], S["A"][:, k], S["u"][:, k]
+        p, q = _adjoint_values(adjoint, t, x, y, a)
+        with np.errstate(all="ignore"):
+            g = np.asarray(grad_H(spec, HamArgs(t=t, x=x, y=y, a=a, u=u,
+                                                p=p, q=q), "u", check=False),
+                           float)
+        ok = np.isfinite(g)
+        lag = None
+        if lag_steps and k - lag_steps >= 0:
+            kl = k - lag_steps
+            lag = (S["X"][ok, kl], S["Y"][ok, kl], S["A"][ok, kl])
+        resid[i], rse[i] = mp._conditional_residual(
+            g[ok], lag, int(mc.get("basis_degree", 2)))
+        u_ok = u[ok]
+        on_bound = ((u_ok <= spec.control_lo + tol_b)
+                    | (u_ok >= spec.control_hi - tol_b))
+        if u_ok.size and np.mean(on_bound) > 0.5:
+            boundary_hits += 1
+        interior_fracs.append(1.0 - (np.mean(on_bound) if u_ok.size else 0.0))
+    boundary_control = boundary_hits > len(ks) / 2
+
+    nn = grid.n
+    p_T = np.asarray(_adjoint_values(adjoint, T, S["X"][:, nn], S["Y"][:, nn],
+                                     S["A"][:, nn])[0], float)
+    bump_estimates = []
+    for ws, wh in windows:
+        for alpha in mp._BUMP_ALPHAS:
+            for s in s_values:
+                rew_p, xT_p, rew_m, xT_m = (
+                    v for shift in (s * alpha, -s * alpha)
+                    for v in _gateaux_terms(
+                        spec, grid, bump_control(candidate, shift, ws, wh,
+                                                 horizon=T),
+                        n_paths, seed, threads, cand.states[first_step[ws]]))
+                diff = (rew_p - rew_m) / (2 * s)
+                pT = p_T if p_T.shape == diff.shape else np.mean(p_T)
+                est, se = mean_stderr(diff + pT * (xT_p - xT_m) / (2 * s))
+                bump_estimates.append({"window": (ws, wh), "alpha": alpha,
+                                       "s": s, "estimate": est, "stderr": se})
+    resid_ok = np.all(np.abs(resid) <= 3 * rse + mp._RESID_ABS_TOL)
+    bumps_ok = all(abs(b["estimate"]) <= 3 * b["stderr"] + mp._BUMP_ABS_TOL
+                   for b in bump_estimates)
+    verdict = ("boundary" if boundary_control
+               else "pass" if resid_ok and bumps_ok else "fail")
+    return mp.NecessityReport(
+        probe_times=[float(k * grid.dt) for k in ks], residuals=resid,
+        residual_stderr=rse, bump_estimates=bump_estimates,
+        interior_fraction=float(np.mean(interior_fracs)),
+        boundary_control=boundary_control, verdict=verdict)
+
+
+def _report_bytes(report):
+    return json.dumps(report.as_dict(), sort_keys=True,
+                      default=lambda v: v.item())
+
+
+def _wavy_jump_problem():
+    """The geometric jump spec with a control in the drift, a reward that
+    depends on the state and the control, a feedback candidate and a
+    state-dependent adjoint."""
+    spec = make_jump_spec(intensity=2.0)
+    coeffs = dataclasses.replace(
+        spec.coeffs,
+        b=lambda t, x, y, a, u: 0.05 * x + 0.1 * y - 0.2 * u,
+        f=lambda t, x, y, a, u: np.log1p(np.abs(x)) - (u - 0.3) ** 2)
+    spec = dataclasses.replace(spec, coeffs=coeffs)
+    ctl = feedback_control(lambda t, x, y, a: 0.3 + 0.1 * a - 0.05 * y)
+    adj = lambda t, x, y, a: np.exp(-0.1 * t) * (1.0 + 0.1 * x)
+    return spec, ctl, adj
+
+
+class TestMatchesRecordedCandidate:
+    """Each check keeps only what it reads of an unrecorded candidate,
+    and its report has the bytes of the one computed from the candidate's
+    full record.  Two block groups (threads 2, a partial second block)."""
+
+    N_PATHS = BLOCK_SIZE + 7
+    MC = dict(n_paths=N_PATHS, seed=5, threads=2)
+
+    @pytest.fixture(params=["ex34", "jumps"])
+    def problem(self, request, setup):
+        if request.param == "jumps":
+            return _wavy_jump_problem()
+        params, p0, spec, ctl, adj = setup
+        return spec, ctl, adj
+
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"e_t": ["lagged", 0.5],
+         "bump_windows": [(0.0, 0.05), (1.23, 0.4), (4.5, 0.5)]},
+        {"e_t": ("lagged", 0.5), "bump_windows": [(2.0, 1.0)],
+         "probe_count": 7, "bump_s": (0.05,)}])
+    def test_necessary(self, problem, extra):
+        spec, ctl, adj = problem
+        grid = make_grid(spec.delta, 0.05, 5.0)
+        mc = {**self.MC, "adjoint": adj, **extra}
+        assert _report_bytes(necessary_residual(spec, grid, ctl, mc)) \
+            == _report_bytes(_recorded_necessary(spec, grid, ctl, mc))
+
+    @pytest.mark.parametrize("extra", [
+        {}, {"horizon_fractions": (0.3, 0.3, 0.77, 1.0), "probe_count": 9}])
+    def test_sufficient_first(self, problem, extra):
+        spec, ctl, adj = problem
+        grid = make_grid(spec.delta, 0.05, 5.0)
+        comparisons = [scale_control(ctl, 0.8), constant_control(0.1)]
+        mc = {**self.MC, "adjoint": adj, **extra}
+
+        def adjoint_eval(t, x, y, a):
+            return (*_adjoint_values(adj, t, x, y, a), None)
+
+        got = check_sufficient_first(spec, grid, ctl, comparisons, mc)
+        want = _recorded_sufficient(spec, grid, ctl, comparisons, mc,
+                                    adjoint_eval)
+        assert _report_bytes(got) == _report_bytes(want)
+
+    def test_sufficient_second(self, problem):
+        spec, ctl, _ = problem
+        grid = make_grid(spec.delta, 0.05, 5.0)
+        n, t = grid.n, grid.times
+        sar = SecondAdjointResult(grid=grid, p1=np.exp(-0.1 * t),
+                                  p2=0.3 * np.cos(t), p3=1e-3 * np.sin(t),
+                                  q1=0.01 * t, q2=np.zeros(n + 1),
+                                  r=np.zeros((n + 1, 1)))
+        comparisons = [scale_control(ctl, 0.8)]
+        mc = {**self.MC, "adjoint2": sar}
+
+        def adjoint_eval(t, x, y, a):
+            k = min(n, int(round(t / grid.dt)))
+            return tuple(np.broadcast_to(v[k], np.shape(x))
+                         for v in (sar.p1, sar.q1, sar.p2))
+
+        flat, dev = p3_flatness(sar.p3, mp._P3_TOL)
+        got = check_sufficient_second(spec, grid, ctl, comparisons, mc)
+        want = _recorded_sufficient(
+            spec, grid, ctl, comparisons, mc, adjoint_eval,
+            {"flat": flat, "max_deviation": dev})
+        assert _report_bytes(got) == _report_bytes(want)
+
+
 class TestMemory:
-    """The checks read the candidate's record in place and record no
-    comparison ensemble, so their traced peak stays within 1.3 times the
-    bytes of one recorded ensemble (stacking copies of the records, and
-    recording the comparison, took it past 2)."""
+    """The checks record no ensemble: they keep the candidate's values at
+    the steps and points they read and, for the necessary check, the
+    increments its bump ensembles resume from.  So their traced peak
+    stays below 0.45 times the bytes of one recorded ensemble (reading
+    the recorded candidate took it past 1.1)."""
 
     @pytest.mark.parametrize("check", ["sufficient1", "necessary"])
     def test_traced_peak(self, setup, check):
@@ -593,4 +882,4 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.3 * one, f"peak {peak / one:.2f}x one ensemble"
+        assert peak < 0.45 * one, f"peak {peak / one:.2f}x one ensemble"
