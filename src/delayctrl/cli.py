@@ -231,15 +231,6 @@ def _solve_first(run, spec, grid, control, solver_cfg):
         ensemble=_reference_ensemble(run, spec, grid, control, solver_cfg))
 
 
-def _solved_p_grid(run, spec, grid, control):
-    """p at the grid nodes of the first adjoint solved under ``control``
-    (the ensemble mean in regression mode).  The solved triple, whose
-    per-path p, q and r a regression solve holds, is released on return."""
-    triple, _ = _solve_first(run, spec, grid, control,
-                             run.cfg.get("solver", {}))
-    return triple.p_on_grid()
-
-
 def _picard_failure(run, name, exc, what):
     """Write the partial Picard report of a failed solve plus the error
     to ``name`` and return EXIT_FAIL."""
@@ -332,8 +323,12 @@ def cmd_check(args):
 
     if args.principle in ("sufficient1", "necessary"):
         if p_fn is None:
-            # the candidate's adjoint, interpolated in time
-            p_grid = _solved_p_grid(run, spec, grid, candidate)
+            # solve the candidate's adjoint and interpolate it in time
+            # (the ensemble mean in regression mode); only p on the grid
+            # is held, not the solved triple, whose per-path p, q and r a
+            # regression solve keeps
+            p_grid = _solve_first(run, spec, grid, candidate,
+                                  run.cfg.get("solver", {}))[0].p_on_grid()
 
             def p_fn(t, x, y, a, _pg=p_grid):
                 k = min(grid.n, int(round(np.asarray(t, float) / grid.dt)))

@@ -369,13 +369,12 @@ def lane_values(v, shape: tuple):
     return v if v.shape == shape else np.broadcast_to(v, shape)
 
 
-def _normal_chunk(rngs, lanes, n_lanes: int, steps: int, sqdt, out=None):
-    """Increments dB of the next ``steps`` steps, one row per step, in
-    ``out`` when given.
+def _normal_chunk(rngs, lanes, n_lanes: int, steps: int, sqdt):
+    """Increments dB of the next ``steps`` steps, one row per step.
 
     Each block draws all rows in one full-width call, bitwise the same
     normals as ``steps`` consecutive per-step draws of its stream."""
-    z = np.empty((steps, n_lanes)) if out is None else out
+    z = np.empty((steps, n_lanes))
     for rng, sl in zip(rngs, lanes):
         z[:, sl] = rng.standard_normal((steps, BLOCK_SIZE))[:, :sl.stop - sl.start]
     return np.multiply(sqdt, z, out=z)
@@ -488,12 +487,6 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     sqdt = np.sqrt(dt)
     z = np.empty(nb)
 
-    def draw(k, steps):
-        # a chunk of steps the run keeps goes straight into its kept rows
-        out = kept_dB[k - kept0:k - kept0 + steps] if (
-            kept is not None and k >= kept0) else None
-        return _normal_chunk(rngs, lanes, nb, steps, sqdt, out)
-
     # the producer thread starts at the first submit: never with jumps,
     # nor on a resumed run, nor when one chunk holds every step
     with ThreadPoolExecutor(max_workers=1) as producer:
@@ -512,7 +505,6 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 sval = lane_values(spec.coeffs.sigma(t, X, Y, A, u), X.shape)
 
             counts = None
-            in_kept = False  # dB already sits in its kept row
             if source is not None:
                 # the saved run's increments (and counts) of step k, read
                 # in place
@@ -538,13 +530,13 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 row = k % NOISE_CHUNK
                 k_next = k - row + NOISE_CHUNK  # first step of the next chunk
                 if row == 0:
-                    chunk = (ahead.result() if k
-                             else draw(0, min(NOISE_CHUNK, n)))
+                    chunk = (ahead.result() if k else _normal_chunk(
+                        rngs, lanes, nb, min(NOISE_CHUNK, n), sqdt))
                 elif row == 1 and k_next < n:
-                    ahead = producer.submit(draw, k_next,
-                                            min(NOISE_CHUNK, n - k_next))
+                    ahead = producer.submit(
+                        _normal_chunk, rngs, lanes, nb,
+                        min(NOISE_CHUNK, n - k_next), sqdt)
                 dB = chunk[row]
-                in_kept = kept is not None and k - row >= kept0
 
             drift = bval * dt
             th = None
@@ -621,7 +613,7 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 rec_X[k + 1] = X
                 rec_Y[k + 1] = Y
                 rec_A[k + 1] = A
-            if kept is not None and k >= kept0 and not in_kept:
+            if kept is not None and k >= kept0:
                 kept_dB[k - kept0] = dB
                 if kept_counts is not None:
                     kept_counts[k - kept0] = counts
@@ -733,11 +725,12 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     step.  It reads dB and the jump counts as rows kept by the saved run,
     so it repeats no earlier step, draws no noise and starts no producer
     thread, and every result, the record included, is bitwise that of
-    the full run.  A recorded run keeps these rows in its record; an
-    unrecorded one keeps only them, from its first save step on, about
-    8 (n - min(save_at)) bytes per path without jumps.  A recorded run
-    resumes only from a recorded one, whose record it copies up to the
-    resume step.
+    the full run, as far as each accumulator's ``copy_state`` carries
+    what it accumulated before the save step.  A recorded run keeps
+    these rows in its record; an unrecorded one keeps only them, from
+    its first save step on, about 8 (n - min(save_at)) bytes per path
+    without jumps.  A recorded run resumes only from a recorded one,
+    whose record it copies up to the resume step.
     """
     variation = _prepare_variation(spec, beta) if beta is not None else None
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE

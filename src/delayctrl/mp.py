@@ -31,9 +31,11 @@ the necessary check; the ladder, integrability and probe steps, plus the
 concavity proxy's sampled (path, step) points, for the sufficient one.
 The necessary check's candidate also keeps dB (and the jump counts) from
 the first bump window's step on, which its resumed bump ensembles read;
-the sufficiency ladder's comparison ensembles keep their states at the
-ladder steps.  So a check holds O(N x captured steps + N x (n - first
-window step)) floats, not the O(N x n) of a record.
+its captures are freed once the residuals are taken (its saved states
+hold none of them), and each window's bump results once its estimates
+are.  The sufficiency ladder's comparison ensembles keep their
+states at the ladder steps.  So a check holds O(N x captured steps
++ N x (n - first window step)) floats, not the O(N x n) of a record.
 
 The information structure E_t is either ``full`` (E_t = F_t, conditional
 estimates reduce to plain path averages) or ``("lagged", D)`` (condition
@@ -165,11 +167,9 @@ class StateAtStepsAccumulator(StepAccumulator):
     state is ``steps=(n,)``.
 
     A run writes its values into one array it allocates at its first
-    capture.  A copied state (saved, or resumed from) refers to the
-    columns captured so far by step and key, without copying them: they
-    are never written again.  A run resumed from it takes its values at
-    steps before the resume step from there, so the saved run must have
-    captured its keys."""
+    capture.  A saved state holds none of them, so saving does not keep
+    a run's captures alive: a run resumed from it captures the steps from
+    its resume step on and leaves the columns of earlier steps NaN."""
 
     def __init__(self, steps, keys="xya"):
         self.steps = tuple(int(k) for k in steps)
@@ -179,9 +179,7 @@ class StateAtStepsAccumulator(StepAccumulator):
             self._columns.setdefault(k, []).append(j)
 
     def begin(self, n_lanes, spec, grid):
-        # "own": step -> {key: column} written by this run into "out";
-        # "inherited": the same for the run it was resumed from
-        return {"out": None, "own": {}, "inherited": {}}
+        return {"out": None}
 
     def _out(self, st, n_lanes):
         if st["out"] is None:
@@ -196,20 +194,13 @@ class StateAtStepsAccumulator(StepAccumulator):
         out = self._out(st, len(ctx["x"]))
         for i, key in enumerate(self.keys):
             out[i, cols] = ctx[key]
-        st["own"][k] = dict(zip(self.keys, out[:, cols[0]]))
 
     def finish(self, st, ctx):
         self.step(st, ctx["k"], ctx)
-        out = self._out(st, len(ctx["x"]))
-        for k, captured in st["inherited"].items():
-            for j in self._columns.get(k, ()):
-                for i, key in enumerate(self.keys):
-                    out[i, j] = captured[key]
-        return tuple(v.T for v in out)
+        return tuple(v.T for v in self._out(st, len(ctx["x"])))
 
     def copy_state(self, st):
-        return {"out": None, "own": {},
-                "inherited": {**st["inherited"], **st["own"]}}
+        return {"out": None}
 
     def by_step(self, extras) -> dict:
         """``finish``'s arrays (merged over paths) as step -> tuple of
@@ -513,6 +504,40 @@ def check_sufficient_second(spec: ProblemSpec, grid: TimeGrid,
 # Necessary condition
 # ---------------------------------------------------------------------------
 
+def _first_order_residuals(spec, grid, ks, S, lag_steps, adjoint, degree):
+    """Conditional estimates of dH/du at the probe steps ``ks`` from the
+    captured states ``S`` (step -> (x, y, a, u)): (residuals, standard
+    errors, boundary_control, interior_fraction).  The control is on the
+    boundary when more than half of the in-domain paths sit at a bound at
+    more than half of the probes."""
+    resid = np.empty(len(ks))
+    rse = np.empty(len(ks))
+    tol_b = 1e-9 * max(1.0, abs(spec.control_hi) + abs(spec.control_lo))
+    boundary_hits = 0
+    interior_fracs = []
+    for i, k in enumerate(ks):
+        t = k * grid.dt
+        x, y, a, u = S[k]
+        p, q = _adjoint_values(adjoint, t, x, y, a)
+        args = HamArgs(t=t, x=x, y=y, a=a, u=u, p=p, q=q)
+        with np.errstate(all="ignore"):
+            g = np.asarray(grad_H(spec, args, "u", check=False), float)
+        ok = np.isfinite(g)
+        lag = None
+        if lag_steps and k - lag_steps >= 0:
+            lag = tuple(v[ok] for v in S[k - lag_steps][:3])
+        resid[i], rse[i] = _conditional_residual(g[ok], lag, degree)
+        # boundary statistics over in-domain paths only
+        u_ok = u[ok]
+        on_bound = ((u_ok <= spec.control_lo + tol_b)
+                    | (u_ok >= spec.control_hi - tol_b))
+        if u_ok.size and np.mean(on_bound) > 0.5:
+            boundary_hits += 1
+        interior_fracs.append(1.0 - (np.mean(on_bound) if u_ok.size else 0.0))
+    return (resid, rse, boundary_hits > len(ks) / 2,
+            float(np.mean(interior_fracs)))
+
+
 def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
                        candidate: ControlSpec, mc_cfg: dict) -> NecessityReport:
     """First-order condition at the candidate: conditional estimates of
@@ -541,7 +566,7 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     # resumes the candidate's engine state saved there.  The candidate is
     # not recorded: it runs the classes of _gateaux_accumulators, which a
     # resume must match, and keeps (x, y, a, u) at the probe steps, their
-    # lag steps and n
+    # lag steps and n, which are freed before the bumps run
     ks = _probe_indices(grid, mc_cfg)
     nn = grid.n
     lag_ks = [k - lag_steps for k in ks if lag_steps and k - lag_steps >= 0]
@@ -550,34 +575,12 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     cand = simulate_ensemble(spec, grid, candidate, n_paths, seed,
                              accumulators=(RunningRewardAccumulator(), capture),
                              threads=threads, save_at=first_step.values())
+    saved = cand.states
     S = capture.by_step(cand.extras[1])
-
-    resid = np.empty(len(ks))
-    rse = np.empty(len(ks))
-    tol_b = 1e-9 * max(1.0, abs(spec.control_hi) + abs(spec.control_lo))
-    boundary_hits = 0
-    interior_fracs = []
-    for i, k in enumerate(ks):
-        t = k * grid.dt
-        x, y, a, u = S[k]
-        p, q = _adjoint_values(adjoint, t, x, y, a)
-        args = HamArgs(t=t, x=x, y=y, a=a, u=u, p=p, q=q)
-        with np.errstate(all="ignore"):
-            g = np.asarray(grad_H(spec, args, "u", check=False), float)
-        ok = np.isfinite(g)
-        lag = None
-        if lag_steps and k - lag_steps >= 0:
-            lag = tuple(v[ok] for v in S[k - lag_steps][:3])
-        resid[i], rse[i] = _conditional_residual(
-            g[ok], lag, int(mc_cfg.get("basis_degree", 2)))
-        # boundary statistics over in-domain paths only
-        u_ok = u[ok]
-        on_bound = ((u_ok <= spec.control_lo + tol_b)
-                    | (u_ok >= spec.control_hi - tol_b))
-        if u_ok.size and np.mean(on_bound) > 0.5:
-            boundary_hits += 1
-        interior_fracs.append(1.0 - (np.mean(on_bound) if u_ok.size else 0.0))
-    boundary_control = boundary_hits > len(ks) / 2
+    del cand
+    resid, rse, boundary_control, interior_fraction = _first_order_residuals(
+        spec, grid, ks, S, lag_steps, adjoint,
+        int(mc_cfg.get("basis_degree", 2)))
 
     # bump (Gateaux) derivatives by symmetric differences under CRN
     # The truncated objective misses the tail E int_T^inf f dt whose first
@@ -586,25 +589,24 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     # targets the infinite-horizon derivative.
     p_T = np.asarray(_adjoint_values(
         adjoint, grid.horizon, *S[nn][:3])[0], float)
-    # (alpha, s) and (-alpha, s) need the same two bumped ensembles, so
-    # each (window, shift) is simulated once
-    terms = {}
-
-    def bumped(ws, wh, shift):
-        key = (ws, wh, shift)
-        if key not in terms:
-            control = bump_control(candidate, shift, ws, wh,
-                                   horizon=grid.horizon)
-            terms[key] = _gateaux_terms(spec, grid, control, n_paths, seed,
-                                        threads, cand.states[first_step[ws]])
-        return terms[key]
+    del S
 
     bump_estimates = []
     for (ws, wh) in windows:
+        # (alpha, s) and (-alpha, s) need the same two bumped ensembles, so
+        # each shift is simulated once; the window's ensembles are dropped
+        # once its estimates are taken
+        terms = {}
         for alpha in _BUMP_ALPHAS:
             for s in s_values:
-                rew_p, xT_p = bumped(ws, wh, s * alpha)
-                rew_m, xT_m = bumped(ws, wh, -s * alpha)
+                for shift in (s * alpha, -s * alpha):
+                    if shift not in terms:
+                        terms[shift] = _gateaux_terms(
+                            spec, grid, bump_control(candidate, shift, ws, wh,
+                                                     horizon=grid.horizon),
+                            n_paths, seed, threads, saved[first_step[ws]])
+                rew_p, xT_p = terms[s * alpha]
+                rew_m, xT_m = terms[-s * alpha]
                 diff = (rew_p - rew_m) / (2 * s)
                 pT = p_T if p_T.shape == diff.shape else np.mean(p_T)
                 diff = diff + pT * (xT_p - xT_m) / (2 * s)
@@ -623,7 +625,7 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     return NecessityReport(
         probe_times=[float(k * grid.dt) for k in ks], residuals=resid,
         residual_stderr=rse, bump_estimates=bump_estimates,
-        interior_fraction=float(np.mean(interior_fracs)),
+        interior_fraction=interior_fraction,
         boundary_control=boundary_control, verdict=verdict)
 
 

@@ -2,7 +2,9 @@
 variational consistency."""
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -206,7 +208,6 @@ class TestNecessary:
         2 |windows| |s| bump ensembles besides the candidate's."""
         import delayctrl.mp as mp
         from delayctrl.forward import feedback_control, simulate_ensemble
-        from delayctrl.hamiltonian import HamArgs, grad_H
         from delayctrl.objective import RunningRewardAccumulator, mean_stderr
 
         params, p0, spec, ctl, adj = setup
@@ -571,29 +572,35 @@ class TestStatesAtSteps:
         assert np.array_equal(points.values(res.extras[0]), want)
 
     @pytest.mark.parametrize("record", [False, True])
-    def test_resumed_run_returns_the_full_runs_columns(self, setup, record):
-        """A run resumed at step 40 returns, for steps before 40, the
-        columns the saved run captured, and its own after; with a bump
-        from step 40 on, both equal the bumped full run's."""
+    def test_resumed_run_captures_from_its_step(self, setup, record):
+        """A saved state holds none of the run's captures, so dropping the
+        result frees them while the state lives on.  A run resumed from
+        it at step 40, with a bump from there, captures steps 40 on as the
+        bumped full run does and leaves the earlier columns NaN."""
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.05, 5.0)
         steps = (0, 39, 40, 41, 7, grid.n)
+        later, earlier = [2, 3, 5], [0, 1, 4]
 
         def run(control, **kwargs):
             acc = StateAtStepsAccumulator(steps, "xyau")
             return simulate_ensemble(spec, grid, control, self.N_PATHS,
-                                     self.SEED, threads=2, record=record,
+                                     self.SEED, record=record,
                                      accumulators=(acc,), **kwargs)
 
         saved = run(ctl, save_at=[40])
+        captured = weakref.ref(saved.extras[0][0].base)
+        state = saved.states[40]
+        del saved
+        gc.collect()
+        assert captured() is None
         bumped = bump_control(ctl, 0.2, 40 * grid.dt, 1.0, grid.horizon)
-        full, resumed = run(bumped), run(bumped, resume=saved.states[40])
-        for got, want, keep in zip(resumed.extras[0], full.extras[0],
-                                   saved.extras[0], strict=True):
-            assert np.array_equal(got, want)
-            assert np.array_equal(got[:, [0, 1, 4]], keep[:, [0, 1, 4]])
-        assert not np.array_equal(full.extras[0][3][:, 2],
-                                  saved.extras[0][3][:, 2])
+        full, resumed = run(bumped), run(bumped, resume=state)
+        for got, want in zip(resumed.extras[0], full.extras[0], strict=True):
+            assert np.array_equal(got[:, later], want[:, later])
+            assert np.isnan(got[:, earlier]).all()
+        assert not np.array_equal(full.extras[0][0][:, 3],
+                                  run(ctl).extras[0][0][:, 3])
 
     def test_gateaux_terms_bytes_unchanged(self, setup):
         """_gateaux_terms gives the bytes of the reward accumulator plus
@@ -854,9 +861,16 @@ class TestMatchesRecordedCandidate:
 class TestMemory:
     """The checks record no ensemble: they keep the candidate's values at
     the steps and points they read and, for the necessary check, the
-    increments its bump ensembles resume from.  So their traced peak
-    stays below 0.45 times the bytes of one recorded ensemble (reading
-    the recorded candidate took it past 1.1)."""
+    increments its bump ensembles resume from.  The sufficiency check's
+    traced peak stays below 0.4 times the bytes of one recorded ensemble
+    and the necessary check's below 0.45 (reading the recorded candidate
+    took both past 1.1).  On this grid (n = 200, m = 20) the necessary
+    candidate alone holds about 0.42: its dB rows from the first window
+    on (0.18), the captured columns (0.08), three saved delay rings with
+    their accumulator copies (0.07), the live ring and the noise chunks
+    (0.07)."""
+
+    BOUNDS = {"sufficient1": 0.4, "necessary": 0.45}
 
     @pytest.mark.parametrize("check", ["sufficient1", "necessary"])
     def test_traced_peak(self, setup, check):
@@ -882,4 +896,5 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.45 * one, f"peak {peak / one:.2f}x one ensemble"
+        assert peak < self.BOUNDS[check] * one, (
+            f"peak {peak / one:.3f}x one ensemble")
