@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 from .errors import (AdjointMissing, BadInterval, BadWeight, BadWindow,
                      ConfigError, DelayCtrlError, DivergentIntegral,
                      DomainError, GridMismatch, NoConvergence, NonFinite,
-                     NonFiniteObjective, NonFiniteSegment, NonFiniteState,
-                     NoSignChange)
+                     NonFiniteDriver, NonFiniteObjective, NonFiniteSegment,
+                     NonFiniteState, NoSignChange)
 from .model import (CoefficientSet, DiscreteMarks, JumpModel, ProblemSpec,
                     TimeGrid, build_problem, make_grid)
 from .forward import (ControlSpec, EnsembleResult, PathRecord,

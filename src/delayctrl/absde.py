@@ -34,6 +34,22 @@ given and deterministic otherwise:
       (Longstaff-Schwartz), q and r are extracted by regressing the
       martingale increments p_{k+1} dB_k / dt and
       p_{k+1} (dN_k - intensity dt) / (intensity dt).
+
+What a regression solve holds, besides its ensemble (N paths, L = n+1+m
+padded nodes):
+  - the per-slice design cache, N x 10 floats per slice at basis degree 2;
+  - the driver's coefficient partials (``adjoint``), one N x L array for
+    each partial that differs across paths and one time row for each
+    that does not (two of nine are per path for Ex 3.4);
+  - about six N x L working arrays: the iterate's p and q, the inner
+    sweep's q, the new sweep's p, q and F, and the driver's temporaries
+    while it runs.  Without jumps r is never written, and one zero r
+    serves the whole solve.
+On Ex 3.4 (sigma0 0.05, 2048 paths, dt 0.05, T 5: n = 100, m = 20) that
+is 16.4 MB of design cache, 4.0 MB of partials and about 2 MB per working
+array; by tracemalloc the solve from ``EnsembleResult.arrays`` peaks at
+38 MB, and at 1024 paths, dt 0.01 at 94.5 MB, 4.6 times its 20.5 MB
+recorded ensemble (X, Y, A, u, dB).
 """
 
 from __future__ import annotations
@@ -43,7 +59,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadWeight, NoConvergence
+from .errors import BadWeight, NoConvergence, NonFiniteDriver
 from .model import TimeGrid
 
 _INNER_MAX_ITER = 8  # inner (q, r) sweeps per outer regression iteration
@@ -208,6 +224,28 @@ def weighted_distance(grid: TimeGrid, lam: float, dp, dq=None, dr=None,
 
 
 # ---------------------------------------------------------------------------
+# Driver values, read by both sweeps
+# ---------------------------------------------------------------------------
+
+def _driver_values(driver: AdvancedDriver, grid: TimeGrid, nodes: int,
+                   p, q, r) -> np.ndarray:
+    """F = driver.fn(p, q, r), checked finite at the first ``nodes`` grid
+    nodes (those a sweep reads): otherwise raises NonFiniteDriver at the
+    first such path, and its first such node."""
+    F = np.asarray(driver.fn(p, q, r), float)
+    bad = ~np.isfinite(F[..., :nodes])
+    if bad.any():
+        path = int(np.argmax(bad.any(axis=-1))) if bad.ndim > 1 else None
+        node = int(np.argmax(bad if path is None else bad[path]))
+        where = "" if path is None else f" on path {path}"
+        raise NonFiniteDriver(
+            f"adjoint driver is not finite{where} at grid node {node} "
+            f"(t = {node * grid.dt:g}); the Picard iteration cannot converge",
+            path=path, node=node)
+    return F
+
+
+# ---------------------------------------------------------------------------
 # Deterministic backward sweep
 # ---------------------------------------------------------------------------
 
@@ -215,7 +253,7 @@ def _det_sweep(driver: AdvancedDriver, grid: TimeGrid, p_prev, q_prev, r_prev):
     """One Picard update in deterministic mode: trapezoid quadrature of
     dp = F dt backward from p(T) = 0 (so p(t) = -int_t^T F ds)."""
     n, m, dt = grid.n, grid.m, grid.dt
-    F = np.asarray(driver.fn(p_prev, q_prev, r_prev), float)
+    F = _driver_values(driver, grid, n + 1, p_prev, q_prev, r_prev)
     steps = 0.5 * dt * (F[:-1] + F[1:])
     p_new = np.zeros(n + 1 + m)
     p_new[: n] = -np.cumsum(steps[::-1])[::-1]
@@ -280,23 +318,24 @@ class McContext:
 
 
 def _reg_sweep(driver: AdvancedDriver, grid: TimeGrid, ctx: McContext,
-               p_prev, q_prev, r_prev, inner_qr=None):
-    """One backward regression sweep.  The p-arguments of the driver come
-    from p_prev; the q/r arguments come from inner_qr when given (inner
-    Step-1 iteration) else from (q_prev, r_prev)."""
+               p_prev, q_prev, r_prev):
+    """One backward regression sweep whose driver reads the iterate
+    (p_prev, q_prev, r_prev).  Without jumps r is never written: the sweep
+    hands r_prev back, which in ``picard_solve`` is the solve's one zero
+    r."""
     n, m, dt = grid.n, grid.m, grid.dt
     N = ctx.n_paths
     nm = max(driver.n_marks, 1)
-    q_src, r_src = inner_qr if inner_qr is not None else (q_prev, r_prev)
+    jumps = ctx.counts is not None and ctx.intensity > 0
 
+    F = _driver_values(driver, grid, n, p_prev, q_prev, r_prev)
     p = np.zeros((N, n + 1 + m))
     q = np.zeros((N, n + 1 + m))
-    r = np.zeros((N, n + 1 + m, nm))
-    F = np.asarray(driver.fn(p_prev, q_src, r_src), float)
+    r = np.zeros((N, n + 1 + m, nm)) if jumps else r_prev
     for k in range(n - 1, -1, -1):
         p_next = p[:, k + 1]
         q[:, k] = ctx.project(k, p_next * ctx.dB[:, k]) / dt
-        if ctx.counts is not None and ctx.intensity > 0:
+        if jumps:
             for j in range(min(nm, ctx.counts.shape[2])):
                 lam_j = ctx.intensity * ctx.mark_probs[j] * dt
                 centered = ctx.counts[:, k, j] - lam_j
@@ -324,10 +363,12 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
     so the iteration stops once their root mean square change is about
     sqrt(tol): the default 1e-12 is about 1e-6, not 1e-12.
 
-    Raises NoConvergence when max_iter is exhausted, BadWeight when the
-    measured contraction ratio stays >= 1 for 3 consecutive iterations
-    (the weight is too small for the driver's Lipschitz constant).  Both
-    carry the partial report.
+    Raises NoConvergence when max_iter is exhausted, its subclass
+    NonFiniteDriver at the first sweep whose driver is NaN/inf where the
+    sweep reads it (with the first such path and grid node), and
+    BadWeight when the measured contraction ratio stays >= 1 for 3
+    consecutive iterations (the weight is too small for the driver's
+    Lipschitz constant).  All three carry the partial report.
     """
     ensemble = mc_context is not None
     lam = (auto_weight(driver.lipschitz, grid.delta)
@@ -349,33 +390,46 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
         p_init = np.asarray(p_init, float)
         p[..., : min(p_init.shape[-1], n + 1)] = p_init[..., : n + 1]
         p[..., n:] = 0.0  # truncation convention: zero beyond the horizon
-    q = np.zeros(shape_p)
-    r = np.zeros(shape_r)
+    # never written: the (q, r) every inner iteration starts from, and
+    # without jumps the r of every regression iterate
+    zero_q, zero_r = np.zeros(shape_p), np.zeros(shape_r)
+    q, r = zero_q, zero_r
 
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        if ensemble:
-            # inner Step-1 iteration on the (q, r) arguments
-            inner_q, inner_r = np.zeros_like(q), np.zeros_like(r)
-            for _inner in range(_INNER_MAX_ITER):
-                p_new, q_new, r_new = _reg_sweep(
-                    driver, grid, mc_context, p, q, r,
-                    inner_qr=(inner_q, inner_r))
-                d_in, _, _ = weighted_distance(
-                    grid, lam, q_new - inner_q, dr=r_new - inner_r,
-                    ensemble=True)
-                inner_q, inner_r = q_new, r_new
-                if d_in <= tol:
-                    break
-        else:
-            p_new, q_new, r_new = _det_sweep(driver, grid, p, q, r)
+        try:
+            if ensemble:
+                # inner Step-1 iteration on the (q, r) arguments
+                q_new, r_new = zero_q, zero_r
+                for _inner in range(_INNER_MAX_ITER):
+                    inner_q, inner_r = q_new, r_new
+                    p_new = None  # not read again: free it before the sweep
+                    p_new, q_new, r_new = _reg_sweep(
+                        driver, grid, mc_context, p, inner_q, inner_r)
+                    d_in, _, _ = weighted_distance(
+                        grid, lam, q_new - inner_q,
+                        dr=None if r_new is inner_r else r_new - inner_r,
+                        ensemble=True)
+                    if d_in <= tol:
+                        break
+                del inner_q, inner_r
+            else:
+                p_new, q_new, r_new = _det_sweep(driver, grid, p, q, r)
+        except NonFiniteDriver as exc:
+            exc.report = report
+            raise
 
-        d, d_p, d_qr = weighted_distance(grid, lam, p_new - p, q_new - q,
-                                         r_new - r, ensemble=ensemble)
+        # one set of differences for both norms; an r that was not
+        # rewritten differs by zero and adds exactly 0.0 to the qr part
+        dp, dq = p_new - p, q_new - q
+        dr = None if r_new is r else r_new - r
+        d, d_p, d_qr = weighted_distance(grid, lam, dp, dq, dr,
+                                         ensemble=ensemble)
         # unweighted companion: guards against premature stops when the
         # e^{lambda t} mass concentrates at the horizon
-        d_flat, _, _ = weighted_distance(grid, 0.0, p_new - p, q_new - q,
-                                         r_new - r, ensemble=ensemble)
+        d_flat, _, _ = weighted_distance(grid, 0.0, dp, dq, dr,
+                                         ensemble=ensemble)
+        del dp, dq, dr
         report.distances.append(d)
         report.p_distances.append(d_p)
         report.qr_distances.append(d_qr)

@@ -42,38 +42,53 @@ from .model import ProblemSpec, TimeGrid
 _PARTIAL_VARS = ("x", "y", "a")
 
 
+def _compact_rows(vals: np.ndarray) -> np.ndarray:
+    """``vals`` (leading path axis) as its first row when every row holds
+    the same bits, compared as int64 so -0.0 and NaN patterns count;
+    otherwise ``vals`` itself."""
+    bits = vals.view(np.int64)
+    same = np.array_equal(bits, np.broadcast_to(bits[:1], bits.shape))
+    return vals[0] if same else vals
+
+
 def _coefficient_partial_arrays(spec: ProblemSpec, grid: TimeGrid, path):
     """Evaluate the (x, y, a) partials of f, b, sigma (and theta per mark)
     along a reference path; arrays are zero-padded past the horizon so
     advanced reads clip to zero there.
 
     ``path`` supplies arrays X, Y, A, u over the n+1 grid nodes, either
-    1-D (deterministic) or 2-D with a leading path axis.
+    1-D (deterministic) or 2-D with a leading path axis.  On a stacked
+    path a partial that is bitwise the same on every path (a constant or
+    a function of t only) is kept as one padded time row of shape
+    (n+1+m,), or (n+1+m, marks) for theta, which its readers broadcast
+    against the path axis.
     """
     n, m = grid.n, grid.m
     t = grid.times
     X, Y, A, u = path["X"], path["Y"], path["A"], path["u"]
-    lead = X.shape[:-1]
-    out = {}
+    stacked = X.ndim > 1
     jump = spec.jump
+
+    def padded(partial, *mark):
+        with np.errstate(all="ignore"):
+            vals = np.asarray(partial(t, X, Y, A, u, *mark), float)
+        vals = np.broadcast_to(vals, X.shape)
+        if stacked:
+            vals = _compact_rows(vals)
+        arr = np.zeros(vals.shape[:-1] + (n + 1 + m,))
+        arr[..., : n + 1] = vals
+        return arr
+
+    out = {}
     for name in ("f", "b", "sigma"):
         for var in _PARTIAL_VARS:
-            arr = np.zeros(lead + (n + 1 + m,))
-            with np.errstate(all="ignore"):
-                vals = spec.coeffs.partial(name, var)(t, X, Y, A, u)
-            arr[..., : n + 1] = np.broadcast_to(vals, X.shape)
-            out[f"{name}_{var}"] = arr
+            out[f"{name}_{var}"] = padded(spec.coeffs.partial(name, var))
     if spec.has_jumps:
         for var in _PARTIAL_VARS:
             dtheta = spec.coeffs.partial("theta", var)
-            marks = []
-            for z in jump.marks.values:
-                arr = np.zeros(lead + (n + 1 + m,))
-                with np.errstate(all="ignore"):
-                    vals = dtheta(t, X, Y, A, u, z)
-                arr[..., : n + 1] = np.broadcast_to(vals, X.shape)
-                marks.append(arr)
-            out[f"theta_{var}"] = np.stack(marks, axis=-1)  # (..., nodes, marks)
+            marks = [padded(dtheta, z) for z in jump.marks.values]
+            # (..., nodes, marks); one row per path once any mark needs it
+            out[f"theta_{var}"] = np.stack(np.broadcast_arrays(*marks), axis=-1)
         out["mark_weights"] = jump.intensity * np.asarray(jump.marks.probs)
     return out
 
@@ -106,22 +121,33 @@ def _estimate_lipschitz(P: dict, grid: TimeGrid) -> float:
 
 
 def _h_partial(P: dict, var: str, sl, p, q, r):
-    """dH/d<var> over the node selection ``sl`` for adjoint values p, q, r."""
-    val = (P[f"f_{var}"][..., sl] + P[f"b_{var}"][..., sl] * p
-           + P[f"sigma_{var}"][..., sl] * q)
+    """dH/d<var> over the node selection ``sl`` for adjoint values p, q, r,
+    as one new array: b p + f + sigma q (+ the jump term), the bits of
+    f + b p + sigma q since IEEE addition commutes."""
+    val = P[f"b_{var}"][..., sl] * p
+    val += P[f"f_{var}"][..., sl]
+    val += P[f"sigma_{var}"][..., sl] * q
     key = f"theta_{var}"
     if key in P:
         w = P["mark_weights"]
-        val = val + np.sum(P[key][..., sl, :] * w * r, axis=-1)
+        val += np.sum(P[key][..., sl, :] * w * r, axis=-1)
     return val
 
 
 def _segment_integral(ha: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Kernel-weighted forward-segment sums of ha at every grid node: one
-    "valid" correlation per path row (a 1-D ha is a single row)."""
-    rows = ha.reshape(-1, ha.shape[-1])
-    out = np.array([np.correlate(row, kernel, mode="valid") for row in rows])
-    return out.reshape(ha.shape[:-1] + out.shape[-1:])
+    "valid" correlation over the path rows laid end to end (a 1-D ha is a
+    single row), read back without the outputs whose window straddles two
+    rows.  Each kept output is the dot product the per-row correlation
+    takes, so the bits are those of one correlation per row."""
+    nodes = ha.shape[-1]
+    rows = ha.size // nodes
+    width = nodes - kernel.size + 1
+    flat = np.correlate(ha.ravel(), kernel, mode="valid")
+    out = np.lib.stride_tricks.as_strided(
+        flat, shape=(rows, width),
+        strides=(nodes * flat.itemsize, flat.itemsize), writeable=False)
+    return out.reshape(ha.shape[:-1] + (width,))
 
 
 def build_first_driver(spec: ProblemSpec, grid: TimeGrid, path,
@@ -144,8 +170,12 @@ def build_first_driver(spec: ProblemSpec, grid: TimeGrid, path,
                         r[..., sl_now, :])
         hy = _h_partial(P, "y", sl_adv, p[..., sl_adv], q[..., sl_adv],
                         r[..., sl_adv, :])
-        ha = _h_partial(P, "a", slice(None), p, q, r)
-        return -(hx + hy + _segment_integral(ha, kernel))
+        F = hx
+        F += hy
+        del hy
+        F += _segment_integral(_h_partial(P, "a", slice(None), p, q, r),
+                               kernel)
+        return np.negative(F, out=F)
 
     return AdvancedDriver(fn=fn, lipschitz=_estimate_lipschitz(P, grid),
                           n_marks=n_marks)

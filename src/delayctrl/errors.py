@@ -57,6 +57,24 @@ class NoConvergence(DelayCtrlError):
         self.report = report
 
 
+class NonFiniteDriver(NoConvergence):
+    """The adjoint driver is NaN/inf on a Picard iterate, so no sweep can
+    converge (a coefficient partial left its domain on some path).
+
+    Attributes
+    ----------
+    path : the first path with a non-finite driver value (None in
+        deterministic mode).
+    node : the first grid node at which that path's value is non-finite.
+    report : the partial report, up to the last completed iteration.
+    """
+
+    def __init__(self, message, path=None, node=None, report=None):
+        super().__init__(message, report=report)
+        self.path = path
+        self.node = node
+
+
 class BadWeight(DelayCtrlError):
     """Weighted-norm ratio >= 1 for 3 consecutive iterations: the
     exponential weight is too small for the driver's Lipschitz constant."""

@@ -53,7 +53,7 @@ import numpy as np
 
 from .absde import monomial_basis
 from .adjoint import SecondAdjointResult, p3_flatness
-from .errors import AdjointMissing, BadWindow, ConfigError, NonFinite
+from .errors import AdjointMissing, BadWindow, ConfigError
 from .forward import (ControlSpec, StepAccumulator, bump_control,
                       bump_start_step, feedback_control, simulate_ensemble)
 from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
@@ -333,34 +333,38 @@ def _gap_at_probe(spec, t, x, y, a, u_hat, adj):
 def _hessian_proxy(spec, grid, steps, points, adjoint_eval):
     """Max eigenvalue of the (x, y, a, u)-Hessian of H over sampled
     ensemble points, by central differences of the analytic gradient;
-    row j of ``points`` holds (x, y, a, u) at step ``steps[j]``."""
+    row j of ``points`` holds (x, y, a, u) at step ``steps[j]``.  Points
+    with a non-finite coordinate and Hessians with a non-finite entry are
+    skipped (-inf when none is left).
+
+    All points at once: copy 2j (2j+1) of the points moves variable j up
+    (down) by h, each partial of H is one grad_H call on those 8 copies,
+    and the symmetrised Hessians go to one batched eigvalsh."""
     h = 1e-5
-    worst = -np.inf
-    var_names = ("x", "y", "a", "u")
-    for k, values in zip(steps, points):
-        t = k * grid.dt
-        base = dict(zip(var_names, values))
-        if not all(np.isfinite(v) for v in base.values()):
-            continue
-        p, q, p2 = adjoint_eval(t, base["x"], base["y"], base["a"])
-
-        def grad_vec(pt):
-            args = HamArgs(t=t, x=pt["x"], y=pt["y"], a=pt["a"], u=pt["u"],
-                           p=p, q=q, p2=p2)
-            return np.array([float(grad_H(spec, args, v, check=False))
-                             for v in var_names])
-
-        try:
-            H = np.empty((4, 4))
-            for j, v in enumerate(var_names):
-                hi = dict(base); hi[v] += h
-                lo = dict(base); lo[v] -= h
-                H[:, j] = (grad_vec(hi) - grad_vec(lo)) / (2 * h)
-            H = 0.5 * (H + H.T)
-            worst = max(worst, float(np.max(np.linalg.eigvalsh(H))))
-        except (NonFinite, FloatingPointError):
-            continue
-    return worst
+    points = np.asarray(points, float)
+    keep = np.all(np.isfinite(points), axis=1)
+    base = points[keep].T  # (4, P)
+    t = np.asarray(steps)[keep] * grid.dt
+    if not t.size:
+        return -np.inf
+    adj = zip(*(adjoint_eval(tk, x, y, a) for tk, x, y, a in zip(t, *base[:3])))
+    p, q, p2 = (None if vals[0] is None else np.array(vals, float)
+                for vals in adj)
+    moved = np.repeat(base[:, None, :], 8, axis=1)  # (4, 8, P)
+    for j in range(4):
+        moved[j, 2 * j] += h
+        moved[j, 2 * j + 1] -= h
+    args = HamArgs(t=t, x=moved[0], y=moved[1], a=moved[2], u=moved[3],
+                   p=p, q=q, p2=p2)
+    with np.errstate(all="ignore"):
+        grads = np.stack([np.broadcast_to(grad_H(spec, args, v, check=False),
+                                          moved.shape[1:])
+                          for v in ("x", "y", "a", "u")])
+    # H[., i, j] = (dH/di at j up - dH/di at j down) / 2h, point axis first
+    H = np.moveaxis((grads[:, 0::2] - grads[:, 1::2]) / (2 * h), -1, 0)
+    H = 0.5 * (H + np.swapaxes(H, -1, -2))
+    H = H[np.all(np.isfinite(H), axis=(1, 2))]
+    return float(np.max(np.linalg.eigvalsh(H))) if len(H) else -np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,11 @@ from delayctrl.absde import (
     uniqueness_probe,
     weighted_distance,
 )
-from delayctrl.errors import BadWeight, NoConvergence
+from delayctrl.adjoint import solve_first_adjoint
+from delayctrl.errors import BadWeight, NoConvergence, NonFiniteDriver
+from delayctrl.examples import (Example34Params, ex34_feedback, ex34_p0_star,
+                                make_ex34_problem)
+from delayctrl.forward import simulate_ensemble
 
 
 def advanced_ode_oracle(grid, c, g):
@@ -108,6 +112,53 @@ class TestDeterministicSolve:
 
 
 class TestFailureModes:
+    @pytest.fixture(scope="class")
+    def ex34_ensemble(self):
+        params = Example34Params(sigma0=0.05)
+        spec = make_ex34_problem(params, u_hi=50.0)
+        ctl = ex34_feedback(params, ex34_p0_star(params))
+        grid = make_grid(1.0, 0.05, 3.0)
+        S = simulate_ensemble(spec, grid, ctl, 32, 0, record=True).arrays
+        return spec, grid, ctl, S
+
+    def test_path_below_zero_stops_the_first_sweep(self, ex34_ensemble):
+        """Ex 3.4's f_x = u^gamma x^(gamma-1) is NaN once a path's wealth
+        is negative: the solve raises at its first sweep, naming the
+        path and the node, instead of iterating on NaN to max_iter."""
+        spec, grid, ctl, S = ex34_ensemble
+        X = S["X"].copy()
+        X[5, 40:] = -0.5
+        with pytest.raises(NonFiniteDriver) as exc:
+            solve_first_adjoint(spec, grid, ctl, ensemble={**S, "X": X})
+        assert isinstance(exc.value, NoConvergence)
+        assert (exc.value.path, exc.value.node) == (5, 40)
+        assert exc.value.report.iterations == 0
+        assert exc.value.report.mode == "regression"
+
+    def test_driver_unread_at_the_horizon_node(self, ex34_ensemble):
+        """The regression sweep never reads F at node n, so a NaN there
+        stays harmless, as it always was."""
+        spec, grid, ctl, S = ex34_ensemble
+        X = S["X"].copy()
+        X[5, grid.n] = -0.5
+        _, report = solve_first_adjoint(spec, grid, ctl,
+                                        ensemble={**S, "X": X})
+        assert report.converged
+
+    def test_deterministic_driver_names_the_node(self):
+        grid = make_grid(1.0, 0.05, 3.0)
+        n, m = grid.n, grid.m
+
+        def fn(p, q, r):
+            F = 1.0 + 0.1 * p[m: n + 1 + m]
+            F[7] = np.inf if p[0] != 0.0 else 1.0
+            return F
+
+        with pytest.raises(NonFiniteDriver) as exc:
+            picard_solve(AdvancedDriver(fn=fn, lipschitz=0.1), grid)
+        assert (exc.value.path, exc.value.node) == (None, 7)
+        assert exc.value.report.iterations == 1
+
     def test_no_convergence_raises_with_report(self):
         grid = make_grid(1.0, 0.01, 3.0)
         with pytest.raises(NoConvergence) as exc:

@@ -186,6 +186,122 @@ class TestFirstDriver:
         assert counts["fn"] == counts["sweeps"]
 
 
+def with_linear_partials(spec):
+    """make_coupled_jump_spec with the analytic partials of its linear b,
+    sigma and theta supplied: constants, so each is one time row of the
+    partial arrays on a stacked path, while f's stay per path."""
+    const = lambda c: (lambda t, x, y, a, u, *z: c)
+    partials = {
+        "b": {"x": const(0.05), "y": const(0.02), "a": const(-0.03)},
+        "sigma": {"x": const(0.2), "y": const(0.0), "a": const(0.01)},
+        "theta": {"x": lambda t, x, y, a, u, z: z,
+                  "y": const(0.01),
+                  "a": lambda t, x, y, a, u, z: 0.05 * z},
+    }
+    return dataclasses.replace(
+        spec, coeffs=dataclasses.replace(spec.coeffs, partials=partials))
+
+
+class TestWorkingSet:
+    """The regression solve's memory cuts keep every bit: compact
+    partials, the in-place driver, the one-pass segment integral and the
+    shared Picard buffers."""
+
+    @pytest.mark.parametrize("m", [0, 20, 100])
+    @pytest.mark.parametrize("lead", [(), (1,), (7,)])
+    def test_segment_integral_is_the_per_row_correlation(self, m, lead):
+        rng = np.random.default_rng(m + len(lead))
+        ha = rng.normal(size=lead + (3 * m + 11,))
+        kernel = adjoint._segment_kernel(make_grid(1.0, 0.01, 5.0), 0.1)[: m + 1]
+        rows = ha.reshape(-1, ha.shape[-1])
+        want = np.array([np.correlate(row, kernel, mode="valid")
+                         for row in rows]).reshape(lead + (-1,))
+        got = adjoint._segment_integral(ha, kernel)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_compact_rows_compare_bits(self):
+        rows = np.zeros((3, 4))
+        assert adjoint._compact_rows(rows).shape == (4,)
+        rows[1, 2] = -0.0
+        assert adjoint._compact_rows(rows).shape == (3, 4)
+        nan = np.full((2, 3), np.nan)
+        assert adjoint._compact_rows(nan).shape == (3,)
+        nan[1, 0] = -np.nan
+        assert adjoint._compact_rows(nan).shape == (2, 3)
+
+    @pytest.mark.parametrize("problem", ["ex34", "jumps", "jumps_fd"])
+    def test_compact_partials_give_the_full_array_driver(self, problem,
+                                                         monkeypatch):
+        if problem == "ex34":
+            params = Example34Params(sigma0=0.05)
+            spec = make_ex34_problem(params, u_hi=50.0)
+            ctl = ex34_feedback(params, ex34_p0_star(params))
+        else:
+            spec = make_coupled_jump_spec()
+            if problem == "jumps":
+                spec = with_linear_partials(spec)
+            ctl = constant_control(0.3)
+        grid = make_grid(spec.delta, 0.05, 1.5)
+        S = simulate_ensemble(spec, grid, ctl, 16, 5, record=True).arrays
+        compact = adjoint._coefficient_partial_arrays(spec, grid, S)
+        rows = {key for key, v in compact.items() if key != "mark_weights"
+                and v.ndim == 1 + key.startswith("theta")}
+        if problem != "jumps_fd":
+            assert rows and len(rows) < len(compact) - spec.has_jumps
+        full = {key: np.broadcast_to(v, (16,) + v.shape).copy()
+                if key in rows else v for key, v in compact.items()}
+        n_marks = spec.jump.n_marks if spec.has_jumps else 1
+        p, q, r = TestFirstDriver.iterate(grid, 16, n_marks, 2)
+        got = build_first_driver(spec, grid, S)
+        monkeypatch.setattr(adjoint, "_coefficient_partial_arrays",
+                            lambda *args: full)
+        want = build_first_driver(spec, grid, S)
+        assert got.lipschitz == want.lipschitz
+        assert got.fn(p, q, r).tobytes() == want.fn(p, q, r).tobytes()
+
+    @pytest.mark.parametrize("jumps", [False, True])
+    def test_records_and_arrays_give_the_same_triple(self, jumps):
+        if jumps:
+            spec, ctl = make_coupled_jump_spec(), constant_control(0.3)
+        else:
+            params = Example34Params(sigma0=0.05)
+            spec = make_ex34_problem(params, u_hi=50.0)
+            ctl = ex34_feedback(params, ex34_p0_star(params))
+        grid = make_grid(spec.delta, 0.05, 1.5)
+        res = simulate_ensemble(spec, grid, ctl, 64, 3, record=True)
+        a, report_a = solve_first_adjoint(spec, grid, ctl, ensemble=res.records)
+        b, report_b = solve_first_adjoint(spec, grid, ctl, ensemble=res.arrays)
+        assert report_a.as_dict() == report_b.as_dict()
+        for key in ("p", "q", "r"):
+            assert getattr(a, key).tobytes() == getattr(b, key).tobytes()
+        assert np.any(a.r != 0.0) == jumps
+
+    def test_traced_peak(self):
+        """A regression solve of Ex 3.4 (512 paths, dt 0.05, T 5) peaks
+        at about 4.6 times the bytes of its recorded ensemble (X, Y, A, u,
+        dB) by tracemalloc: the per-slice design cache (2.0), the two
+        per-path partials of Ex 3.4 (f_x and b_x) and about six
+        (N x nodes) working arrays.  Nine full partials, per-sweep zero r
+        arrays and Picard differences computed twice took it to 7.6."""
+        import tracemalloc
+
+        params = Example34Params(sigma0=0.05)
+        spec = make_ex34_problem(params, u_hi=50.0)
+        ctl = ex34_feedback(params, ex34_p0_star(params))
+        grid = make_grid(1.0, 0.05, 5.0)
+        n_paths = 512
+        S = simulate_ensemble(spec, grid, ctl, n_paths, 3, record=True).arrays
+        one = 8 * n_paths * (4 * (grid.n + 1) + grid.n)
+        tracemalloc.start()
+        try:
+            solve_first_adjoint(spec, grid, ctl, ensemble=S)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.2 * one, f"peak {peak / one:.3f}x one ensemble"
+
+
 class TestSecondAdjoint:
     def test_consumption_structure(self):
         """Solved on an extended horizon, p1 matches p1(0)e^{-mu t} on the

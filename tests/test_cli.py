@@ -142,6 +142,23 @@ class TestAdjoint:
                              names=True)
         assert np.all(np.isfinite(data["p"]))
 
+    def test_regression_solve_on_an_exited_path_fails_fast(self, tmp_path):
+        """Path 569 of this ensemble falls below zero at step 491, where
+        f_x turns NaN: the solve stops at its first sweep and the report
+        names the path and the node."""
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["grid"] = {"dt": 0.02, "horizon": 10.0}
+        cfg["mc"] = {"n_paths": 1024, "seed": 0, "threads": 1}
+        cfg["solver"] = {"mode": "regression"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("adjoint", "--config", str(path), "--out-dir",
+                       str(out), "--system", "first") == EXIT_FAIL
+        report = json.loads((out / "picard_report.json").read_text())
+        assert report["iterations"] == 0 and not report["converged"]
+        assert "on path 569 at grid node 491" in report["error"]
+
     def test_second_system(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         assert run_cli("adjoint", "--config", cfg_path, "--out-dir",

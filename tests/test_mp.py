@@ -151,6 +151,77 @@ class TestSufficientSecond:
             first.integrability["estimate"], **close)
 
 
+def _scalar_hessian_proxy(spec, grid, steps, points, adjoint_eval):
+    """The concavity proxy one point and one perturbed copy at a time: the
+    reference of the batched mp._hessian_proxy."""
+    h = 1e-5
+    worst = -np.inf
+    for k, values in zip(steps, points):
+        if not np.all(np.isfinite(values)):
+            continue
+        t = k * grid.dt
+        p, q, p2 = adjoint_eval(t, *values[:3])
+        H = np.empty((4, 4))
+        for j in range(4):
+            up, down = values.copy(), values.copy()
+            up[j] += h
+            down[j] -= h
+            for i, var in enumerate("xyau"):
+                g_up, g_down = (grad_H(spec, HamArgs(t, *pt, p=p, q=q, p2=p2),
+                                       var, check=False)
+                                for pt in (up, down))
+                H[i, j] = (g_up - g_down) / (2 * h)
+        H = 0.5 * (H + H.T)
+        if np.all(np.isfinite(H)):
+            worst = max(worst, float(np.max(np.linalg.eigvalsh(H))))
+    return worst
+
+
+class TestHessianProxy:
+    """The batched concavity proxy gives the scalar loop's maximum
+    eigenvalue bit for bit, on both formulations, skipping points that
+    are not finite or leave the coefficients' domain."""
+
+    @pytest.fixture(scope="class", params=["ex34", "jumps"])
+    def sampled(self, request, setup):
+        if request.param == "jumps":  # finite-difference partials
+            spec, ctl, adj = _wavy_jump_problem()
+        else:
+            params, p0, spec, ctl, adj = setup
+        grid = make_grid(spec.delta, 0.05, 5.0)
+        S = simulate_ensemble(spec, grid, ctl, 64, 3, record=True).arrays
+        rng = np.random.default_rng(0)
+        paths = rng.integers(0, 64, mp._HESSIAN_SAMPLES)
+        steps = rng.integers(0, grid.n + 1, mp._HESSIAN_SAMPLES)
+        points = np.stack([S[key][paths, steps] for key in "XYAu"], axis=1)
+        points[3, 1] = np.nan  # skipped point
+        if request.param == "ex34":
+            points[9, 0] = -points[9, 0]  # f_x is NaN: skipped Hessian
+        return spec, grid, steps, points, adj
+
+    @pytest.mark.parametrize("formulation", ["first", "second"])
+    def test_matches_scalar_loop(self, sampled, formulation):
+        spec, grid, steps, points, adj = sampled
+        if formulation == "first":
+            def adjoint_eval(t, x, y, a):
+                return (*_adjoint_values(adj, t, x, y, a), None)
+        else:
+            t = grid.times
+
+            def adjoint_eval(t_k, x, y, a):
+                k = min(grid.n, int(round(t_k / grid.dt)))
+                return (np.exp(-0.1 * t[k]), 0.01 * t[k], 0.3 * np.cos(t[k]))
+        want = _scalar_hessian_proxy(spec, grid, steps, points, adjoint_eval)
+        got = mp._hessian_proxy(spec, grid, steps, points, adjoint_eval)
+        assert np.isfinite(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_no_finite_point(self, sampled):
+        spec, grid, steps, points, _ = sampled
+        nan = np.full_like(points, np.nan)
+        assert mp._hessian_proxy(spec, grid, steps, nan, None) == -np.inf
+
+
 class TestNecessary:
     def test_residual_vanishes_at_candidate(self, setup):
         """dH/du = 0 pathwise along the closed-form pair: residuals are
