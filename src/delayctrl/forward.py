@@ -19,9 +19,15 @@ step a block draws its normals, then its Poisson counts mark by mark.
 
 Without jumps a block's stream holds normals only, so one draw of shape
 (c, ``BLOCK_SIZE``) is bitwise c consecutive per-step draws.  The engine
-then draws ``NOISE_CHUNK`` steps of normals at a time, and while it steps
-one chunk a producer thread (one per block group) draws the next and
-scales it to increments dB; the draws release the GIL.  Jump streams
+then draws ``NOISE_CHUNK`` steps of normals at a time into a block-major
+chunk of shape (blocks, ``NOISE_CHUNK``, ``BLOCK_SIZE``): each block fills
+its rows in place with one call, and each step gathers its row of every
+block and scales it to the increments dB in one pass.  While the group
+steps one chunk, a producer thread (one per block group) draws the next
+into a second buffer; the draws release the GIL, and the producer takes
+it back blocks + 1 times per chunk (once to start, once after each
+block's draw).  The two buffers, 2 * ``NOISE_CHUNK`` * ``BLOCK_SIZE`` * 8
+bytes per block, are all the noise memory a run holds.  Jump streams
 interleave Poisson counts with the normals and keep drawing inline, step
 by step.
 
@@ -128,14 +134,18 @@ class ControlSpec:
         if np.ndim(u) == 0:
             u = np.full(np.shape(x), float(u))
         lo, hi = spec.control_lo, spec.control_hi
-        outside = (u < lo) | (u > hi)
+        # fmin and fmax skip NaN lanes, which never clip, so a NaN lane
+        # cannot hide an out-of-bound lane beside it
         if starts is None:
-            flag = clip = bool(outside.any())
+            flag = clip = bool(
+                np.fmin.reduce(u, axis=None, initial=np.inf) < lo
+                or np.fmax.reduce(u, axis=None, initial=-np.inf) > hi)
         else:
-            flag = np.logical_or.reduceat(outside, starts)
+            flag = ((np.fmin.reduceat(u, starts) < lo)
+                    | (np.fmax.reduceat(u, starts) > hi))
             clip = flag.any()
         if clip:
-            u = np.clip(u, lo, hi)
+            u = u.clip(lo, hi)
         return u, flag
 
 
@@ -272,7 +282,9 @@ class StepAccumulator:
     ``finish`` receives the final grid point and returns an array (or
     tuple of arrays), per path unless the accumulator says otherwise; the
     engine concatenates them across groups in block order, so the
-    reduction is independent of scheduling.
+    reduction is independent of scheduling.  ``step`` and ``finish`` run
+    with floating-point warnings off (``np.errstate(all="ignore")``), so a
+    lane leaving a callback's domain is the accumulator's to handle.
     """
 
     def begin(self, n_lanes: int, spec: ProblemSpec, grid: TimeGrid):
@@ -369,15 +381,16 @@ def lane_values(v, shape: tuple):
     return v if v.shape == shape else np.broadcast_to(v, shape)
 
 
-def _normal_chunk(rngs, lanes, n_lanes: int, steps: int, sqdt):
-    """Increments dB of the next ``steps`` steps, one row per step.
+def _normal_chunk(rngs, out):
+    """Fill ``out``, one (steps, ``BLOCK_SIZE``) array per block, with the
+    normals of the next steps, and return it.
 
-    Each block draws all rows in one full-width call, bitwise the same
-    normals as ``steps`` consecutive per-step draws of its stream."""
-    z = np.empty((steps, n_lanes))
-    for rng, sl in zip(rngs, lanes):
-        z[:, sl] = rng.standard_normal((steps, BLOCK_SIZE))[:, :sl.stop - sl.start]
-    return np.multiply(sqdt, z, out=z)
+    Each block draws its rows in place in one full-width call, bitwise
+    the same normals as that many consecutive per-step draws of its
+    stream."""
+    for rng, rows in zip(rngs, out):
+        rng.standard_normal(out=rows)
+    return out
 
 
 def _prepare_variation(spec: ProblemSpec, beta: ControlSpec) -> dict:
@@ -486,10 +499,18 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     saved = {}
     sqdt = np.sqrt(dt)
     z = np.empty(nb)
+    if source is None and not has_jumps:
+        # block-major chunk buffers: chunk c fills buffer c % 2
+        bufs = np.empty((min(2, -(-n // NOISE_CHUNK)), len(starts),
+                         min(NOISE_CHUNK, n), BLOCK_SIZE))
 
-    # the producer thread starts at the first submit: never with jumps,
-    # nor on a resumed run, nor when one chunk holds every step
-    with ThreadPoolExecutor(max_workers=1) as producer:
+    # one errstate for every callback and accumulator the run calls: a
+    # lane's non-finite value is the engine's to report (NonFiniteState)
+    # or the accumulator's to handle, never a warning.  The producer
+    # thread starts at the first submit: never with jumps, nor on a
+    # resumed run, nor when one chunk holds every step
+    with (np.errstate(all="ignore"),
+          ThreadPoolExecutor(max_workers=1) as producer):
         for k in range(k0, n):
             if k in save_at:
                 saved[k] = _snapshot(k, pos, ring, A, clipped, rec, kept,
@@ -500,9 +521,8 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             if record:
                 rec_u[k] = u
 
-            with np.errstate(all="ignore"):
-                bval = lane_values(spec.coeffs.b(t, X, Y, A, u), X.shape)
-                sval = lane_values(spec.coeffs.sigma(t, X, Y, A, u), X.shape)
+            bval = lane_values(spec.coeffs.b(t, X, Y, A, u), X.shape)
+            sval = lane_values(spec.coeffs.sigma(t, X, Y, A, u), X.shape)
 
             counts = None
             if source is not None:
@@ -524,36 +544,34 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 dB = sqdt * z
             else:
                 # the first chunk is drawn here, each later one on the
-                # producer while the chunk before it is stepped; it is
-                # submitted at that chunk's second step, once the chunk
-                # before is unreferenced, so at most two chunks are alive
+                # producer while the chunk before it is stepped, into the
+                # buffer of the chunk before that, which no step reads
+                # any more: dB is gathered and scaled out of the chunk
                 row = k % NOISE_CHUNK
-                k_next = k - row + NOISE_CHUNK  # first step of the next chunk
                 if row == 0:
-                    chunk = (ahead.result() if k else _normal_chunk(
-                        rngs, lanes, nb, min(NOISE_CHUNK, n), sqdt))
-                elif row == 1 and k_next < n:
-                    ahead = producer.submit(
-                        _normal_chunk, rngs, lanes, nb,
-                        min(NOISE_CHUNK, n - k_next), sqdt)
-                dB = chunk[row]
+                    chunk = (ahead.result() if k
+                             else _normal_chunk(rngs, bufs[0]))
+                    k_next = k + NOISE_CHUNK
+                    if k_next < n:
+                        ahead = producer.submit(
+                            _normal_chunk, rngs,
+                            bufs[k_next // NOISE_CHUNK % 2][:, :n - k_next])
+                dB = np.multiply(sqdt, chunk[:, row]).reshape(-1)[:nb]
 
             drift = bval * dt
             th = None
-            jump_term = 0.0
             if has_jumps:
-                with np.errstate(all="ignore"):
-                    th = np.stack([
-                        lane_values(spec.coeffs.theta(t, X, Y, A, u, zv),
-                                    X.shape)
-                        for zv in mark_values
-                    ], axis=0)  # (n_marks, nb)
+                th = np.stack([
+                    lane_values(spec.coeffs.theta(t, X, Y, A, u, zv),
+                                X.shape)
+                    for zv in mark_values
+                ], axis=0)  # (n_marks, nb)
                 # compensator: subtract intensity * E[theta] dt from the drift
                 drift -= jump.intensity * (mark_probs @ th) * dt
-                jump_term = np.einsum("ij,ji->i", counts, th)
-
-            X_new = X + drift + sval * dB + jump_term
-            if not np.all(np.isfinite(X_new)):
+            X_new = X + drift + sval * dB
+            if has_jumps:
+                X_new += np.einsum("ij,ji->i", counts, th)
+            if not np.isfinite(X_new).all():
                 raise _nonfinite("state became non-finite", X_new, k, t + dt,
                                  first)
 
@@ -562,26 +580,24 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 beta_vals = lane_values(var["beta"].raw(k, t, X, Y, A), X.shape)
 
                 def lin(name):
-                    with np.errstate(all="ignore"):
-                        return (P[name]["x"](t, X, Y, A, u) * xi
-                                + P[name]["y"](t, X, Y, A, u) * xi_lag
-                                + P[name]["a"](t, X, Y, A, u) * Lam
-                                + P[name]["u"](t, X, Y, A, u) * beta_vals)
+                    return (P[name]["x"](t, X, Y, A, u) * xi
+                            + P[name]["y"](t, X, Y, A, u) * xi_lag
+                            + P[name]["a"](t, X, Y, A, u) * Lam
+                            + P[name]["u"](t, X, Y, A, u) * beta_vals)
 
                 dxi = lin("b") * dt + lin("sigma") * dB
                 if has_jumps:
-                    with np.errstate(all="ignore"):
-                        dth = np.stack([
-                            (P["theta"]["x"](t, X, Y, A, u, zv) * xi
-                             + P["theta"]["y"](t, X, Y, A, u, zv) * xi_lag
-                             + P["theta"]["a"](t, X, Y, A, u, zv) * Lam
-                             + P["theta"]["u"](t, X, Y, A, u, zv) * beta_vals)
-                            for zv in mark_values
-                        ], axis=0)
+                    dth = np.stack([
+                        (P["theta"]["x"](t, X, Y, A, u, zv) * xi
+                         + P["theta"]["y"](t, X, Y, A, u, zv) * xi_lag
+                         + P["theta"]["a"](t, X, Y, A, u, zv) * Lam
+                         + P["theta"]["u"](t, X, Y, A, u, zv) * beta_vals)
+                        for zv in mark_values
+                    ], axis=0)
                     dxi += (np.einsum("ij,ji->i", counts, dth)
                             - jump.intensity * (mark_probs @ dth) * dt)
                 xi_new = xi + dxi
-                if not np.all(np.isfinite(xi_new)):
+                if not np.isfinite(xi_new).all():
                     raise _nonfinite("variational process non-finite", xi_new,
                                      k, t + dt, first)
 
@@ -618,18 +634,19 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 if kept_counts is not None:
                     kept_counts[k - kept0] = counts
 
-    if n in save_at:
-        saved[n] = _snapshot(n, pos, ring, A, clipped, rec, kept, kept0,
-                             accumulators, states)
-    t_final = n * dt
-    u_final, clip_f = control.evaluate(spec, n, t_final, X, Y, A,
-                                       starts=starts)
-    clipped |= clip_f
-    ctx_final = {"k": n, "t": t_final, "x": X, "y": Y, "a": A, "u": u_final,
-                 "path0": path0}
-    if var is not None:
-        ctx_final.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam})
-    extras = [acc.finish(st, ctx_final) for acc, st in zip(accumulators, states)]
+        if n in save_at:
+            saved[n] = _snapshot(n, pos, ring, A, clipped, rec, kept, kept0,
+                                 accumulators, states)
+        t_final = n * dt
+        u_final, clip_f = control.evaluate(spec, n, t_final, X, Y, A,
+                                           starts=starts)
+        clipped |= clip_f
+        ctx_final = {"k": n, "t": t_final, "x": X, "y": Y, "a": A,
+                     "u": u_final, "path0": path0}
+        if var is not None:
+            ctx_final.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam})
+        extras = [acc.finish(st, ctx_final)
+                  for acc, st in zip(accumulators, states)]
     if record:
         rec_u[n] = u_final
     return extras, clipped, saved

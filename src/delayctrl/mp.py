@@ -653,11 +653,10 @@ class ChainRuleAccumulator(StepAccumulator):
         spec = st["spec"]
         c = spec.coeffs
         t, x, y, a, u = ctx["t"], ctx["x"], ctx["y"], ctx["a"], ctx["u"]
-        with np.errstate(all="ignore"):
-            val = (c.partial("f", "x")(t, x, y, a, u) * ctx["xi"]
-                   + c.partial("f", "y")(t, x, y, a, u) * ctx["xi_lag"]
-                   + c.partial("f", "a")(t, x, y, a, u) * ctx["Lam"]
-                   + c.partial("f", "u")(t, x, y, a, u) * ctx["beta"])
+        val = (c.partial("f", "x")(t, x, y, a, u) * ctx["xi"]
+               + c.partial("f", "y")(t, x, y, a, u) * ctx["xi_lag"]
+               + c.partial("f", "a")(t, x, y, a, u) * ctx["Lam"]
+               + c.partial("f", "u")(t, x, y, a, u) * ctx["beta"])
         return np.asarray(val, float)
 
     def step(self, st, k, ctx):

@@ -51,10 +51,8 @@ class RunningRewardAccumulator(StepAccumulator):
         }
 
     def _f(self, st, ctx):
-        spec = st["spec"]
-        with np.errstate(all="ignore"):
-            f = spec.coeffs.f(ctx["t"], ctx["x"], ctx["y"], ctx["a"],
-                              ctx["u"])
+        f = st["spec"].coeffs.f(ctx["t"], ctx["x"], ctx["y"], ctx["a"],
+                                ctx["u"])
         return lane_values(f, ctx["x"].shape)
 
     def step(self, st, k, ctx):

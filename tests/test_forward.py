@@ -3,6 +3,7 @@ jumps, and reproducibility contracts."""
 
 import dataclasses
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -128,7 +129,54 @@ class TestMovingAverageReplay:
         assert np.array_equal(self.replay(spec, self.GRID, rec), rec.A)
 
 
+def _clip_by_mask(u, lo, hi, starts):
+    """The clip flags and values as the out-of-bound mask gives them: the
+    reference ``ControlSpec.evaluate`` must match bit for bit."""
+    outside = (u < lo) | (u > hi)
+    if starts is None:
+        flag = clip = bool(outside.any())
+    else:
+        flag = np.logical_or.reduceat(outside, starts)
+        clip = flag.any()
+    return (np.clip(u, lo, hi) if clip else u), flag
+
+
+_NAN, _INF = np.nan, np.inf
+# blocks of four lanes against the ex34 bounds [0, 50]
+_CLIP_CASES = {
+    "interior": [0.1, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+    "at_bounds": [0.0, 50.0, 0.0, 1.0, 50.0, 50.0, 0.0, 0.0],
+    "inf": [1.0, _INF, 2.0, 3.0, -_INF, 1.0, 1.0, 1.0],
+    "all_nan": [_NAN] * 8,
+    "nan_beside_low": [1.0, 2.0, 3.0, 4.0, _NAN, -1.0, 2.0, 3.0],
+    "nan_beside_high": [_NAN, 51.0, 1.0, 1.0, 2.0, 2.0, 3.0, _NAN],
+    "nan_then_in": [_NAN, 1.0, 2.0, 3.0, 4.0, _NAN, 5.0, 6.0],
+    "zero_signs": [-0.0, 0.0, -0.0, 1.0, 2.0, 3.0, 4.0, -1e-300],
+}
+
+
 class TestControls:
+    @pytest.mark.parametrize("form", ["scalar", "whole", "blocks", "lanes"])
+    @pytest.mark.parametrize("case", sorted(_CLIP_CASES))
+    def test_clipping_matches_the_mask(self, ex34_spec, case, form):
+        # the forms of simulate_noiseless (scalar, lanes: one flag per
+        # lane), of a bare lane array (whole) and of the engine (blocks)
+        ctl = feedback_control(lambda t, x, y, a: x)
+        lo, hi = ex34_spec.control_lo, ex34_spec.control_hi
+        values = np.array(_CLIP_CASES[case])
+        starts = {"blocks": np.array([0, 4]),
+                  "lanes": np.arange(values.size)}.get(form)
+        for u in ([np.array(v) for v in values] if form == "scalar"
+                  else [values]):
+            got, flag = ctl.evaluate(ex34_spec, 0, 0.0, u.copy(), u, u,
+                                     starts=starts)
+            want, want_flag = _clip_by_mask(u, lo, hi, starts)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            if starts is None:
+                assert type(flag) is bool and flag == want_flag
+            else:
+                assert flag.dtype == bool and np.array_equal(flag, want_flag)
+
     def test_constant(self, ex34_spec):
         u, clipped = constant_control(0.3).evaluate(
             ex34_spec, 0, 0.0, np.ones(4), np.ones(4), np.ones(4))
@@ -437,7 +485,7 @@ def test_clipped_flag_is_per_block():
 class TestNonFiniteContext:
     SEED = 2
 
-    @pytest.mark.parametrize("where", ["state", "xi"])
+    @pytest.mark.parametrize("where", ["state", "overflow", "xi"])
     def test_second_block_lane(self, where):
         grid = make_grid(0.2, 0.1, 0.4)
         n_paths = 2 * BLOCK_SIZE
@@ -454,12 +502,18 @@ class TestNonFiniteContext:
         def blow(t, x, y, a, u):
             return np.where(np.asarray(x, float) > thr, np.inf, 0.0)
 
-        if where == "state":
-            spec, beta = _brownian_spec(blow), None
-        else:
+        def overflow(t, x, y, a, u):  # exp(1000) overflows, exp(-inf) = 0
+            return np.exp(np.where(np.asarray(x, float) > thr, 1e3, -np.inf))
+
+        if where == "xi":
             spec = _brownian_spec(partials={"b": {"x": blow}})
             beta = constant_control(1.0)
-        with pytest.raises(NonFiniteState) as info:
+        else:
+            spec = _brownian_spec(blow if where == "state" else overflow)
+            beta = None
+        # the engine reports the lane; no floating-point warning escapes
+        with warnings.catch_warnings(), pytest.raises(NonFiniteState) as info:
+            warnings.simplefilter("error")
             simulate_ensemble(spec, grid, constant_control(0.0), n_paths,
                               self.SEED, beta=beta)
         err = info.value
@@ -519,6 +573,20 @@ class TestNoiseProducer:
             assert np.array_equal(
                 np.stack([getattr(r, key) for r in ens[0].records]),
                 np.stack([getattr(r, key) for r in ens[1].records]))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_increments_across_block_groups(self, threads):
+        # ten blocks, the last partial: groups of 8 + 2 blocks on one
+        # thread, 5 + 5 on two; the step count ends mid-chunk
+        n_paths = 9 * BLOCK_SIZE + 100
+        steps = 2 * NOISE_CHUNK + 5
+        dt = 0.2
+        grid = make_grid(0.2, dt, steps * dt)
+        ens = simulate_ensemble(_brownian_spec(), grid, constant_control(0.0),
+                                n_paths, self.SEED, record=True,
+                                threads=threads)
+        z, _ = _philox_replay(self.SEED, n_paths, steps)
+        assert ens.arrays["dB"].tobytes() == (np.sqrt(dt) * z).tobytes()
 
     def test_jump_streams_draw_inline(self, jump_spec):
         dt = 0.1

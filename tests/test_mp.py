@@ -936,10 +936,10 @@ class TestMemory:
     traced peak stays below 0.4 times the bytes of one recorded ensemble
     and the necessary check's below 0.45 (reading the recorded candidate
     took both past 1.1).  On this grid (n = 200, m = 20) the necessary
-    candidate alone holds about 0.42: its dB rows from the first window
+    candidate alone holds about 0.41: its dB rows from the first window
     on (0.18), the captured columns (0.08), three saved delay rings with
-    their accumulator copies (0.07), the live ring and the noise chunks
-    (0.07)."""
+    their accumulator copies (0.07), the live ring and the two 16-step
+    noise chunks (0.06)."""
 
     BOUNDS = {"sufficient1": 0.4, "necessary": 0.45}
 

@@ -1,6 +1,7 @@
 """Objective estimation: quadrature oracles, tail bounds, CRN pairing,
 domain-exit truncation."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -194,9 +195,10 @@ class TestDomainExit:
             assert g.tobytes() == w.tobytes()
         assert got[2].all() == (nan_at is None)
 
-    def test_ensemble_matches_where_reduction(self):
-        # f = sqrt(x) on dX = dB from X = 1 leaves the domain where the
-        # state turns negative, at different steps on different paths
+    @staticmethod
+    def _sqrt_reward():
+        """f = sqrt(x) on dX = dB from X = 1 leaves the domain where the
+        state turns negative, at different steps on different paths."""
         ones = lambda t, x, y, a, u: np.ones_like(np.asarray(x, float))
         coeffs = CoefficientSet(
             b=lambda t, x, y, a, u: 0.0 * np.asarray(x, float), sigma=ones,
@@ -204,7 +206,10 @@ class TestDomainExit:
         spec = ProblemSpec(delta=0.2, rho=0.1, discount=0.1, coeffs=coeffs,
                            control_lo=0.0, control_hi=1.0,
                            initial_segment=lambda s: np.ones_like(s))
-        grid = make_grid(0.2, 0.05, 3.0)
+        return spec, make_grid(0.2, 0.05, 3.0)
+
+    def test_ensemble_matches_where_reduction(self):
+        spec, grid = self._sqrt_reward()
         res = simulate_ensemble(spec, grid, constant_control(0.5), 1500, 3,
                                 accumulators=(RunningRewardAccumulator(),
                                               _WhereAccumulator()))
@@ -212,3 +217,41 @@ class TestDomainExit:
         assert 0.0 < got[2].mean() < 1.0
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_exits_raise_no_warning(self, threads):
+        # sqrt of a negative state, at a step and at the final point
+        # (finish), is NaN without a RuntimeWarning
+        spec, grid = self._sqrt_reward()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_J(spec, grid, constant_control(0.5), 1500, 3,
+                             threads=threads)
+        assert est.exited_fraction > 0.0
+
+
+def test_unrecorded_estimate_traced_peak(ex34_spec, ex34_control):
+    """An unrecorded estimate keeps no per-step history.  At N = 4096
+    lanes (four blocks stepped as one group), m = 10 and n = 600 its
+    traced peak is about 65 lane rows of 8 N bytes (2.1 MB): the delay
+    ring (m + 1 = 11 rows), the two 16-step noise chunks (32), the reward
+    accumulator's state (3) and the step's live arrays and temporaries
+    (about 19).  The bound, 76 rows (2.5 MB), leaves room for a few more
+    temporaries but not for longer chunks: 32-step ones read 97 rows."""
+    import tracemalloc
+
+    grid = make_grid(1.0, 0.1, 60.0)
+    n_paths = 4096
+    assert (grid.m, grid.n) == (10, 600)
+
+    def run():
+        estimate_J(ex34_spec, grid, ex34_control, n_paths, 0)
+
+    run()  # first-call allocations (caches, imports) stay out
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 76 * 8 * n_paths, f"peak {peak / (8 * n_paths):.1f} rows"
