@@ -29,7 +29,15 @@ it back blocks + 1 times per chunk (once to start, once after each
 block's draw).  The two buffers, 2 * ``NOISE_CHUNK`` * ``BLOCK_SIZE`` * 8
 bytes per block, are all the noise memory a run holds.  Jump streams
 interleave Poisson counts with the normals and keep drawing inline, step
-by step.
+by step: a full block draws its normals in place, then the counts of
+every mark come from one ``rng.random`` call (``_poisson_counts``), on
+which the engine replays numpy's multiplication method for rates below
+10 (a lane takes one uniform, plus one per jump) and draws the uniforms
+the jumps shift past that call as its scan reaches them, so the counts
+and the generator's state are bitwise those of ``rng.poisson`` called
+mark by mark.  A rate of 10 or more, or more than ``_REPLAY_MAX_JUMPS`` expected
+jumps per block-step, where the replay's scan costs more than numpy's
+loop, falls back to those calls.
 
 The engine steps a contiguous group of up to ``GROUP_BLOCKS`` blocks as
 one lane array: each block draws from its own generator and the draws are
@@ -71,9 +79,10 @@ faster one for a single control.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -84,6 +93,11 @@ from .model import ProblemSpec, TimeGrid
 BLOCK_SIZE = 1024
 GROUP_BLOCKS = 8  # blocks stepped together in one loop; bounds ring memory
 NOISE_CHUNK = 16  # steps of normals drawn at once without jumps; >= 2
+# numpy's Poisson sampler uses its multiplication method below this rate
+_POISSON_MULT_MAX = 10.0
+# expected jumps per block-step above which ``_poisson_counts`` calls
+# rng.poisson: the replay's scan costs more per jump than numpy's loop
+_REPLAY_MAX_JUMPS = 2.0
 RECORD_KEYS = ("X", "Y", "A", "u", "dB", "counts", "xi")
 _WINDOW_TOL = 1e-12
 
@@ -221,7 +235,15 @@ def _average_step(w: tuple, A, drop, edge, prev, new):
     X_{k+1-m} becomes its oldest point, ``prev`` = X_k and ``new`` =
     X_{k+1}."""
     ed, c_drop, c_edge, c_prev, c_new = w
-    return ed * A - c_drop * drop - c_edge * edge + c_prev * prev + c_new * new
+    # the sums run left to right in place on the first product: bitwise
+    # the one expression, without its four temporaries (a scalar A
+    # rebinds instead)
+    out = ed * A
+    out -= c_drop * drop
+    out -= c_edge * edge
+    out += c_prev * prev
+    out += c_new * new
+    return out
 
 
 def update_moving_average(A, segment, dt: float, rho: float):
@@ -268,8 +290,9 @@ class PathRecord:
         rows = np.column_stack((self.t, self.X, self.Y, self.A, self.u))
         with open(path, "w") as fh:
             fh.write("t,X,Y,A,u\n")
-            fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
-                          for row in rows.tolist())
+            # one % over the whole file, row by row as a per-row template
+            fh.write(("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows))
+                     % tuple(rows.ravel().tolist()))
 
 
 class StepAccumulator:
@@ -277,8 +300,11 @@ class StepAccumulator:
 
     The engine calls ``begin`` once per block group, ``step`` for
     k = 0..n-1 with a context holding the pre-step state (x, y, a, u at
-    t_k), the increments (dB, jump counts), the post-step state (x1, y1,
-    a1) and ``path0``, the ensemble index of the group's first lane.
+    t_k), the step's coefficients (b and sigma exactly as the callbacks
+    returned them, and ``theta_marks``, theta of each mark as a
+    (marks, lanes) array, None without jumps), the increments (dB, jump
+    counts), the post-step state (x1, y1, a1) and ``path0``, the
+    ensemble index of the group's first lane.
     ``finish`` receives the final grid point and returns an array (or
     tuple of arrays), per path unless the accumulator says otherwise; the
     engine concatenates them across groups in block order, so the
@@ -393,6 +419,82 @@ def _normal_chunk(rngs, out):
     return out
 
 
+def _poisson_counts(rng, rates, width: int):
+    """The Poisson counts of one block-step, a (width, marks) array:
+    bitwise ``rng.poisson(lam, width)`` mark by mark, and ``rng`` is left
+    in the state those calls leave it in.
+
+    numpy draws a count with 0 < lam < 10 by its multiplication method:
+    it multiplies uniforms (``next_double``, as ``rng.random`` draws them)
+    until the product is <= exp(-lam), one uniform per jump plus one, and
+    draws nothing at lam = 0.  This replays that on one ``rng.random``
+    call covering one uniform per lane of every mark with a positive
+    rate: a lane without a jump takes exactly its own uniform, a jumping
+    lane also takes the ones after it, which shifts every later lane, and
+    the uniforms this shift pushes past the first call are drawn when the
+    scan reaches them, never more than the counts use.  With a rate of
+    10 or more, or more expected jumps per block-step than
+    ``_REPLAY_MAX_JUMPS``, it calls ``rng.poisson`` instead."""
+    counts = np.zeros((width, len(rates)), dtype=np.int64)
+    live = _replay_marks(tuple(rates), width)
+    if live is None:
+        for j, lam in enumerate(rates):
+            counts[:, j] = rng.poisson(lam, width)
+        return counts
+    if not live:
+        return counts
+    u = rng.random(len(live) * width)
+    # a lane jumps iff its first uniform exceeds exp(-lam): none above the
+    # least threshold means no lane of any mark jumps
+    if not np.maximum.reduce(u) > min(enl for _, enl in live):
+        return counts
+    pos = 0  # the next uniform
+    for j, enl in live:
+        lane = 0
+        while lane < width:
+            short = pos + width - lane - len(u)
+            if short > 0:
+                u = np.concatenate((u, rng.random(short)))
+            seg = u[pos:pos + width - lane]
+            i = int((seg > enl).argmax())
+            if not seg[i] > enl:  # no more jumps on this mark
+                pos += width - lane
+                break
+            lane += i
+            pos += i
+            prod, c = float(u[pos]), 0
+            while prod > enl:
+                c += 1
+                pos += 1
+                if pos == len(u):  # at least this mark's lanes remain
+                    u = np.concatenate((u, rng.random(width - lane)))
+                prod *= float(u[pos])
+            counts[lane, j] = c
+            pos += 1
+            lane += 1
+    return counts
+
+
+@lru_cache(maxsize=16)
+def _replay_marks(rates: tuple, width: int):
+    """(mark, exp(-rate)) of each mark with a positive rate, in order, for
+    ``_poisson_counts`` to replay; None where it calls rng.poisson."""
+    if (max(rates, default=0.0) >= _POISSON_MULT_MAX
+            or width * sum(rates) > _REPLAY_MAX_JUMPS):
+        return None
+    return tuple((j, math.exp(-lam)) for j, lam in enumerate(rates) if lam > 0)
+
+
+def _jump_term(counts, th):
+    """sum over marks j of counts[:, j] * th[j], bitwise
+    ``np.einsum("ij,ji->i", counts, th)``: its sum starts at +0.0 and adds
+    the marks in order."""
+    out = np.zeros(len(counts))
+    for j, th_j in enumerate(th):
+        out += counts[:, j] * th_j
+    return out
+
+
 def _prepare_variation(spec: ProblemSpec, beta: ControlSpec) -> dict:
     """Collect the coefficient partials needed by the linearized dynamics."""
     names = ["b", "sigma"] + (["theta"] if spec.coeffs.theta is not None else [])
@@ -444,7 +546,8 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     has_jumps = spec.has_jumps
     mark_values = jump.marks.values if has_jumps else ()
     mark_probs = jump.marks.probs if has_jumps else None
-    rates = [jump.intensity * pz * dt for pz in mark_probs] if has_jumps else []
+    rates = (tuple(jump.intensity * pz * dt for pz in mark_probs)
+             if has_jumps else ())
     path0 = first * BLOCK_SIZE
 
     if resume is None:
@@ -521,8 +624,10 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             if record:
                 rec_u[k] = u
 
-            bval = lane_values(spec.coeffs.b(t, X, Y, A, u), X.shape)
-            sval = lane_values(spec.coeffs.sigma(t, X, Y, A, u), X.shape)
+            b_raw = spec.coeffs.b(t, X, Y, A, u)
+            s_raw = spec.coeffs.sigma(t, X, Y, A, u)
+            bval = lane_values(b_raw, X.shape)
+            sval = lane_values(s_raw, X.shape)
 
             counts = None
             if source is not None:
@@ -538,9 +643,11 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 counts = np.empty((nb, len(mark_values)), dtype=np.int64)
                 for rng, sl in zip(rngs, lanes):
                     w = sl.stop - sl.start
-                    z[sl] = rng.standard_normal(BLOCK_SIZE)[:w]
-                    for j, lam in enumerate(rates):
-                        counts[sl, j] = rng.poisson(lam, BLOCK_SIZE)[:w]
+                    if w == BLOCK_SIZE:
+                        rng.standard_normal(out=z[sl])
+                    else:
+                        z[sl] = rng.standard_normal(BLOCK_SIZE)[:w]
+                    counts[sl] = _poisson_counts(rng, rates, BLOCK_SIZE)[:w]
                 dB = sqdt * z
             else:
                 # the first chunk is drawn here, each later one on the
@@ -561,16 +668,14 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             drift = bval * dt
             th = None
             if has_jumps:
-                th = np.stack([
-                    lane_values(spec.coeffs.theta(t, X, Y, A, u, zv),
-                                X.shape)
-                    for zv in mark_values
-                ], axis=0)  # (n_marks, nb)
+                th = np.empty((len(mark_values), nb))
+                for j, zv in enumerate(mark_values):
+                    th[j] = spec.coeffs.theta(t, X, Y, A, u, zv)
                 # compensator: subtract intensity * E[theta] dt from the drift
                 drift -= jump.intensity * (mark_probs @ th) * dt
             X_new = X + drift + sval * dB
             if has_jumps:
-                X_new += np.einsum("ij,ji->i", counts, th)
+                X_new += _jump_term(counts, th)
             if not np.isfinite(X_new).all():
                 raise _nonfinite("state became non-finite", X_new, k, t + dt,
                                  first)
@@ -594,7 +699,7 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                          + P["theta"]["u"](t, X, Y, A, u, zv) * beta_vals)
                         for zv in mark_values
                     ], axis=0)
-                    dxi += (np.einsum("ij,ji->i", counts, dth)
+                    dxi += (_jump_term(counts, dth)
                             - jump.intensity * (mark_probs @ dth) * dt)
                 xi_new = xi + dxi
                 if not np.isfinite(xi_new).all():
@@ -607,7 +712,8 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             A_new = _average_step(w_avg, A, Y, Y_new, X, X_new)
 
             ctx = {"k": k, "t": t, "t1": t + dt, "x": X, "y": Y, "a": A, "u": u,
-                   "dB": dB, "counts": counts, "theta_marks": th,
+                   "b": b_raw, "sigma": s_raw, "theta_marks": th,
+                   "dB": dB, "counts": counts,
                    "x1": X_new, "y1": Y_new, "a1": A_new, "path0": path0}
 
             if var is not None:

@@ -189,25 +189,30 @@ class _ItoResidualAccumulator(StepAccumulator):
 
     def begin(self, n_lanes, spec, grid):
         return {"spec": spec, "grid": grid, "I": np.zeros(n_lanes),
-                "F0": None}
+                "F0": None,
+                "decay": np.exp(-spec.lambda_avg * spec.delta)}
 
     def step(self, st, k, ctx):
+        # b, sigma and theta as the engine evaluated them for the step
         spec, F = st["spec"], self.Ffun
-        t, x, y, a, u = ctx["t"], ctx["x"], ctx["y"], ctx["a"], ctx["u"]
+        t, x, y, a = ctx["t"], ctx["x"], ctx["y"], ctx["a"]
         if st["F0"] is None:
             st["F0"] = np.asarray(F.F(t, x, a), float) + np.zeros_like(x)
-        c = spec.coeffs
         lam = spec.lambda_avg
+        F_x = F.F_x(t, x, a)
         gen = (F.F_t(t, x, a)
-               + c.b(t, x, y, a, u) * F.F_x(t, x, a)
-               + 0.5 * c.sigma(t, x, y, a, u) ** 2 * F.F_xx(t, x, a)
-               + (x - lam * a - np.exp(-lam * spec.delta) * y) * F.F_a(t, x, a))
+               + ctx["b"] * F_x
+               + 0.5 * ctx["sigma"] ** 2 * F.F_xx(t, x, a)
+               + (x - lam * a - st["decay"] * y) * F.F_a(t, x, a))
         if spec.has_jumps:
-            def comp(z):
-                th = c.theta(t, x, y, a, u, z)
-                return (F.F(t, x + th, a) - F.F(t, x, a)
-                        - th * F.F_x(t, x, a))
-            gen = gen + spec.jump.nu_integral(comp)
+            # nu_integral's sum, mark by mark in order
+            F_now = F.F(t, x, a)
+            jumps = None
+            for pz, th in zip(spec.jump.marks.probs, ctx["theta_marks"]):
+                term = pz * np.asarray(F.F(t, x + th, a) - F_now - th * F_x,
+                                       float)
+                jumps = term if jumps is None else jumps + term
+            gen = gen + spec.jump.intensity * jumps
         st["I"] += st["grid"].dt * np.asarray(gen, float)
 
     def finish(self, st, ctx):

@@ -2,6 +2,7 @@
 jumps, and reproducibility contracts."""
 
 import dataclasses
+import math
 import threading
 import warnings
 
@@ -10,16 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayctrl import make_grid
+from delayctrl import forward, make_grid
 from delayctrl.errors import BadWindow, NonFiniteSegment, NonFiniteState
 from delayctrl.forward import (
     BLOCK_SIZE,
     GROUP_BLOCKS,
     NOISE_CHUNK,
     RECORD_KEYS,
+    PathRecord,
     StepAccumulator,
+    _average_step,
+    _average_weights,
+    _jump_term,
+    _poisson_counts,
     _prepare_variation,
     _record_arrays,
+    _replay_marks,
     _run_blocks,
     bump_control,
     bump_start_step,
@@ -127,6 +134,30 @@ class TestMovingAverageReplay:
         spec = self.spec()
         rec = simulate_noiseless(spec, self.GRID, constant_control(0.05))
         assert np.array_equal(self.replay(spec, self.GRID, rec), rec.A)
+
+    @pytest.mark.parametrize("shape", [(), (2085,)])
+    def test_step_is_the_one_expression(self, shape):
+        # the in-place sums are bitwise the left-to-right expression, and
+        # leave their inputs alone
+        rng = np.random.default_rng(4)
+        w = _average_weights(0.01, 50, 0.3)
+        ed, c_drop, c_edge, c_prev, c_new = w
+        args = [rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)
+                for _ in range(5)]
+        if shape:
+            args[0][:3] = -0.0
+            args[1][:3] = 0.0
+        else:
+            args = [np.float64(v) for v in args]
+        before = [np.copy(v) for v in args]
+        A, drop, edge, prev, new = args
+        out = _average_step(w, *args)
+        want = (ed * A - c_drop * drop - c_edge * edge + c_prev * prev
+                + c_new * new)
+        assert np.shape(out) == shape
+        assert np.asarray(out).tobytes() == np.asarray(want).tobytes()
+        for v, v0 in zip(args, before):
+            assert np.asarray(v).tobytes() == np.asarray(v0).tobytes()
 
 
 def _clip_by_mask(u, lo, hi, starts):
@@ -588,15 +619,21 @@ class TestNoiseProducer:
         z, _ = _philox_replay(self.SEED, n_paths, steps)
         assert ens.arrays["dB"].tobytes() == (np.sqrt(dt) * z).tobytes()
 
-    def test_jump_streams_draw_inline(self, jump_spec):
-        dt = 0.1
-        steps = NOISE_CHUNK + 4
+    # dt 1e-3: 0.51 expected jumps per block-step, where the counts are
+    # replayed from uniforms; dt 0.1: 51, past the crossover to rng.poisson
+    @pytest.mark.parametrize("dt, steps, replayed", [
+        pytest.param(1e-3, 500 + NOISE_CHUNK + 4, True, id="sparse"),
+        pytest.param(0.1, NOISE_CHUNK + 4, False, id="dense")])
+    def test_jump_streams_draw_inline(self, jump_spec, dt, steps, replayed):
         grid = make_grid(0.5, dt, steps * dt)
-        ens = simulate_ensemble(jump_spec, grid, constant_control(0.3),
-                                self.N_PATHS, self.SEED, record=True)
+        assert grid.n == steps
         jump = jump_spec.jump
         rates = [jump.intensity * pz * dt for pz in jump.marks.probs]
+        assert (_replay_marks(tuple(rates), BLOCK_SIZE) is not None) == replayed
+        ens = simulate_ensemble(jump_spec, grid, constant_control(0.3),
+                                self.N_PATHS, self.SEED, record=True)
         z, counts = _philox_replay(self.SEED, self.N_PATHS, steps, rates)
+        assert counts.any()
         assert np.array_equal(np.stack([r.dB for r in ens.records]),
                               np.sqrt(dt) * z)
         assert np.array_equal(np.stack([r.counts for r in ens.records]),
@@ -619,6 +656,104 @@ class TestNoiseProducer:
                               constant_control(0.0), self.N_PATHS, self.SEED)
         assert info.value.step == k_bad + 1
         assert threading.active_count() == before
+
+
+def _twin_generators(seed):
+    return [np.random.Generator(np.random.Philox(key=seed)) for _ in (0, 1)]
+
+
+class TestPoissonReplay:
+    """_poisson_counts gives bitwise the counts of rng.poisson called
+    mark by mark on a twin generator, and leaves its generator in the
+    same state."""
+
+    STEPS = 5
+
+    @pytest.fixture
+    def replay_always(self, monkeypatch):
+        # every rate below 10 replayed, whatever the expected jumps
+        monkeypatch.setattr(forward, "_REPLAY_MAX_JUMPS", np.inf)
+        _replay_marks.cache_clear()
+        yield
+        _replay_marks.cache_clear()
+
+    @staticmethod
+    def _compare(rates, seeds, width=BLOCK_SIZE):
+        for seed in seeds:
+            ours, ref = _twin_generators(seed)
+            for _ in range(TestPoissonReplay.STEPS):
+                # normals between the steps, as the engine draws them
+                assert np.array_equal(ours.standard_normal(BLOCK_SIZE),
+                                      ref.standard_normal(BLOCK_SIZE))
+                got = _poisson_counts(ours, rates, width)
+                want = np.stack([ref.poisson(lam, width) for lam in rates],
+                                axis=1)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("rates", [
+        (1e-6,), (2.5e-4, 2.5e-4), (0.025,), (0.5,), (9.99,),
+        (2.5e-4, 0.0, 1e-3), (0.0,), (0.0, 0.0), (10.0,), (2.5e-4, 12.0)],
+        ids=repr)
+    def test_counts_and_state_equal_rng_poisson(self, replay_always, rates):
+        # fewer lanes where each count takes many uniforms in Python
+        self._compare(rates, range(100),
+                      BLOCK_SIZE if max(rates) < 0.1 else 128)
+
+    def test_sparse_and_dense_rates_at_the_crossover(self):
+        for rates in [(2.5e-4, 2.5e-4), (9e-4, 9e-4), (1e-3, 1e-3),
+                      (0.025, 0.025)]:
+            self._compare(rates, range(100))
+
+    def test_crossover(self):
+        per_lane = forward._REPLAY_MAX_JUMPS / BLOCK_SIZE
+        assert _replay_marks((per_lane / 2, per_lane / 2), BLOCK_SIZE)
+        assert _replay_marks((per_lane, 1e-9), BLOCK_SIZE) is None
+        assert _replay_marks((10.0,), 1) is None
+        assert _replay_marks((1.5,), 1) == ((0, math.exp(-1.5)),)
+        assert _replay_marks((0.0, 0.0), BLOCK_SIZE) == ()
+
+    def test_a_lane_of_every_mark_jumps(self, replay_always):
+        # rates high enough that most lanes of both marks jump, each
+        # shifting the lanes after it, across a partial width
+        self._compare((0.9, 2.0), range(100), width=37)
+
+
+class TestJumpTerm:
+    def test_equals_einsum_bitwise(self):
+        rng = np.random.default_rng(8)
+        for n_marks in (1, 2, 3, 7):
+            nb = 2085
+            counts = rng.poisson(0.8, (nb, n_marks))
+            th = rng.standard_normal((n_marks, nb)) * 10.0 ** rng.integers(
+                -6, 6, (n_marks, nb))
+            th[rng.random((n_marks, nb)) < 0.3] = -0.0
+            th[rng.random((n_marks, nb)) < 0.1] = 0.0
+            th[:, :4] = -0.0  # every product -0.0 on these lanes
+            th[0, 4:7] = [np.inf, -np.inf, np.nan]
+            assert (counts > 1).sum(axis=1).max() >= min(n_marks, 2)
+            with np.errstate(invalid="ignore"):  # 0 * inf, as in the engine
+                got = _jump_term(counts, th)
+                want = np.einsum("ij,ji->i", counts, th)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestPathRecordCsv:
+    def test_bytes_equal_the_per_row_writer(self, tmp_path):
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, 1e16,
+                    -1e16, 0.1, 5e-324]
+        rec = PathRecord(t=np.roll(specials, 4), X=np.array(specials),
+                         Y=np.roll(specials, 1), A=np.roll(specials, 2),
+                         u=np.roll(specials, 3),
+                         dB=np.zeros(len(specials) - 1))
+        path = tmp_path / "path.csv"
+        rec.to_csv(str(path))
+        rows = np.column_stack((rec.t, rec.X, rec.Y, rec.A, rec.u))
+        want = "t,X,Y,A,u\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
+            for row in rows.tolist())
+        assert path.read_bytes() == want.encode()
 
 
 class TestResume:

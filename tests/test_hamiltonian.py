@@ -1,6 +1,8 @@
 """Hamiltonian evaluation, gradients, maximization, and the delay Ito
 residual check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +10,20 @@ from hypothesis import strategies as st
 
 from delayctrl import make_grid
 from delayctrl.errors import NonFinite
-from delayctrl.forward import constant_control
+from delayctrl.forward import (StepAccumulator, constant_control,
+                               simulate_ensemble)
 from delayctrl.hamiltonian import (
     HamArgs,
     ItoTestFunction,
+    _ItoResidualAccumulator,
     eval_H,
     grad_H,
     ito_delay_residual,
     maximize_scalar,
     nu_theta_r,
 )
+from delayctrl.model import DiscreteMarks, JumpModel
+from delayctrl.objective import mean_stderr
 
 from conftest import make_jump_spec
 
@@ -183,3 +189,92 @@ class TestItoResidual:
         assert se == 0.0
         # O(dt^2) trapezoid bias only; shrinks to ~1e-10 at dt = 1e-3
         assert abs(mean) < 1e-7
+
+
+class _CallbackIto(_ItoResidualAccumulator):
+    """The residual accumulator as it was before the engine handed it b,
+    sigma and theta: it calls the callbacks again, and F, F_x and the
+    decay once per use."""
+
+    def step(self, st, k, ctx):
+        spec, F = st["spec"], self.Ffun
+        t, x, y, a, u = ctx["t"], ctx["x"], ctx["y"], ctx["a"], ctx["u"]
+        if st["F0"] is None:
+            st["F0"] = np.asarray(F.F(t, x, a), float) + np.zeros_like(x)
+        c = spec.coeffs
+        lam = spec.lambda_avg
+        gen = (F.F_t(t, x, a)
+               + c.b(t, x, y, a, u) * F.F_x(t, x, a)
+               + 0.5 * c.sigma(t, x, y, a, u) ** 2 * F.F_xx(t, x, a)
+               + (x - lam * a - np.exp(-lam * spec.delta) * y) * F.F_a(t, x, a))
+        if spec.has_jumps:
+            def comp(z):
+                th = c.theta(t, x, y, a, u, z)
+                return (F.F(t, x + th, a) - F.F(t, x, a)
+                        - th * F.F_x(t, x, a))
+            gen = gen + spec.jump.nu_integral(comp)
+        st["I"] += st["grid"].dt * np.asarray(gen, float)
+
+
+def _scalar_sigma(spec):
+    """The spec with sigma a Python float, theta a Python float per mark."""
+    coeffs = dataclasses.replace(
+        spec.coeffs, sigma=lambda t, x, y, a, u: 0.3 + 0.0 * t,
+        theta=lambda t, x, y, a, u, z: 0.7 * float(z))
+    return dataclasses.replace(spec, coeffs=coeffs)
+
+
+class TestItoReusesTheStepValues:
+    """The accumulator reads b, sigma and theta from the step's context;
+    its residuals are bitwise those of calling the callbacks again."""
+
+    F = ItoTestFunction(
+        F=lambda t, x, a: x ** 3 + 0.5 * a * x,
+        F_t=lambda t, x, a: 0.0 * np.asarray(x, float),
+        F_x=lambda t, x, a: 3.0 * x ** 2 + 0.5 * a,
+        F_xx=lambda t, x, a: 6.0 * np.asarray(x, float),
+        F_a=lambda t, x, a: 0.5 * np.asarray(x, float))
+
+    @pytest.mark.parametrize("case", ["jumps", "three_marks", "no_jumps",
+                                      "scalar_sigma"])
+    def test_bitwise_the_callback_accumulator(self, case):
+        spec = make_jump_spec(intensity=2.0)
+        if case == "three_marks":
+            # unequal weights: a mark paired with another's theta shows
+            spec = dataclasses.replace(spec, jump=JumpModel(
+                intensity=2.0, marks=DiscreteMarks(
+                    values=np.array([-0.1, 0.2, 0.05]),
+                    probs=np.array([0.2, 0.5, 0.3]))))
+        elif case == "no_jumps":
+            spec = dataclasses.replace(spec, jump=None)
+        elif case == "scalar_sigma":
+            spec = _scalar_sigma(spec)
+        grid = make_grid(0.5, 0.01, 1.0)
+        control = constant_control(0.2)
+        n_paths, seed = 1024 + 37, 6
+        res = [simulate_ensemble(spec, grid, control, n_paths, seed,
+                                 accumulators=(acc(self.F),)).extras[0]
+               for acc in (_ItoResidualAccumulator, _CallbackIto)]
+        assert np.isfinite(res[0]).all()
+        assert res[0].tobytes() == res[1].tobytes()
+        mean, se = ito_delay_residual(spec, grid, self.F, control, n_paths,
+                                      seed)
+        assert (mean, se) == mean_stderr(res[1])
+
+    def test_scalar_sigma_is_handed_over_as_returned(self):
+        seen = []
+
+        class Spy(StepAccumulator):
+            def begin(self, n_lanes, spec, grid):
+                return {}
+
+            def step(self, st, k, ctx):
+                seen.append((type(ctx["sigma"]), ctx["theta_marks"].shape))
+
+            def finish(self, st, ctx):
+                return np.zeros(0)
+
+        spec = _scalar_sigma(make_jump_spec(intensity=2.0))
+        simulate_ensemble(spec, make_grid(0.5, 0.1, 0.5), constant_control(0.2),
+                          5, 0, accumulators=(Spy(),))
+        assert seen == [(float, (2, 5))] * 5
