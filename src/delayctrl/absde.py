@@ -37,24 +37,27 @@ given and deterministic otherwise:
 
 What a regression solve holds, besides its ensemble (N paths, L = n+1+m
 padded nodes):
-  - the per-slice design cache, N x 10 floats per slice at basis degree 2;
+  - one slice's design, N x 10 floats at basis degree 2, in one buffer
+    that each node's visit rebuilds and its q, r and p projections read;
   - the driver's coefficient partials (``adjoint``), one N x L array for
     each partial that differs across paths and one time row for each
     that does not (two of nine are per path for Ex 3.4);
   - about six N x L working arrays: the iterate's p and q, the inner
-    sweep's q, the new sweep's p, q and F, and the driver's temporaries
-    while it runs.  Without jumps r is never written, and one zero r
-    serves the whole solve.
+    sweep's q, the new sweep's F and its node-major p and q, which it
+    hands back path-major one at a time (one more array while it
+    copies), and the driver's temporaries while it runs.  Without jumps
+    r is never written, and one zero r serves the whole solve.
 On Ex 3.4 (sigma0 0.05, 2048 paths, dt 0.05, T 5: n = 100, m = 20) that
-is 16.4 MB of design cache, 4.0 MB of partials and about 2 MB per working
-array; by tracemalloc the solve from ``EnsembleResult.arrays`` peaks at
-38 MB, and at 1024 paths, dt 0.01 at 94.5 MB, 4.6 times its 20.5 MB
-recorded ensemble (X, Y, A, u, dB).
+is 0.16 MB of design buffer, 4.0 MB of partials and about 2 MB per
+working array; by tracemalloc the solve from ``EnsembleResult.arrays``
+peaks at 22.0 MB, and at 1024 paths, dt 0.01 at 54.3 MB, 2.65 times its
+20.5 MB recorded ensemble (X, Y, A, u, dB).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -113,13 +116,13 @@ class AdjointTriple:
     def to_csv(self, path: str):
         r = self.r_on_grid()
         cols = ["t", "p", "q"] + [f"r_{j}" for j in range(r.shape[1])]
+        rows = np.column_stack((self.grid.times, self.p_on_grid(),
+                                self.q_on_grid(), r))
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            t = self.grid.times
-            p, q = self.p_on_grid(), self.q_on_grid()
-            for k in range(self.grid.n + 1):
-                row = [t[k], p[k], q[k], *r[k]]
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+            # one % over the whole file, row by row as a per-row template
+            fh.write((",".join(["%.17g"] * len(cols)) + "\n") * len(rows)
+                     % tuple(rows.ravel().tolist()))
 
 
 @dataclass
@@ -184,15 +187,10 @@ def _trapz_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
-def weighted_distance(grid: TimeGrid, lam: float, dp, dq=None, dr=None,
-                      ensemble: bool = False):
-    """(total, p-part, qr-part) of the normalized weighted square norm
-    int_0^T e^{lambda t} |.|^2 dt / int_0^T e^{lambda t} dt, trapezoid in
-    time; ensemble inputs are averaged over the path axis.  The
-    normalization leaves contraction ratios untouched while keeping
-    magnitudes comparable to sup-norms even for large lambda * T."""
-    n, dt = grid.n, grid.dt
-    trapz = _trapz_weights(n, dt)
+def _norm_weights(grid: TimeGrid, lam: float) -> np.ndarray:
+    """Trapezoid weights of int_0^T e^{lambda t} . dt, normalized by
+    int_0^T e^{lambda t} dt."""
+    trapz = _trapz_weights(grid.n, grid.dt)
     with np.errstate(over="ignore"):
         w = trapz * np.exp(lam * grid.times)
         total = np.sum(w)
@@ -201,26 +199,52 @@ def weighted_distance(grid: TimeGrid, lam: float, dp, dq=None, dr=None,
         # factor, so take e^{-lambda T} into the exponent
         w = trapz * np.exp(lam * grid.times - lam * grid.horizon)
         total = np.sum(w)
-    w = w / total
+    return w / total
+
+
+def _node_squares(grid: TimeGrid, dp, dq=None, dr=None,
+                  ensemble: bool = False):
+    """Squares of dp, dq and dr (summed over marks) at the n+1 grid
+    nodes, path-averaged for ensemble inputs; None where d is None."""
+    n = grid.n
     dp = np.asarray(dp, float)
     if ensemble:
         p2 = np.mean(dp[:, : n + 1] ** 2, axis=0)
     else:
         p2 = dp[: n + 1] ** 2
-    d_p = float(w @ p2)
-    d_qr = 0.0
+    q2 = r2 = None
     if dq is not None:
         dq = np.asarray(dq, float)
         q2 = np.mean(dq[:, : n + 1] ** 2, axis=0) if ensemble else dq[: n + 1] ** 2
-        d_qr += float(w @ q2)
     if dr is not None:
         dr = np.asarray(dr, float)
         if ensemble:
             r2 = np.mean(np.sum(dr[:, : n + 1, :] ** 2, axis=-1), axis=0)
         else:
             r2 = np.sum(dr[: n + 1, :] ** 2, axis=-1)
+    return p2, q2, r2
+
+
+def _weighted_parts(w: np.ndarray, p2, q2=None, r2=None):
+    """(total, p-part, qr-part) of node squares under weights ``w``."""
+    d_p = float(w @ p2)
+    d_qr = 0.0
+    if q2 is not None:
+        d_qr += float(w @ q2)
+    if r2 is not None:
         d_qr += float(w @ r2)
     return d_p + d_qr, d_p, d_qr
+
+
+def weighted_distance(grid: TimeGrid, lam: float, dp, dq=None, dr=None,
+                      ensemble: bool = False):
+    """(total, p-part, qr-part) of the normalized weighted square norm
+    int_0^T e^{lambda t} |.|^2 dt / int_0^T e^{lambda t} dt, trapezoid in
+    time; ensemble inputs are averaged over the path axis.  The
+    normalization leaves contraction ratios untouched while keeping
+    magnitudes comparable to sup-norms even for large lambda * T."""
+    return _weighted_parts(_norm_weights(grid, lam),
+                           *_node_squares(grid, dp, dq, dr, ensemble))
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +290,55 @@ def _det_sweep(driver: AdvancedDriver, grid: TimeGrid, p_prev, q_prev, r_prev):
 # Regression machinery
 # ---------------------------------------------------------------------------
 
-def monomial_basis(x, y, a, degree: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _basis_factors(degree: int) -> tuple:
+    """For each monomial x^i y^j a^k of total degree 1 to ``degree``, in
+    the design's column order (after the constant), its factors with a
+    nonzero exponent as (variable index, exponent) pairs."""
+    return tuple(tuple((v, e) for v, e in enumerate((i, j, d - i - j)) if e)
+                 for d in range(1, degree + 1)
+                 for i in range(d + 1) for j in range(d + 1 - i))
+
+
+def monomial_basis(x, y, a, degree: int, out=None) -> np.ndarray:
     """Design matrix of the monomials of (x, y, a) up to total ``degree``,
-    one row per path."""
-    cols = [np.ones_like(x)]
-    for d in range(1, degree + 1):
-        for i in range(d + 1):
-            for j in range(d + 1 - i):
-                cols.append(x ** i * y ** j * a ** (d - i - j))
-    return np.column_stack(cols)
+    one row per path, written into ``out`` (a C-order float array of that
+    shape) when one is given.
+
+    The column of x^i y^j a^k is the product of x ** i, y ** j and
+    a ** k, left to right, with each factor of exponent 0 left out: it is
+    exactly 1.0, so the bits are those of the full product.  The columns
+    are computed as contiguous rows and transposed into place once."""
+    xya = (x, y, a)
+    terms = _basis_factors(degree)
+    rows = np.empty((1 + len(terms), len(x)))
+    rows[0] = 1.0
+    for row, term in zip(rows[1:], terms):
+        factors = [xya[v] if e == 1 else xya[v] ** e for v, e in term]
+        if len(factors) == 1:
+            row[...] = factors[0]
+        else:
+            np.multiply(factors[0], factors[1], out=row)
+        for factor in factors[2:]:
+            row *= factor
+    if out is None:
+        return np.ascontiguousarray(rows.T)
+    out[...] = rows.T
+    return out
 
 
 class McContext:
     """Forward-path ensemble supplying conditioning variables for the
     least-squares conditional expectations.  With jump ``counts`` and a
     positive ``intensity``, ``mark_probs`` gives each count column's mark
-    probability."""
+    probability.
+
+    The arrays are kept as given: a sweep reads the columns of X, Y, A,
+    dB and the counts at one node, which are contiguous when the arrays
+    are the transposed views of time-major ones (``EnsembleResult.arrays``
+    and ``stack_records``).  One slice's design at a time lives in a
+    reused N x columns buffer, so a context serves one projecting
+    thread."""
 
     def __init__(self, X, Y, A, dB, counts=None, intensity=0.0,
                  mark_probs=None, basis_degree: int = 2):
@@ -289,30 +346,36 @@ class McContext:
         self.Y = np.asarray(Y, float)
         self.A = np.asarray(A, float)
         self.dB = np.asarray(dB, float)
-        self.counts = None if counts is None else np.asarray(counts, float)
+        self.counts = None if counts is None else np.asarray(counts)
         self.intensity = float(intensity)
         self.mark_probs = (None if mark_probs is None
                            else np.asarray(mark_probs, float))
         self.basis_degree = int(basis_degree)
-        self._design_cache = {}
+        self._M = np.empty((self.n_paths,
+                            1 + len(_basis_factors(self.basis_degree))))
+        self._slice = None  # the slice whose design _M holds
 
     @property
     def n_paths(self) -> int:
         return self.X.shape[0]
 
+    def _basis(self, k: int, out=None) -> np.ndarray:
+        return monomial_basis(self.X[:, k], self.Y[:, k], self.A[:, k],
+                              self.basis_degree, out=out)
+
     def design(self, k: int) -> np.ndarray:
-        """Monomials of (X_k, Y_k, A_k) up to total basis_degree."""
-        if k in self._design_cache:
-            return self._design_cache[k]
-        M = monomial_basis(self.X[:, k], self.Y[:, k], self.A[:, k],
-                           self.basis_degree)
-        if len(self._design_cache) < 4096:
-            self._design_cache[k] = M
-        return M
+        """Monomials of (X_k, Y_k, A_k) up to total basis_degree, as a
+        new array."""
+        return self._basis(k)
 
     def project(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Least-squares E[values | X_k, Y_k, A_k], evaluated per path."""
-        M = self.design(k)
+        """Least-squares E[values | X_k, Y_k, A_k], evaluated per path.
+        Slice k's design is built into the reused buffer unless the last
+        projection read the same slice."""
+        if self._slice != k:
+            self._basis(k, out=self._M)
+            self._slice = k
+        M = self._M
         coef, *_ = np.linalg.lstsq(M, values, rcond=None)
         return M @ coef
 
@@ -322,25 +385,37 @@ def _reg_sweep(driver: AdvancedDriver, grid: TimeGrid, ctx: McContext,
     """One backward regression sweep whose driver reads the iterate
     (p_prev, q_prev, r_prev).  Without jumps r is never written: the sweep
     hands r_prev back, which in ``picard_solve`` is the solve's one zero
-    r."""
+    r.
+
+    The sweep keeps p, q and r node-major, one contiguous row per node
+    (and mark), and hands them back path-major, one at a time; all three
+    projections of node k read the one design that ``ctx`` builds at
+    the node's visit."""
     n, m, dt = grid.n, grid.m, grid.dt
     N = ctx.n_paths
     nm = max(driver.n_marks, 1)
     jumps = ctx.counts is not None and ctx.intensity > 0
 
     F = _driver_values(driver, grid, n, p_prev, q_prev, r_prev)
-    p = np.zeros((N, n + 1 + m))
-    q = np.zeros((N, n + 1 + m))
-    r = np.zeros((N, n + 1 + m, nm)) if jumps else r_prev
+    p = np.zeros((n + 1 + m, N))
+    q = np.zeros((n + 1 + m, N))
+    if jumps:
+        r = np.zeros((n + 1 + m, nm, N))
+        lams = [ctx.intensity * ctx.mark_probs[j] * dt
+                for j in range(min(nm, ctx.counts.shape[2]))]
     for k in range(n - 1, -1, -1):
-        p_next = p[:, k + 1]
-        q[:, k] = ctx.project(k, p_next * ctx.dB[:, k]) / dt
+        p_next = p[k + 1]
+        q[k] = ctx.project(k, p_next * ctx.dB[:, k]) / dt
         if jumps:
-            for j in range(min(nm, ctx.counts.shape[2])):
-                lam_j = ctx.intensity * ctx.mark_probs[j] * dt
+            for j, lam_j in enumerate(lams):
+                # int64 counts minus a float: the float64 difference
                 centered = ctx.counts[:, k, j] - lam_j
-                r[:, k, j] = ctx.project(k, p_next * centered) / max(lam_j, 1e-300)
-        p[:, k] = ctx.project(k, p_next - dt * F[:, k])
+                r[k, j] = ctx.project(k, p_next * centered) / max(lam_j, 1e-300)
+        p[k] = ctx.project(k, p_next - dt * F[:, k])
+    del F
+    p = np.ascontiguousarray(p.T)
+    q = np.ascontiguousarray(q.T)
+    r = np.ascontiguousarray(r.transpose(2, 0, 1)) if jumps else r_prev
     return p, q, r
 
 
@@ -394,6 +469,7 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
     # without jumps the r of every regression iterate
     zero_q, zero_r = np.zeros(shape_p), np.zeros(shape_r)
     q, r = zero_q, zero_r
+    w_lam, w_flat = _norm_weights(grid, lam), _norm_weights(grid, 0.0)
 
     bad_streak = 0
     for it in range(1, max_iter + 1):
@@ -406,10 +482,10 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
                     p_new = None  # not read again: free it before the sweep
                     p_new, q_new, r_new = _reg_sweep(
                         driver, grid, mc_context, p, inner_q, inner_r)
-                    d_in, _, _ = weighted_distance(
-                        grid, lam, q_new - inner_q,
+                    d_in, _, _ = _weighted_parts(w_lam, *_node_squares(
+                        grid, q_new - inner_q,
                         dr=None if r_new is inner_r else r_new - inner_r,
-                        ensemble=True)
+                        ensemble=True))
                     if d_in <= tol:
                         break
                 del inner_q, inner_r
@@ -419,17 +495,16 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
             exc.report = report
             raise
 
-        # one set of differences for both norms; an r that was not
+        # one set of node squares for both norms; an r that was not
         # rewritten differs by zero and adds exactly 0.0 to the qr part
-        dp, dq = p_new - p, q_new - q
-        dr = None if r_new is r else r_new - r
-        d, d_p, d_qr = weighted_distance(grid, lam, dp, dq, dr,
-                                         ensemble=ensemble)
+        squares = _node_squares(grid, p_new - p, q_new - q,
+                                None if r_new is r else r_new - r,
+                                ensemble=ensemble)
+        d, d_p, d_qr = _weighted_parts(w_lam, *squares)
         # unweighted companion: guards against premature stops when the
         # e^{lambda t} mass concentrates at the horizon
-        d_flat, _, _ = weighted_distance(grid, 0.0, dp, dq, dr,
-                                         ensemble=ensemble)
-        del dp, dq, dr
+        d_flat, _, _ = _weighted_parts(w_flat, *squares)
+        del squares
         report.distances.append(d)
         report.p_distances.append(d_p)
         report.qr_distances.append(d_qr)

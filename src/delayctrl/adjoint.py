@@ -251,13 +251,15 @@ class SecondAdjointResult:
     def to_csv(self, path: str):
         nm = self.r.shape[1] if self.r.ndim == 2 else 1
         cols = ["t", "p1", "p2", "p3", "q1", "q2"] + [f"r_{j}" for j in range(nm)]
+        nodes = self.grid.n + 1
+        rows = np.column_stack([self.grid.times] + [
+            v[:nodes] for v in (self.p1, self.p2, self.p3, self.q1, self.q2,
+                                self.r)])
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for k in range(self.grid.n + 1):
-                rrow = self.r[k] if self.r.ndim == 2 else [self.r[k]]
-                row = [self.grid.times[k], self.p1[k], self.p2[k],
-                       self.p3[k], self.q1[k], self.q2[k], *rrow]
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+            # one % over the whole file, row by row as a per-row template
+            fh.write((",".join(["%.17g"] * len(cols)) + "\n") * nodes
+                     % tuple(rows.ravel().tolist()))
 
 
 def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid,

@@ -333,10 +333,13 @@ class StepAccumulator:
 def stack_records(records, keys) -> dict:
     """The named PathRecord fields of a list of records stacked into
     arrays with a leading path axis; a field the records leave None maps
-    to None.  This copies: a fresh ensemble's ``arrays`` already hold the
-    same values without one."""
+    to None.  Each is laid out as ``EnsembleResult.arrays`` lays it out,
+    the transposed view of a time-major array, so a node's values over
+    the paths are contiguous.  This copies: a fresh ensemble's ``arrays``
+    already hold the same values without one."""
     return {key: None if getattr(records[0], key) is None
-            else np.stack([getattr(rec, key) for rec in records])
+            else np.stack([getattr(rec, key) for rec in records],
+                          axis=1).swapaxes(0, 1)
             for key in keys}
 
 

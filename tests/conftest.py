@@ -98,6 +98,35 @@ def make_jump_spec(intensity: float = 0.5):
         jump=jump)
 
 
+def make_coupled_jump_spec():
+    """Jump problem whose f, b, sigma and theta all depend on y and a, so
+    every term of the first adjoint's driver is non-zero."""
+    from delayctrl.model import (CoefficientSet, DiscreteMarks, JumpModel,
+                                 ProblemSpec)
+
+    def b(t, x, y, a, u):
+        return 0.05 * x + 0.02 * y - 0.03 * a
+
+    def sigma(t, x, y, a, u):
+        return 0.2 * x + 0.01 * a
+
+    def theta(t, x, y, a, u, z):
+        return x * z + 0.05 * a * z + 0.01 * y
+
+    def f(t, x, y, a, u):
+        return np.log1p(np.abs(u)) + 0.1 * a - 0.01 * x * x
+
+    jump = JumpModel(intensity=0.5,
+                     marks=DiscreteMarks(values=np.array([-0.1, 0.2, 0.05]),
+                                         probs=np.array([0.3, 0.5, 0.2])))
+    return ProblemSpec(
+        delta=0.5, rho=0.1, lambda_avg=0.1, discount=0.1,
+        coeffs=CoefficientSet(b=b, sigma=sigma, theta=theta, f=f),
+        control_lo=0.0, control_hi=1.0,
+        initial_segment=lambda s: np.full_like(np.asarray(s, float), 1.0),
+        jump=jump)
+
+
 @pytest.fixture(scope="session")
 def jump_spec():
     return make_jump_spec()

@@ -7,22 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from delayctrl import make_grid
+from delayctrl import absde, make_grid
 from delayctrl.absde import (
     AdvancedDriver,
     McContext,
     auto_weight,
     contraction_diagnostics,
     epsilon_rule,
+    monomial_basis,
     picard_solve,
     uniqueness_probe,
     weighted_distance,
 )
-from delayctrl.adjoint import solve_first_adjoint
+from delayctrl.adjoint import prepare_first_adjoint, solve_first_adjoint
 from delayctrl.errors import BadWeight, NoConvergence, NonFiniteDriver
 from delayctrl.examples import (Example34Params, ex34_feedback, ex34_p0_star,
                                 make_ex34_problem)
-from delayctrl.forward import simulate_ensemble
+from delayctrl.forward import constant_control, simulate_ensemble
+
+from conftest import make_coupled_jump_spec
 
 
 def advanced_ode_oracle(grid, c, g):
@@ -259,3 +262,251 @@ class TestRegressionMode:
         # the two sweeps differ at the step-discretization level only
         np.testing.assert_allclose(reg_triple.p_on_grid(),
                                    det_triple.p_on_grid(), atol=2e-3)
+
+
+# ---------------------------------------------------------------------------
+# The regression path against plain references: a column-stacked basis,
+# a path-major sweep that builds a new design for every projection and
+# reads float jump counts, and a Picard loop that takes the weighted and
+# the unweighted distance in two separate calls.  The solver must give
+# their bits.
+# ---------------------------------------------------------------------------
+
+def reference_basis(x, y, a, degree):
+    cols = [np.ones_like(x)]
+    for d in range(1, degree + 1):
+        for i in range(d + 1):
+            for j in range(d + 1 - i):
+                cols.append(x ** i * y ** j * a ** (d - i - j))
+    return np.column_stack(cols)
+
+
+def reference_project(ctx, k, values):
+    M = reference_basis(ctx.X[:, k], ctx.Y[:, k], ctx.A[:, k],
+                        ctx.basis_degree)
+    coef, *_ = np.linalg.lstsq(M, values, rcond=None)
+    return M @ coef
+
+
+def reference_sweep(driver, grid, ctx, p_prev, q_prev, r_prev):
+    n, m, dt = grid.n, grid.m, grid.dt
+    N = ctx.n_paths
+    nm = max(driver.n_marks, 1)
+    jumps = ctx.counts is not None and ctx.intensity > 0
+    counts = None if ctx.counts is None else np.asarray(ctx.counts, float)
+    F = np.asarray(driver.fn(p_prev, q_prev, r_prev), float)
+    p = np.zeros((N, n + 1 + m))
+    q = np.zeros((N, n + 1 + m))
+    r = np.zeros((N, n + 1 + m, nm)) if jumps else r_prev
+    for k in range(n - 1, -1, -1):
+        p_next = p[:, k + 1]
+        q[:, k] = reference_project(ctx, k, p_next * ctx.dB[:, k]) / dt
+        if jumps:
+            for j in range(min(nm, counts.shape[2])):
+                lam_j = ctx.intensity * ctx.mark_probs[j] * dt
+                centered = counts[:, k, j] - lam_j
+                r[:, k, j] = (reference_project(ctx, k, p_next * centered)
+                              / max(lam_j, 1e-300))
+        p[:, k] = reference_project(ctx, k, p_next - dt * F[:, k])
+    return p, q, r
+
+
+def reference_distance(grid, lam, dp, dq=None, dr=None, ensemble=False):
+    n, dt = grid.n, grid.dt
+    trapz = np.full(n + 1, dt)
+    trapz[0] *= 0.5
+    trapz[-1] *= 0.5
+    with np.errstate(over="ignore"):
+        w = trapz * np.exp(lam * grid.times)
+        total = np.sum(w)
+    if not np.isfinite(total):
+        w = trapz * np.exp(lam * grid.times - lam * grid.horizon)
+        total = np.sum(w)
+    w = w / total
+    if ensemble:
+        p2 = np.mean(dp[:, : n + 1] ** 2, axis=0)
+    else:
+        p2 = dp[: n + 1] ** 2
+    d_p = float(w @ p2)
+    d_qr = 0.0
+    if dq is not None:
+        q2 = np.mean(dq[:, : n + 1] ** 2, axis=0) if ensemble else dq[: n + 1] ** 2
+        d_qr += float(w @ q2)
+    if dr is not None:
+        if ensemble:
+            r2 = np.mean(np.sum(dr[:, : n + 1, :] ** 2, axis=-1), axis=0)
+        else:
+            r2 = np.sum(dr[: n + 1, :] ** 2, axis=-1)
+        d_qr += float(w @ r2)
+    return d_p + d_qr, d_p, d_qr
+
+
+def reference_picard(driver, grid, ctx=None, tol=1e-12, max_iter=60):
+    """(p, q, r, report fields) of the successive substitution; an r the
+    sweep hands back unchanged differs by exact zeros, which add +0.0."""
+    ensemble = ctx is not None
+    lam = auto_weight(driver.lipschitz, grid.delta)
+    lead = (ctx.n_paths,) if ensemble else ()
+    p = np.zeros(lead + (grid.n + 1 + grid.m,))
+    q = np.zeros_like(p)
+    r = np.zeros(p.shape + (max(driver.n_marks, 1),))
+    out = {"distances": [], "p_distances": [], "qr_distances": [],
+           "ratios": [], "iterations": 0, "converged": False}
+    for it in range(1, max_iter + 1):
+        if ensemble:
+            q_new, r_new = np.zeros_like(q), np.zeros_like(r)
+            for _ in range(absde._INNER_MAX_ITER):
+                inner_q, inner_r = q_new, r_new
+                p_new, q_new, r_new = reference_sweep(
+                    driver, grid, ctx, p, inner_q, inner_r)
+                d_in, _, _ = reference_distance(
+                    grid, lam, q_new - inner_q, dr=r_new - inner_r,
+                    ensemble=True)
+                if d_in <= tol:
+                    break
+        else:
+            p_new, q_new, r_new = absde._det_sweep(driver, grid, p, q, r)
+        diffs = (p_new - p, q_new - q, r_new - r)
+        d, d_p, d_qr = reference_distance(grid, lam, *diffs, ensemble)
+        d_flat, _, _ = reference_distance(grid, 0.0, *diffs, ensemble)
+        out["distances"].append(d)
+        out["p_distances"].append(d_p)
+        out["qr_distances"].append(d_qr)
+        if len(out["distances"]) >= 2 and out["distances"][-2] > 0:
+            out["ratios"].append(d / out["distances"][-2])
+        out["iterations"] = it
+        p, q, r = p_new, q_new, r_new
+        if max(d, d_flat) <= tol:
+            out["converged"] = True
+            break
+    return p, q, r, out
+
+
+def _regression_setting(jumps: bool, n_paths: int = 48):
+    """(spec, grid, control, recorded ensemble) of Ex 3.4 or, with jumps,
+    of the coupled jump problem (three marks)."""
+    if jumps:
+        spec, ctl = make_coupled_jump_spec(), constant_control(0.3)
+    else:
+        params = Example34Params(sigma0=0.05)
+        spec = make_ex34_problem(params, u_hi=50.0)
+        ctl = ex34_feedback(params, ex34_p0_star(params))
+    grid = make_grid(spec.delta, 0.05, 1.5)
+    res = simulate_ensemble(spec, grid, ctl, n_paths, 7, record=True)
+    return spec, grid, ctl, res
+
+
+class TestRegressionPath:
+    @pytest.fixture(scope="class")
+    def ex34(self):
+        return _regression_setting(jumps=False)
+
+    @pytest.fixture(scope="class")
+    def jumps(self):
+        return _regression_setting(jumps=True)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_design_is_the_column_stacked_basis(self, ex34, degree):
+        """Slice 0 is rank 1 (every path starts at the same state), Y is
+        constant on the slices k <= m (it reads the initial segment) and
+        the last slice has full rank."""
+        spec, grid, ctl, res = ex34
+        S = res.arrays
+        ctx = McContext(S["X"], S["Y"], S["A"], S["dB"],
+                        basis_degree=degree)
+        assert np.all(S["Y"][:, : grid.m + 1] == 1.0)
+        values = np.arange(ctx.n_paths, dtype=float)
+        for k in (0, 1, grid.m, grid.m + 1, grid.n - 1):
+            want = reference_basis(S["X"][:, k], S["Y"][:, k], S["A"][:, k],
+                                   degree)
+            got = ctx.design(k)
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), k
+            ctx.project(k, values)
+            assert ctx._M.flags.c_contiguous
+            assert ctx._M.tobytes() == want.tobytes(), k
+        assert np.linalg.matrix_rank(ctx.design(0)) == 1
+        assert np.linalg.matrix_rank(ctx.design(grid.n - 1)) == want.shape[1]
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_basis_keeps_the_bits_of_special_values(self, degree):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                            -5e-324, 1e16, -1e16, 1e155, 1.5, -2.5])
+        rng = np.random.default_rng(degree)
+        x, y, a = (rng.permutation(special) for _ in range(3))
+        with np.errstate(all="ignore"):
+            want = reference_basis(x, y, a, degree)
+            got = monomial_basis(x, y, a, degree)
+        assert got.tobytes() == want.tobytes()
+
+    def test_project_is_lstsq_on_the_basis(self, ex34):
+        spec, grid, ctl, res = ex34
+        S = res.arrays
+        ctx = McContext(S["X"], S["Y"], S["A"], S["dB"])
+        rng = np.random.default_rng(1)
+        for k in (0, grid.m, grid.n - 1, grid.m):
+            values = rng.normal(size=ctx.n_paths)
+            got = ctx.project(k, values)
+            assert got.tobytes() == reference_project(ctx, k, values).tobytes()
+
+    def test_design_is_not_the_projection_buffer(self, ex34):
+        spec, grid, ctl, res = ex34
+        S = res.arrays
+        ctx = McContext(S["X"], S["Y"], S["A"], S["dB"])
+        values = np.ones(ctx.n_paths)
+        ctx.project(grid.m, values)
+        design = ctx.design(grid.m)
+        kept = design.copy()
+        ctx.project(grid.n - 1, values)
+        assert design.tobytes() == kept.tobytes()
+        assert not np.shares_memory(design, ctx._M)
+
+    @pytest.mark.parametrize("case", ["degree1", "degree3", "jumps"])
+    @pytest.mark.parametrize("layout", ["time_major", "path_major"])
+    def test_sweep_is_the_path_major_reference(self, ex34, jumps, case,
+                                               layout):
+        spec, grid, ctl, res = jumps if case == "jumps" else ex34
+        degree = 3 if case == "degree3" else 1 + (case == "jumps")
+        driver, options = prepare_first_adjoint(
+            spec, grid, ctl, res.arrays, {"basis_degree": degree})
+        ctx = options["mc_context"]
+        if layout == "path_major":
+            ctx = McContext(*(np.ascontiguousarray(v) for v in
+                              (ctx.X, ctx.Y, ctx.A, ctx.dB)),
+                            counts=ctx.counts, intensity=ctx.intensity,
+                            mark_probs=ctx.mark_probs, basis_degree=degree)
+        if case == "jumps":
+            assert ctx.counts.dtype == np.int64 and ctx.counts.any()
+        rng = np.random.default_rng(3)
+        shape = (ctx.n_paths, grid.n + 1 + grid.m)
+        prev = (rng.normal(size=shape), rng.normal(size=shape),
+                rng.normal(size=shape + (max(driver.n_marks, 1),)))
+        got = absde._reg_sweep(driver, grid, ctx, *prev)
+        want = reference_sweep(driver, grid, ctx, *prev)
+        for g, w in zip(got, want):
+            assert g.flags.c_contiguous and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        assert (got[2] is prev[2]) == (case != "jumps")
+        if case == "jumps":
+            assert np.all(np.any(got[2][:, : grid.n] != 0.0, axis=(0, 1)))
+
+    @pytest.mark.parametrize("case", ["deterministic", "regression", "jumps"])
+    def test_picard_report_is_the_reference(self, ex34, jumps, case):
+        spec, grid, ctl, res = jumps if case == "jumps" else ex34
+        if case == "deterministic":
+            driver, options = prepare_first_adjoint(spec, grid, ctl)
+            ctx = None
+        else:
+            driver, options = prepare_first_adjoint(spec, grid, ctl,
+                                                    res.records)
+            ctx = options["mc_context"]
+        triple, report = picard_solve(driver, grid, **options)
+        p, q, r, want = reference_picard(driver, grid, ctx)
+        got = report.as_dict()
+        assert got.pop("mode") == ("deterministic" if ctx is None
+                                   else "regression")
+        assert got.pop("weight_lambda") == auto_weight(driver.lipschitz,
+                                                       grid.delta)
+        assert got == want and report.converged
+        for g, w in ((triple.p, p), (triple.q, q), (triple.r, r)):
+            assert g.tobytes() == w.tobytes()

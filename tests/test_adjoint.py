@@ -20,7 +20,6 @@ from delayctrl.forward import (
     simulate_noiseless,
     stack_records,
 )
-from delayctrl.model import CoefficientSet, DiscreteMarks, JumpModel, ProblemSpec
 from delayctrl.examples import (
     Example34Params,
     Example35Params,
@@ -32,6 +31,8 @@ from delayctrl.examples import (
     make_ex34_problem,
     make_ex35_problem,
 )
+
+from conftest import make_coupled_jump_spec
 
 
 class TestFirstAdjoint:
@@ -72,33 +73,6 @@ class TestFirstAdjoint:
         grid = make_grid(1.0, 0.05, 4.0)
         triple, _ = solve_first_adjoint(spec, grid, ex34_feedback(params, p0))
         np.testing.assert_allclose(triple.q_on_grid(), 0.0, atol=1e-12)
-
-
-def make_coupled_jump_spec():
-    """Jump problem whose f, b, sigma and theta all depend on y and a, so
-    every term of the first adjoint's driver is non-zero."""
-
-    def b(t, x, y, a, u):
-        return 0.05 * x + 0.02 * y - 0.03 * a
-
-    def sigma(t, x, y, a, u):
-        return 0.2 * x + 0.01 * a
-
-    def theta(t, x, y, a, u, z):
-        return x * z + 0.05 * a * z + 0.01 * y
-
-    def f(t, x, y, a, u):
-        return np.log1p(np.abs(u)) + 0.1 * a - 0.01 * x * x
-
-    jump = JumpModel(intensity=0.5,
-                     marks=DiscreteMarks(values=np.array([-0.1, 0.2, 0.05]),
-                                         probs=np.array([0.3, 0.5, 0.2])))
-    return ProblemSpec(
-        delta=0.5, rho=0.1, lambda_avg=0.1, discount=0.1,
-        coeffs=CoefficientSet(b=b, sigma=sigma, theta=theta, f=f),
-        control_lo=0.0, control_hi=1.0,
-        initial_segment=lambda s: np.full_like(np.asarray(s, float), 1.0),
-        jump=jump)
 
 
 def reference_driver(P, kernel, grid, p, q, r):
@@ -279,11 +253,13 @@ class TestWorkingSet:
 
     def test_traced_peak(self):
         """A regression solve of Ex 3.4 (512 paths, dt 0.05, T 5) peaks
-        at about 4.6 times the bytes of its recorded ensemble (X, Y, A, u,
-        dB) by tracemalloc: the per-slice design cache (2.0), the two
-        per-path partials of Ex 3.4 (f_x and b_x) and about six
-        (N x nodes) working arrays.  Nine full partials, per-sweep zero r
-        arrays and Picard differences computed twice took it to 7.6."""
+        at about 2.7 times the bytes of its recorded ensemble (X, Y, A, u,
+        dB) by tracemalloc: the two per-path partials of Ex 3.4 (f_x and
+        b_x), the solve's zero q and r, about six (N x nodes) working
+        arrays and one slice's design (N x 10).  A design cache of every
+        slice (2.0) took it to 4.6; nine full partials, per-sweep zero r
+        arrays and Picard differences computed twice on top of that to
+        7.6."""
         import tracemalloc
 
         params = Example34Params(sigma0=0.05)
@@ -299,7 +275,7 @@ class TestWorkingSet:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5.2 * one, f"peak {peak / one:.3f}x one ensemble"
+        assert peak < 3.0 * one, f"peak {peak / one:.3f}x one ensemble"
 
 
 class TestSecondAdjoint:
@@ -378,6 +354,56 @@ class TestSecondAdjoint:
         res.to_csv(str(out))
         data = np.genfromtxt(out, delimiter=",", names=True)
         np.testing.assert_allclose(data["p1"], res.p1, rtol=1e-15)
+
+
+class TestCsvWriters:
+    """The adjoint CSV writers format the whole file with one %, byte for
+    byte what formatting each value with format(v, ".17g") writes."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16,
+               -1e16, 0.1, -1.0 / 3.0, 123456789.0]
+
+    @staticmethod
+    def per_value(cols, rows):
+        lines = [",".join(cols)]
+        lines += [",".join(format(v, ".17g") for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def values(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=shape).ravel()
+        v[: len(self.SPECIAL)] = self.SPECIAL
+        return rng.permutation(v).reshape(shape)
+
+    @pytest.mark.parametrize("marks", [1, 3])
+    def test_first_adjoint_csv(self, tmp_path, marks):
+        grid = make_grid(1.0, 0.1, 2.0)
+        nodes, padded = grid.n + 1, grid.n + 1 + grid.m
+        triple = absde.AdjointTriple(
+            grid=grid, p=self.values(padded, 0), q=self.values(padded, 1),
+            r=self.values((padded, marks), 2))
+        path = tmp_path / "first.csv"
+        triple.to_csv(str(path))
+        cols = ["t", "p", "q"] + [f"r_{j}" for j in range(marks)]
+        rows = [[grid.times[k], triple.p[k], triple.q[k], *triple.r[k]]
+                for k in range(nodes)]
+        assert path.read_bytes() == self.per_value(cols, rows).encode()
+
+    @pytest.mark.parametrize("marks", [None, 1, 3])
+    def test_second_adjoint_csv(self, tmp_path, marks):
+        grid = make_grid(1.0, 0.1, 2.0)
+        nodes = grid.n + 1
+        p1, p2, p3, q1, q2 = (self.values(nodes, s) for s in range(5))
+        r = self.values(nodes if marks is None else (nodes, marks), 5)
+        res = SecondAdjointResult(grid=grid, p1=p1, p2=p2, p3=p3, q1=q1,
+                                  q2=q2, r=r)
+        path = tmp_path / "second.csv"
+        res.to_csv(str(path))
+        nm = 1 if marks is None else marks
+        cols = ["t", "p1", "p2", "p3", "q1", "q2"] + [f"r_{j}" for j in range(nm)]
+        rows = [[grid.times[k], p1[k], p2[k], p3[k], q1[k], q2[k],
+                 *(r[k] if r.ndim == 2 else [r[k]])] for k in range(nodes)]
+        assert path.read_bytes() == self.per_value(cols, rows).encode()
 
 
 class TestP3Flatness:
