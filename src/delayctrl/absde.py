@@ -37,8 +37,8 @@ given and deterministic otherwise:
 
 What a regression solve holds, besides its ensemble (N paths, L = n+1+m
 padded nodes):
-  - one slice's design, N x 10 floats at basis degree 2, in one buffer
-    that each node's visit rebuilds and its q, r and p projections read;
+  - one slice's design, N x 10 floats at basis degree 2, built anew at
+    each node's visit and read by its q, r and p projections;
   - the driver's coefficient partials (``adjoint``), one N x L array for
     each partial that differs across paths and one time row for each
     that does not (two of nine are per path for Ex 3.4);
@@ -48,7 +48,7 @@ padded nodes):
     copies), and the driver's temporaries while it runs.  Without jumps
     r is never written, and one zero r serves the whole solve.
 On Ex 3.4 (sigma0 0.05, 2048 paths, dt 0.05, T 5: n = 100, m = 20) that
-is 0.16 MB of design buffer, 4.0 MB of partials and about 2 MB per
+is 0.16 MB of design, 4.0 MB of partials and about 2 MB per
 working array; by tracemalloc the solve from ``EnsembleResult.arrays``
 peaks at 22.0 MB, and at 1024 paths, dt 0.01 at 54.3 MB, 2.65 times its
 20.5 MB recorded ensemble (X, Y, A, u, dB).
@@ -300,10 +300,9 @@ def _basis_factors(degree: int) -> tuple:
                  for i in range(d + 1) for j in range(d + 1 - i))
 
 
-def monomial_basis(x, y, a, degree: int, out=None) -> np.ndarray:
+def monomial_basis(x, y, a, degree: int) -> np.ndarray:
     """Design matrix of the monomials of (x, y, a) up to total ``degree``,
-    one row per path, written into ``out`` (a C-order float array of that
-    shape) when one is given.
+    one row per path, in C order.
 
     The column of x^i y^j a^k is the product of x ** i, y ** j and
     a ** k, left to right, with each factor of exponent 0 left out: it is
@@ -321,10 +320,7 @@ def monomial_basis(x, y, a, degree: int, out=None) -> np.ndarray:
             np.multiply(factors[0], factors[1], out=row)
         for factor in factors[2:]:
             row *= factor
-    if out is None:
-        return np.ascontiguousarray(rows.T)
-    out[...] = rows.T
-    return out
+    return np.ascontiguousarray(rows.T)
 
 
 class McContext:
@@ -336,8 +332,8 @@ class McContext:
     The arrays are kept as given: a sweep reads the columns of X, Y, A,
     dB and the counts at one node, which are contiguous when the arrays
     are the transposed views of time-major ones (``EnsembleResult.arrays``
-    and ``stack_records``).  One slice's design at a time lives in a
-    reused N x columns buffer, so a context serves one projecting
+    and ``stack_records``).  It keeps one slice's design at a time, the
+    one its last projection read, so a context serves one projecting
     thread."""
 
     def __init__(self, X, Y, A, dB, counts=None, intensity=0.0,
@@ -351,29 +347,25 @@ class McContext:
         self.mark_probs = (None if mark_probs is None
                            else np.asarray(mark_probs, float))
         self.basis_degree = int(basis_degree)
-        self._M = np.empty((self.n_paths,
-                            1 + len(_basis_factors(self.basis_degree))))
-        self._slice = None  # the slice whose design _M holds
+        self._M = None  # the design of slice _slice
+        self._slice = None
 
     @property
     def n_paths(self) -> int:
         return self.X.shape[0]
 
-    def _basis(self, k: int, out=None) -> np.ndarray:
-        return monomial_basis(self.X[:, k], self.Y[:, k], self.A[:, k],
-                              self.basis_degree, out=out)
-
     def design(self, k: int) -> np.ndarray:
         """Monomials of (X_k, Y_k, A_k) up to total basis_degree, as a
         new array."""
-        return self._basis(k)
+        return monomial_basis(self.X[:, k], self.Y[:, k], self.A[:, k],
+                              self.basis_degree)
 
     def project(self, k: int, values: np.ndarray) -> np.ndarray:
         """Least-squares E[values | X_k, Y_k, A_k], evaluated per path.
-        Slice k's design is built into the reused buffer unless the last
-        projection read the same slice."""
+        Slice k's design is built anew unless the last projection read
+        the same slice."""
         if self._slice != k:
-            self._basis(k, out=self._M)
+            self._M = self.design(k)
             self._slice = k
         M = self._M
         coef, *_ = np.linalg.lstsq(M, values, rcond=None)

@@ -449,7 +449,7 @@ class TestRegressionPath:
             got = ctx.project(k, values)
             assert got.tobytes() == reference_project(ctx, k, values).tobytes()
 
-    def test_design_is_not_the_projection_buffer(self, ex34):
+    def test_design_is_a_new_array(self, ex34):
         spec, grid, ctl, res = ex34
         S = res.arrays
         ctx = McContext(S["X"], S["Y"], S["A"], S["dB"])
