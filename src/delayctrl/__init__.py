@@ -3,8 +3,8 @@ a discrete delay, an exponential moving average of the past, and
 compound-Poisson jumps.
 
 The pieces fit together as follows: ``model`` validates problem data and
-grids, ``forward`` simulates the controlled state (with an optional
-variational process), ``objective`` estimates the discounted reward,
+grids, ``forward`` simulates the controlled state (its variational
+process is a step accumulator), ``objective`` estimates the discounted reward,
 ``hamiltonian`` evaluates the one Hamiltonian of both formulations,
 ``absde`` runs the weighted Picard iteration for time-advanced backward
 equations, ``adjoint`` assembles the adjoint

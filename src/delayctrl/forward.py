@@ -1,5 +1,5 @@
-"""Forward simulation of the controlled delayed state and its variational
-(first-order sensitivity) process.
+"""Forward simulation of the controlled delayed state; its variational
+(first-order sensitivity) process is a step accumulator.
 
 The state follows
     dX = b dt + sigma dB + compensated jumps,
@@ -56,16 +56,17 @@ counts as (n, N, n_marks).  Each block group writes its lanes' slice of
 one row per step, and the result hands the arrays out as (N, ...) views,
 with one PathRecord per path viewing the same memory.
 
-A run can save its engine state before chosen steps (the delay ring and
-its position, A, the per-block clip flags and a copy of each
-accumulator's state), and a later run can resume from such a state in
-the same step loop.  The resumed run reads dB and the jump counts of the
-remaining steps as rows kept by the saved run, so it draws no noise: a
-recorded run keeps them in its record, an unrecorded one keeps only
-these increments, from its first save step on.  Under common random
-numbers a control that agrees with the saved run's before the save step,
-such as a bump whose window starts there, gives every path bitwise as a
-full run does.
+The step loop reads each step's (dB, counts) from one source chosen
+before it starts: the chunked normals, the inline jump draws, or the
+rows a saved run kept.  A run can save its engine state before chosen
+steps (the delay ring and its position, A, the per-block clip flags and
+a copy of each accumulator's state, the variational process's too), and
+a later run resumes from such a state in the same step loop with the
+kept rows as its source, so it draws no noise: a recorded run keeps
+them in its record, an unrecorded one keeps only dB and the jump counts
+from its first save step on.  Under common random numbers a control
+that agrees with the saved run's before the save step, such as a bump
+whose window starts there, gives every path bitwise as a full run does.
 
 ``simulate_noiseless``, the reference path of a noise-free problem, is a
 separate integrator, not a mode of the engine's step loop: it is Heun's
@@ -81,6 +82,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
@@ -98,7 +100,7 @@ _POISSON_MULT_MAX = 10.0
 # expected jumps per block-step above which ``_poisson_counts`` calls
 # rng.poisson: the replay's scan costs more per jump than numpy's loop
 _REPLAY_MAX_JUMPS = 2.0
-RECORD_KEYS = ("X", "Y", "A", "u", "dB", "counts", "xi")
+RECORD_KEYS = ("X", "Y", "A", "u", "dB", "counts")
 _WINDOW_TOL = 1e-12
 
 
@@ -283,7 +285,6 @@ class PathRecord:
     u: np.ndarray
     dB: np.ndarray
     counts: Optional[np.ndarray] = None
-    xi: Optional[np.ndarray] = None
     clipped: bool = False
 
     def to_csv(self, path: str):
@@ -370,11 +371,10 @@ class EngineState:
 class EnsembleResult:
     """What ``simulate_ensemble`` returns.
 
-    A recorded run's ``arrays`` maps X, Y, A, u and xi to (N, n+1)
-    arrays, dB to (N, n) and counts to (N, n, n_marks); each is the
-    transposed view of one time-major array the engine wrote, and a
-    quantity the run did not record (counts without jumps, xi without
-    beta) maps to None.  ``records`` is the same memory as one PathRecord
+    A recorded run's ``arrays`` maps X, Y, A and u to (N, n+1) arrays, dB
+    to (N, n) and counts to (N, n, n_marks); each is the transposed view
+    of one time-major array the engine wrote, and counts map to None
+    without jumps.  ``records`` is the same memory as one PathRecord
     per path, built when first read.  Unrecorded runs leave both None.
     """
 
@@ -498,14 +498,51 @@ def _jump_term(counts, th):
     return out
 
 
-def _prepare_variation(spec: ProblemSpec, beta: ControlSpec) -> dict:
-    """Collect the coefficient partials needed by the linearized dynamics."""
-    names = ["b", "sigma"] + (["theta"] if spec.coeffs.theta is not None else [])
-    partials = {
-        name: {v: spec.coeffs.partial(name, v) for v in ("x", "y", "a", "u")}
-        for name in names
-    }
-    return {"beta": beta, "partials": partials}
+def _chunked_normals(rngs, n_lanes: int, n: int, sqdt: float):
+    """(dB, None) of steps 0, ..., n-1 without jumps, drawn in chunks of
+    ``NOISE_CHUNK`` steps into two block-major buffers: the first chunk
+    here, each later one on the producer thread, into the buffer no step
+    reads any more, while the chunk before it is stepped.  The thread
+    starts at the first submit, and closing the generator joins it."""
+    bufs = np.empty((min(2, -(-n // NOISE_CHUNK)), len(rngs),
+                     min(NOISE_CHUNK, n), BLOCK_SIZE))
+    with ThreadPoolExecutor(max_workers=1) as producer:
+        for k in range(0, n, NOISE_CHUNK):
+            chunk = ahead.result() if k else _normal_chunk(rngs, bufs[0])
+            k_next = k + NOISE_CHUNK
+            if k_next < n:
+                ahead = producer.submit(
+                    _normal_chunk, rngs,
+                    bufs[k_next // NOISE_CHUNK % 2][:, :n - k_next])
+            for rows in chunk.swapaxes(0, 1):
+                yield np.multiply(sqdt, rows).reshape(-1)[:n_lanes], None
+
+
+def _jump_increments(rngs, n_lanes: int, rates: tuple, sqdt: float):
+    """(dB, counts) of each step with jumps, drawn inline and without end:
+    per block, full-width normals, then the Poisson counts of every mark;
+    full-width draws keep each stream independent of the lane count."""
+    z = np.empty(n_lanes)
+    lanes = [slice(lo, min(lo + BLOCK_SIZE, n_lanes))
+             for lo in range(0, n_lanes, BLOCK_SIZE)]
+    while True:
+        counts = np.empty((n_lanes, len(rates)), dtype=np.int64)
+        for rng, sl in zip(rngs, lanes):
+            w = sl.stop - sl.start
+            if w == BLOCK_SIZE:
+                rng.standard_normal(out=z[sl])
+            else:
+                z[sl] = rng.standard_normal(BLOCK_SIZE)[:w]
+            counts[sl] = _poisson_counts(rng, rates, BLOCK_SIZE)[:w]
+        yield sqdt * z, counts
+
+
+def _kept_rows(kept: dict, start: int):
+    """(dB, counts) of the rows a saved run kept, from row ``start`` on,
+    read in place; counts are None without jumps."""
+    dB, counts = kept["dB"], kept["counts"]
+    for i in range(start, len(dB)):
+        yield dB[i], None if counts is None else counts[i]
 
 
 def _nonfinite(what: str, values, k: int, t: float, first: int):
@@ -520,8 +557,7 @@ def _nonfinite(what: str, values, k: int, t: float, first: int):
 
 def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 seed: int, first: int, n_lanes: int,
-                accumulators, rec: Optional[dict],
-                variation: Optional[dict] = None, save_at=frozenset(),
+                accumulators, rec: Optional[dict], save_at=frozenset(),
                 resume: Optional[dict] = None, kept: Optional[dict] = None):
     """Simulate blocks first, first+1, ... as one array of ``n_lanes``
     lanes, every block full but the last.
@@ -536,22 +572,19 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     that step.  An unrecorded run that saves writes dB and the jump
     counts of each step from the first save step on into ``kept``, the
     group's lane slices of ``_increment_arrays``.  With ``resume``, such a
-    saved state, the run starts at its step and reads the increments as
-    rows kept by the saved run.
+    saved state, the run starts at its step and its source of increments
+    is the rows kept by the saved run.
     """
     dt, m, n = grid.dt, grid.m, grid.n
     rho = spec.rho
     nb = n_lanes
     starts = np.arange(0, nb, BLOCK_SIZE)
-    lanes = [slice(s, min(s + BLOCK_SIZE, nb)) for s in starts]
-    rngs = [_block_rng(seed, first + j) for j in range(len(starts))]
     jump = spec.jump
     has_jumps = spec.has_jumps
     mark_values = jump.marks.values if has_jumps else ()
     mark_probs = jump.marks.probs if has_jumps else None
-    rates = (tuple(jump.intensity * pz * dt for pz in mark_probs)
-             if has_jumps else ())
     path0 = first * BLOCK_SIZE
+    sqdt = np.sqrt(dt)
 
     if resume is None:
         k0 = 0
@@ -565,59 +598,45 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         pos = m
         clipped = np.zeros(len(starts), dtype=bool)
         states = [acc.begin(nb, spec, grid) for acc in accumulators]
-        source = None
+        rngs = [_block_rng(seed, first + j) for j in range(len(starts))]
+        if has_jumps:
+            rates = tuple(jump.intensity * pz * dt for pz in mark_probs)
+            source = _jump_increments(rngs, nb, rates, sqdt)
+        else:
+            source = _chunked_normals(rngs, nb, n, sqdt)
     else:
-        k0, pos, source = resume["k"], resume["pos"], resume["kept"]
-        src0 = resume["kept0"]
+        k0, pos = resume["k"], resume["pos"]
         ring, A, clipped = (resume[key].copy()
                             for key in ("ring", "A", "clipped"))
         states = [acc.copy_state(st)
                   for acc, st in zip(accumulators, resume["acc"])]
+        source = _kept_rows(resume["kept"], k0 - resume["kept0"])
     X = ring[pos].copy()
     Y = ring[(pos + 1) % (m + 1)].copy()
 
     w_avg = _average_weights(dt, m, rho)
 
-    var = variation
-    if var is not None:
-        xi = np.zeros(nb)
-        xi_lag = np.zeros(nb)
-        xi_ring = np.zeros((m + 1, nb))
-        Lam = np.zeros(nb)  # moving average of xi, same kernel as A
-
     record = rec is not None
     if record:
-        rec_X, rec_Y, rec_A, rec_u, rec_xi = (
-            rec[key] for key in ("X", "Y", "A", "u", "xi"))
+        rec_X, rec_Y, rec_A, rec_u = (rec[key] for key in ("X", "Y", "A", "u"))
         rec_X[0], rec_Y[0], rec_A[0] = X, Y, A
-        if rec_xi is not None:
-            rec_xi[0] = 0.0
-        if source is not None:
+        if resume is not None:
             # the saved run's record up to the resume step
-            for key in ("X", "Y", "A", "u", "dB", "counts"):
-                if rec[key] is not None:
-                    rec[key][:k0 + 1] = resume["rec"][key][:k0 + 1]
+            for key, v in rec.items():
+                if v is not None:
+                    v[:k0 + 1] = resume["rec"][key][:k0 + 1]
         kept = rec  # a recorded run keeps every step's increments
     kept0 = min(save_at) if kept is not None and not record else 0
     if kept is not None:
         kept_dB, kept_counts = kept["dB"], kept["counts"]
 
     saved = {}
-    sqdt = np.sqrt(dt)
-    z = np.empty(nb)
-    if source is None and not has_jumps:
-        # block-major chunk buffers: chunk c fills buffer c % 2
-        bufs = np.empty((min(2, -(-n // NOISE_CHUNK)), len(starts),
-                         min(NOISE_CHUNK, n), BLOCK_SIZE))
-
     # one errstate for every callback and accumulator the run calls: a
     # lane's non-finite value is the engine's to report (NonFiniteState)
-    # or the accumulator's to handle, never a warning.  The producer
-    # thread starts at the first submit: never with jumps, nor on a
-    # resumed run, nor when one chunk holds every step
-    with (np.errstate(all="ignore"),
-          ThreadPoolExecutor(max_workers=1) as producer):
-        for k in range(k0, n):
+    # or the accumulator's to handle, never a warning.  The source is
+    # closed on every exit, which joins a producer thread
+    with np.errstate(all="ignore"), closing(source):
+        for k, (dB, counts) in zip(range(k0, n), source):
             if k in save_at:
                 saved[k] = _snapshot(k, pos, ring, A, clipped, rec, kept,
                                      kept0, accumulators, states)
@@ -631,42 +650,6 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             s_raw = spec.coeffs.sigma(t, X, Y, A, u)
             bval = lane_values(b_raw, X.shape)
             sval = lane_values(s_raw, X.shape)
-
-            counts = None
-            if source is not None:
-                # the saved run's increments (and counts) of step k, read
-                # in place
-                dB = source["dB"][k - src0]
-                if has_jumps:
-                    counts = source["counts"][k - src0]
-            elif has_jumps:
-                # per block: full-width normals, then Poisson counts per
-                # mark; full-width draws keep each stream independent of
-                # the lane count
-                counts = np.empty((nb, len(mark_values)), dtype=np.int64)
-                for rng, sl in zip(rngs, lanes):
-                    w = sl.stop - sl.start
-                    if w == BLOCK_SIZE:
-                        rng.standard_normal(out=z[sl])
-                    else:
-                        z[sl] = rng.standard_normal(BLOCK_SIZE)[:w]
-                    counts[sl] = _poisson_counts(rng, rates, BLOCK_SIZE)[:w]
-                dB = sqdt * z
-            else:
-                # the first chunk is drawn here, each later one on the
-                # producer while the chunk before it is stepped, into the
-                # buffer of the chunk before that, which no step reads
-                # any more: dB is gathered and scaled out of the chunk
-                row = k % NOISE_CHUNK
-                if row == 0:
-                    chunk = (ahead.result() if k
-                             else _normal_chunk(rngs, bufs[0]))
-                    k_next = k + NOISE_CHUNK
-                    if k_next < n:
-                        ahead = producer.submit(
-                            _normal_chunk, rngs,
-                            bufs[k_next // NOISE_CHUNK % 2][:, :n - k_next])
-                dB = np.multiply(sqdt, chunk[:, row]).reshape(-1)[:nb]
 
             drift = bval * dt
             th = None
@@ -683,32 +666,6 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 raise _nonfinite("state became non-finite", X_new, k, t + dt,
                                  first)
 
-            if var is not None:
-                P = var["partials"]
-                beta_vals = lane_values(var["beta"].raw(k, t, X, Y, A), X.shape)
-
-                def lin(name):
-                    return (P[name]["x"](t, X, Y, A, u) * xi
-                            + P[name]["y"](t, X, Y, A, u) * xi_lag
-                            + P[name]["a"](t, X, Y, A, u) * Lam
-                            + P[name]["u"](t, X, Y, A, u) * beta_vals)
-
-                dxi = lin("b") * dt + lin("sigma") * dB
-                if has_jumps:
-                    dth = np.stack([
-                        (P["theta"]["x"](t, X, Y, A, u, zv) * xi
-                         + P["theta"]["y"](t, X, Y, A, u, zv) * xi_lag
-                         + P["theta"]["a"](t, X, Y, A, u, zv) * Lam
-                         + P["theta"]["u"](t, X, Y, A, u, zv) * beta_vals)
-                        for zv in mark_values
-                    ], axis=0)
-                    dxi += (_jump_term(counts, dth)
-                            - jump.intensity * (mark_probs @ dth) * dt)
-                xi_new = xi + dxi
-                if not np.isfinite(xi_new).all():
-                    raise _nonfinite("variational process non-finite", xi_new,
-                                     k, t + dt, first)
-
             pos = (pos + 1) % (m + 1)
             ring[pos] = X_new
             Y_new = ring[(pos + 1) % (m + 1)].copy()  # X_{k+1-m}
@@ -718,22 +675,10 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                    "b": b_raw, "sigma": s_raw, "theta_marks": th,
                    "dB": dB, "counts": counts,
                    "x1": X_new, "y1": Y_new, "a1": A_new, "path0": path0}
-
-            if var is not None:
-                xi_ring[pos] = xi_new
-                xi_lag_new = xi_ring[(pos + 1) % (m + 1)].copy()
-                Lam_new = _average_step(w_avg, Lam, xi_lag, xi_lag_new, xi, xi_new)
-                ctx.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam,
-                            "beta": beta_vals, "xi1": xi_new})
-
             for acc, st in zip(accumulators, states):
                 acc.step(st, k, ctx)
 
             X, Y, A = X_new, Y_new, A_new
-            if var is not None:
-                xi, xi_lag, Lam = xi_new, xi_lag_new, Lam_new
-                if record:
-                    rec_xi[k + 1] = xi
             if record:
                 rec_X[k + 1] = X
                 rec_Y[k + 1] = Y
@@ -752,8 +697,6 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         clipped |= clip_f
         ctx_final = {"k": n, "t": t_final, "x": X, "y": Y, "a": A,
                      "u": u_final, "path0": path0}
-        if var is not None:
-            ctx_final.update({"xi": xi, "xi_lag": xi_lag, "Lam": Lam})
         extras = [acc.finish(st, ctx_final)
                   for acc, st in zip(accumulators, states)]
     if record:
@@ -771,14 +714,12 @@ def _snapshot(k, pos, ring, A, clipped, rec, kept, kept0, accumulators,
             "acc": [acc.copy_state(st) for acc, st in zip(accumulators, states)]}
 
 
-def _record_arrays(spec: ProblemSpec, grid: TimeGrid, n_lanes: int,
-                   xi: bool) -> dict:
+def _record_arrays(spec: ProblemSpec, grid: TimeGrid, n_lanes: int) -> dict:
     """One time-major array per recorded quantity of ``n_lanes`` paths
-    (None for counts without jumps and for xi unless asked)."""
+    (None for counts without jumps)."""
     n = grid.n
     arrays = {key: np.empty((n + 1, n_lanes)) for key in ("X", "Y", "A", "u")}
     arrays.update(_increment_arrays(spec, n, n_lanes))
-    arrays["xi"] = np.empty((n + 1, n_lanes)) if xi else None
     return arrays
 
 
@@ -799,11 +740,10 @@ def _path_major(arrays: dict) -> dict:
 
 def _path_record(t, arrays: dict, i: int, block_clipped) -> PathRecord:
     """The PathRecord viewing path i of path-major record arrays."""
-    counts, xi = arrays["counts"], arrays["xi"]
+    counts = arrays["counts"]
     return PathRecord(t=t, X=arrays["X"][i], Y=arrays["Y"][i],
                       A=arrays["A"][i], u=arrays["u"][i], dB=arrays["dB"][i],
                       counts=None if counts is None else counts[i],
-                      xi=None if xi is None else xi[i],
                       clipped=bool(block_clipped[i // BLOCK_SIZE]))
 
 
@@ -823,14 +763,12 @@ def _merge_extras(per_group: list, accumulators) -> list:
 
 def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                       n_paths: int, seed: int, *, accumulators=(),
-                      record: bool = False, beta: Optional[ControlSpec] = None,
-                      threads: int = 1, save_at=(),
+                      record: bool = False, threads: int = 1, save_at=(),
                       resume: Optional[EngineState] = None) -> EnsembleResult:
     """Simulate ``n_paths`` paths in counter-seeded blocks.
 
     ``accumulators`` is a sequence of StepAccumulator instances, shared by
-    all groups; each group keeps its own state from begin().  ``beta``
-    switches on the variational process driven by that perturbation.
+    all groups; each group keeps its own state from begin().
     Blocks are stepped in contiguous groups of up to ``GROUP_BLOCKS``;
     ``threads`` counts the workers that step groups, and without jumps
     each group also has one noise producer thread drawing normals
@@ -842,23 +780,25 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     are (N, ...) views of them and its ``records`` view them path by
     path, so neither copies.
 
-    Save and resume: a run without ``beta`` saves its engine state
-    before each step k of ``save_at`` (0 <= k <= n; k = n is the final
-    point) into ``states[k]`` of the result.  A run given ``resume=``
-    such a state starts at its step in the same step loop, with the same
-    spec, grid, ``n_paths``, seed, block grouping and accumulator
-    classes, and a control that agrees with the saved run's before that
-    step.  It reads dB and the jump counts as rows kept by the saved run,
-    so it repeats no earlier step, draws no noise and starts no producer
-    thread, and every result, the record included, is bitwise that of
-    the full run, as far as each accumulator's ``copy_state`` carries
-    what it accumulated before the save step.  A recorded run keeps
+    Save and resume: a run saves its engine state before each step k of
+    ``save_at`` (0 <= k <= n; k = n is the final point) into
+    ``states[k]`` of the result.  A run given ``resume=`` such a state
+    starts at its step in the same step loop, with the same spec, grid,
+    ``n_paths``, seed, block grouping and accumulator classes, and a
+    control that agrees with the saved run's before that step.  A resume
+    checks the accumulators' classes only, so their parameters (such as
+    a VariationalAccumulator's beta) must agree with the saved run's
+    before the save step, as the control must.  Its source of dB and the
+    jump counts is the rows kept by the saved run, so it repeats no
+    earlier step, draws no noise and starts no producer thread, and
+    every result, the record included, is bitwise that of the full run,
+    as far as each accumulator's ``copy_state`` carries what it
+    accumulated before the save step.  A recorded run keeps
     these rows in its record; an unrecorded one keeps only them, from
     its first save step on, about 8 (n - min(save_at)) bytes per path
     without jumps.  A recorded run resumes only from a recorded one,
     whose record it copies up to the resume step.
     """
-    variation = _prepare_variation(spec, beta) if beta is not None else None
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
     # contiguous groups of at most GROUP_BLOCKS blocks, enough of them to
     # give every worker one
@@ -866,18 +806,15 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     firsts = range(0, n_blocks, per_group)
     kinds = tuple(type(acc) for acc in accumulators)
     save_at = frozenset(int(k) for k in save_at)
-    if save_at and (beta is not None
-                    or not all(0 <= k <= grid.n for k in save_at)):
-        raise ValueError("saving needs a run without beta and steps in "
-                         f"[0, {grid.n}]")
+    if not all(0 <= k <= grid.n for k in save_at):
+        raise ValueError(f"saving needs steps in [0, {grid.n}]")
     if resume is not None and (
-            beta is not None or save_at or resume.spec is not spec
-            or resume.grid != grid
+            save_at or resume.spec is not spec or resume.grid != grid
             or (resume.n_paths, resume.seed, resume.per_group,
                 resume.accumulators) != (n_paths, seed, per_group, kinds)):
         raise ValueError("a run resumes only the spec, grid, n_paths, seed, "
                          "block grouping and accumulators it was saved "
-                         "from, without beta or save_at")
+                         "from, without save_at")
     if record and resume is not None and any(
             grp["rec"] is None for grp in resume.groups):
         raise ValueError("a recorded run resumes only from a recorded one: "
@@ -885,7 +822,7 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
 
     arrays = kept = None
     if record:
-        arrays = _record_arrays(spec, grid, n_paths, variation is not None)
+        arrays = _record_arrays(spec, grid, n_paths)
     elif save_at:
         kept = _increment_arrays(spec, grid.n - min(save_at), n_paths)
 
@@ -899,7 +836,7 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         lanes = min(per_group * BLOCK_SIZE, n_paths - lo)
         return _run_blocks(spec, grid, control, seed, first, lanes,
                            accumulators, lane_slices(arrays, lo, lanes),
-                           variation, save_at,
+                           save_at,
                            None if resume is None else resume.groups[i],
                            lane_slices(kept, lo, lanes))
 
@@ -928,7 +865,12 @@ def simulate_path(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     The containing block is simulated in full so the returned record is
     bitwise identical to the same path inside any larger ensemble.
     """
-    return _lane_record(spec, grid, control, noise, None)
+    seed, path_index = noise
+    block, lane = divmod(int(path_index), BLOCK_SIZE)
+    arrays = _record_arrays(spec, grid, lane + 1)
+    _, clipped, _ = _run_blocks(spec, grid, control, seed, block, lane + 1,
+                                (), arrays)
+    return _path_record(grid.times, _path_major(arrays), lane, clipped)
 
 
 def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
@@ -1010,21 +952,94 @@ def _noiseless(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                       u=us.T, dB=np.zeros(shape + (n,)), clipped=clipped)
 
 
+
+
+# ---------------------------------------------------------------------------
+# Variational process
+# ---------------------------------------------------------------------------
+
+class VariationalAccumulator(StepAccumulator):
+    """The variational process xi of the perturbation ``beta``: the state
+    equation linearized along u + s beta on the engine's grid and noise,
+        dxi = (b_x xi + b_y xi(t - delta) + b_a Lam + b_u beta) dt
+              + (the same in sigma) dB + (the same in theta) dN~,
+    from xi = 0 on the initial segment, Lam its moving average by A's
+    recursion.  ``finish`` returns xi at the n+1 grid nodes, (N, n+1); a
+    non-finite lane raises NonFiniteState with its step, block and lane."""
+
+    def __init__(self, beta: ControlSpec):
+        self.beta = beta
+
+    def begin(self, n_lanes, spec, grid):
+        st = self._variation(n_lanes, spec, grid)
+        st["path"] = np.zeros((grid.n + 1, n_lanes))
+        return st
+
+    def step(self, st, k, ctx):
+        self._advance(st, k, ctx, self._beta(k, ctx))
+        st["path"][k + 1] = st["xi"]
+
+    def finish(self, st, ctx):
+        return st["path"].T
+
+    @staticmethod
+    def _variation(n_lanes, spec, grid) -> dict:
+        """xi, its lag and Lam at t = 0; the partials of b, sigma, theta."""
+        names = ("b", "sigma") + (("theta",) if spec.has_jumps else ())
+        return {"spec": spec, "dt": grid.dt,
+                "w_avg": _average_weights(grid.dt, grid.m, spec.rho),
+                "partials": {name: tuple(spec.coeffs.partial(name, v)
+                                         for v in "xyau") for name in names},
+                "xi": np.zeros(n_lanes), "lag": np.zeros(n_lanes),
+                "Lam": np.zeros(n_lanes),
+                "ring": np.zeros((grid.m + 1, n_lanes))}
+
+    def _beta(self, k, ctx):
+        x = ctx["x"]
+        return lane_values(self.beta.raw(k, ctx["t"], x, ctx["y"], ctx["a"]),
+                           x.shape)
+
+    @staticmethod
+    def _advance(st, k, ctx, beta):
+        """Step xi, its lag and Lam from t_k to t_{k+1}."""
+        spec, dt, P = st["spec"], st["dt"], st["partials"]
+        t, x, y, a, u = (ctx[key] for key in ("t", "x", "y", "a", "u"))
+        xi, lag, Lam = st["xi"], st["lag"], st["Lam"]
+
+        def lin(name, *mark):
+            px, py, pa, pu = P[name]
+            return (px(t, x, y, a, u, *mark) * xi
+                    + py(t, x, y, a, u, *mark) * lag
+                    + pa(t, x, y, a, u, *mark) * Lam
+                    + pu(t, x, y, a, u, *mark) * beta)
+
+        dxi = lin("b") * dt + lin("sigma") * ctx["dB"]
+        if "theta" in P:
+            jump = spec.jump
+            dth = np.stack([lin("theta", zv) for zv in jump.marks.values],
+                           axis=0)
+            dxi += (_jump_term(ctx["counts"], dth)
+                    - jump.intensity * (jump.marks.probs @ dth) * dt)
+        xi_new = xi + dxi
+        if not np.isfinite(xi_new).all():
+            raise _nonfinite("variational process non-finite", xi_new, k,
+                             ctx["t1"], ctx["path0"] // BLOCK_SIZE)
+        # the ring's row of step k is the engine's: X_{k+1} goes to row
+        # k mod (m+1), and the row after it holds the new lag
+        ring = st["ring"]
+        ring[k % len(ring)] = xi_new
+        lag_new = ring[(k + 1) % len(ring)].copy()
+        st["Lam"] = _average_step(st["w_avg"], Lam, lag, lag_new, xi, xi_new)
+        st["xi"], st["lag"] = xi_new, lag_new
+
+
 def simulate_variational(spec: ProblemSpec, grid: TimeGrid,
                          control: ControlSpec, beta: ControlSpec,
                          noise) -> np.ndarray:
     """The variational process xi along one path (same noise contract as
     simulate_path); xi vanishes on the initial segment by construction."""
-    return _lane_record(spec, grid, control, noise,
-                        _prepare_variation(spec, beta)).xi
-
-
-def _lane_record(spec, grid, control, noise, variation) -> PathRecord:
-    """The record of path noise = (seed, path_index), from a run of its
-    block up to that lane."""
     seed, path_index = noise
     block, lane = divmod(int(path_index), BLOCK_SIZE)
-    arrays = _record_arrays(spec, grid, lane + 1, variation is not None)
-    _, clipped, _ = _run_blocks(spec, grid, control, seed, block, lane + 1,
-                                (), arrays, variation)
-    return _path_record(grid.times, _path_major(arrays), lane, clipped)
+    (xi,), _, _ = _run_blocks(spec, grid, control, seed, block, lane + 1,
+                              (VariationalAccumulator(beta),), None)
+    return xi[lane]

@@ -12,7 +12,10 @@ Necessary side: the first-order condition E[dH/du | E_t] = 0 at probe
 times, cross-checked by Gateaux derivatives of J along rectangular bump
 perturbations, and the consistency between the finite-difference
 derivative of J and the chain-rule integral driven by the variational
-process xi.  A bump derivative in direction alpha on a window takes the
+process xi.  xi is a step accumulator (``forward.VariationalAccumulator``,
+which ``ChainRuleAccumulator`` extends), so a run that carries it saves
+and resumes like any other, reading the saved run's kept rows of noise
+as its source.  A bump derivative in direction alpha on a window takes the
 ensembles of the candidate plus the bump +/- s alpha there; a mirrored
 pair (alpha, s) and (-alpha, s) needs the same two, so with the alphas
 +/-1 the check simulates 2 |windows| |s| bump ensembles (not 4)
@@ -54,8 +57,9 @@ import numpy as np
 from .absde import monomial_basis
 from .adjoint import SecondAdjointResult, p3_flatness
 from .errors import AdjointMissing, BadWindow, ConfigError
-from .forward import (ControlSpec, StepAccumulator, bump_control,
-                      bump_start_step, feedback_control, simulate_ensemble)
+from .forward import (ControlSpec, StepAccumulator, VariationalAccumulator,
+                      bump_control, bump_start_step, feedback_control,
+                      simulate_ensemble)
 from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
 from .model import ProblemSpec, TimeGrid
 from .objective import RunningRewardAccumulator, mean_stderr
@@ -637,44 +641,38 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
 # Variational consistency
 # ---------------------------------------------------------------------------
 
-class ChainRuleAccumulator(StepAccumulator):
+class ChainRuleAccumulator(VariationalAccumulator):
     """Per-path trapezoid integral of
     f_x xi + f_y xi(t - delta) + f_a Lam + f_u beta
-    along the jointly simulated (X, xi) dynamics."""
-
-    def __init__(self, beta: ControlSpec):
-        self.beta_spec = beta
+    along the jointly simulated (X, xi) dynamics; ``finish`` returns it
+    and xi(T).  The four f partials are resolved once per run."""
 
     def begin(self, n_lanes, spec, grid):
-        return {"spec": spec, "dt": grid.dt, "grid": grid,
-                "I": np.zeros(n_lanes), "prev": None}
+        st = self._variation(n_lanes, spec, grid)
+        st.update(f=tuple(spec.coeffs.partial("f", v) for v in "xyau"),
+                  I=np.zeros(n_lanes), prev=None)
+        return st
 
-    def _integrand(self, st, ctx):
-        spec = st["spec"]
-        c = spec.coeffs
+    @staticmethod
+    def _trapezoid(st, ctx, beta):
+        """Add the integral's trapezoid up to t = ctx["t"]."""
+        fx, fy, fa, fu = st["f"]
         t, x, y, a, u = ctx["t"], ctx["x"], ctx["y"], ctx["a"], ctx["u"]
-        val = (c.partial("f", "x")(t, x, y, a, u) * ctx["xi"]
-               + c.partial("f", "y")(t, x, y, a, u) * ctx["xi_lag"]
-               + c.partial("f", "a")(t, x, y, a, u) * ctx["Lam"]
-               + c.partial("f", "u")(t, x, y, a, u) * ctx["beta"])
-        return np.asarray(val, float)
-
-    def step(self, st, k, ctx):
-        g = self._integrand(st, ctx)
+        g = np.asarray(
+            fx(t, x, y, a, u) * st["xi"] + fy(t, x, y, a, u) * st["lag"]
+            + fa(t, x, y, a, u) * st["Lam"] + fu(t, x, y, a, u) * beta, float)
         if st["prev"] is not None:
             st["I"] += 0.5 * st["dt"] * (st["prev"] + g)
         st["prev"] = g
 
+    def step(self, st, k, ctx):
+        beta = self._beta(k, ctx)
+        self._trapezoid(st, ctx, beta)
+        self._advance(st, k, ctx, beta)
+
     def finish(self, st, ctx):
-        grid = st["grid"]
-        ctx_n = dict(ctx)
-        ctx_n["beta"] = np.broadcast_to(np.asarray(
-            self.beta_spec.raw(grid.n, ctx["t"], ctx["x"], ctx["y"],
-                               ctx["a"]), float), np.shape(ctx["x"]))
-        g = self._integrand(st, ctx_n)
-        if st["prev"] is not None:
-            st["I"] += 0.5 * st["dt"] * (st["prev"] + g)
-        return st["I"].copy(), np.array(ctx["xi"], float, copy=True)
+        self._trapezoid(st, ctx, self._beta(ctx["k"], ctx))
+        return st["I"].copy(), st["xi"].copy()
 
 
 def variational_consistency(spec: ProblemSpec, grid: TimeGrid,
@@ -693,7 +691,7 @@ def variational_consistency(spec: ProblemSpec, grid: TimeGrid,
                             n_paths, seed,
                             accumulators=(ChainRuleAccumulator(beta),
                                           StateAtStepsAccumulator((grid.n,))),
-                            beta=beta, threads=threads)
+                            threads=threads)
     xi_vals, xi_T = res.extras[0]
     x_T, y_T, a_T = (v[:, 0] for v in res.extras[1])
 

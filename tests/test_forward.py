@@ -20,11 +20,11 @@ from delayctrl.forward import (
     RECORD_KEYS,
     PathRecord,
     StepAccumulator,
+    VariationalAccumulator,
     _average_step,
     _average_weights,
     _jump_term,
     _poisson_counts,
-    _prepare_variation,
     _record_arrays,
     _replay_marks,
     _run_blocks,
@@ -42,6 +42,7 @@ from delayctrl.forward import (
     update_moving_average,
 )
 from delayctrl.model import CoefficientSet, ProblemSpec
+from delayctrl.mp import ChainRuleAccumulator
 from delayctrl.objective import RunningRewardAccumulator
 
 from conftest import make_jump_spec
@@ -293,8 +294,7 @@ class _ContextSums(StepAccumulator):
     """Per-path sum of every per-lane array the engine hands to ``step``,
     plus the final state: sees each context entry of every lane."""
 
-    KEYS = ("x", "y", "a", "u", "dB", "x1", "y1", "a1", "xi", "xi_lag",
-            "Lam", "beta", "xi1")
+    KEYS = ("x", "y", "a", "u", "dB", "x1", "y1", "a1")
 
     def begin(self, n_lanes, spec, grid):
         return {"s": np.zeros(n_lanes)}
@@ -321,9 +321,15 @@ def _wavy(spec):
         1.0 + 0.3 * np.sin(7.0 * np.asarray(s, float))))
 
 
+def _per_array(extra) -> tuple:
+    """An accumulator's output as a tuple of per-path arrays."""
+    return extra if isinstance(extra, tuple) else (extra,)
+
+
 class TestBlockGroups:
     """Stepping many blocks in one loop leaves every path bitwise as a
-    single block simulates it."""
+    single block simulates it; in the variational case, the variational
+    process too."""
 
     @pytest.fixture(scope="class", params=["plain", "jumps", "variational"])
     def case(self, request, ex34_spec, ex34_control):
@@ -337,14 +343,15 @@ class TestBlockGroups:
         return _wavy(ex34_spec), grid, ex34_control, beta
 
     @staticmethod
-    def _accumulators():
-        return (RunningRewardAccumulator(), _ContextSums())
+    def _accumulators(beta):
+        variation = () if beta is None else (VariationalAccumulator(beta),)
+        return (RunningRewardAccumulator(), _ContextSums(), *variation)
 
     def _ensemble(self, case, threads):
         spec, grid, ctl, beta = case
         return simulate_ensemble(spec, grid, ctl, GROUP_PATHS, 11,
-                                 accumulators=self._accumulators(),
-                                 record=True, beta=beta, threads=threads)
+                                 accumulators=self._accumulators(beta),
+                                 record=True, threads=threads)
 
     @pytest.fixture(scope="class")
     def ensemble(self, case):
@@ -352,15 +359,14 @@ class TestBlockGroups:
 
     def test_records_and_extras_equal_block_by_block(self, case, ensemble):
         spec, grid, ctl, beta = case
-        variation = _prepare_variation(spec, beta) if beta is not None else None
         n_blocks = -(-GROUP_PATHS // BLOCK_SIZE)
         parts = []
         for b in range(n_blocks):
             lanes = min(BLOCK_SIZE, GROUP_PATHS - b * BLOCK_SIZE)
-            rec = _record_arrays(spec, grid, lanes, beta is not None)
+            rec = _record_arrays(spec, grid, lanes)
             extras, _, _ = _run_blocks(spec, grid, ctl, 11, b, lanes,
-                                       self._accumulators(), rec, variation)
-            for name in ("X", "Y", "A", "u", "dB", "counts", "xi"):
+                                       self._accumulators(beta), rec)
+            for name in RECORD_KEYS:
                 if rec[name] is None:
                     continue
                 mine = np.stack([getattr(r, name) for r in
@@ -370,8 +376,8 @@ class TestBlockGroups:
                     b, name)
             parts.append(extras)
         for i, merged in enumerate(ensemble.extras):
-            for j, arr in enumerate(merged):
-                ref = np.concatenate([p[i][j] for p in parts])
+            for j, arr in enumerate(_per_array(merged)):
+                ref = np.concatenate([_per_array(p[i])[j] for p in parts])
                 assert np.array_equal(arr, ref), (i, j)
 
     def test_records_equal_single_path_runs(self, case, ensemble):
@@ -385,19 +391,18 @@ class TestBlockGroups:
                        | set(range(GROUP_PATHS - 37, GROUP_PATHS)))
         for i in lanes:
             rec = ensemble.records[i]
-            if beta is None:
-                one = simulate_path(spec, grid, ctl, (11, i))
-                for name in ("X", "Y", "A", "u", "dB", "counts"):
-                    assert np.array_equal(getattr(rec, name),
-                                          getattr(one, name)), (i, name)
-            else:
+            one = simulate_path(spec, grid, ctl, (11, i))
+            for name in RECORD_KEYS:
+                assert np.array_equal(getattr(rec, name),
+                                      getattr(one, name)), (i, name)
+            if beta is not None:
                 xi = simulate_variational(spec, grid, ctl, beta, (11, i))
-                assert np.array_equal(rec.xi, xi), i
+                assert np.array_equal(ensemble.extras[2][i], xi), i
 
     def test_thread_counts_agree(self, case, ensemble):
         other = self._ensemble(case, threads=2)
         for ra, rb in zip(ensemble.records, other.records):
-            for name in ("X", "A", "u", "dB", "counts", "xi"):
+            for name in ("X", "A", "u", "dB", "counts"):
                 assert np.array_equal(getattr(ra, name), getattr(rb, name))
         for ea, eb in zip(ensemble.extras, other.extras):
             for a, b in zip(ea, eb):
@@ -415,11 +420,10 @@ class TestRecordArrays:
     def make_case(name, ex34_spec, ex34_control):
         if name == "jumps":
             return (_wavy(make_jump_spec(intensity=2.0)),
-                    make_grid(0.5, 0.05, 0.5), constant_control(0.2), None)
-        beta = constant_control(1.0) if name == "variational" else None
-        return _wavy(ex34_spec), make_grid(1.0, 0.1, 1.0), ex34_control, beta
+                    make_grid(0.5, 0.05, 0.5), constant_control(0.2))
+        return _wavy(ex34_spec), make_grid(1.0, 0.1, 1.0), ex34_control
 
-    @pytest.fixture(scope="class", params=["plain", "jumps", "variational"])
+    @pytest.fixture(scope="class", params=["plain", "jumps"])
     def case(self, request, ex34_spec, ex34_control):
         return self.make_case(request.param, ex34_spec, ex34_control)
 
@@ -438,27 +442,25 @@ class TestRecordArrays:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n_paths", [SMALL, GROUP_PATHS])
     def test_arrays_are_the_records(self, case, n_paths, threads):
-        spec, grid, ctl, beta = case
+        spec, grid, ctl = case
         res = simulate_ensemble(spec, grid, ctl, n_paths, 11, record=True,
-                                beta=beta, threads=threads)
+                                threads=threads)
         self.assert_views(res)
         assert res.arrays["X"].shape == (n_paths, grid.n + 1)
         assert (res.arrays["counts"] is None) == (not spec.has_jumps)
-        assert (res.arrays["xi"] is None) == (beta is None)
         # each group wrote its own lanes: the first paths are those of a
         # smaller run
-        small = simulate_ensemble(spec, grid, ctl, 100, 11, record=True,
-                                  beta=beta)
+        small = simulate_ensemble(spec, grid, ctl, 100, 11, record=True)
         for key in RECORD_KEYS:
             if small.arrays[key] is not None:
                 assert np.array_equal(res.arrays[key][:100],
                                       small.arrays[key]), key
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("name", ["plain", "jumps"])  # no beta: no resume
+    @pytest.mark.parametrize("name", ["plain", "jumps"])
     def test_resumed_run_records_views(self, name, threads, ex34_spec,
                                        ex34_control):
-        spec, grid, ctl, _ = self.make_case(name, ex34_spec, ex34_control)
+        spec, grid, ctl = self.make_case(name, ex34_spec, ex34_control)
         k = grid.n // 2
         bumped = dataclasses.replace(
             ctl, bumps=ctl.bumps + ((0.05, k * grid.dt, 0.3),))
@@ -538,15 +540,16 @@ class TestNonFiniteContext:
 
         if where == "xi":
             spec = _brownian_spec(partials={"b": {"x": blow}})
-            beta = constant_control(1.0)
+            accumulators = (VariationalAccumulator(constant_control(1.0)),)
         else:
             spec = _brownian_spec(blow if where == "state" else overflow)
-            beta = None
-        # the engine reports the lane; no floating-point warning escapes
+            accumulators = ()
+        # the engine or the accumulator reports the lane; no
+        # floating-point warning escapes
         with warnings.catch_warnings(), pytest.raises(NonFiniteState) as info:
             warnings.simplefilter("error")
             simulate_ensemble(spec, grid, constant_control(0.0), n_paths,
-                              self.SEED, beta=beta)
+                              self.SEED, accumulators=accumulators)
         err = info.value
         assert (err.step, err.block, err.lane) == (2, 1, first - BLOCK_SIZE)
         assert f"block 1, lane {first - BLOCK_SIZE}" in str(err)
@@ -829,6 +832,43 @@ class TestResume:
                                       saved.records[0].u[k])
             self.assert_same(full, resumed)
 
+    def test_variational_resume_equals_full_run(self, case, threads):
+        """The variational accumulators resume like any other: saved at
+        step k and resumed with a bump from k, a run gives the chain-rule
+        integral I, xi(T) and the xi path bitwise as the full run."""
+        spec, grid, ctl = case
+        if spec.has_jumps:
+            # u enters the drift, the jump amplitude and the reward, so xi
+            # and I move and the jump term of xi is exercised
+            spec = dataclasses.replace(spec, coeffs=dataclasses.replace(
+                spec.coeffs, b=lambda t, x, y, a, u: 0.05 * x + 0.1 * u,
+                theta=lambda t, x, y, a, u, z: (x + 0.5 * u) * z,
+                f=lambda t, x, y, a, u: u * x - 0.1 * a))
+        beta = feedback_control(lambda t, x, y, a: 1.0 + 0.1 * x)
+
+        def run(control, **kwargs):
+            return simulate_ensemble(
+                spec, grid, control, self.N_PATHS, self.SEED,
+                accumulators=(ChainRuleAccumulator(beta),
+                              VariationalAccumulator(beta)),
+                threads=threads, **kwargs)
+
+        saved = run(ctl, save_at=self.save_steps())
+        for k in self.save_steps():
+            bumped = dataclasses.replace(
+                ctl, bumps=ctl.bumps + ((0.05, k * grid.dt, 0.3),))
+            full = run(bumped)
+            resumed = run(bumped, resume=saved.states[k])
+            (I, xi_T), path = full.extras
+            assert np.any(path != 0.0) and np.any(I != 0.0)
+            assert np.array_equal(path[:, -1], xi_T)
+            for a, b in zip((I, xi_T, path), (*resumed.extras[0],
+                                              resumed.extras[1]),
+                            strict=True):
+                assert a.shape == b.shape
+                assert np.ascontiguousarray(a).tobytes() == (
+                    np.ascontiguousarray(b).tobytes()), k
+
     def test_unrecorded_save_resumes_like_a_recorded_one(self, case, threads,
                                                          saved):
         """An unrecorded run that saves keeps only the increments from its
@@ -901,8 +941,7 @@ class TestResume:
         state = simulate_ensemble(**run, record=True,
                                   save_at=[5]).states[5]
         simulate_ensemble(**run, resume=state)  # the matching run resumes
-        for change in (dict(beta=constant_control(1.0)),
-                       dict(spec=dataclasses.replace(ex34_spec)),
+        for change in (dict(spec=dataclasses.replace(ex34_spec)),
                        dict(grid=make_grid(1.0, self.DT, 2.1)),
                        dict(n_paths=self.N_PATHS - 1),
                        dict(seed=self.SEED + 1),
@@ -913,7 +952,6 @@ class TestResume:
                 simulate_ensemble(**{**run, **change}, resume=state)
 
     @pytest.mark.parametrize("change", [dict(save_at=[-1]),
-                                        dict(beta=constant_control(1.0)),
                                         dict(save_at=[21])])
     def test_bad_save_raises(self, ex34_spec, ex34_control, change):
         grid = make_grid(1.0, self.DT, 2.0)
