@@ -952,6 +952,7 @@ class TestResume:
                 simulate_ensemble(**{**run, **change}, resume=state)
 
     @pytest.mark.parametrize("change", [dict(save_at=[-1]),
+                                        dict(save_at=[5, 21]),
                                         dict(save_at=[21])])
     def test_bad_save_raises(self, ex34_spec, ex34_control, change):
         grid = make_grid(1.0, self.DT, 2.0)
