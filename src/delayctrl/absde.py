@@ -45,8 +45,11 @@ padded nodes):
   - about six N x L working arrays: the iterate's p and q, the inner
     sweep's q, the new sweep's F and its node-major p and q, which it
     hands back path-major one at a time (one more array while it
-    copies), and the driver's temporaries while it runs.  Without jumps
-    r is never written, and one zero r serves the whole solve.
+    copies), and the driver's temporaries while it runs: F and one
+    product of dH/dx, plus dH/dy and the padded dH/da with its segment
+    integral when their partials are not all zero (on Ex 3.4 they are,
+    and the driver builds neither).  Without jumps r is never written,
+    and one zero r serves the whole solve.
 On Ex 3.4 (sigma0 0.05, 2048 paths, dt 0.05, T 5: n = 100, m = 20) that
 is 0.16 MB of design, 4.0 MB of partials and about 2 MB per
 working array; by tracemalloc the solve from ``EnsembleResult.arrays``
@@ -368,6 +371,10 @@ class McContext:
             self._M = self.design(k)
             self._slice = k
         M = self._M
+        # one lstsq per right-hand side: stacking a node's q and p into
+        # one call moves q by about 5e-10 relative, past the 1e-12 the
+        # benchmark digest allows, and lstsq gains nothing on a second
+        # thread
         coef, *_ = np.linalg.lstsq(M, values, rcond=None)
         return M @ coef
 

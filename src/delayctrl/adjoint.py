@@ -122,15 +122,23 @@ def _estimate_lipschitz(P: dict, grid: TimeGrid) -> float:
 
 def _h_partial(P: dict, var: str, sl, p, q, r):
     """dH/d<var> over the node selection ``sl`` for adjoint values p, q, r,
-    as one new array: b p + f + sigma q (+ the jump term), the bits of
-    f + b p + sigma q since IEEE addition commutes."""
-    val = P[f"b_{var}"][..., sl] * p
-    val += P[f"f_{var}"][..., sl]
-    val += P[f"sigma_{var}"][..., sl] * q
-    key = f"theta_{var}"
-    if key in P:
-        w = P["mark_weights"]
-        val += np.sum(P[key][..., sl, :] * w * r, axis=-1)
+    as one new array of p's shape: b p + f + sigma q (+ the jump term),
+    the bits of f + b p + sigma q since IEEE addition commutes.
+
+    A coefficient missing from ``P`` (``build_first_driver`` leaves out
+    the all-zero ones) drops its term: the sum starts from +0.0 when
+    there is no b, and the p, q or r that the term would multiply is not
+    read.  Only the sign of an exact zero of the sum can differ from
+    adding the zero term."""
+    b, f, sigma, theta = (P.get(f"{name}_{var}")
+                          for name in ("b", "f", "sigma", "theta"))
+    val = np.zeros(p.shape) if b is None else b[..., sl] * p
+    if f is not None:
+        val += f[..., sl]
+    if sigma is not None:
+        val += sigma[..., sl] * q
+    if theta is not None:
+        val += np.sum(theta[..., sl, :] * P["mark_weights"] * r, axis=-1)
     return val
 
 
@@ -158,23 +166,38 @@ def build_first_driver(spec: ProblemSpec, grid: TimeGrid, path,
     path axis (regression ensemble); both modes call the same
     ``fn(p, q, r)``.  ``deterministic`` is accepted for existing callers
     and no longer changes the driver.
+
+    The partials along the path are fixed for the whole solve, so the
+    driver decides once which of its terms are live: a coefficient
+    partial that is +-0.0 at every path and node is dead (NaN and inf
+    are not zero, so they keep theirs live), and ``fn`` neither
+    evaluates nor adds its term.  The dH/dy term is left out when the
+    y partials of f, b, sigma (and theta) are all dead, and the segment
+    integral of dH/da when the a partials are.  Against adding every
+    term, only the sign of an exact zero of F can change, and an
+    iterate value that only dead terms would multiply is not read, so
+    a NaN or inf there raises no ``NonFiniteDriver``.
     """
-    P = _coefficient_partial_arrays(spec, grid, path)
+    P = {key: v for key, v in
+         _coefficient_partial_arrays(spec, grid, path).items()
+         if key == "mark_weights" or v.any()}
+    live = {var: any(f"{name}_{var}" in P
+                     for name in ("f", "b", "sigma", "theta"))
+            for var in ("y", "a")}
     kernel = _segment_kernel(grid, spec.rho)
     n, m = grid.n, grid.m
     n_marks = spec.jump.n_marks if spec.has_jumps else 0
     sl_now, sl_adv = slice(0, n + 1), slice(m, n + 1 + m)
 
     def fn(p, q, r):
-        hx = _h_partial(P, "x", sl_now, p[..., sl_now], q[..., sl_now],
-                        r[..., sl_now, :])
-        hy = _h_partial(P, "y", sl_adv, p[..., sl_adv], q[..., sl_adv],
-                        r[..., sl_adv, :])
-        F = hx
-        F += hy
-        del hy
-        F += _segment_integral(_h_partial(P, "a", slice(None), p, q, r),
-                               kernel)
+        F = _h_partial(P, "x", sl_now, p[..., sl_now], q[..., sl_now],
+                       r[..., sl_now, :])
+        if live["y"]:
+            F += _h_partial(P, "y", sl_adv, p[..., sl_adv], q[..., sl_adv],
+                            r[..., sl_adv, :])
+        if live["a"]:
+            F += _segment_integral(_h_partial(P, "a", slice(None), p, q, r),
+                                   kernel)
         return np.negative(F, out=F)
 
     return AdvancedDriver(fn=fn, lipschitz=_estimate_lipschitz(P, grid),

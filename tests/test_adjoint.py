@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from delayctrl import absde, adjoint, make_grid
+from delayctrl.errors import NonFiniteDriver
 from delayctrl.adjoint import (
     SecondAdjointResult,
     build_first_driver,
@@ -94,6 +95,75 @@ def reference_driver(P, kernel, grid, p, q, r):
     return out
 
 
+def full_h_partial(P, var, sl, p, q, r):
+    """dH/d<var> with every term, zero or not: b p + f + sigma q (+ the
+    jump term)."""
+    val = P[f"b_{var}"][..., sl] * p
+    val += P[f"f_{var}"][..., sl]
+    val += P[f"sigma_{var}"][..., sl] * q
+    key = f"theta_{var}"
+    if key in P:
+        val += np.sum(P[key][..., sl, :] * P["mark_weights"] * r, axis=-1)
+    return val
+
+
+def full_driver(spec, grid, path, p, q, r):
+    """The driver with every term evaluated, the dH/dy term and the
+    segment integral of dH/da included when their partials are zero:
+    the reference that leaving out dead terms is checked against."""
+    P = adjoint._coefficient_partial_arrays(spec, grid, path)
+    kernel = adjoint._segment_kernel(grid, spec.rho)
+    n, m = grid.n, grid.m
+    now, adv = slice(0, n + 1), slice(m, n + 1 + m)
+    F = full_h_partial(P, "x", now, p[..., now], q[..., now], r[..., now, :])
+    F += full_h_partial(P, "y", adv, p[..., adv], q[..., adv], r[..., adv, :])
+    F += adjoint._segment_integral(
+        full_h_partial(P, "a", slice(None), p, q, r), kernel)
+    return np.negative(F, out=F)
+
+
+def with_zero_partials(spec, var):
+    """``spec`` with every partial in ``var`` supplied as exactly zero,
+    so the driver's ``var`` term is dead while the others stay live."""
+    zero = lambda t, x, y, a, u, *z: np.zeros_like(np.asarray(x, float))
+    partials = {name: dict(spec.coeffs.partials.get(name, {}), **{var: zero})
+                for name in ("f", "b", "sigma", "theta")}
+    return dataclasses.replace(
+        spec, coeffs=dataclasses.replace(spec.coeffs, partials=partials))
+
+
+EX35_K = 3.192668142  # ex35_K of the default search, not searched here
+
+
+def driver_case(case):
+    """(spec, grid, path, marks, bitwise, segment calls per fn) of a
+    driver test case; ``bitwise`` says no term is dead, so F must equal
+    the full evaluation byte for byte, and otherwise up to the sign of
+    exact zeros."""
+    grid = make_grid(1.0, 0.05, 3.0)
+    if case.startswith("ex34"):
+        params = Example34Params(sigma0=0.0 if case == "ex34_det" else 0.05)
+        spec = make_ex34_problem(params, u_hi=50.0)
+        ctl = ex34_feedback(params, ex34_p0_star(params))
+    elif case == "ex35":
+        params = Example35Params(sigma0=0.0)
+        spec = make_ex35_problem(params)
+        ctl = ex35_feedback(params, EX35_K)
+    else:
+        spec = make_coupled_jump_spec()
+        ctl = constant_control(0.3)
+        if case != "jumps":
+            spec = with_zero_partials(spec, case[-1])
+    if case in ("ex34_det", "ex35"):
+        rec = simulate_noiseless(spec, grid, ctl)
+        path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}
+    else:
+        path = simulate_ensemble(spec, grid, ctl, 16, 5, record=True).arrays
+    marks = spec.jump.n_marks if spec.has_jumps else 1
+    live_a = case in ("ex35", "jumps", "jumps_dead_x", "jumps_dead_y")
+    return spec, grid, path, marks, case in ("ex35", "jumps"), int(live_a)
+
+
 class TestFirstDriver:
     @pytest.fixture(scope="class")
     def setting(self):
@@ -122,6 +192,82 @@ class TestFirstDriver:
         want = reference_driver(P, kernel, grid, p, q, r)
         assert got.shape == (len(records), grid.n + 1)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", ["ex34_reg", "ex34_det", "ex35", "jumps",
+                                      "jumps_dead_x", "jumps_dead_y",
+                                      "jumps_dead_a"])
+    def test_dead_terms_are_left_out(self, case, monkeypatch):
+        """Leaving out the terms whose partials are all zero gives the
+        full evaluation's F (bitwise where no term is dead), and the
+        segment integral runs only when a partial in a is non-zero."""
+        spec, grid, path, marks, bitwise, segments = driver_case(case)
+        p, q, r = self.iterate(grid, 16, marks, 3)
+        if path["X"].ndim == 1:
+            p, q, r = p[0], q[0], r[0]
+        want = full_driver(spec, grid, path, p, q, r)
+        calls = []
+        segment_integral = adjoint._segment_integral
+
+        def spy(*args):
+            calls.append(1)
+            return segment_integral(*args)
+
+        driver = build_first_driver(spec, grid, path)
+        monkeypatch.setattr(adjoint, "_segment_integral", spy)
+        got = driver.fn(p, q, r)
+        assert len(calls) == segments
+        assert np.all(np.isfinite(got))
+        if bitwise:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("key, node", [("b_y", 27), ("sigma_y", 40),
+                                           ("f_a", 27), ("b_a", 5)])
+    def test_nan_partial_keeps_its_term_live(self, key, node, monkeypatch):
+        """A y- or a-partial that is zero but for one NaN is not dead: the
+        solve raises NonFiniteDriver at the first path and grid node
+        whose driver reads it."""
+        params = Example34Params(sigma0=0.05)
+        spec = make_ex34_problem(params, u_hi=50.0)
+        ctl = ex34_feedback(params, ex34_p0_star(params))
+        grid = make_grid(1.0, 0.05, 3.0)
+        S = simulate_ensemble(spec, grid, ctl, 16, 5, record=True).arrays
+        evaluate = adjoint._coefficient_partial_arrays
+        bad_path = 11
+
+        def with_nan(*args):
+            P = evaluate(*args)
+            P[key] = np.zeros((16,) + P[key].shape[-1:])
+            P[key][bad_path, node] = np.nan
+            return P
+
+        monkeypatch.setattr(adjoint, "_coefficient_partial_arrays", with_nan)
+        with pytest.raises(NonFiniteDriver) as err:
+            solve_first_adjoint(spec, grid, ctl, ensemble=S)
+        # dH/dy(t + delta) reads padded node k + m at grid node k; the
+        # segment integral of dH/da reads nodes k..k+m
+        first = node - grid.m if key.endswith("_y") else max(node - grid.m, 0)
+        assert (err.value.path, err.value.node) == (bad_path, first)
+
+    @pytest.mark.parametrize("case", ["ex34_reg", "ex34_det"])
+    def test_iterate_read_only_by_dead_terms_is_not_read(self, case):
+        """NaN in p and q past the horizon, where on Ex 3.4 only the dead
+        dH/dy and dH/da terms read them (q everywhere in deterministic
+        mode, where sigma_x is zero too), leaves the driver finite and
+        raises nothing; the full evaluation turns NaN."""
+        spec, grid, path, marks, _, _ = driver_case(case)
+        n = grid.n
+        p, q, r = self.iterate(grid, 16, marks, 4)
+        if path["X"].ndim == 1:
+            p, q, r = p[0], q[0], r[0]
+        driver = build_first_driver(spec, grid, path)
+        clean = driver.fn(p, q, r)
+        p[..., n + 1:] = np.nan
+        q[..., 0 if case == "ex34_det" else n + 1:] = np.nan
+        got = absde._driver_values(driver, grid, n + 1, p, q, r)
+        assert got.tobytes() == clean.tobytes()
+        assert not np.all(np.isfinite(full_driver(spec, grid, path, p, q, r)))
 
     def test_one_path_ensemble_is_bitwise_the_path(self, setting):
         spec, grid, ctl, _ = setting
