@@ -59,14 +59,14 @@ peaks at 22.0 MB, and at 1024 paths, dt 0.01 at 54.3 MB, 2.65 times its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BadWeight, NoConvergence, NonFiniteDriver
-from .model import TimeGrid
+from .model import TimeGrid, _write_csv
 
 _INNER_MAX_ITER = 8  # inner (q, r) sweeps per outer regression iteration
 _CONTRACTING_RATIO = 0.75  # measured ratio that still counts as contracting
@@ -119,13 +119,8 @@ class AdjointTriple:
     def to_csv(self, path: str):
         r = self.r_on_grid()
         cols = ["t", "p", "q"] + [f"r_{j}" for j in range(r.shape[1])]
-        rows = np.column_stack((self.grid.times, self.p_on_grid(),
-                                self.q_on_grid(), r))
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            # one % over the whole file, row by row as a per-row template
-            fh.write((",".join(["%.17g"] * len(cols)) + "\n") * len(rows)
-                     % tuple(rows.ravel().tolist()))
+        _write_csv(path, cols, np.column_stack(
+            (self.grid.times, self.p_on_grid(), self.q_on_grid(), r)))
 
 
 @dataclass
@@ -145,16 +140,7 @@ class PicardReport:
     mode: str = "deterministic"
 
     def as_dict(self) -> dict:
-        return {
-            "distances": list(self.distances),
-            "p_distances": list(self.p_distances),
-            "qr_distances": list(self.qr_distances),
-            "ratios": list(self.ratios),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "weight_lambda": self.weight_lambda,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 
 from .absde import AdvancedDriver, McContext, picard_solve
 from .forward import ControlSpec, simulate_noiseless, stack_records
-from .model import ProblemSpec, TimeGrid
+from .model import ProblemSpec, TimeGrid, _write_csv
 
 _PARTIAL_VARS = ("x", "y", "a")
 
@@ -275,19 +275,13 @@ class SecondAdjointResult:
         nm = self.r.shape[1] if self.r.ndim == 2 else 1
         cols = ["t", "p1", "p2", "p3", "q1", "q2"] + [f"r_{j}" for j in range(nm)]
         nodes = self.grid.n + 1
-        rows = np.column_stack([self.grid.times] + [
+        _write_csv(path, cols, np.column_stack([self.grid.times] + [
             v[:nodes] for v in (self.p1, self.p2, self.p3, self.q1, self.q2,
-                                self.r)])
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            # one % over the whole file, row by row as a per-row template
-            fh.write((",".join(["%.17g"] * len(cols)) + "\n") * nodes
-                     % tuple(rows.ravel().tolist()))
+                                self.r)]))
 
 
 def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid,
-                         control: ControlSpec,
-                         solver_cfg: Optional[dict] = None) -> SecondAdjointResult:
+                         control: ControlSpec) -> SecondAdjointResult:
     """Backward Heun integration of the coupled (p1, p2, p3) system along
     the deterministic reference path, from p(T) = 0.
 
@@ -299,8 +293,7 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid,
 
     with q1 = q2 = r = 0 in the noiseless setting.
     """
-    cfg = dict(solver_cfg or {})
-    rec = cfg.get("reference_path") or simulate_noiseless(spec, grid, control)
+    rec = simulate_noiseless(spec, grid, control)
     path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}
     P = _coefficient_partial_arrays(spec, grid, path)
     n = grid.n

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import datetime
 import hashlib
 import json
@@ -37,7 +36,8 @@ from .examples import (Example34Params, Example35Params, ex34_adjoint,
                        ex35_alpha_residual, ex35_feedback, ex35_K,
                        ex35_matched_alpha, example_params)
 from .forward import constant_control, simulate_ensemble, table_control
-from .model import build_problem, make_grid, require_key
+from .model import (_mc_settings, _write_csv, build_problem, make_grid,
+                    require_key)
 from .mp import check_sufficient_first, check_sufficient_second, necessary_residual
 from .objective import estimate_J
 
@@ -65,22 +65,35 @@ def _load_config(path):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
+# Each flag that overrides a config entry: flag -> (section, key, type).
+# --weight-lambda belongs to adjoint and picard-diagnostics only.
+_OVERRIDES = {
+    "--seed": ("mc", "seed", int),
+    "--paths": ("mc", "n_paths", int),
+    "--dt": ("grid", "dt", float),
+    "--horizon": ("grid", "horizon", float),
+    "--threads": ("mc", "threads", int),
+    "--weight-lambda": ("solver", "weight_lambda", float),
+}
+
+
+def _set_path(cfg, keys, value):
+    node = cfg
+    for key in keys[:-1]:
+        node = node.setdefault(key, {})
+    node[keys[-1]] = value
+
+
 def _apply_overrides(cfg: dict, args) -> dict:
+    """A copy of ``cfg`` with the given override flags set; its grid and
+    mc sections always exist."""
     cfg = copy.deepcopy(cfg)
-    grid = cfg.setdefault("grid", {})
-    mc = cfg.setdefault("mc", {})
-    if args.dt is not None:
-        grid["dt"] = args.dt
-    if args.horizon is not None:
-        grid["horizon"] = args.horizon
-    if args.seed is not None:
-        mc["seed"] = args.seed
-    if args.paths is not None:
-        mc["n_paths"] = args.paths
-    if args.threads is not None:
-        mc["threads"] = args.threads
-    if getattr(args, "weight_lambda", None) is not None:
-        cfg.setdefault("solver", {})["weight_lambda"] = args.weight_lambda
+    cfg.setdefault("grid", {})
+    cfg.setdefault("mc", {})
+    for flag, (section, key, _) in _OVERRIDES.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            _set_path(cfg, (section, key), value)
     return cfg
 
 
@@ -91,12 +104,6 @@ def _build(cfg):
     grid = make_grid(spec.delta, float(cfg["grid"]["dt"]),
                      float(cfg["grid"]["horizon"]))
     return spec, grid
-
-
-def _mc_settings(cfg):
-    mc = cfg.get("mc", {})
-    return (int(mc.get("n_paths", 1000)), int(mc.get("seed", 0)),
-            int(mc.get("threads", 1)))
 
 
 def _resolve_control(cfg, grid, override=None):
@@ -149,54 +156,41 @@ def _resolve_control(cfg, grid, override=None):
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    config_hash: str
-    seed: int
-    started: str
-    finished: str = ""
-    version: str = __version__
-    outputs: list = dataclasses.field(default_factory=list)
+def _now():
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    def write(self, out_dir):
-        self.finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        fh.write("\n")
 
 
 class _Run:
-    """Shared per-command state: config, output directory, manifest."""
+    """Shared per-command state: config, its (n_paths, seed, threads),
+    output directory and manifest."""
 
     def __init__(self, args, command):
         cfg, raw = _load_config(args.config)
         self.cfg = _apply_overrides(cfg, args)
+        self.mc = _mc_settings(self.cfg["mc"])
         self.out_dir = args.out_dir or "."
         os.makedirs(self.out_dir, exist_ok=True)
-        _, seed, _ = _mc_settings(self.cfg)
-        self.manifest = RunManifest(
-            command=command,
-            config_hash=hashlib.sha256(raw).hexdigest(),
-            seed=seed,
-            started=datetime.datetime.now(datetime.timezone.utc).isoformat())
+        self.manifest = {"command": command, "seed": self.mc[1],
+                         "config_hash": hashlib.sha256(raw).hexdigest(),
+                         "started": _now(), "version": __version__,
+                         "outputs": []}
 
     def path(self, name):
-        p = os.path.join(self.out_dir, name)
-        self.manifest.outputs.append(name)
-        return p
+        self.manifest["outputs"].append(name)
+        return os.path.join(self.out_dir, name)
 
     def write_json(self, name, payload):
-        p = self.path(name)
-        with open(p, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
-            fh.write("\n")
-        return p
+        _write_json(self.path(name), payload)
 
     def finish(self):
-        self.manifest.write(self.out_dir)
+        self.manifest["finished"] = _now()
+        _write_json(os.path.join(self.out_dir, "manifest.json"), self.manifest)
 
 
 def _jsonable(obj):
@@ -209,17 +203,13 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
 def _reference_ensemble(run, spec, grid, control, solver_cfg):
     """The ensemble the first adjoint is solved on in the solver section's
     mode: ``"regression"`` records mc.n_paths paths under the control
     (their arrays); anything else gives None, the noiseless path."""
     if solver_cfg.get("mode") != "regression":
         return None
-    n_paths, seed, threads = _mc_settings(run.cfg)
+    n_paths, seed, threads = run.mc
     return simulate_ensemble(spec, grid, control, n_paths, seed,
                              record=True, threads=threads).arrays
 
@@ -250,7 +240,7 @@ def _picard_failure(run, name, exc, what):
 def cmd_simulate(args):
     run = _Run(args, "simulate")
     spec, grid = _build(run.cfg)
-    n_paths, seed, threads = _mc_settings(run.cfg)
+    n_paths, seed, threads = run.mc
     control, _ = _resolve_control(run.cfg, grid, args.control)
     res = simulate_ensemble(spec, grid, control, n_paths, seed,
                             record=True, threads=threads)
@@ -265,7 +255,7 @@ def cmd_simulate(args):
 def cmd_objective(args):
     run = _Run(args, "objective")
     spec, grid = _build(run.cfg)
-    n_paths, seed, threads = _mc_settings(run.cfg)
+    n_paths, seed, threads = run.mc
     control, _ = _resolve_control(run.cfg, grid, args.control)
     est = estimate_J(spec, grid, control, n_paths, seed, threads=threads)
     run.write_json("objective.json", {
@@ -286,7 +276,7 @@ def cmd_adjoint(args):
     control, _ = _resolve_control(run.cfg, grid, args.control)
 
     if args.system == "second":
-        result = solve_second_adjoint(spec, grid, control, solver_cfg)
+        result = solve_second_adjoint(spec, grid, control)
         result.to_csv(run.path("adjoint_second.csv"))
         run.finish()
         print(f"second adjoint solved; p1(0) = {result.p1[0]:.10g}, "
@@ -316,10 +306,8 @@ def _verdict_exit(verdict):
 def cmd_check(args):
     run = _Run(args, "check")
     spec, grid = _build(run.cfg)
-    n_paths, seed, threads = _mc_settings(run.cfg)
     candidate, p_fn = _resolve_control(run.cfg, grid, args.control)
-    mc_cfg = dict(run.cfg.get("mc", {}))
-    mc_cfg.update({"n_paths": n_paths, "seed": seed, "threads": threads})
+    mc_cfg = dict(run.cfg["mc"])
 
     if args.principle in ("sufficient1", "necessary"):
         if p_fn is None:
@@ -339,8 +327,7 @@ def cmd_check(args):
         comparisons = [constant_control(0.5 * (spec.control_lo + spec.control_hi))]
         report = check_sufficient_first(spec, grid, candidate, comparisons, mc_cfg)
     elif args.principle == "sufficient2":
-        mc_cfg["adjoint2"] = solve_second_adjoint(spec, grid, candidate,
-                                                  run.cfg.get("solver"))
+        mc_cfg["adjoint2"] = solve_second_adjoint(spec, grid, candidate)
         comparisons = [constant_control(0.5 * (spec.control_lo + spec.control_hi))]
         report = check_sufficient_second(spec, grid, candidate, comparisons, mc_cfg)
     elif args.principle == "necessary":
@@ -369,14 +356,13 @@ def cmd_example34(args):
     if not isinstance(params, Example34Params):
         raise ConfigError("example34 requires selector example_3_4")
     p0 = ex34_p0_star(params)
-    ts = grid.times
-    with open(run.path("example34.csv"), "w") as fh:
-        fh.write("t,p1,X,u\n")
-        for k in range(grid.n + 1):
-            x = ex34_state(params, ts[k], p0)
-            p1 = ex34_adjoint(params, ts[k], p0)
-            u = ex34_control(params, ts[k], x, p0)
-            fh.write(",".join(_fmt(v) for v in (ts[k], p1, x, u)) + "\n")
+
+    def row(t):
+        x = ex34_state(params, t, p0)
+        return t, ex34_adjoint(params, t, p0), x, ex34_control(params, t, x, p0)
+
+    _write_csv(run.path("example34.csv"), ("t", "p1", "X", "u"),
+               [row(t) for t in grid.times])
     run.write_json("example34.json", {
         "p0_star": p0, "objective": ex34_objective(params, p0)})
     run.finish()
@@ -391,13 +377,10 @@ def cmd_example35(args):
     if not isinstance(params, Example35Params):
         raise ConfigError("example35 requires selector example_3_5")
     K = ex35_K(params, run.cfg.get("search"))
-    ts = grid.times
-    with open(run.path("example35.csv"), "w") as fh:
-        fh.write("t,p1,p2\n")
-        for k in range(grid.n + 1):
-            p1 = ex35_adjoint(params, ts[k], K)
-            p2 = p1 * params.beta * np.exp(params.rho * params.delta)
-            fh.write(",".join(_fmt(v) for v in (ts[k], p1, p2)) + "\n")
+    p1 = [ex35_adjoint(params, t, K) for t in grid.times]
+    _write_csv(run.path("example35.csv"), ("t", "p1", "p2"), [
+        (t, v, v * params.beta * np.exp(params.rho * params.delta))
+        for t, v in zip(grid.times, p1)])
     run.write_json("example35.json", {
         "K": K,
         "matched_alpha": ex35_matched_alpha(params),
@@ -432,27 +415,16 @@ def cmd_picard_diagnostics(args):
     return EXIT_OK
 
 
+# sweep --param shorthands: the example parameters, the problem's rates
+# and the keys of four override flags
 _SWEEP_SHORTHAND = {
-    "gamma": ("problem", "params", "gamma"),
-    "mu": ("problem", "params", "mu"),
-    "beta": ("problem", "params", "beta"),
-    "alpha": ("problem", "params", "alpha"),
-    "sigma0": ("problem", "params", "sigma0"),
-    "X0": ("problem", "params", "X0"),
+    **{name: ("problem", "params", name)
+       for name in ("gamma", "mu", "beta", "alpha", "sigma0", "X0")},
     "rho": ("problem", "rho"),
     "delta": ("problem", "delta"),
-    "seed": ("mc", "seed"),
-    "n_paths": ("mc", "n_paths"),
-    "dt": ("grid", "dt"),
-    "horizon": ("grid", "horizon"),
+    **{key: (section, key) for section, key, _ in map(
+        _OVERRIDES.get, ("--seed", "--paths", "--dt", "--horizon"))},
 }
-
-
-def _set_path(cfg, keys, value):
-    node = cfg
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-    node[keys[-1]] = value
 
 
 def cmd_sweep(args):
@@ -472,29 +444,27 @@ def cmd_sweep(args):
         print("sweep: empty value list", file=sys.stderr)
         return EXIT_USAGE
 
-    rows = []
+    # every value's problem, grid and run settings are checked before the
+    # first run
+    points = []
     for value in values:
         cfg = copy.deepcopy(run.cfg)
-        cast = int(value) if keys[-1] in ("seed", "n_paths", "threads") else value
-        _set_path(cfg, list(keys), cast)
+        _set_path(cfg, keys, value)
         # the example parameters read problem.params.rho before problem.rho
         if name == "rho" and "rho" in cfg["problem"].get("params", {}):
-            cfg["problem"]["params"]["rho"] = cast
-        spec, grid = _build(cfg)
-        n_paths, seed, threads = _mc_settings(cfg)
+            cfg["problem"]["params"]["rho"] = value
+        points.append((value, cfg, *_build(cfg), _mc_settings(cfg["mc"])))
+
+    rows = []
+    for value, cfg, spec, grid, (n_paths, seed, threads) in points:
         control, _ = _resolve_control(cfg, grid, args.control)
         est = estimate_J(spec, grid, control, n_paths, seed, threads=threads)
-        rows.append((value, est))
-
-    with open(run.path("sweep.csv"), "w") as fh:
-        fh.write(f"{name},J,stderr,tail_bound,n_paths\n")
-        for value, est in rows:
-            fh.write(",".join([
-                _fmt(value), _fmt(est.mean), _fmt(est.stderr),
-                _fmt(est.tail_bound), str(est.n_paths)]) + "\n")
+        rows.append((value, est.mean, est.stderr, est.tail_bound, est.n_paths))
+    _write_csv(run.path("sweep.csv"),
+               (name, "J", "stderr", "tail_bound", "n_paths"), rows)
     run.finish()
-    for value, est in rows:
-        print(f"{name}={value:g}: J = {est.mean:.10g} +/- {est.stderr:.4g}")
+    for value, mean, stderr, *_ in rows:
+        print(f"{name}={value:g}: J = {mean:.10g} +/- {stderr:.4g}")
     return EXIT_OK
 
 
@@ -502,16 +472,9 @@ def cmd_sweep(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _global_flags(sub):
-    sub.add_argument("--config", help="JSON configuration file")
-    sub.add_argument("--seed", type=int, help="override mc.seed")
-    sub.add_argument("--paths", type=int, help="override mc.n_paths")
-    sub.add_argument("--dt", type=float, help="override grid.dt")
-    sub.add_argument("--horizon", type=float, help="override grid.horizon")
-    sub.add_argument("--threads", type=int, help="override mc.threads")
-    sub.add_argument("--out-dir", help="directory for outputs (default .)")
-    sub.add_argument("--control",
-                     help="closed_form | constant:V | file:PATH")
+def _add_override(sub, flag):
+    section, key, kind = _OVERRIDES[flag]
+    sub.add_argument(flag, type=kind, help=f"override {section}.{key}")
 
 
 def build_parser():
@@ -520,50 +483,41 @@ def build_parser():
         description="Simulation, adjoint solving and optimality checks "
                     "for delayed stochastic control problems")
     subs = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, fn, text in (
+            ("simulate", cmd_simulate, "simulate paths and write CSVs"),
+            ("objective", cmd_objective, "Monte Carlo objective estimate"),
+            ("adjoint", cmd_adjoint, "solve an adjoint system"),
+            ("check", cmd_check, "run an optimality check"),
+            ("example34", cmd_example34,
+             "closed forms for the no-delay benchmark"),
+            ("example35", cmd_example35,
+             "closed forms for the delayed benchmark"),
+            ("picard-diagnostics", cmd_picard_diagnostics,
+             "contraction diagnostics for the Picard solver"),
+            ("sweep", cmd_sweep, "sweep a parameter and tabulate J")):
+        sp = commands[name] = subs.add_parser(name, help=text)
+        sp.set_defaults(fn=fn)
+        sp.add_argument("--config", help="JSON configuration file")
+        for flag in _OVERRIDES:
+            if flag != "--weight-lambda":
+                _add_override(sp, flag)
+        sp.add_argument("--out-dir", help="directory for outputs (default .)")
+        sp.add_argument("--control",
+                        help="closed_form | constant:V | file:PATH")
 
-    sp = subs.add_parser("simulate", help="simulate paths and write CSVs")
-    _global_flags(sp)
-    sp.set_defaults(fn=cmd_simulate)
-
-    sp = subs.add_parser("objective", help="Monte Carlo objective estimate")
-    _global_flags(sp)
-    sp.set_defaults(fn=cmd_objective)
-
-    sp = subs.add_parser("adjoint", help="solve an adjoint system")
-    _global_flags(sp)
-    sp.add_argument("--system", choices=("first", "second"), default="first")
-    sp.add_argument("--weight-lambda", type=float,
-                    help="override the Picard norm weight")
-    sp.set_defaults(fn=cmd_adjoint)
-
-    sp = subs.add_parser("check", help="run an optimality check")
-    _global_flags(sp)
-    sp.add_argument("--principle", required=True,
-                    choices=("sufficient1", "sufficient2", "necessary"))
-    sp.set_defaults(fn=cmd_check)
-
-    sp = subs.add_parser("example34", help="closed forms for the no-delay benchmark")
-    _global_flags(sp)
-    sp.set_defaults(fn=cmd_example34)
-
-    sp = subs.add_parser("example35", help="closed forms for the delayed benchmark")
-    _global_flags(sp)
-    sp.set_defaults(fn=cmd_example35)
-
-    sp = subs.add_parser("picard-diagnostics",
-                         help="contraction diagnostics for the Picard solver")
-    _global_flags(sp)
-    sp.add_argument("--weight-lambda", type=float,
-                    help="override the Picard norm weight")
-    sp.set_defaults(fn=cmd_picard_diagnostics)
-
-    sp = subs.add_parser("sweep", help="sweep a parameter and tabulate J")
-    _global_flags(sp)
-    sp.add_argument("--param", required=True,
-                    help="config key (dotted path or shorthand like gamma)")
-    sp.add_argument("--values", required=True,
-                    help="comma-separated numeric values")
-    sp.set_defaults(fn=cmd_sweep)
+    commands["adjoint"].add_argument("--system", choices=("first", "second"),
+                                     default="first")
+    _add_override(commands["adjoint"], "--weight-lambda")
+    commands["check"].add_argument(
+        "--principle", required=True,
+        choices=("sufficient1", "sufficient2", "necessary"))
+    _add_override(commands["picard-diagnostics"], "--weight-lambda")
+    commands["sweep"].add_argument(
+        "--param", required=True,
+        help="config key (dotted path or shorthand like gamma)")
+    commands["sweep"].add_argument("--values", required=True,
+                                   help="comma-separated numeric values")
     return parser
 
 

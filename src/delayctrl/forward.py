@@ -90,7 +90,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadWindow, NonFiniteState
-from .model import ProblemSpec, TimeGrid
+from .model import ProblemSpec, TimeGrid, _write_csv
 
 BLOCK_SIZE = 1024
 GROUP_BLOCKS = 8  # blocks stepped together in one loop; bounds ring memory
@@ -288,12 +288,8 @@ class PathRecord:
     clipped: bool = False
 
     def to_csv(self, path: str):
-        rows = np.column_stack((self.t, self.X, self.Y, self.A, self.u))
-        with open(path, "w") as fh:
-            fh.write("t,X,Y,A,u\n")
-            # one % over the whole file, row by row as a per-row template
-            fh.write(("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows))
-                     % tuple(rows.ravel().tolist()))
+        _write_csv(path, ("t", "X", "Y", "A", "u"), np.column_stack(
+            (self.t, self.X, self.Y, self.A, self.u)))
 
 
 class StepAccumulator:
@@ -765,7 +761,7 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                       n_paths: int, seed: int, *, accumulators=(),
                       record: bool = False, threads: int = 1, save_at=(),
                       resume: Optional[EngineState] = None) -> EnsembleResult:
-    """Simulate ``n_paths`` paths in counter-seeded blocks.
+    """Simulate ``n_paths`` (at least one) paths in counter-seeded blocks.
 
     ``accumulators`` is a sequence of StepAccumulator instances, shared by
     all groups; each group keeps its own state from begin().
@@ -799,6 +795,8 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     without jumps.  A recorded run resumes only from a recorded one,
     whose record it copies up to the resume step.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     n_blocks = (n_paths + BLOCK_SIZE - 1) // BLOCK_SIZE
     # contiguous groups of at most GROUP_BLOCKS blocks, enough of them to
     # give every worker one

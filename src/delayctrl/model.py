@@ -13,11 +13,17 @@ specifications can be shared across concurrent workers.
 
 Jump marks are discrete (``DiscreteMarks``), and ``ProblemSpec.has_jumps``
 is the one test of whether jumps act on the state.
+
+Two private helpers serve the modules above: ``_mc_settings`` is the one
+reader of a run's Monte Carlo settings (``n_paths``, ``seed`` and
+``threads`` of an ``mc`` section, with their defaults and valid ranges),
+and ``_write_csv`` the one writer of the 17-significant-digit CSV files.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -389,3 +395,40 @@ def build_problem(raw_config: dict) -> ProblemSpec:
                          float(require_key(grid_cfg, "grid", "horizon")))
         spec.validate_segment(grid)
     return spec
+
+
+# ---------------------------------------------------------------------------
+# Run settings and CSV output
+# ---------------------------------------------------------------------------
+
+def _mc_settings(mc: dict) -> tuple:
+    """(n_paths, seed, threads) of an ``mc`` section, by default 1000, 0
+    and 1.  Each must be an integer (an integral float counts, a bool does
+    not): n_paths and threads at least 1, the seed a Philox key word in
+    [0, 2**64).  Any other value is a ConfigError naming the key."""
+    if not isinstance(mc, dict):
+        raise ConfigError(f"config section 'mc' must be an object, got {mc!r}")
+    settings = []
+    for key, default, lo, hi in (("n_paths", 1000, 1, math.inf),
+                                 ("seed", 0, 0, 2 ** 64),
+                                 ("threads", 1, 1, math.inf)):
+        value = mc.get(key, default)
+        if (isinstance(value, bool)
+                or not (isinstance(value, numbers.Integral)
+                        or isinstance(value, float) and value.is_integer())
+                or not lo <= value < hi):
+            raise ConfigError(f"mc.{key} must be an integer in [{lo}, {hi}), "
+                              f"got {value!r}")
+        settings.append(int(value))
+    return tuple(settings)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Write ``rows`` (one sequence of numbers per row) under the column
+    names ``header``, every value as %.17g, which round-trips each float.
+    One % formats the whole file, with the row template repeated."""
+    rows = np.asarray(rows, float).reshape(-1, len(header))
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((",".join(["%.17g"] * len(header)) + "\n") * len(rows)
+                 % tuple(rows.ravel().tolist()))

@@ -49,7 +49,7 @@ is refused with ConfigError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,7 +61,7 @@ from .forward import (ControlSpec, StepAccumulator, VariationalAccumulator,
                       bump_control, bump_start_step, feedback_control,
                       simulate_ensemble)
 from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
-from .model import ProblemSpec, TimeGrid
+from .model import ProblemSpec, TimeGrid, _mc_settings
 from .objective import RunningRewardAccumulator, mean_stderr
 
 # The checks' fixed settings: Hessian samples of the concavity proxy, the
@@ -90,14 +90,7 @@ class SufficiencyReport:
     verdict: str
 
     def as_dict(self):
-        return {
-            "transversality": self.transversality,
-            "concavity": self.concavity,
-            "integrability": self.integrability,
-            "max_gap": self.max_gap,
-            "p3_check": self.p3_check,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -128,10 +121,9 @@ class NecessityReport:
 
 def _simulate(spec, grid, control, mc_cfg, **kwargs):
     """simulate_ensemble with mc_cfg's path count, seed and threads."""
-    return simulate_ensemble(spec, grid, control,
-                             int(mc_cfg.get("n_paths", 2000)),
-                             int(mc_cfg.get("seed", 0)),
-                             threads=int(mc_cfg.get("threads", 1)), **kwargs)
+    n_paths, seed, threads = _mc_settings(mc_cfg)
+    return simulate_ensemble(spec, grid, control, n_paths, seed,
+                             threads=threads, **kwargs)
 
 
 def _probe_indices(grid: TimeGrid, mc_cfg, default_count: int = 20):
@@ -390,9 +382,9 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
     steps = [min(grid.n, int(round(frac * grid.n))) for frac in ladder]
     stride = max(1, grid.n // 50)
     probes = _probe_indices(grid, mc_cfg)
-    rng = np.random.default_rng(int(mc_cfg.get("seed", 0)) + 1)
-    sample_paths = rng.integers(0, int(mc_cfg.get("n_paths", 2000)),
-                                _HESSIAN_SAMPLES)
+    n_paths, seed, _ = _mc_settings(mc_cfg)
+    rng = np.random.default_rng(seed + 1)
+    sample_paths = rng.integers(0, n_paths, _HESSIAN_SAMPLES)
     sample_steps = rng.integers(0, grid.n + 1, _HESSIAN_SAMPLES)
     capture = StateAtStepsAccumulator(
         sorted({*steps, *range(0, grid.n + 1, stride), *probes}), "xyau")
@@ -566,9 +558,7 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
         # raises BadWindow for a window outside [0, T]
         bump_control(candidate, 0.0, ws, wh, horizon=grid.horizon)
     s_values = mc_cfg.get("bump_s", (1e-2, 1e-3))
-    n_paths = int(mc_cfg.get("n_paths", 2000))
-    seed = int(mc_cfg.get("seed", 0))
-    threads = int(mc_cfg.get("threads", 1))
+    n_paths, seed, threads = _mc_settings(mc_cfg)
 
     # a bump acts from its window's first step on, so each bumped ensemble
     # resumes the candidate's engine state saved there.  The candidate is
@@ -681,10 +671,8 @@ def variational_consistency(spec: ProblemSpec, grid: TimeGrid,
     """Compare the finite-difference Gateaux derivative of J at the
     candidate in direction beta with the chain-rule integral driven by
     the variational process, under common random numbers."""
-    n_paths = int(mc_cfg.get("n_paths", 2000))
-    seed = int(mc_cfg.get("seed", 0))
+    n_paths, seed, threads = _mc_settings(mc_cfg)
     s = float(mc_cfg.get("s", 1e-3))
-    threads = int(mc_cfg.get("threads", 1))
     adjoint = mc_cfg.get("adjoint")
 
     res = simulate_ensemble(spec, grid, candidate,

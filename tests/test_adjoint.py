@@ -476,20 +476,6 @@ class TestSecondAdjoint:
         assert not flat
         assert dev > 1e-3
 
-    def test_reference_path_override(self):
-        params = Example34Params(sigma0=0.0)
-        p0 = ex34_p0_star(params)
-        spec = make_ex34_problem(params, u_hi=50.0)
-        ctl = ex34_feedback(params, p0)
-        grid = make_grid(1.0, 0.05, 4.0)
-        from delayctrl.forward import simulate_noiseless
-
-        rec = simulate_noiseless(spec, grid, ctl)
-        a = solve_second_adjoint(spec, grid, ctl)
-        b = solve_second_adjoint(spec, grid, ctl,
-                                 solver_cfg={"reference_path": rec})
-        np.testing.assert_array_equal(a.p1, b.p1)
-
     def test_csv_export(self, tmp_path):
         params = Example34Params(sigma0=0.0)
         p0 = ex34_p0_star(params)

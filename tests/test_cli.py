@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, manifests, CSV
 formats, and override precedence."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -13,9 +14,10 @@ from delayctrl.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
-from delayctrl import build_problem
+from delayctrl import ObjectiveEstimate, PathRecord, build_problem
 from delayctrl.errors import ConfigError
 from delayctrl.examples import (Example34Params, Example35Params,
                                 ex35_matched_alpha, example_params)
@@ -626,6 +628,158 @@ class TestErrors:
     def test_unknown_control_override(self, cfg_path, tmp_path):
         assert run_cli("simulate", "--config", cfg_path, "--out-dir",
                        str(tmp_path), "--control", "wavelet:3") == EXIT_USAGE
+
+
+class TestRunSettings:
+    """mc.n_paths, mc.seed and mc.threads, from a config or a flag, are
+    integers in their ranges; any other value exits 1 naming the key."""
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--paths", "0", "mc.n_paths"), ("--paths", "-5", "mc.n_paths"),
+        ("--seed", "-1", "mc.seed"), ("--threads", "0", "mc.threads")])
+    def test_flag_out_of_range(self, cfg_path, tmp_path, capsys, flag, value,
+                               key):
+        assert run_cli("objective", "--config", cfg_path, "--out-dir",
+                       str(tmp_path / "out"), flag, value) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_paths", 1.5), ("n_paths", True), ("n_paths", "16"),
+        ("seed", 2 ** 64), ("threads", 0.5)])
+    def test_config_value_refused(self, tmp_path, capsys, key, value):
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["mc"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("objective", "--config", str(path), "--out-dir",
+                       str(tmp_path / "out")) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: mc.{key} ")
+
+    @pytest.mark.parametrize("section", [None, [1]])
+    def test_mc_section_not_an_object(self, tmp_path, capsys, section):
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["mc"] = section
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("objective", "--config", str(path), "--out-dir",
+                       str(tmp_path / "out")) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: config section 'mc'")
+
+    def test_largest_seed_runs(self, cfg_path, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("objective", "--config", cfg_path, "--out-dir",
+                       str(out), "--paths", "4",
+                       "--seed", str(2 ** 64 - 1)) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 2 ** 64 - 1
+
+    def test_sweep_checks_every_value_before_running(self, cfg_path,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        import delayctrl.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "estimate_J",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg_path, "--out-dir", str(out),
+                       "--param", "n_paths",
+                       "--values", "8,1.5,2.7") == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: mc.n_paths ")
+        assert calls == [] and not (out / "sweep.csv").exists()
+
+
+COMMON_OPTIONS = [
+    (["--config"], "config", None, None, None, False),
+    (["--seed"], "seed", "int", None, None, False),
+    (["--paths"], "paths", "int", None, None, False),
+    (["--dt"], "dt", "float", None, None, False),
+    (["--horizon"], "horizon", "float", None, None, False),
+    (["--threads"], "threads", "int", None, None, False),
+    (["--out-dir"], "out_dir", None, None, None, False),
+    (["--control"], "control", None, None, None, False),
+]
+WEIGHT_LAMBDA = (["--weight-lambda"], "weight_lambda", "float", None, None,
+                 False)
+# (handler, options after the common ones) of each subcommand, in order
+PARSER_SNAPSHOT = {
+    "simulate": ("cmd_simulate", []),
+    "objective": ("cmd_objective", []),
+    "adjoint": ("cmd_adjoint", [
+        (["--system"], "system", None, "first", ["first", "second"], False),
+        WEIGHT_LAMBDA]),
+    "check": ("cmd_check", [
+        (["--principle"], "principle", None, None,
+         ["sufficient1", "sufficient2", "necessary"], True)]),
+    "example34": ("cmd_example34", []),
+    "example35": ("cmd_example35", []),
+    "picard-diagnostics": ("cmd_picard_diagnostics", [WEIGHT_LAMBDA]),
+    "sweep": ("cmd_sweep", [(["--param"], "param", None, None, None, True),
+                            (["--values"], "values", None, None, None, True)]),
+}
+
+
+def test_parser_snapshot():
+    """Each subcommand's handler and options: strings, dest, type,
+    default, choices and whether it is required, in order."""
+    parser = build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    got = [(name, sp.get_default("fn").__name__,
+            [(a.option_strings, a.dest, getattr(a.type, "__name__", None),
+              a.default, None if a.choices is None else list(a.choices),
+              a.required)
+             for a in sp._actions if not isinstance(a, argparse._HelpAction)])
+           for name, sp in subs.choices.items()]
+    assert got == [(name, fn, COMMON_OPTIONS + extra)
+                   for name, (fn, extra) in PARSER_SNAPSHOT.items()]
+
+
+class TestCsvFormat:
+    """The CSV files are byte for byte what a per-row formatter writes:
+    each value as format(float(v), ".17g"), the sweep's n_paths as
+    str(n)."""
+
+    SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.0 ** 53, 0.1,
+               -1.0 / 3.0]
+
+    @staticmethod
+    def reference(header, rows, int_columns=()):
+        lines = [",".join(header)]
+        lines += [",".join(str(v) if j in int_columns
+                           else format(float(v), ".17g")
+                           for j, v in enumerate(row)) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 8])
+    def test_path_record(self, tmp_path, n_rows):
+        values = np.resize(self.SPECIAL, 5 * n_rows)
+        cols = np.random.default_rng(n_rows).permutation(values).reshape(
+            5, n_rows)
+        rec = PathRecord(*cols, dB=np.zeros(max(n_rows - 1, 0)))
+        path = tmp_path / "path.csv"
+        rec.to_csv(str(path))
+        assert path.read_bytes() == self.reference("tXYAu", zip(*cols))
+
+    @pytest.mark.parametrize("values", ["-0.0,1e-320", "0.05"])
+    def test_sweep(self, cfg_path, tmp_path, monkeypatch, values):
+        import delayctrl.cli as cli
+
+        estimates = [ObjectiveEstimate(mean=-0.0, stderr=np.nan, n_paths=16,
+                                       truncation_T=3.0, tail_bound=np.inf),
+                     ObjectiveEstimate(mean=5e-324, stderr=2.0 ** 53,
+                                       n_paths=1024, truncation_T=3.0,
+                                       tail_bound=-np.inf)]
+        pending = iter(estimates)
+        monkeypatch.setattr(cli, "estimate_J",
+                            lambda *args, **kwargs: next(pending))
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg_path, "--out-dir", str(out),
+                       "--param", "sigma0", f"--values={values}") == EXIT_OK
+        rows = [(float(v), est.mean, est.stderr, est.tail_bound, est.n_paths)
+                for v, est in zip(values.split(","), estimates)]
+        assert (out / "sweep.csv").read_bytes() == self.reference(
+            ("sigma0", "J", "stderr", "tail_bound", "n_paths"), rows, (4,))
 
 
 def test_readme_minimal_config(tmp_path):

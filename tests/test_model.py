@@ -14,6 +14,7 @@ from delayctrl.hamiltonian import nu_theta_r
 from delayctrl.model import (
     DiscreteMarks,
     JumpModel,
+    _mc_settings,
     finite_difference_partial,
 )
 
@@ -218,3 +219,27 @@ class TestPartials:
         d = finite_difference_partial(fn, "x")
         assert d(0.0, x, 0.0, 0.0, u) == pytest.approx(np.cos(x) * u,
                                                        rel=1e-5, abs=1e-7)
+
+
+class TestMcSettings:
+    def test_defaults(self):
+        assert _mc_settings({}) == (1000, 0, 1)
+
+    def test_integral_values_read_as_int(self):
+        got = _mc_settings({"n_paths": 16.0, "seed": np.int64(2 ** 62),
+                            "threads": 2})
+        assert got == (16, 2 ** 62, 2)
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_paths", 0), ("n_paths", 2.5), ("n_paths", False), ("n_paths", None),
+        ("seed", -1), ("seed", 2 ** 64), ("seed", float("nan")),
+        ("threads", 0), ("threads", "2")])
+    def test_refused(self, key, value):
+        with pytest.raises(ConfigError, match=f"mc.{key} must be an integer"):
+            _mc_settings({key: value})
+
+    @pytest.mark.parametrize("section", [None, [1], 16.0])
+    def test_section_not_an_object_refused(self, section):
+        with pytest.raises(ConfigError, match="'mc' must be an object"):
+            _mc_settings(section)

@@ -95,6 +95,14 @@ class TestMonteCarlo:
         assert a.mean == b.mean
         assert np.array_equal(a.per_path, b.per_path)
 
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_no_paths_refused(self, ex34_spec, n_paths):
+        """An estimate over no paths is a ValueError naming n_paths, raised
+        before any block runs."""
+        grid = make_grid(1.0, 0.05, 2.0)
+        with pytest.raises(ValueError, match="n_paths"):
+            estimate_J(ex34_spec, grid, constant_control(0.1), n_paths, 0)
+
 
 class TestCompareControls:
     def test_self_difference_is_zero(self, ex34_spec, ex34_control):
