@@ -15,11 +15,11 @@ closed-form benchmarks used as ground truth.
 
 __version__ = "0.1.0"
 
-from .errors import (AdjointMissing, BadInterval, BadWeight, BadWindow,
-                     ConfigError, DelayCtrlError, DivergentIntegral,
-                     DomainError, GridMismatch, NoConvergence, NonFinite,
-                     NonFiniteDriver, NonFiniteObjective, NonFiniteSegment,
-                     NonFiniteState, NoSignChange)
+from .errors import (BadInterval, BadWeight, BadWindow, ConfigError,
+                     DelayCtrlError, DivergentIntegral, DomainError,
+                     GridMismatch, NoConvergence, NonFinite, NonFiniteDriver,
+                     NonFiniteObjective, NonFiniteSegment, NonFiniteState,
+                     NoSignChange)
 from .model import (CoefficientSet, DiscreteMarks, JumpModel, ProblemSpec,
                     TimeGrid, build_problem, make_grid)
 from .forward import (ControlSpec, EnsembleResult, PathRecord,

@@ -428,8 +428,11 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
     sweep reads it (with the first such path and grid node), and
     BadWeight when the measured contraction ratio stays >= 1 for 3
     consecutive iterations (the weight is too small for the driver's
-    Lipschitz constant).  All three carry the partial report.
+    Lipschitz constant).  All three carry the partial report.  A
+    ``max_iter`` below 1 is a ValueError before the first sweep.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ensemble = mc_context is not None
     lam = (auto_weight(driver.lipschitz, grid.delta)
            if weight_lambda is None else float(weight_lambda))

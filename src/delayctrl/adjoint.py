@@ -37,7 +37,7 @@ import numpy as np
 
 from .absde import AdvancedDriver, McContext, picard_solve
 from .forward import ControlSpec, simulate_noiseless, stack_records
-from .model import ProblemSpec, TimeGrid, _write_csv
+from .model import ProblemSpec, TimeGrid, _int_setting, _write_csv
 
 _PARTIAL_VARS = ("x", "y", "a")
 
@@ -205,11 +205,12 @@ def build_first_driver(spec: ProblemSpec, grid: TimeGrid, path,
 
 
 def picard_options(solver_cfg: Optional[dict]) -> dict:
-    """picard_solve keyword arguments from a solver config section."""
+    """picard_solve keyword arguments from a solver config section, whose
+    ``picard_max_iter`` must be an integer >= 1 (a ConfigError otherwise)."""
     cfg = solver_cfg or {}
     return {"weight_lambda": cfg.get("weight_lambda"),
             "tol": cfg.get("picard_tol", 1e-12),
-            "max_iter": cfg.get("picard_max_iter", 60)}
+            "max_iter": _int_setting(cfg, "solver", "picard_max_iter", 60, 1)}
 
 
 def prepare_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
@@ -222,10 +223,13 @@ def prepare_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
     noiseless path; appropriate when sigma = 0 and there are no jumps.
     Regression mode: pass an ensemble simulated under the control, as
     its ``EnsembleResult.arrays`` or as a list of PathRecords (stacked
-    here, a copy); conditional expectations regress on (X, Y, A).
+    here, a copy); conditional expectations regress on (X, Y, A) with
+    monomials up to the solver section's ``basis_degree``, an integer
+    >= 0 (read in both modes).
     """
     cfg = solver_cfg or {}
     options = picard_options(cfg)
+    degree = _int_setting(cfg, "solver", "basis_degree", 2)
     if ensemble is None:
         rec = simulate_noiseless(spec, grid, control)
         path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}
@@ -238,7 +242,7 @@ def prepare_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
                         if spec.has_jumps else (0.0, None))
     ctx = McContext(S["X"], S["Y"], S["A"], S["dB"], S["counts"],
                     intensity=intensity, mark_probs=probs,
-                    basis_degree=cfg.get("basis_degree", 2))
+                    basis_degree=degree)
     return driver, dict(mc_context=ctx, **options)
 
 

@@ -52,6 +52,8 @@ EXIT_INCONCLUSIVE = 3
 # ---------------------------------------------------------------------------
 
 def _load_config(path):
+    """(config, its bytes): a JSON object whose sections present are
+    objects too, else a ConfigError."""
     if path is None:
         return {}, b"{}"
     try:
@@ -60,9 +62,15 @@ def _load_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        return json.loads(raw.decode()), raw
+        cfg = json.loads(raw.decode())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    for name in ("problem", "grid", "mc", "solver", "control", "search"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise ConfigError(f"config section {name!r} must be an object")
+    return cfg, raw
 
 
 # Each flag that overrides a config entry: flag -> (section, key, type).
@@ -307,33 +315,29 @@ def cmd_check(args):
     run = _Run(args, "check")
     spec, grid = _build(run.cfg)
     candidate, p_fn = _resolve_control(run.cfg, grid, args.control)
-    mc_cfg = dict(run.cfg["mc"])
+    if p_fn is None and args.principle != "sufficient2":
+        # solve the candidate's adjoint and interpolate it in time (the
+        # ensemble mean in regression mode); only p on the grid is held,
+        # not the solved triple, whose per-path p, q and r a regression
+        # solve keeps
+        p_grid = _solve_first(run, spec, grid, candidate,
+                              run.cfg.get("solver", {}))[0].p_on_grid()
 
-    if args.principle in ("sufficient1", "necessary"):
-        if p_fn is None:
-            # solve the candidate's adjoint and interpolate it in time
-            # (the ensemble mean in regression mode); only p on the grid
-            # is held, not the solved triple, whose per-path p, q and r a
-            # regression solve keeps
-            p_grid = _solve_first(run, spec, grid, candidate,
-                                  run.cfg.get("solver", {}))[0].p_on_grid()
+        def p_fn(t, x, y, a, _pg=p_grid):
+            k = min(grid.n, int(round(np.asarray(t, float) / grid.dt)))
+            return np.broadcast_to(_pg[k], np.shape(x))
 
-            def p_fn(t, x, y, a, _pg=p_grid):
-                k = min(grid.n, int(round(np.asarray(t, float) / grid.dt)))
-                return np.broadcast_to(_pg[k], np.shape(x))
-        mc_cfg["adjoint"] = p_fn
-
+    mc_cfg = run.cfg["mc"]
+    comparisons = [constant_control(0.5 * (spec.control_lo + spec.control_hi))]
     if args.principle == "sufficient1":
-        comparisons = [constant_control(0.5 * (spec.control_lo + spec.control_hi))]
-        report = check_sufficient_first(spec, grid, candidate, comparisons, mc_cfg)
+        report = check_sufficient_first(spec, grid, candidate, comparisons,
+                                        p_fn, mc_cfg)
     elif args.principle == "sufficient2":
-        mc_cfg["adjoint2"] = solve_second_adjoint(spec, grid, candidate)
-        comparisons = [constant_control(0.5 * (spec.control_lo + spec.control_hi))]
-        report = check_sufficient_second(spec, grid, candidate, comparisons, mc_cfg)
-    elif args.principle == "necessary":
-        report = necessary_residual(spec, grid, candidate, mc_cfg)
+        report = check_sufficient_second(
+            spec, grid, candidate, comparisons,
+            solve_second_adjoint(spec, grid, candidate), mc_cfg)
     else:
-        raise ConfigError(f"unknown principle {args.principle!r}")
+        report = necessary_residual(spec, grid, candidate, p_fn, mc_cfg)
 
     payload = report.as_dict()
     run.write_json(f"check_{args.principle}.json", payload)

@@ -84,10 +84,6 @@ class BadWeight(DelayCtrlError):
         self.report = report
 
 
-class AdjointMissing(DelayCtrlError):
-    """A maximum-principle check was invoked without a solved adjoint."""
-
-
 class DomainError(DelayCtrlError):
     """Closed-form formula evaluated outside its domain (e.g. x <= 0)."""
 

@@ -14,10 +14,11 @@ specifications can be shared across concurrent workers.
 Jump marks are discrete (``DiscreteMarks``), and ``ProblemSpec.has_jumps``
 is the one test of whether jumps act on the state.
 
-Two private helpers serve the modules above: ``_mc_settings`` is the one
-reader of a run's Monte Carlo settings (``n_paths``, ``seed`` and
-``threads`` of an ``mc`` section, with their defaults and valid ranges),
-and ``_write_csv`` the one writer of the 17-significant-digit CSV files.
+Three private helpers serve the modules above: ``_int_setting`` is the
+one reader of an integer config setting (with its default and valid
+range), ``_mc_settings`` reads a run's Monte Carlo settings with it
+(``n_paths``, ``seed`` and ``threads`` of an ``mc`` section), and
+``_write_csv`` is the one writer of the 17-significant-digit CSV files.
 """
 
 from __future__ import annotations
@@ -401,26 +402,31 @@ def build_problem(raw_config: dict) -> ProblemSpec:
 # Run settings and CSV output
 # ---------------------------------------------------------------------------
 
+def _int_setting(section: dict, name: str, key: str, default: int,
+                 lo: int = 0, hi=math.inf) -> int:
+    """``section[key]`` (``default`` when absent) of the config section
+    ``name`` as an int in [lo, hi).  It must be an integer: an integral
+    float counts, a bool does not.  Any other value is a ConfigError
+    naming ``name.key``."""
+    value = section.get(key, default)
+    if (isinstance(value, bool)
+            or not (isinstance(value, numbers.Integral)
+                    or isinstance(value, float) and value.is_integer())
+            or not lo <= value < hi):
+        raise ConfigError(f"{name}.{key} must be an integer in [{lo}, {hi}), "
+                          f"got {value!r}")
+    return int(value)
+
+
 def _mc_settings(mc: dict) -> tuple:
     """(n_paths, seed, threads) of an ``mc`` section, by default 1000, 0
-    and 1.  Each must be an integer (an integral float counts, a bool does
-    not): n_paths and threads at least 1, the seed a Philox key word in
-    [0, 2**64).  Any other value is a ConfigError naming the key."""
+    and 1: n_paths and threads at least 1, the seed a Philox key word in
+    [0, 2**64)."""
     if not isinstance(mc, dict):
         raise ConfigError(f"config section 'mc' must be an object, got {mc!r}")
-    settings = []
-    for key, default, lo, hi in (("n_paths", 1000, 1, math.inf),
-                                 ("seed", 0, 0, 2 ** 64),
-                                 ("threads", 1, 1, math.inf)):
-        value = mc.get(key, default)
-        if (isinstance(value, bool)
-                or not (isinstance(value, numbers.Integral)
-                        or isinstance(value, float) and value.is_integer())
-                or not lo <= value < hi):
-            raise ConfigError(f"mc.{key} must be an integer in [{lo}, {hi}), "
-                              f"got {value!r}")
-        settings.append(int(value))
-    return tuple(settings)
+    return (_int_setting(mc, "mc", "n_paths", 1000, 1),
+            _int_setting(mc, "mc", "seed", 0, 0, 2 ** 64),
+            _int_setting(mc, "mc", "threads", 1, 1))
 
 
 def _write_csv(path: str, header, rows) -> None:

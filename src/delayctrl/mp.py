@@ -45,23 +45,33 @@ estimates reduce to plain path averages) or ``("lagged", D)`` (condition
 on the state observed at t - D via least-squares regression); a JSON
 config gives the pair as the list ``["lagged", D]``, and any other value
 is refused with ConfigError.
+
+Each check takes the candidate's adjoint as an argument just before
+``mc_cfg``: ``adjoint``, a callable p(t, x, y, a), for the first
+sufficiency check, the necessary check and ``variational_consistency``
+(where None leaves out the terminal correction), and ``adj2``, a
+``SecondAdjointResult``, for the second sufficiency check.  ``mc_cfg``
+holds the JSON settings only; each check reads and checks all of them
+before its first simulation, and a value out of range is a ConfigError
+naming ``mc.<key>``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .absde import monomial_basis
-from .adjoint import SecondAdjointResult, p3_flatness
-from .errors import AdjointMissing, BadWindow, ConfigError
+from .adjoint import p3_flatness
+from .errors import BadWindow, ConfigError
 from .forward import (ControlSpec, StepAccumulator, VariationalAccumulator,
                       bump_control, bump_start_step, feedback_control,
                       simulate_ensemble)
 from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
-from .model import ProblemSpec, TimeGrid, _mc_settings
+from .model import ProblemSpec, TimeGrid, _int_setting, _mc_settings
 from .objective import RunningRewardAccumulator, mean_stderr
 
 # The checks' fixed settings: Hessian samples of the concavity proxy, the
@@ -96,40 +106,41 @@ class SufficiencyReport:
 @dataclass
 class NecessityReport:
     probe_times: list
-    residuals: np.ndarray
-    residual_stderr: np.ndarray
+    residuals: list
+    residual_stderr: list
     bump_estimates: list
     interior_fraction: float
     boundary_control: bool
     verdict: str
 
     def as_dict(self):
-        return {
-            "probe_times": [float(v) for v in self.probe_times],
-            "residuals": [float(v) for v in self.residuals],
-            "residual_stderr": [float(v) for v in self.residual_stderr],
-            "bump_estimates": self.bump_estimates,
-            "interior_fraction": self.interior_fraction,
-            "boundary_control": self.boundary_control,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # Ensemble helpers
 # ---------------------------------------------------------------------------
 
-def _simulate(spec, grid, control, mc_cfg, **kwargs):
-    """simulate_ensemble with mc_cfg's path count, seed and threads."""
-    n_paths, seed, threads = _mc_settings(mc_cfg)
-    return simulate_ensemble(spec, grid, control, n_paths, seed,
-                             threads=threads, **kwargs)
+def _positive(mc_cfg: dict, key: str, default, hi=math.inf):
+    """``mc_cfg[key]`` (``default`` when absent): a finite number in
+    (0, hi], or for a tuple default a list or tuple of such numbers.  Any
+    other value is a ConfigError naming ``mc.key``."""
+    value = mc_cfg.get(key, default)
+    many = isinstance(default, tuple)
+    if many != isinstance(value, (list, tuple)) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and 0 < v <= hi and math.isfinite(v)
+            for v in (value if many else [value])):
+        raise ConfigError(
+            f"mc.{key} must be {'a list of numbers' if many else 'a number'}"
+            f" in (0, {hi:g}{']' if hi < math.inf else ')'}, got {value!r}")
+    return value
 
 
-def _probe_indices(grid: TimeGrid, mc_cfg, default_count: int = 20):
-    count = int(mc_cfg.get("probe_count", default_count))
+def _probe_indices(grid: TimeGrid, mc_cfg):
+    count = _int_setting(mc_cfg, "mc", "probe_count", 20, 1)
     # keep probes away from the truncation horizon where p(T) = 0 is forced
-    frac = float(mc_cfg.get("probe_span", 0.8))
+    frac = float(_positive(mc_cfg, "probe_span", 0.8, 1.0))
     ks = np.unique(np.linspace(0, int(frac * grid.n), count).astype(int))
     return ks
 
@@ -149,8 +160,6 @@ def _superpose(base: ControlSpec, beta: ControlSpec, s: float,
 def _adjoint_values(adjoint, t, x, y, a):
     """The adjoint callable p(t, x, y, a) at ensemble points, as (p, q)
     arrays with q zero."""
-    if adjoint is None:
-        raise AdjointMissing("this check requires a solved or closed-form adjoint")
     p = np.broadcast_to(np.asarray(adjoint(t, x, y, a), float), np.shape(x))
     return p, np.zeros_like(p)
 
@@ -378,28 +387,30 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
     The candidate is not recorded: it keeps (x, y, a, u) at the steps the
     parts below read (ladder, integrability stride, probes) and at the
     concavity proxy's sampled (path, step) points only."""
-    ladder = mc_cfg.get("horizon_fractions", (0.25, 0.5, 1.0))
+    ladder = _positive(mc_cfg, "horizon_fractions", (0.25, 0.5, 1.0), 1.0)
+    if not ladder:
+        raise ConfigError("mc.horizon_fractions must be a non-empty list")
     steps = [min(grid.n, int(round(frac * grid.n))) for frac in ladder]
     stride = max(1, grid.n // 50)
     probes = _probe_indices(grid, mc_cfg)
-    n_paths, seed, _ = _mc_settings(mc_cfg)
+    n_paths, seed, threads = _mc_settings(mc_cfg)
     rng = np.random.default_rng(seed + 1)
     sample_paths = rng.integers(0, n_paths, _HESSIAN_SAMPLES)
     sample_steps = rng.integers(0, grid.n + 1, _HESSIAN_SAMPLES)
     capture = StateAtStepsAccumulator(
         sorted({*steps, *range(0, grid.n + 1, stride), *probes}), "xyau")
     points = StatePointsAccumulator(sample_paths, sample_steps)
-    res = _simulate(spec, grid, candidate, mc_cfg,
-                    accumulators=(capture, points))
+    res = simulate_ensemble(spec, grid, candidate, n_paths, seed,
+                            accumulators=(capture, points), threads=threads)
     S = capture.by_step(res.extras[0])
 
     # (i) transversality ladder over nested horizons; a comparison run
     # keeps its states at the ladder steps only
     transversality = []
     for cmp_idx, cmp_control in enumerate(comparison_controls):
-        res_cmp = _simulate(spec, grid, cmp_control, mc_cfg,
-                            accumulators=(StateAtStepsAccumulator(steps),))
-        cmp_X, cmp_Y, _ = res_cmp.extras[0]
+        cmp_X, cmp_Y, _ = simulate_ensemble(
+            spec, grid, cmp_control, n_paths, seed, threads=threads,
+            accumulators=(StateAtStepsAccumulator(steps),)).extras[0]
         for j, k in enumerate(steps):
             t = k * grid.dt
             x, y, a, _ = S[k]
@@ -458,16 +469,10 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
 
 def check_sufficient_first(spec: ProblemSpec, grid: TimeGrid,
                            candidate: ControlSpec, comparison_controls,
-                           mc_cfg: dict) -> SufficiencyReport:
+                           adjoint, mc_cfg: dict) -> SufficiencyReport:
     """Concavity, conditional maximization, integrability proxy, and the
-    transversality ladder for the scalar-adjoint formulation.
-
-    mc_cfg requires ``adjoint``: a callable p(t, x, y, a) for the
-    candidate's adjoint.
-    """
-    adjoint = mc_cfg.get("adjoint")
-    if adjoint is None:
-        raise AdjointMissing("check_sufficient_first needs mc_cfg['adjoint']")
+    transversality ladder for the scalar-adjoint formulation, with
+    ``adjoint`` the candidate's adjoint as a callable p(t, x, y, a)."""
 
     def adjoint_eval(t, x, y, a):
         return (*_adjoint_values(adjoint, t, x, y, a), None)
@@ -478,14 +483,11 @@ def check_sufficient_first(spec: ProblemSpec, grid: TimeGrid,
 
 def check_sufficient_second(spec: ProblemSpec, grid: TimeGrid,
                             candidate: ControlSpec, comparison_controls,
-                            mc_cfg: dict) -> SufficiencyReport:
+                            adj2, mc_cfg: dict) -> SufficiencyReport:
     """Three-adjoint variant: adds the p2/Y transversality ladder and the
-    p3-flatness check; integrability is measured on (p1, q1).  mc_cfg
-    requires ``adjoint2``: a SecondAdjointResult solved under the
-    candidate (deterministic grid functions)."""
-    adj2 = mc_cfg.get("adjoint2")
-    if adj2 is None or not isinstance(adj2, SecondAdjointResult):
-        raise AdjointMissing("check_sufficient_second needs mc_cfg['adjoint2']")
+    p3-flatness check; integrability is measured on (p1, q1).  ``adj2``
+    is the SecondAdjointResult solved under the candidate (deterministic
+    grid functions)."""
 
     def adjoint_eval(t, x, y, a):
         k = min(grid.n, int(round(t / grid.dt)))
@@ -539,13 +541,12 @@ def _first_order_residuals(spec, grid, ks, S, lag_steps, adjoint, degree):
 
 
 def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
-                       candidate: ControlSpec, mc_cfg: dict) -> NecessityReport:
-    """First-order condition at the candidate: conditional estimates of
-    dH/du at probe times plus symmetric-difference Gateaux derivatives of
-    J along bump perturbations, all under common random numbers."""
-    adjoint = mc_cfg.get("adjoint")
-    if adjoint is None:
-        raise AdjointMissing("necessary_residual needs mc_cfg['adjoint']")
+                       candidate: ControlSpec, adjoint,
+                       mc_cfg: dict) -> NecessityReport:
+    """First-order condition at the candidate, whose adjoint is the
+    callable ``adjoint`` p(t, x, y, a): conditional estimates of dH/du at
+    probe times plus symmetric-difference Gateaux derivatives of J along
+    bump perturbations, all under common random numbers."""
     lag_steps = _lag_steps(mc_cfg.get("e_t", "full"), grid)
     windows = mc_cfg.get("bump_windows")
     if windows is None:
@@ -557,7 +558,8 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
                             f"one grid step (dt={grid.dt})")
         # raises BadWindow for a window outside [0, T]
         bump_control(candidate, 0.0, ws, wh, horizon=grid.horizon)
-    s_values = mc_cfg.get("bump_s", (1e-2, 1e-3))
+    s_values = _positive(mc_cfg, "bump_s", (1e-2, 1e-3))
+    degree = _int_setting(mc_cfg, "mc", "basis_degree", 2)
     n_paths, seed, threads = _mc_settings(mc_cfg)
 
     # a bump acts from its window's first step on, so each bumped ensemble
@@ -577,16 +579,14 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     S = capture.by_step(cand.extras[1])
     del cand
     resid, rse, boundary_control, interior_fraction = _first_order_residuals(
-        spec, grid, ks, S, lag_steps, adjoint,
-        int(mc_cfg.get("basis_degree", 2)))
+        spec, grid, ks, S, lag_steps, adjoint, degree)
 
     # bump (Gateaux) derivatives by symmetric differences under CRN
     # The truncated objective misses the tail E int_T^inf f dt whose first
     # variation is E[p(T) xi(T)]; adding p(T) (X_+(T) - X_-(T)) / 2s per
     # path with the candidate's adjoint removes that bias, so the estimate
     # targets the infinite-horizon derivative.
-    p_T = np.asarray(_adjoint_values(
-        adjoint, grid.horizon, *S[nn][:3])[0], float)
+    p_T = _adjoint_values(adjoint, grid.horizon, *S[nn][:3])[0]
     del S
 
     bump_estimates = []
@@ -606,8 +606,7 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
                 rew_p, xT_p = terms[s * alpha]
                 rew_m, xT_m = terms[-s * alpha]
                 diff = (rew_p - rew_m) / (2 * s)
-                pT = p_T if p_T.shape == diff.shape else np.mean(p_T)
-                diff = diff + pT * (xT_p - xT_m) / (2 * s)
+                diff = diff + p_T * (xT_p - xT_m) / (2 * s)
                 est, se = mean_stderr(diff)
                 bump_estimates.append(
                     {"window": (ws, wh), "alpha": alpha, "s": s,
@@ -621,8 +620,9 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     else:
         verdict = "pass" if (resid_ok and bumps_ok) else "fail"
     return NecessityReport(
-        probe_times=[float(k * grid.dt) for k in ks], residuals=resid,
-        residual_stderr=rse, bump_estimates=bump_estimates,
+        probe_times=[float(k * grid.dt) for k in ks],
+        residuals=resid.tolist(), residual_stderr=rse.tolist(),
+        bump_estimates=bump_estimates,
         interior_fraction=interior_fraction,
         boundary_control=boundary_control, verdict=verdict)
 
@@ -667,13 +667,14 @@ class ChainRuleAccumulator(VariationalAccumulator):
 
 def variational_consistency(spec: ProblemSpec, grid: TimeGrid,
                             candidate: ControlSpec, beta: ControlSpec,
-                            mc_cfg: dict) -> dict:
+                            adjoint, mc_cfg: dict) -> dict:
     """Compare the finite-difference Gateaux derivative of J at the
     candidate in direction beta with the chain-rule integral driven by
-    the variational process, under common random numbers."""
+    the variational process, under common random numbers.  Both add the
+    terminal correction p(T) xi(T) with ``adjoint`` p(t, x, y, a); None
+    leaves it out."""
     n_paths, seed, threads = _mc_settings(mc_cfg)
-    s = float(mc_cfg.get("s", 1e-3))
-    adjoint = mc_cfg.get("adjoint")
+    s = float(_positive(mc_cfg, "s", 1e-3))
 
     res = simulate_ensemble(spec, grid, candidate,
                             n_paths, seed,
@@ -694,8 +695,7 @@ def variational_consistency(spec: ProblemSpec, grid: TimeGrid,
     if adjoint is not None:
         # same terminal correction for both estimators: the truncated
         # functional plus E[p(T) X(T)] has the infinite-horizon variation
-        p_T = np.broadcast_to(np.asarray(_adjoint_values(
-            adjoint, grid.horizon, x_T, y_T, a_T)[0], float), x_T.shape)
+        p_T = _adjoint_values(adjoint, grid.horizon, x_T, y_T, a_T)[0]
         xi_vals = xi_vals + p_T * xi_T
         fd_vals = fd_vals + p_T * (xT_p - xT_m) / (2 * s)
 

@@ -20,7 +20,8 @@ from delayctrl.absde import (
     weighted_distance,
 )
 from delayctrl.adjoint import prepare_first_adjoint, solve_first_adjoint
-from delayctrl.errors import BadWeight, NoConvergence, NonFiniteDriver
+from delayctrl.errors import (BadWeight, ConfigError, NoConvergence,
+                             NonFiniteDriver)
 from delayctrl.examples import (Example34Params, ex34_feedback, ex34_p0_star,
                                 make_ex34_problem)
 from delayctrl.forward import constant_control, simulate_ensemble
@@ -168,6 +169,29 @@ class TestFailureModes:
             picard_solve(make_driver(grid, 0.3, 1.0), grid, max_iter=2)
         assert exc.value.report is not None
         assert exc.value.report.iterations == 2
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_sweep_refused(self, max_iter):
+        """max_iter below 1 would leave the report without a distance to
+        state; the solve refuses it before its first sweep."""
+        grid = make_grid(1.0, 0.05, 3.0)
+
+        def fn(p, q, r):
+            raise AssertionError("swept")
+
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            picard_solve(AdvancedDriver(fn=fn, lipschitz=0.1), grid,
+                         max_iter=max_iter)
+
+    @pytest.mark.parametrize("key, value", [
+        ("picard_max_iter", 0), ("picard_max_iter", 2.5),
+        ("basis_degree", -1), ("basis_degree", True)])
+    def test_solver_setting_refused(self, ex34_ensemble, key, value):
+        spec, grid, ctl, S = ex34_ensemble
+        for ensemble in (None, S):
+            with pytest.raises(ConfigError, match=f"solver.{key} must be"):
+                prepare_first_adjoint(spec, grid, ctl, ensemble=ensemble,
+                                      solver_cfg={key: value})
 
     def test_bad_weight_raises(self):
         grid = make_grid(1.0, 0.05, 3.0)

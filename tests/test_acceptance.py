@@ -142,20 +142,19 @@ def test_03_necessary_condition():
     adj = lambda t, x, y, a: ex34_adjoint(params, t, p0)
     grid = make_grid(1.0, 0.01, 10.0)
 
-    mc = dict(adjoint=adj, n_paths=8192, seed=5, probe_count=20,
-              probe_span=0.8, bump_windows=[(1.0, 2.0), (3.0, 2.0),
-                                            (6.0, 2.0)],
+    mc = dict(n_paths=8192, seed=5, probe_count=20, probe_span=0.8,
+              bump_windows=[(1.0, 2.0), (3.0, 2.0), (6.0, 2.0)],
               bump_s=(1e-2, 1e-3))
-    rep = necessary_residual(spec, grid, ctl, mc)
+    rep = necessary_residual(spec, grid, ctl, adj, mc)
     resid_max = float(np.max(np.abs(rep.residuals)))
     resid_ok = np.all(np.abs(rep.residuals)
                       <= 3 * np.asarray(rep.residual_stderr) + 1e-9)
     bumps_ok = all(abs(b["estimate"]) <= 3 * b["stderr"] + 1e-9
                    for b in rep.bump_estimates)
 
-    mc2 = dict(adjoint=adj, n_paths=8192, seed=5, probe_count=20,
-               probe_span=0.8, bump_windows=[], bump_s=())
-    rep2 = necessary_residual(spec, grid, scale_control(ctl, 1.2), mc2)
+    mc2 = dict(n_paths=8192, seed=5, probe_count=20, probe_span=0.8,
+               bump_windows=[], bump_s=())
+    rep2 = necessary_residual(spec, grid, scale_control(ctl, 1.2), adj, mc2)
     r = np.asarray(rep2.residuals)
     se = np.asarray(rep2.residual_stderr)
     sig = np.abs(r) > 3 * se
@@ -232,7 +231,7 @@ def test_06_variational_consistency():
     })
     out_lq = variational_consistency(lq, make_grid(0.5, 0.02, 4.0),
                                      constant_control(0.2),
-                                     constant_control(1.0),
+                                     constant_control(1.0), None,
                                      dict(n_paths=256, seed=3, s=1e-2))
     lq_ok = abs(out_lq["gap"]) < 1e-10
 
@@ -243,9 +242,8 @@ def test_06_variational_consistency():
     adj = lambda t, x, y, a: ex34_adjoint(params, t, p0)
     out = variational_consistency(spec, make_grid(1.0, 0.05, 10.0),
                                   constant_control(0.15),
-                                  constant_control(1.0),
-                                  dict(n_paths=1024, seed=2, s=1e-3,
-                                       adjoint=adj))
+                                  constant_control(1.0), adj,
+                                  dict(n_paths=1024, seed=2, s=1e-3))
     bar = 2 * np.hypot(out["fd_stderr"], out["xi_stderr"])
     agree_gap = abs(out["fd_derivative"] - out["xi_based_derivative"])
     noisy_ok = agree_gap <= bar
@@ -259,9 +257,8 @@ def test_06_variational_consistency():
     for s in (1e-2, 1e-3):
         o = variational_consistency(spec_d, make_grid(1.0, 0.01, 10.0),
                                     constant_control(0.15),
-                                    constant_control(1.0),
-                                    dict(n_paths=2, seed=2, s=s,
-                                         adjoint=adj_d))
+                                    constant_control(1.0), adj_d,
+                                    dict(n_paths=2, seed=2, s=s))
         gaps[s] = abs(o["gap"])
     order = float(np.log(gaps[1e-2] / gaps[1e-3]) / np.log(10.0))
     elapsed = time.monotonic() - t0

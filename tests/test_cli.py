@@ -357,6 +357,52 @@ class TestCheck:
         assert "not contained in [0, 5.0]" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("principle, key, value", [
+        ("necessary", "probe_count", 0),
+        ("necessary", "probe_span", 0),
+        ("sufficient1", "horizon_fractions", [0]),
+        ("necessary", "bump_s", [0]),
+        ("necessary", "basis_degree", 1.5),
+        ("sufficient2", "probe_span", 1.5)])
+    def test_degenerate_setting_is_a_usage_error(self, tmp_path, capsys,
+                                                 monkeypatch, principle, key,
+                                                 value):
+        """Settings that would leave nothing to test (no probe, a probe at
+        t = 0 only, a ladder at T = 0) or divide by a zero bump exit 1
+        naming the key, before any ensemble is simulated."""
+        import delayctrl.mp as mp
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before refusing the setting")
+
+        monkeypatch.setattr(mp, "simulate_ensemble", no_simulation)
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["mc"] = {"n_paths": 8, "seed": 0, key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("check", "--config", str(path), "--out-dir", str(out),
+                       "--principle", principle) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: mc.{key} must")
+        assert not (out / f"check_{principle}.json").exists()
+
+    def test_boundary_verdict_exits_3(self, tmp_path, capsys):
+        """A constant candidate on the upper control bound: the necessary
+        check reports ``boundary`` and exits EXIT_INCONCLUSIVE."""
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["problem"]["control_bounds"] = [0.0, 0.05]
+        cfg["mc"]["bump_windows"] = []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("check", "--config", str(path), "--out-dir", str(out),
+                       "--principle", "necessary",
+                       "--control", "constant:0.05") == EXIT_INCONCLUSIVE
+        payload = json.loads((out / "check_necessary.json").read_text())
+        assert payload["verdict"] == "boundary"
+        assert capsys.readouterr().out == "necessary: boundary\n"
+
+
 class TestExamples:
     def test_example34_outputs(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -522,6 +568,36 @@ class TestPicardDiagnostics:
         assert payload["iterations"] == report["iterations"]
 
 
+    def test_no_convergence_writes_the_partial_report(self, tmp_path,
+                                                      capsys):
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["solver"] = {"picard_max_iter": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("picard-diagnostics", "--config", str(path),
+                       "--out-dir", str(out)) == EXIT_FAIL
+        payload = json.loads((out / "picard_diagnostics.json").read_text())
+        assert "did not reach tol=1e-12 within 1" in payload["error"]
+        assert payload["iterations"] == 1 and not payload["converged"]
+        assert len(payload["distances"]) == 1
+        assert "diagnostics" not in payload
+        assert capsys.readouterr().err.startswith("picard solve failed: ")
+
+    @pytest.mark.parametrize("command", ["adjoint", "picard-diagnostics"])
+    @pytest.mark.parametrize("key, value", [("picard_max_iter", 0),
+                                            ("basis_degree", -1)])
+    def test_solver_setting_is_a_usage_error(self, tmp_path, capsys, command,
+                                             key, value):
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["solver"] = {key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, "--config", str(path), "--out-dir",
+                       str(tmp_path / "out")) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: solver.{key} ")
+
+
 class TestSweep:
     def test_shorthand_parameter(self, tmp_path):
         # X0 sets the example's constant initial segment, so the config
@@ -624,6 +700,41 @@ class TestErrors:
                        str(tmp_path)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "'grid'" in err and "'dt'" in err
+
+    @pytest.mark.parametrize("section", ["problem", "grid", "mc", "solver",
+                                         "control", "search", None])
+    def test_section_not_an_object(self, tmp_path, capsys, section):
+        """Each section present, and the config itself, must be a JSON
+        object; a null section is refused, not read as absent."""
+        cfg = json.loads(json.dumps(BASE_CFG))
+        if section is None:
+            cfg = [cfg]
+        else:
+            cfg[section] = None
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("objective", "--config", str(path), "--out-dir",
+                       str(tmp_path / "out")) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ")
+        assert ("must hold a JSON object" if section is None
+                else f"section {section!r} must be an object") in err
+
+    def test_non_finite_state_exits_2(self, tmp_path, capsys):
+        """dX = X^2 dt from X0 = 1 explodes before t = 1.7; the engine's
+        NonFiniteState is a DelayCtrlError, so the command exits 2."""
+        cfg = {"problem": {"selector": "custom_polynomial",
+                           "params": {"b": [[1.0, 2, 0, 0, 0]]}},
+               "grid": {"dt": 0.05, "horizon": 5.0},
+               "mc": {"n_paths": 4, "seed": 0}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("objective", "--config", str(path), "--out-dir",
+                       str(tmp_path / "out"),
+                       "--control", "constant:0") == EXIT_FAIL
+        assert capsys.readouterr().err == (
+            "error: state became non-finite at step 33 "
+            "(t=1.65, block 0, lane 0)\n")
 
     def test_unknown_control_override(self, cfg_path, tmp_path):
         assert run_cli("simulate", "--config", cfg_path, "--out-dir",

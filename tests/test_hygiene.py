@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every private module-level name is read somewhere in the package, and
-the package imports nothing at run time beyond the standard library and
-numpy.
+every private module-level name is read somewhere in the package, every
+error class is raised somewhere in the package, and the package imports
+nothing at run time beyond the standard library and numpy.
 
 The package ``__init__`` re-exports names on purpose and is exempt from
 the unused-import check."""
@@ -91,6 +91,45 @@ def test_detects_an_unread_private_name():
 def test_no_unread_private_names():
     sources = {p.stem: p.read_text() for p in SOURCES}
     assert unread_private_names(sources) == []
+
+
+def uncalled_error_classes(sources: dict) -> list:
+    """(line, name) of each class of the ``errors`` module of ``sources``
+    (module name -> source text), the base class ``DelayCtrlError`` aside,
+    that no other module calls: by name or as an attribute, so a class
+    built by a helper (``forward._nonfinite`` builds NonFiniteState)
+    counts where the helper calls it."""
+    classes = [(node.lineno, node.name)
+               for node in ast.parse(sources["errors"]).body
+               if isinstance(node, ast.ClassDef)
+               and node.name != "DelayCtrlError"]
+    called = set()
+    for module, source in sources.items():
+        if module == "errors":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name)
+                           else getattr(func, "attr", None))
+    return [entry for entry in classes if entry[1] not in called]
+
+
+def test_detects_an_uncalled_error_class():
+    sources = {
+        "errors": "class DelayCtrlError(Exception):\n    pass\n"
+                  "class Raised(DelayCtrlError):\n    pass\n"
+                  "class Built(DelayCtrlError):\n    pass\n"
+                  "class Dead(DelayCtrlError):\n    pass\n",
+        "a": "from errors import Dead, Raised\nraise Raised('x')\n",
+        "b": "import errors\ndef make():\n    return errors.Built('y')\n",
+    }
+    assert uncalled_error_classes(sources) == [(7, "Dead")]
+
+
+def test_every_error_class_is_raised():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert uncalled_error_classes(sources) == []
 
 
 def foreign_imports(source: str) -> list:

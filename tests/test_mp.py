@@ -12,7 +12,7 @@ import pytest
 from delayctrl import build_problem, make_grid
 from delayctrl import mp
 from delayctrl.adjoint import SecondAdjointResult, p3_flatness
-from delayctrl.errors import AdjointMissing, BadWindow, ConfigError
+from delayctrl.errors import BadWindow, ConfigError
 from delayctrl.examples import (
     Example34Params,
     ex34_adjoint,
@@ -60,9 +60,9 @@ class TestSufficientFirst:
     def test_passes_at_candidate(self, setup):
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.02, 10.0)
-        mc = dict(adjoint=adj, n_paths=1024, seed=7)
+        mc = dict(n_paths=1024, seed=7)
         report = check_sufficient_first(spec, grid, ctl,
-                                        [scale_control(ctl, 0.8)], mc)
+                                        [scale_control(ctl, 0.8)], adj, mc)
         assert report.verdict == "pass"
         assert report.concavity["passed"]
         assert report.integrability["finite"]
@@ -73,9 +73,9 @@ class TestSufficientFirst:
     def test_transversality_ladder_positive(self, setup):
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.02, 10.0)
-        mc = dict(adjoint=adj, n_paths=1024, seed=7)
+        mc = dict(n_paths=1024, seed=7)
         report = check_sufficient_first(spec, grid, ctl,
-                                        [scale_control(ctl, 0.8)], mc)
+                                        [scale_control(ctl, 0.8)], adj, mc)
         # the lower-consumption comparison accumulates extra wealth, so
         # E[p(T)(X_u - X_hat)] > 0 at every rung
         for rec in report.transversality:
@@ -86,17 +86,11 @@ class TestSufficientFirst:
         conditional gap and the verdict flips."""
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.02, 10.0)
-        mc = dict(adjoint=adj, n_paths=512, seed=7)
+        mc = dict(n_paths=512, seed=7)
         report = check_sufficient_first(spec, grid, constant_control(0.6),
-                                        [ctl], mc)
+                                        [ctl], adj, mc)
         assert report.verdict == "fail"
         assert max(g["gap"] for g in report.max_gap) > 0.0
-
-    def test_requires_adjoint(self, setup):
-        params, p0, spec, ctl, adj = setup
-        grid = make_grid(1.0, 0.05, 3.0)
-        with pytest.raises(AdjointMissing):
-            check_sufficient_first(spec, grid, ctl, [], dict(n_paths=16))
 
 
 class TestSufficientSecond:
@@ -112,17 +106,11 @@ class TestSufficientSecond:
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.02, 10.0)
         sar = self._closed_form_triple(params, p0, grid)
-        mc = dict(adjoint2=sar, n_paths=1024, seed=7)
+        mc = dict(n_paths=1024, seed=7)
         report = check_sufficient_second(spec, grid, ctl,
-                                         [scale_control(ctl, 0.8)], mc)
+                                         [scale_control(ctl, 0.8)], sar, mc)
         assert report.verdict == "pass"
         assert report.p3_check["flat"]
-
-    def test_requires_adjoint(self, setup):
-        params, p0, spec, ctl, adj = setup
-        grid = make_grid(1.0, 0.05, 3.0)
-        with pytest.raises(AdjointMissing):
-            check_sufficient_second(spec, grid, ctl, [], dict(n_paths=16))
 
     def test_agrees_with_first_check_when_p2_vanishes(self, setup):
         """With p2 = p3 = q1 = 0 and p1 the closed-form p, both checks
@@ -130,11 +118,10 @@ class TestSufficientSecond:
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.05, 5.0)
         comparisons = [scale_control(ctl, 0.8)]
-        first = check_sufficient_first(spec, grid, ctl, comparisons,
-                                       dict(adjoint=adj, n_paths=256, seed=7))
+        mc = dict(n_paths=256, seed=7)
+        first = check_sufficient_first(spec, grid, ctl, comparisons, adj, mc)
         sar = self._closed_form_triple(params, p0, grid)
-        second = check_sufficient_second(spec, grid, ctl, comparisons,
-                                         dict(adjoint2=sar, n_paths=256, seed=7))
+        second = check_sufficient_second(spec, grid, ctl, comparisons, sar, mc)
         close = dict(rel=1e-12, abs=0.0)
         assert len(first.transversality) == len(second.transversality)
         assert len(first.max_gap) == len(second.max_gap)
@@ -228,9 +215,9 @@ class TestNecessary:
         at roundoff level at every probe."""
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.02, 10.0)
-        mc = dict(adjoint=adj, n_paths=1024, seed=5, bump_windows=[],
+        mc = dict(n_paths=1024, seed=5, bump_windows=[],
                   bump_s=())
-        report = necessary_residual(spec, grid, ctl, mc)
+        report = necessary_residual(spec, grid, ctl, adj, mc)
         assert report.verdict == "pass"
         assert np.max(np.abs(report.residuals)) < 1e-12
         assert report.interior_fraction > 0.99
@@ -238,9 +225,10 @@ class TestNecessary:
     def test_detects_suboptimal_control(self, setup):
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.02, 10.0)
-        mc = dict(adjoint=adj, n_paths=1024, seed=5, bump_windows=[],
+        mc = dict(n_paths=1024, seed=5, bump_windows=[],
                   bump_s=())
-        report = necessary_residual(spec, grid, scale_control(ctl, 1.2), mc)
+        report = necessary_residual(spec, grid, scale_control(ctl, 1.2),
+                                    adj, mc)
         assert report.verdict == "fail"
         r = np.asarray(report.residuals)
         se = np.asarray(report.residual_stderr)
@@ -253,9 +241,9 @@ class TestNecessary:
     def test_bump_derivatives_centered_at_zero(self, setup):
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.02, 10.0)
-        mc = dict(adjoint=adj, n_paths=2048, seed=5,
+        mc = dict(n_paths=2048, seed=5,
                   bump_windows=[(2.0, 2.0), (5.0, 2.0)], bump_s=(1e-2,))
-        report = necessary_residual(spec, grid, ctl, mc)
+        report = necessary_residual(spec, grid, ctl, adj, mc)
         assert report.verdict == "pass"
         for b in report.bump_estimates:
             assert abs(b["estimate"]) <= 3 * b["stderr"] + 1e-9
@@ -265,9 +253,9 @@ class TestNecessary:
         images by construction."""
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.05, 10.0)
-        mc = dict(adjoint=adj, n_paths=512, seed=5,
+        mc = dict(n_paths=512, seed=5,
                   bump_windows=[(2.0, 2.0)], bump_s=(1e-2,))
-        report = necessary_residual(spec, grid, ctl, mc)
+        report = necessary_residual(spec, grid, ctl, adj, mc)
         ests = {b["alpha"]: b["estimate"] for b in report.bump_estimates}
         assert ests[1.0] == pytest.approx(-ests[-1.0], rel=1e-12)
 
@@ -288,7 +276,7 @@ class TestNecessary:
         windows = [(0.0, 0.5), (0.5, 0.5), (1.33, 0.4), (2.0, 1.0),
                    (4.95, 0.05)]
         s_values = (1e-2, 1e-3)
-        mc = dict(adjoint=adj, n_paths=256, seed=9, bump_windows=windows,
+        mc = dict(n_paths=256, seed=9, bump_windows=windows,
                   bump_s=s_values)
         calls = []
 
@@ -297,7 +285,7 @@ class TestNecessary:
             return simulate_ensemble(*args, **kwargs)
 
         monkeypatch.setattr(mp, "simulate_ensemble", spy)
-        report = necessary_residual(spec, grid, ctl, mc)
+        report = necessary_residual(spec, grid, ctl, adj, mc)
         monkeypatch.undo()
         assert len(calls) == 1 + 2 * len(windows) * len(s_values)
 
@@ -356,8 +344,7 @@ class TestNecessary:
 
         monkeypatch.setattr(threading.Thread, "start", counted_start)
         monkeypatch.setattr(mp, "simulate_ensemble", spy)
-        necessary_residual(spec, grid, ctl,
-                           dict(adjoint=adj, n_paths=256, seed=9))
+        necessary_residual(spec, grid, ctl, adj, dict(n_paths=256, seed=9))
         monkeypatch.undo()
         (_, cand_resume, cand_threads), *bumps = calls
         assert cand_resume is None and cand_threads > 0
@@ -379,18 +366,19 @@ class TestNecessary:
 
         tight = dataclasses.replace(spec, control_hi=0.05)
         grid = make_grid(1.0, 0.05, 5.0)
-        mc = dict(adjoint=adj, n_paths=256, seed=5, bump_windows=[],
+        mc = dict(n_paths=256, seed=5, bump_windows=[],
                   bump_s=())
-        report = necessary_residual(tight, grid, constant_control(0.05), mc)
+        report = necessary_residual(tight, grid, constant_control(0.05),
+                                    adj, mc)
         assert report.verdict == "boundary"
         assert report.boundary_control
 
     def test_lagged_conditional_mode(self, setup):
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.02, 10.0)
-        mc = dict(adjoint=adj, n_paths=1024, seed=5, e_t=("lagged", 1.0),
+        mc = dict(n_paths=1024, seed=5, e_t=("lagged", 1.0),
                   basis_degree=2, bump_windows=[], bump_s=())
-        report = necessary_residual(spec, grid, ctl, mc)
+        report = necessary_residual(spec, grid, ctl, adj, mc)
         assert report.verdict == "pass"
         assert np.max(np.abs(report.residuals)) < 1e-12
 
@@ -402,9 +390,9 @@ class TestNecessary:
         candidate = scale_control(ctl, 1.2)
 
         def residuals(e_t):
-            mc = dict(adjoint=adj, n_paths=256, seed=5, e_t=e_t,
+            mc = dict(n_paths=256, seed=5, e_t=e_t,
                       bump_windows=[], bump_s=())
-            return necessary_residual(spec, grid, candidate, mc).residuals
+            return necessary_residual(spec, grid, candidate, adj, mc).residuals
 
         lagged = residuals(("lagged", 1.0))
         assert np.array_equal(residuals(["lagged", 1.0]), lagged)
@@ -416,14 +404,7 @@ class TestNecessary:
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.05, 3.0)
         with pytest.raises(ConfigError, match="e_t"):
-            necessary_residual(spec, grid, ctl,
-                               dict(adjoint=adj, n_paths=16, e_t=e_t))
-
-    def test_requires_adjoint(self, setup):
-        params, p0, spec, ctl, adj = setup
-        grid = make_grid(1.0, 0.05, 3.0)
-        with pytest.raises(AdjointMissing):
-            necessary_residual(spec, grid, ctl, dict(n_paths=16))
+            necessary_residual(spec, grid, ctl, adj, dict(n_paths=16, e_t=e_t))
 
     @pytest.mark.parametrize("window", [(3.0, 0.0), (1.0, 0.04),
                                         (1.0, -0.1)])
@@ -432,9 +413,9 @@ class TestNecessary:
         is a trapezoid end weight, not a derivative."""
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.05, 3.0)
-        mc = dict(adjoint=adj, n_paths=16, bump_windows=[(1.0, 0.5), window])
+        mc = dict(n_paths=16, bump_windows=[(1.0, 0.5), window])
         with pytest.raises(BadWindow, match=r"dt=0\.05"):
-            necessary_residual(spec, grid, ctl, mc)
+            necessary_residual(spec, grid, ctl, adj, mc)
 
     @pytest.mark.parametrize("window", [(7.0, 1.0), (-3.0, 1.0),
                                         (2.5, 1.0)])
@@ -451,17 +432,57 @@ class TestNecessary:
             raise AssertionError("simulated before refusing the window")
 
         monkeypatch.setattr(mp, "simulate_ensemble", no_simulation)
-        mc = dict(adjoint=adj, n_paths=16, bump_windows=[(1.0, 0.5), window])
+        mc = dict(n_paths=16, bump_windows=[(1.0, 0.5), window])
         with pytest.raises(BadWindow, match=r"not contained in \[0, 3\.0\]"):
-            necessary_residual(spec, grid, ctl, mc)
+            necessary_residual(spec, grid, ctl, adj, mc)
 
     def test_window_of_one_step_accepted(self, setup):
         params, p0, spec, ctl, adj = setup
         grid = make_grid(1.0, 0.05, 3.0)
-        mc = dict(adjoint=adj, n_paths=16, bump_windows=[(2.95, 0.05)],
+        mc = dict(n_paths=16, bump_windows=[(2.95, 0.05)],
                   bump_s=(1e-2,))
-        report = necessary_residual(spec, grid, ctl, mc)
+        report = necessary_residual(spec, grid, ctl, adj, mc)
         assert len(report.bump_estimates) == 2
+
+
+class TestSettings:
+    """Each check reads and checks its mc settings before its first
+    simulation: a value that would leave nothing to test (no probe, one
+    at t = 0, a ladder at T = 0) or divide by zero is a ConfigError
+    naming mc.<key>."""
+
+    @pytest.mark.parametrize("check, key, value", [
+        ("sufficient1", "horizon_fractions", [0]),
+        ("sufficient1", "horizon_fractions", []),
+        ("sufficient1", "horizon_fractions", [0.5, 1.5]),
+        ("sufficient1", "horizon_fractions", 0.5),
+        ("sufficient1", "probe_count", 0), ("sufficient1", "probe_span", -0.5),
+        ("necessary", "probe_count", 0), ("necessary", "probe_count", 2.5),
+        ("necessary", "probe_span", 0), ("necessary", "probe_span", 1.5),
+        ("necessary", "probe_span", [0.5]), ("necessary", "bump_s", [0]),
+        ("necessary", "bump_s", [1e-2, np.inf]), ("necessary", "bump_s", 1e-2),
+        ("necessary", "basis_degree", -1), ("variational", "s", 0),
+        ("variational", "s", -1e-3), ("variational", "s", float("nan")),
+        ("variational", "s", "1e-3")])
+    def test_refused_before_any_simulation(self, setup, monkeypatch, check,
+                                           key, value):
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 3.0)
+        mc = {"n_paths": 16, key: value}
+        run = {
+            "sufficient1": lambda: check_sufficient_first(
+                spec, grid, ctl, [ctl], adj, mc),
+            "necessary": lambda: necessary_residual(spec, grid, ctl, adj, mc),
+            "variational": lambda: variational_consistency(
+                spec, grid, ctl, constant_control(1.0), adj, mc),
+        }[check]
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before refusing the setting")
+
+        monkeypatch.setattr(mp, "simulate_ensemble", no_simulation)
+        with pytest.raises(ConfigError, match=f"mc.{key} must be"):
+            run()
 
 
 class TestThreads:
@@ -481,10 +502,10 @@ class TestThreads:
             return simulate_ensemble(*args, **kwargs)
 
         monkeypatch.setattr(mp, "simulate_ensemble", spy)
-        mc = dict(adjoint=adj, n_paths=2 * 1024 + 5, seed=4, threads=threads)
-        necessity = necessary_residual(spec, grid, ctl, mc).as_dict()
+        mc = dict(n_paths=2 * 1024 + 5, seed=4, threads=threads)
+        necessity = necessary_residual(spec, grid, ctl, adj, mc).as_dict()
         consistency = variational_consistency(
-            spec, grid, ctl, constant_control(1.0), mc)
+            spec, grid, ctl, constant_control(1.0), adj, mc)
         monkeypatch.undo()
         return seen, json.dumps([necessity, consistency])
 
@@ -514,7 +535,7 @@ class TestVariationalConsistency:
         spec = build_problem(self.LQ_CONFIG)
         grid = make_grid(0.5, 0.02, 4.0)
         out = variational_consistency(spec, grid, constant_control(0.2),
-                                      constant_control(1.0),
+                                      constant_control(1.0), None,
                                       dict(n_paths=256, seed=3, s=1e-2))
         assert abs(out["gap"]) < 1e-10
 
@@ -529,8 +550,8 @@ class TestVariationalConsistency:
         for s in (1e-2, 1e-3):
             out = variational_consistency(
                 spec, grid, constant_control(0.15), constant_control(1.0),
-                dict(n_paths=2, seed=2, s=s,
-                     adjoint=lambda t, x, y, a: ex34_adjoint(params, t, p0)))
+                lambda t, x, y, a: ex34_adjoint(params, t, p0),
+                dict(n_paths=2, seed=2, s=s))
             gaps[s] = abs(out["gap"])
         order = np.log(gaps[1e-2] / gaps[1e-3]) / np.log(10.0)
         assert order >= 0.8
@@ -542,8 +563,8 @@ class TestVariationalConsistency:
         grid = make_grid(1.0, 0.05, 10.0)
         out = variational_consistency(
             spec, grid, constant_control(0.15), constant_control(1.0),
-            dict(n_paths=1024, seed=2, s=1e-3,
-                 adjoint=lambda t, x, y, a: ex34_adjoint(params, t, p0)))
+            lambda t, x, y, a: ex34_adjoint(params, t, p0),
+            dict(n_paths=1024, seed=2, s=1e-3))
         bar = 2 * np.hypot(out["fd_stderr"], out["xi_stderr"])
         assert abs(out["fd_derivative"] - out["xi_based_derivative"]) <= bar
 
@@ -588,10 +609,8 @@ class TestStatesAtSteps:
         fractions = (0.25, 0.5, 0.5, 0.77, 1.0)  # a rung twice
         mc = dict(n_paths=self.N_PATHS, seed=self.SEED, threads=2,
                   horizon_fractions=fractions)
-        first = check_sufficient_first(spec, grid, ctl, comparisons,
-                                       {**mc, "adjoint": adj})
-        second = check_sufficient_second(spec, grid, ctl, comparisons,
-                                         {**mc, "adjoint2": sar})
+        first = check_sufficient_first(spec, grid, ctl, comparisons, adj, mc)
+        second = check_sufficient_second(spec, grid, ctl, comparisons, sar, mc)
 
         S = self._recorded(spec, grid, ctl)
         want_first, want_second = [], []
@@ -698,7 +717,13 @@ def _recorded_sufficient(spec, grid, candidate, comparisons, mc,
                          adjoint_eval, p3_check=None):
     """mp._check_sufficient reading every state from the candidate's
     record."""
-    S = mp._simulate(spec, grid, candidate, mc, record=True).arrays
+    n_paths, seed, threads = mp._mc_settings(mc)
+
+    def recorded(control):
+        return simulate_ensemble(spec, grid, control, n_paths, seed,
+                                 record=True, threads=threads).arrays
+
+    S = recorded(candidate)
 
     def state(k):
         return S["X"][:, k], S["Y"][:, k], S["A"][:, k]
@@ -707,7 +732,7 @@ def _recorded_sufficient(spec, grid, candidate, comparisons, mc,
     steps = [min(grid.n, int(round(frac * grid.n))) for frac in ladder]
     transversality = []
     for cmp_idx, cmp_control in enumerate(comparisons):
-        C = mp._simulate(spec, grid, cmp_control, mc, record=True).arrays
+        C = recorded(cmp_control)
         for k in steps:
             t = k * grid.dt
             p, _, p2 = adjoint_eval(t, *state(k))
@@ -765,10 +790,9 @@ def _recorded_sufficient(spec, grid, candidate, comparisons, mc,
                                 max_gap, p3_check, "pass" if ok else "fail")
 
 
-def _recorded_necessary(spec, grid, candidate, mc):
+def _recorded_necessary(spec, grid, candidate, adjoint, mc):
     """mp.necessary_residual reading every state from the candidate's
     record; its bump ensembles resume recorded saved states."""
-    adjoint = mc["adjoint"]
     lag_steps = mp._lag_steps(mc.get("e_t", "full"), grid)
     T = grid.horizon
     windows = mc.get("bump_windows") or [(0.1 * T, 0.1 * T),
@@ -835,8 +859,9 @@ def _recorded_necessary(spec, grid, candidate, mc):
     verdict = ("boundary" if boundary_control
                else "pass" if resid_ok and bumps_ok else "fail")
     return mp.NecessityReport(
-        probe_times=[float(k * grid.dt) for k in ks], residuals=resid,
-        residual_stderr=rse, bump_estimates=bump_estimates,
+        probe_times=[float(k * grid.dt) for k in ks],
+        residuals=resid.tolist(), residual_stderr=rse.tolist(),
+        bump_estimates=bump_estimates,
         interior_fraction=float(np.mean(interior_fracs)),
         boundary_control=boundary_control, verdict=verdict)
 
@@ -885,9 +910,9 @@ class TestMatchesRecordedCandidate:
     def test_necessary(self, problem, extra):
         spec, ctl, adj = problem
         grid = make_grid(spec.delta, 0.05, 5.0)
-        mc = {**self.MC, "adjoint": adj, **extra}
-        assert _report_bytes(necessary_residual(spec, grid, ctl, mc)) \
-            == _report_bytes(_recorded_necessary(spec, grid, ctl, mc))
+        mc = {**self.MC, **extra}
+        assert _report_bytes(necessary_residual(spec, grid, ctl, adj, mc)) \
+            == _report_bytes(_recorded_necessary(spec, grid, ctl, adj, mc))
 
     @pytest.mark.parametrize("extra", [
         {}, {"horizon_fractions": (0.3, 0.3, 0.77, 1.0), "probe_count": 9}])
@@ -895,12 +920,12 @@ class TestMatchesRecordedCandidate:
         spec, ctl, adj = problem
         grid = make_grid(spec.delta, 0.05, 5.0)
         comparisons = [scale_control(ctl, 0.8), constant_control(0.1)]
-        mc = {**self.MC, "adjoint": adj, **extra}
+        mc = {**self.MC, **extra}
 
         def adjoint_eval(t, x, y, a):
             return (*_adjoint_values(adj, t, x, y, a), None)
 
-        got = check_sufficient_first(spec, grid, ctl, comparisons, mc)
+        got = check_sufficient_first(spec, grid, ctl, comparisons, adj, mc)
         want = _recorded_sufficient(spec, grid, ctl, comparisons, mc,
                                     adjoint_eval)
         assert _report_bytes(got) == _report_bytes(want)
@@ -914,7 +939,6 @@ class TestMatchesRecordedCandidate:
                                   q1=0.01 * t, q2=np.zeros(n + 1),
                                   r=np.zeros((n + 1, 1)))
         comparisons = [scale_control(ctl, 0.8)]
-        mc = {**self.MC, "adjoint2": sar}
 
         def adjoint_eval(t, x, y, a):
             k = min(n, int(round(t / grid.dt)))
@@ -922,9 +946,10 @@ class TestMatchesRecordedCandidate:
                          for v in (sar.p1, sar.q1, sar.p2))
 
         flat, dev = p3_flatness(sar.p3, mp._P3_TOL)
-        got = check_sufficient_second(spec, grid, ctl, comparisons, mc)
+        got = check_sufficient_second(spec, grid, ctl, comparisons, sar,
+                                      self.MC)
         want = _recorded_sufficient(
-            spec, grid, ctl, comparisons, mc, adjoint_eval,
+            spec, grid, ctl, comparisons, self.MC, adjoint_eval,
             {"flat": flat, "max_deviation": dev})
         assert _report_bytes(got) == _report_bytes(want)
 
@@ -951,14 +976,14 @@ class TestMemory:
         grid = make_grid(1.0, 0.05, 10.0)
         n_paths = 1024
         one = 8 * n_paths * (4 * (grid.n + 1) + grid.n)  # X, Y, A, u, dB
-        mc = dict(adjoint=adj, n_paths=n_paths, seed=7)
+        mc = dict(n_paths=n_paths, seed=7)
 
         def run():
             if check == "sufficient1":
                 check_sufficient_first(spec, grid, ctl,
-                                       [scale_control(ctl, 0.8)], mc)
+                                       [scale_control(ctl, 0.8)], adj, mc)
             else:
-                necessary_residual(spec, grid, ctl, mc)
+                necessary_residual(spec, grid, ctl, adj, mc)
 
         run()  # first-call allocations (caches, imports) stay out
         tracemalloc.start()
