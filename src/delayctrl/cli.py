@@ -53,7 +53,8 @@ EXIT_INCONCLUSIVE = 3
 
 def _load_config(path):
     """(config, its bytes): a JSON object whose sections present are
-    objects too, else a ConfigError."""
+    objects too, as are ``problem.params`` and ``problem.initial_segment``
+    (``problem.control_bounds`` an array), else a ConfigError."""
     if path is None:
         return {}, b"{}"
     try:
@@ -70,6 +71,11 @@ def _load_config(path):
     for name in ("problem", "grid", "mc", "solver", "control", "search"):
         if not isinstance(cfg.get(name, {}), dict):
             raise ConfigError(f"config section {name!r} must be an object")
+    for key, kind in (("params", dict), ("initial_segment", dict),
+                      ("control_bounds", list)):
+        if not isinstance(cfg.get("problem", {}).get(key, kind()), kind):
+            raise ConfigError(f"problem.{key} must be a JSON "
+                              f"{'object' if kind is dict else 'array'}")
     return cfg, raw
 
 

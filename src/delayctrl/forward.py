@@ -6,11 +6,14 @@ The state follows
 with the lag Y(t) = X(t - delta) and the moving average
 A(t) = int_{t-delta}^t e^{-rho (t-r)} X(r) dr carried along each path.
 
-Euler discretization with left-point coefficients.  The segment X_t is a
-ring buffer of m+1 grid values, so Y_k = X_{k-m} holds bitwise.  A is
-advanced by an exact one-step trapezoid recursion (see
-``update_moving_average``), making A_k equal to the composite trapezoid
-rule over the current segment up to roundoff.
+Euler discretization with left-point coefficients.  The segment X_t is
+kept in a delay ring of m+2 rows of lanes, so Y_k = X_{k-m} holds
+bitwise: X_k and Y_k are two of its rows, and each step sums X_{k+1} in
+place into the row between them, which held X_{k-m-1}, so it copies no
+state.  X, Y and their successors are views of ring rows, valid only
+during the step that hands them out.  A is advanced by an exact one-step
+trapezoid recursion (see ``update_moving_average``), making A_k equal to
+the composite trapezoid rule over the current segment up to roundoff.
 
 Randomness is counter-based (Philox).  Paths are organized in blocks of
 ``BLOCK_SIZE`` lanes; block j of seed s uses the generator key
@@ -47,7 +50,7 @@ group's lanes.  Every lane-wise operation gives the same value whatever the
 array width, and each lane's initial moving average is the one a full
 block computes, so path i is bitwise reproducible regardless of how many
 paths are requested, how blocks are grouped, or how groups are scheduled
-across workers.  The cap bounds the memory of the delay ring, (m+1) values per
+across workers.  The cap bounds the memory of the delay ring, (m+2) values per
 lane, for long delays.
 
 A recorded run allocates each recorded quantity once for all its paths,
@@ -308,6 +311,12 @@ class StepAccumulator:
     reduction is independent of scheduling.  ``step`` and ``finish`` run
     with floating-point warnings off (``np.errstate(all="ignore")``), so a
     lane leaving a callback's domain is the accumulator's to handle.
+
+    x, y, x1 and y1 are views of rows of the engine's delay ring (m+2
+    rows), valid only during the call: a later step writes a new state
+    into them.  Accumulators, like the coefficient and control callbacks,
+    must not write to their array arguments, and an accumulator that keeps
+    a value past the step must copy it.
     """
 
     def begin(self, n_lanes: int, spec: ProblemSpec, grid: TimeGrid):
@@ -541,6 +550,13 @@ def _kept_rows(kept: dict, start: int):
         yield dB[i], None if counts is None else counts[i]
 
 
+def _all_finite(values) -> bool:
+    """Whether every lane is finite: one sum, which is finite only then,
+    and the lane scan only when it is not (finite lanes can overflow it)."""
+    return (math.isfinite(np.add.reduce(values))
+            or bool(np.isfinite(values).all()))
+
+
 def _nonfinite(what: str, values, k: int, t: float, first: int):
     """NonFiniteState naming the first bad lane of a block group by its
     block and its lane inside that block."""
@@ -589,8 +605,10 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         # does not depend on how many lanes its block holds
         A = np.tile(segment_average(np.tile(hist, (BLOCK_SIZE, 1)), dt, rho),
                     len(starts))[:nb]
-        # ring[pos] is the newest entry; the oldest sits at (pos+1) mod (m+1)
-        ring = np.repeat(hist[:, None], nb, axis=1)
+        # ring[pos] holds X_k and ring[pos + 2] Y_k = X_{k-m} (rows mod
+        # m+2); X_{k+1} goes to the row between them, which no step reads
+        ring = np.empty((m + 2, nb))
+        ring[:m + 1] = hist[:, None]
         pos = m
         clipped = np.zeros(len(starts), dtype=bool)
         states = [acc.begin(nb, spec, grid) for acc in accumulators]
@@ -607,8 +625,7 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         states = [acc.copy_state(st)
                   for acc, st in zip(accumulators, resume["acc"])]
         source = _kept_rows(resume["kept"], k0 - resume["kept0"])
-    X = ring[pos].copy()
-    Y = ring[(pos + 1) % (m + 1)].copy()
+    X, Y = ring[pos], ring[(pos + 2) % (m + 2)]
 
     w_avg = _average_weights(dt, m, rho)
 
@@ -637,7 +654,9 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 saved[k] = _snapshot(k, pos, ring, A, clipped, rec, kept,
                                      kept0, accumulators, states)
             t = k * dt
-            u, clip_k = control.evaluate(spec, k, t, X, Y, A, starts=starts)
+            # once every block is flagged, only whether to clip is left
+            u, clip_k = control.evaluate(
+                spec, k, t, X, Y, A, starts=None if clipped.all() else starts)
             clipped |= clip_k
             if record:
                 rec_u[k] = u
@@ -647,24 +666,26 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             bval = lane_values(b_raw, X.shape)
             sval = lane_values(s_raw, X.shape)
 
-            drift = bval * dt
+            # X_{k+1} = X + drift + sigma dB (+ jumps), summed in its ring
+            # row: drift + X is X + drift bitwise
+            pos = (pos + 1) % (m + 2)
+            X_new = np.multiply(bval, dt, out=ring[pos])
             th = None
             if has_jumps:
                 th = np.empty((len(mark_values), nb))
                 for j, zv in enumerate(mark_values):
                     th[j] = spec.coeffs.theta(t, X, Y, A, u, zv)
                 # compensator: subtract intensity * E[theta] dt from the drift
-                drift -= jump.intensity * (mark_probs @ th) * dt
-            X_new = X + drift + sval * dB
+                X_new -= jump.intensity * (mark_probs @ th) * dt
+            X_new += X
+            X_new += sval * dB
             if has_jumps:
                 X_new += _jump_term(counts, th)
-            if not np.isfinite(X_new).all():
+            if not _all_finite(X_new):
                 raise _nonfinite("state became non-finite", X_new, k, t + dt,
                                  first)
 
-            pos = (pos + 1) % (m + 1)
-            ring[pos] = X_new
-            Y_new = ring[(pos + 1) % (m + 1)].copy()  # X_{k+1-m}
+            Y_new = ring[(pos + 2) % (m + 2)]  # X_{k+1-m}
             A_new = _average_step(w_avg, A, Y, Y_new, X, X_new)
 
             ctx = {"k": k, "t": t, "t1": t + dt, "x": X, "y": Y, "a": A, "u": u,
@@ -990,7 +1011,7 @@ class VariationalAccumulator(StepAccumulator):
                                          for v in "xyau") for name in names},
                 "xi": np.zeros(n_lanes), "lag": np.zeros(n_lanes),
                 "Lam": np.zeros(n_lanes),
-                "ring": np.zeros((grid.m + 1, n_lanes))}
+                "ring": np.zeros((grid.m + 2, n_lanes))}
 
     def _beta(self, k, ctx):
         x = ctx["x"]
@@ -1018,15 +1039,14 @@ class VariationalAccumulator(StepAccumulator):
                            axis=0)
             dxi += (_jump_term(ctx["counts"], dth)
                     - jump.intensity * (jump.marks.probs @ dth) * dt)
-        xi_new = xi + dxi
-        if not np.isfinite(xi_new).all():
+        # a ring of m+2 rows as the engine's: xi_j sits in row j mod (m+2),
+        # so xi_{k+1} is summed into a row neither lag nor lag_new is in
+        ring = st["ring"]
+        xi_new = np.add(xi, dxi, out=ring[(k + 1) % len(ring)])
+        if not _all_finite(xi_new):
             raise _nonfinite("variational process non-finite", xi_new, k,
                              ctx["t1"], ctx["path0"] // BLOCK_SIZE)
-        # the ring's row of step k is the engine's: X_{k+1} goes to row
-        # k mod (m+1), and the row after it holds the new lag
-        ring = st["ring"]
-        ring[k % len(ring)] = xi_new
-        lag_new = ring[(k + 1) % len(ring)].copy()
+        lag_new = ring[(k + 3) % len(ring)]  # xi_{k+1-m}
         st["Lam"] = _average_step(st["w_avg"], Lam, lag, lag_new, xi, xi_new)
         st["xi"], st["lag"] = xi_new, lag_new
 

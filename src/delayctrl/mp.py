@@ -121,6 +121,12 @@ class NecessityReport:
 # Ensemble helpers
 # ---------------------------------------------------------------------------
 
+def _finite(v) -> bool:
+    """Whether ``v`` is a finite int or float (a bool is not)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def _positive(mc_cfg: dict, key: str, default, hi=math.inf):
     """``mc_cfg[key]`` (``default`` when absent): a finite number in
     (0, hi], or for a tuple default a list or tuple of such numbers.  Any
@@ -128,9 +134,7 @@ def _positive(mc_cfg: dict, key: str, default, hi=math.inf):
     value = mc_cfg.get(key, default)
     many = isinstance(default, tuple)
     if many != isinstance(value, (list, tuple)) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and 0 < v <= hi and math.isfinite(v)
-            for v in (value if many else [value])):
+            _finite(v) and 0 < v <= hi for v in (value if many else [value])):
         raise ConfigError(
             f"mc.{key} must be {'a list of numbers' if many else 'a number'}"
             f" in (0, {hi:g}{']' if hi < math.inf else ')'}, got {value!r}")
@@ -548,10 +552,15 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     probe times plus symmetric-difference Gateaux derivatives of J along
     bump perturbations, all under common random numbers."""
     lag_steps = _lag_steps(mc_cfg.get("e_t", "full"), grid)
-    windows = mc_cfg.get("bump_windows")
-    if windows is None:
-        T = grid.horizon
-        windows = [(0.1 * T, 0.1 * T), (0.4 * T, 0.1 * T), (0.7 * T, 0.1 * T)]
+    T = grid.horizon
+    windows = mc_cfg.get("bump_windows", [(0.1 * T, 0.1 * T),
+                                          (0.4 * T, 0.1 * T),
+                                          (0.7 * T, 0.1 * T)])
+    if not isinstance(windows, (list, tuple)) or not all(
+            isinstance(w, (list, tuple)) and len(w) == 2
+            and all(map(_finite, w)) for w in windows):
+        raise ConfigError("mc.bump_windows must be a list of [start, width] "
+                          f"pairs of finite numbers, got {windows!r}")
     for ws, wh in windows:
         if wh < grid.dt - 1e-12:
             raise BadWindow(f"bump window [{ws}, {ws + wh}] is narrower than "

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteObjective
-from .forward import (ControlSpec, StepAccumulator, lane_values,
+from .forward import (ControlSpec, StepAccumulator, _all_finite, lane_values,
                       simulate_ensemble)
 from .model import ProblemSpec, TimeGrid
 
@@ -57,15 +57,14 @@ class RunningRewardAccumulator(StepAccumulator):
 
     def step(self, st, k, ctx):
         f = self._f(st, ctx)
-        ok = np.isfinite(f)
-        if st["all_alive"] and ok.all():
+        if st["all_alive"] and _all_finite(f):
             # every lane alive: the where passes below would select f
             if st["prev_f"] is not None:
                 st["I"] += 0.5 * st["dt"] * (st["prev_f"] + f)
             st["prev_f"] = st["last_f"] = f
             return
         st["all_alive"] = False
-        st["alive"] &= ok
+        st["alive"] &= np.isfinite(f)
         alive = st["alive"]
         if st["prev_f"] is not None:
             st["I"] += np.where(alive,

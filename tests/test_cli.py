@@ -363,12 +363,15 @@ class TestCheck:
         ("sufficient1", "horizon_fractions", [0]),
         ("necessary", "bump_s", [0]),
         ("necessary", "basis_degree", 1.5),
-        ("sufficient2", "probe_span", 1.5)])
+        ("sufficient2", "probe_span", 1.5),
+        ("necessary", "bump_windows", None),
+        ("necessary", "bump_windows", [1.0, 0.5])])
     def test_degenerate_setting_is_a_usage_error(self, tmp_path, capsys,
                                                  monkeypatch, principle, key,
                                                  value):
         """Settings that would leave nothing to test (no probe, a probe at
-        t = 0 only, a ladder at T = 0) or divide by a zero bump exit 1
+        t = 0 only, a ladder at T = 0), divide by a zero bump or are no
+        list of [start, width] pairs (a null, one bare pair) exit 1
         naming the key, before any ensemble is simulated."""
         import delayctrl.mp as mp
 
@@ -385,6 +388,22 @@ class TestCheck:
                        "--principle", principle) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: mc.{key} must")
         assert not (out / f"check_{principle}.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("params", None), ("params", [0.5]),
+        ("initial_segment", None), ("initial_segment", 1.0),
+        ("control_bounds", None), ("control_bounds", "0,50")])
+    def test_problem_key_of_the_wrong_type(self, tmp_path, capsys, key,
+                                           value):
+        """A sub-section of ``problem`` that is not an object (the bounds
+        not an array) exits 1 naming it, not with a traceback."""
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["problem"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("objective", "--config", str(path), "--out-dir",
+                       str(tmp_path / "out")) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: problem.{key} must")
 
     def test_boundary_verdict_exits_3(self, tmp_path, capsys):
         """A constant candidate on the upper control bound: the necessary

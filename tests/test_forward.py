@@ -331,15 +331,19 @@ class TestBlockGroups:
     single block simulates it; in the variational case, the variational
     process too."""
 
-    @pytest.fixture(scope="class", params=["plain", "jumps", "variational"])
+    @pytest.fixture(scope="class",
+                    params=["plain", "jumps", "variational", "delay1"])
     def case(self, request, ex34_spec, ex34_control):
-        # m = 10 on every grid: a delay ring long enough to exercise A_0
+        # m = 10 on every grid but the last: a delay ring long enough to
+        # exercise A_0; "delay1" is the smallest ring (m = 1), where the
+        # row a step writes sits next to the lag's rows, of X and of xi
         if request.param == "jumps":
             spec = _wavy(make_jump_spec(intensity=2.0))
             return (spec, make_grid(0.5, 0.05, 0.5), constant_control(0.2),
                     None)
-        grid = make_grid(1.0, 0.1, 1.0)
-        beta = constant_control(1.0) if request.param == "variational" else None
+        grid = make_grid(0.1 if request.param == "delay1" else 1.0, 0.1, 1.0)
+        beta = (constant_control(1.0)
+                if request.param in ("variational", "delay1") else None)
         return _wavy(ex34_spec), grid, ex34_control, beta
 
     @staticmethod
@@ -515,6 +519,45 @@ def test_clipped_flag_is_per_block():
     assert ens.clipped
 
 
+@pytest.mark.parametrize("third", ["never", "last"])
+def test_clip_flags_once_every_block_is_flagged(third):
+    """A group of three blocks, the last of five lanes, whose blocks first
+    clip at step 1, at a later step and never (or last of the three),
+    gives the clip flags and u of three one-block runs bitwise: the step
+    stops computing per-block flags only once every block is flagged."""
+    grid = make_grid(0.2, 0.1, 2.0)
+    lanes = (BLOCK_SIZE, BLOCK_SIZE, 5)
+    edges = np.cumsum((0,) + lanes)
+    seed, late, last = 1, 8, 15
+    # u does not feed back into dX = dB, so a free run gives every path
+    free = simulate_ensemble(_brownian_spec(u_hi=np.inf), grid,
+                             feedback_control(lambda t, x, y, a: x),
+                             edges[-1], seed, record=True)
+    M = np.array([free.arrays["X"][lo:hi].max(axis=0)
+                  for lo, hi in zip(edges[:-1], edges[1:])])  # block maxima
+    # u = x + g_k against the upper bound 0: block j clips at step k iff
+    # M[j, k] + g_k > 0
+    g = -M.max(axis=0) - 1.0
+    assert M[0, 1] > M[1:, 1].max() and M[1, late] > M[2, late]
+    g[1] = -0.5 * (M[0, 1] + M[1:, 1].max())
+    g[late] = -0.5 * (M[1, late] + M[2, late])
+    if third == "last":
+        g[last:] = 1.0 - M[:, last:].min(axis=0)
+    first = [int(np.argmax(row)) if row.any() else None for row in M + g > 0]
+    assert first == [1, late, None if third == "never" else last]
+
+    spec = _brownian_spec(u_hi=0.0)
+    ctl = feedback_control(lambda t, x, y, a: x + g[round(t / grid.dt)])
+    rec = _record_arrays(spec, grid, edges[-1])
+    _, clipped, _ = _run_blocks(spec, grid, ctl, seed, 0, edges[-1], (), rec)
+    assert list(clipped) == [True, True, third == "last"]
+    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        one = _record_arrays(spec, grid, hi - lo)
+        _, flag, _ = _run_blocks(spec, grid, ctl, seed, j, hi - lo, (), one)
+        assert flag.tolist() == [clipped[j]]
+        assert rec["u"][:, lo:hi].tobytes() == one["u"].tobytes(), j
+
+
 class TestNonFiniteContext:
     SEED = 2
 
@@ -553,6 +596,116 @@ class TestNonFiniteContext:
         err = info.value
         assert (err.step, err.block, err.lane) == (2, 1, first - BLOCK_SIZE)
         assert f"block 1, lane {first - BLOCK_SIZE}" in str(err)
+
+
+class TestSmallestRing:
+    """With m = 1 the ring has three rows: the row a step writes, X_{k+1},
+    is next to the rows Y_k and Y_{k+1} read."""
+
+    SEED = 5
+    N_PATHS = 2 * BLOCK_SIZE + 37
+
+    @pytest.mark.parametrize("name", ["plain", "jumps"])
+    def test_step_is_the_one_expression(self, name, ex34_spec, ex34_control):
+        """The recorded u, X, Y and A are the control, the Euler step
+        X + drift + sigma dB (+ jumps) and A's recursion evaluated on the
+        record, and Y_k = X_{k-1}."""
+        spec, ctl = _wavy(ex34_spec), ex34_control
+        if name == "jumps":
+            spec = _wavy(make_jump_spec(intensity=2.0))
+            ctl = constant_control(0.2)
+        grid = make_grid(0.1, 0.1, 3.0)
+        assert grid.m == 1
+        res = simulate_ensemble(spec, grid, ctl, self.N_PATHS, self.SEED,
+                                record=True)
+        X, Y, A, u, dB = (res.arrays[key].T for key in ("X", "Y", "A", "u",
+                                                         "dB"))
+        hist = spec.validate_segment(grid)
+        assert np.array_equal(Y[0], np.full(self.N_PATHS, hist[0]))
+        assert np.array_equal(Y[1:], X[:-1])
+        c, dt, shape = spec.coeffs, grid.dt, (self.N_PATHS,)
+        w = _average_weights(dt, grid.m, spec.rho)
+        for k in range(grid.n):
+            t = k * dt
+            assert u[k].tobytes() == ctl.evaluate(
+                spec, k, t, X[k], Y[k], A[k])[0].tobytes()
+            args = (t, X[k], Y[k], A[k], u[k])
+            drift = forward.lane_values(c.b(*args), shape) * dt
+            if spec.has_jumps:
+                th = np.array([c.theta(*args, z)
+                               for z in spec.jump.marks.values])
+                drift -= (spec.jump.intensity * (spec.jump.marks.probs @ th)
+                          * dt)
+            sig = forward.lane_values(c.sigma(*args), shape)
+            x1 = X[k] + drift + sig * dB[k]
+            if spec.has_jumps:
+                x1 += _jump_term(res.arrays["counts"][:, k], th)
+            assert X[k + 1].tobytes() == x1.tobytes(), k
+            assert A[k + 1].tobytes() == _average_step(
+                w, A[k], Y[k], Y[k + 1], X[k], x1).tobytes(), k
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["state", "xi"])
+    def test_nonfinite_lane(self, where, bad):
+        """A NaN or inf lane of the second block, at the step the state or
+        xi first holds it, names that step, block and lane."""
+        grid = make_grid(0.2, 0.2, 1.0)
+        assert grid.m == 1
+        n_paths = 2 * BLOCK_SIZE
+        ens = simulate_ensemble(_brownian_spec(), grid, constant_control(0.0),
+                                n_paths, self.SEED, record=True)
+        x1 = ens.arrays["X"][:, 1]
+        thr = x1[:BLOCK_SIZE].max()
+        first = int(np.flatnonzero(x1 > thr)[0])
+        assert first >= BLOCK_SIZE
+
+        def blow(t, x, y, a, u):
+            return np.where(np.asarray(x, float) > thr, bad, 0.0)
+
+        if where == "xi":
+            spec = _brownian_spec(partials={"b": {"x": blow}})
+            accumulators = (VariationalAccumulator(constant_control(1.0)),)
+        else:
+            spec, accumulators = _brownian_spec(blow), ()
+        with warnings.catch_warnings(), pytest.raises(NonFiniteState) as info:
+            warnings.simplefilter("error")
+            simulate_ensemble(spec, grid, constant_control(0.0), n_paths,
+                              self.SEED, accumulators=accumulators)
+        err = info.value
+        assert (err.step, err.block, err.lane) == (2, 1, first - BLOCK_SIZE)
+
+    def test_xi_is_the_state_difference(self):
+        """xi's own ring (lag and Lam) on m = 1, against X's."""
+        TestVariational.assert_linear_xi_is_the_difference(0.05)
+
+    def test_finite_lanes_whose_sum_overflows(self):
+        """Lanes near 1e308 are finite although their sum is not: the
+        state, xi and the reward raise nothing and keep every lane."""
+        grid = make_grid(0.2, 0.2, 1.0)
+        n_paths = 2 * BLOCK_SIZE
+
+        def huge(t, x, y, a, u):
+            return np.full_like(np.asarray(x, float), 1e308)
+
+        spec = _brownian_spec(partials={"b": {"u": huge}})
+        spec = dataclasses.replace(
+            spec, initial_segment=lambda s: np.full_like(s, 5e307),
+            coeffs=dataclasses.replace(spec.coeffs,
+                                       f=lambda t, x, y, a, u: x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = simulate_ensemble(
+                spec, grid, constant_control(0.0), n_paths, self.SEED,
+                accumulators=(RunningRewardAccumulator(),
+                              VariationalAccumulator(constant_control(1.0))),
+                record=True)
+        (_, _, alive), xi = res.extras
+        X = res.arrays["X"]
+        assert np.all(alive == 1.0)
+        for v in (X[:, -1], xi[:, -1]):
+            assert np.all(np.isfinite(v))
+            with np.errstate(over="ignore"):
+                assert np.add.reduce(v) == np.inf
 
 
 def _philox_replay(seed, n_paths, steps, rates=()):
@@ -774,13 +927,16 @@ class TestResume:
         return (0, 1, NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1,
                 cls.STEPS - 1, cls.STEPS)
 
-    @pytest.fixture(scope="class", params=["ex34", "jumps"])
+    @pytest.fixture(scope="class", params=["ex34", "jumps", "ex34_delay1"])
     def case(self, request, ex34_spec, ex34_control):
         horizon = self.STEPS * self.DT
         if request.param == "jumps":
             spec = _wavy(make_jump_spec(intensity=2.0))
             return spec, make_grid(0.5, self.DT, horizon), constant_control(0.2)
-        return _wavy(ex34_spec), make_grid(1.0, self.DT, horizon), ex34_control
+        # m = 10, or the smallest delay ring, m = 1
+        delta = self.DT if request.param == "ex34_delay1" else 1.0
+        return (_wavy(ex34_spec), make_grid(delta, self.DT, horizon),
+                ex34_control)
 
     @pytest.fixture(scope="class", params=[1, 2])
     def threads(self, request):
@@ -1098,21 +1254,26 @@ class TestDynamics:
 
 class TestVariational:
     def test_xi_matches_state_difference_linear(self):
-        """For linear dynamics the variational process equals the exact
-        pathwise derivative: X(u + s beta) - X(u) = s xi for any s."""
+        self.assert_linear_xi_is_the_difference(0.5)
+
+    @staticmethod
+    def assert_linear_xi_is_the_difference(delta):
+        """For linear dynamics, whose drift reads the lag y and the moving
+        average a, the variational process equals the exact pathwise
+        derivative: X(u + s beta) - X(u) = s xi for any s."""
         from delayctrl import build_problem
 
         cfg = {
             "problem": {
                 "selector": "linear_quadratic",
                 "params": {"s0": 0.1, "sx": 0.0},
-                "delta": 0.5, "rho": 0.1, "lambda_avg": 0.1, "discount": 0.1,
-                "control_bounds": [-5.0, 5.0],
+                "delta": delta, "rho": 0.1, "lambda_avg": 0.1,
+                "discount": 0.1, "control_bounds": [-5.0, 5.0],
                 "initial_segment": {"kind": "constant", "value": 1.0},
             },
         }
         spec = build_problem(cfg)
-        grid = make_grid(0.5, 0.05, 2.0)
+        grid = make_grid(delta, 0.05, 2.0)
         base = constant_control(0.2)
         beta = constant_control(1.0)
         s = 0.25

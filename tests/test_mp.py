@@ -448,8 +448,8 @@ class TestNecessary:
 class TestSettings:
     """Each check reads and checks its mc settings before its first
     simulation: a value that would leave nothing to test (no probe, one
-    at t = 0, a ladder at T = 0) or divide by zero is a ConfigError
-    naming mc.<key>."""
+    at t = 0, a ladder at T = 0), divide by zero or is no list of finite
+    (start, width) pairs is a ConfigError naming mc.<key>."""
 
     @pytest.mark.parametrize("check, key, value", [
         ("sufficient1", "horizon_fractions", [0]),
@@ -463,7 +463,15 @@ class TestSettings:
         ("necessary", "bump_s", [1e-2, np.inf]), ("necessary", "bump_s", 1e-2),
         ("necessary", "basis_degree", -1), ("variational", "s", 0),
         ("variational", "s", -1e-3), ("variational", "s", float("nan")),
-        ("variational", "s", "1e-3")])
+        ("variational", "s", "1e-3"), ("necessary", "bump_windows", None),
+        ("necessary", "bump_windows", (1.0, 0.5)),
+        ("necessary", "bump_windows", [(1.0,)]),
+        ("necessary", "bump_windows", [(1.0, 0.5, 0.5)]),
+        ("necessary", "bump_windows", [(1.0, "0.5")]),
+        ("necessary", "bump_windows", [(1.0, True)]),
+        ("necessary", "bump_windows", [(np.nan, 0.5)]),
+        ("necessary", "bump_windows", [(1.0, 0.5), (1.0, np.inf)]),
+        ("necessary", "bump_windows", {"start": 1.0, "width": 0.5})])
     def test_refused_before_any_simulation(self, setup, monkeypatch, check,
                                            key, value):
         params, p0, spec, ctl, adj = setup

@@ -241,11 +241,11 @@ class TestDomainExit:
 def test_unrecorded_estimate_traced_peak(ex34_spec, ex34_control):
     """An unrecorded estimate keeps no per-step history.  At N = 4096
     lanes (four blocks stepped as one group), m = 10 and n = 600 its
-    traced peak is about 65 lane rows of 8 N bytes (2.1 MB): the delay
-    ring (m + 1 = 11 rows), the two 16-step noise chunks (32), the reward
+    traced peak is about 59 lane rows of 8 N bytes (1.9 MB): the delay
+    ring (m + 2 = 12 rows), the two 16-step noise chunks (32), the reward
     accumulator's state (3) and the step's live arrays and temporaries
-    (about 19).  The bound, 76 rows (2.5 MB), leaves room for a few more
-    temporaries but not for longer chunks: 32-step ones read 97 rows."""
+    (about 12).  The bound, 76 rows (2.5 MB), leaves room for a few more
+    temporaries but not for longer chunks: 32-step ones read 91 rows."""
     import tracemalloc
 
     grid = make_grid(1.0, 0.1, 60.0)
