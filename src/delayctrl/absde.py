@@ -35,10 +35,23 @@ given and deterministic otherwise:
       martingale increments p_{k+1} dB_k / dt and
       p_{k+1} (dN_k - intensity dt) / (intensity dt).
 
+A regression solve forks one worker process (``_QrWorker``) once its
+ensemble exists.  In every sweep the solving process sends the worker
+node k's p_{k+1} row, one N-float row through a pipe, and projects p_k
+while the worker projects q_k and each mark's r_k; at the sweep's end
+it reads the sweep's n q rows (and n x marks r rows) back through a
+second pipe.  Nothing else crosses: the worker reads the ensemble from
+its fork-time copy, whose pages it shares with the solving process
+while neither writes them.  Each projection makes the same lstsq call
+on the same bytes in either process, so the solve is bitwise the one
+that projects all three in-process, as it does without ``os.fork`` or
+while another thread is alive.
+
 What a regression solve holds, besides its ensemble (N paths, L = n+1+m
 padded nodes):
   - one slice's design, N x 10 floats at basis degree 2, built anew at
-    each node's visit and read by its q, r and p projections;
+    each node's visit and read by its p projection (and, in-process,
+    by its q and r projections);
   - the driver's coefficient partials (``adjoint``), one N x L array for
     each partial that differs across paths and one time row for each
     that does not (two of nine are per path for Ex 3.4);
@@ -54,11 +67,17 @@ On Ex 3.4 (sigma0 0.05, 2048 paths, dt 0.05, T 5: n = 100, m = 20) that
 is 0.16 MB of design, 4.0 MB of partials and about 2 MB per
 working array; by tracemalloc the solve from ``EnsembleResult.arrays``
 peaks at 22.0 MB, and at 1024 paths, dt 0.01 at 54.3 MB, 2.65 times its
-20.5 MB recorded ensemble (X, Y, A, u, dB).
+20.5 MB recorded ensemble (X, Y, A, u, dB).  The worker's private memory
+is its own q rows (n x N floats), r rows with jumps, one p row and one
+slice's design, plus the pages of the fork-time copy it writes to.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
+import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -138,9 +157,14 @@ class PicardReport:
     converged: bool = False
     weight_lambda: float = 0.0
     mode: str = "deterministic"
+    # where a regression solve's projections ran (``picard_solve``): a
+    # record of the run, not of the iteration, so as_dict leaves it out
+    execution: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        del out["execution"]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +347,7 @@ class McContext:
     are the transposed views of time-major ones (``EnsembleResult.arrays``
     and ``stack_records``).  It keeps one slice's design at a time, the
     one its last projection read, so a context serves one projecting
-    thread."""
+    thread; a solve's q/r worker projects on its own forked copy."""
 
     def __init__(self, X, Y, A, dB, counts=None, intensity=0.0,
                  mark_probs=None, basis_degree: int = 2):
@@ -353,54 +377,207 @@ class McContext:
         """Least-squares E[values | X_k, Y_k, A_k], evaluated per path.
         Slice k's design is built anew unless the last projection read
         the same slice."""
+        return self._fit(k, values)
+
+    def _fit(self, k: int, values: np.ndarray) -> np.ndarray:
+        # project's arithmetic; the q/r worker calls it directly, so what
+        # wraps ``project`` (a tracer, a timer) sees only the calling
+        # process's projections.  One lstsq per right-hand side: stacking
+        # a node's q and p into one call moves q by about 5e-10 relative,
+        # past the 1e-12 the benchmark digest allows.  lstsq holds the
+        # GIL, so a second thread gains nothing; a second process does
         if self._slice != k:
             self._M = self.design(k)
             self._slice = k
         M = self._M
-        # one lstsq per right-hand side: stacking a node's q and p into
-        # one call moves q by about 5e-10 relative, past the 1e-12 the
-        # benchmark digest allows, and lstsq gains nothing on a second
-        # thread
         coef, *_ = np.linalg.lstsq(M, values, rcond=None)
         return M @ coef
 
 
+def _mark_rates(driver: AdvancedDriver, grid: TimeGrid, ctx: McContext):
+    """lambda_j dt of each mark whose centred counts a sweep projects,
+    or None when the ensemble has no jumps."""
+    if ctx.counts is None or ctx.intensity <= 0:
+        return None
+    marks = min(max(driver.n_marks, 1), ctx.counts.shape[2])
+    return [ctx.intensity * ctx.mark_probs[j] * grid.dt for j in range(marks)]
+
+
+def _project_qr(fit, ctx: McContext, k: int, p_next, q, r, rates, dt):
+    """Node k's q row and, for each mark rate, its r row, from p_{k+1}:
+    ``fit(k, values)`` is the least-squares projection on slice k."""
+    q[k] = fit(k, p_next * ctx.dB[:, k]) / dt
+    for j, lam_j in enumerate(rates or ()):
+        # int64 counts minus a float: the float64 difference
+        centered = ctx.counts[:, k, j] - lam_j
+        r[k, j] = fit(k, p_next * centered) / max(lam_j, 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# The q/r worker: a forked process that projects each node's q and r while
+# the solving process projects its p
+# ---------------------------------------------------------------------------
+
+def _write_all(fd: int, data):
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_into(fd: int, buf) -> bool:
+    """Fill ``buf`` from ``fd``; False at end of file."""
+    view = memoryview(buf).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if got == 0:
+            return False
+        view = view[got:]
+    return True
+
+
+def _serve_qr(ctx: McContext, grid: TimeGrid, marks: int, rates,
+              rows: int, back: int):
+    """The worker's loop: per sweep, read the n rows p_{n}, ..., p_1 in
+    the sweep's order, project node k's q and r from p_{k+1}, then write
+    the n q rows (and the n x marks r rows) back.  Returns at end of
+    file: the solve is over, or the solving process is gone."""
+    n = grid.n
+    p_next = np.empty(ctx.n_paths)
+    q = np.zeros((n, ctx.n_paths))
+    r = None if rates is None else np.zeros((n, marks, ctx.n_paths))
+    while True:
+        for k in range(n - 1, -1, -1):
+            if not _read_into(rows, p_next):
+                return
+            _project_qr(ctx._fit, ctx, k, p_next, q, r, rates, grid.dt)
+        _write_all(back, b"R")
+        _write_all(back, q)
+        if r is not None:
+            _write_all(back, r)
+
+
+class _QrWorker:
+    """A process forked from the solving one, with its copy of the
+    context, that projects each node's q and r.  Only rows cross: the
+    solving process writes p_{k+1} to one pipe as it reaches node k, and
+    reads the sweep's q and r rows from the other at the sweep's end.
+    An exception in the worker comes back pickled and is raised by the
+    solving process; ``close`` ends the worker (end of file on its pipe)
+    and reaps it."""
+
+    def __init__(self, ctx: McContext, grid: TimeGrid, marks: int, rates):
+        rows_r, rows_w = os.pipe()
+        back_r, back_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # the worker: it leaves only through os._exit
+            code = 1
+            try:
+                os.close(rows_w)
+                os.close(back_r)
+                try:
+                    _serve_qr(ctx, grid, marks, rates, rows_r, back_w)
+                    code = 0
+                except BaseException as exc:  # the solving process raises it
+                    _write_all(back_w, b"E" + pickle.dumps(exc))
+            finally:
+                os._exit(code)
+        os.close(rows_r)
+        os.close(back_w)
+        self._rows, self._back = rows_w, back_r
+        self.wait_s = 0.0  # waited at sweep ends for the worker's rows
+
+    def send(self, row: np.ndarray):
+        try:
+            _write_all(self._rows, row)
+        except BrokenPipeError:  # the worker has left
+            raise self._failure(os.read(self._back, 1)) from None
+
+    def collect(self, q: np.ndarray, r: Optional[np.ndarray]):
+        """Read the sweep's q rows into ``q`` and its r rows into ``r``."""
+        t0 = time.perf_counter()
+        status = os.read(self._back, 1)
+        self.wait_s += time.perf_counter() - t0
+        if status != b"R":
+            raise self._failure(status)
+        for out in (q, r):
+            if out is not None and not _read_into(self._back, out):
+                raise self._failure(b"")
+
+    def _failure(self, status: bytes) -> BaseException:
+        if status == b"E":
+            chunks = []
+            while chunk := os.read(self._back, 1 << 16):
+                chunks.append(chunk)
+            return pickle.loads(b"".join(chunks))
+        return RuntimeError(f"the q/r projection worker (pid {self.pid}) "
+                            f"ended without sending its rows")
+
+    def close(self):
+        os.close(self._rows)
+        os.close(self._back)
+        os.waitpid(self.pid, 0)
+
+
+def _qr_worker(driver: AdvancedDriver, grid: TimeGrid, ctx: McContext):
+    """The solve's q/r worker, or None to project q and r in-process:
+    without ``os.fork``, or while another thread is alive (the fork
+    copies only this thread, and a lock another one holds stays held in
+    the worker)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    return _QrWorker(ctx, grid, max(driver.n_marks, 1),
+                     _mark_rates(driver, grid, ctx))
+
+
+def _execution_record(driver: AdvancedDriver, grid: TimeGrid,
+                      ctx: McContext, worker: Optional[_QrWorker],
+                      sweeps: int) -> dict:
+    """Where the projections of ``sweeps`` whole sweeps ran: each node
+    projects p in this process and q and r (one per mark with jumps) in
+    the worker, or here without one."""
+    p_calls = sweeps * grid.n
+    qr_calls = p_calls * (1 + len(_mark_rates(driver, grid, ctx) or ()))
+    return {"worker": worker is not None, "sweeps": sweeps,
+            "projections": {"main": p_calls + (0 if worker else qr_calls),
+                            "worker": qr_calls if worker else 0},
+            "worker_wait_s": worker.wait_s if worker else 0.0}
+
+
 def _reg_sweep(driver: AdvancedDriver, grid: TimeGrid, ctx: McContext,
-               p_prev, q_prev, r_prev):
+               p_prev, q_prev, r_prev, worker: Optional[_QrWorker] = None):
     """One backward regression sweep whose driver reads the iterate
     (p_prev, q_prev, r_prev).  Without jumps r is never written: the sweep
     hands r_prev back, which in ``picard_solve`` is the solve's one zero
     r.
 
     The sweep keeps p, q and r node-major, one contiguous row per node
-    (and mark), and hands them back path-major, one at a time; all three
-    projections of node k read the one design that ``ctx`` builds at
-    the node's visit."""
+    (and mark), and hands them back path-major, one at a time; all
+    projections of node k in one process read the one design that its
+    ``ctx`` builds at the node's visit.  With a ``worker`` the q and r
+    rows are projected there, from the p_{k+1} row the sweep sends it
+    before projecting p_k, and read back when the sweep ends."""
     n, m, dt = grid.n, grid.m, grid.dt
     N = ctx.n_paths
-    nm = max(driver.n_marks, 1)
-    jumps = ctx.counts is not None and ctx.intensity > 0
+    rates = _mark_rates(driver, grid, ctx)
 
     F = _driver_values(driver, grid, n, p_prev, q_prev, r_prev)
     p = np.zeros((n + 1 + m, N))
     q = np.zeros((n + 1 + m, N))
-    if jumps:
-        r = np.zeros((n + 1 + m, nm, N))
-        lams = [ctx.intensity * ctx.mark_probs[j] * dt
-                for j in range(min(nm, ctx.counts.shape[2]))]
+    r = (None if rates is None
+         else np.zeros((n + 1 + m, max(driver.n_marks, 1), N)))
     for k in range(n - 1, -1, -1):
         p_next = p[k + 1]
-        q[k] = ctx.project(k, p_next * ctx.dB[:, k]) / dt
-        if jumps:
-            for j, lam_j in enumerate(lams):
-                # int64 counts minus a float: the float64 difference
-                centered = ctx.counts[:, k, j] - lam_j
-                r[k, j] = ctx.project(k, p_next * centered) / max(lam_j, 1e-300)
+        if worker is None:
+            _project_qr(ctx.project, ctx, k, p_next, q, r, rates, dt)
+        else:
+            worker.send(p_next)
         p[k] = ctx.project(k, p_next - dt * F[:, k])
     del F
+    if worker is not None:
+        worker.collect(q[:n], None if r is None else r[:n])
     p = np.ascontiguousarray(p.T)
     q = np.ascontiguousarray(q.T)
-    r = np.ascontiguousarray(r.transpose(2, 0, 1)) if jumps else r_prev
+    r = r_prev if r is None else np.ascontiguousarray(r.transpose(2, 0, 1))
     return p, q, r
 
 
@@ -417,6 +594,15 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
     substitution; returns (AdjointTriple, PicardReport).  The solve is in
     regression mode on the ``mc_context`` ensemble when one is given, in
     deterministic mode otherwise.
+
+    A regression solve projects each node's q and r in a forked worker
+    process while this one projects p, bitwise the same as projecting
+    all three here.  It stays in-process when ``os.fork`` is missing or
+    another thread is alive (``threading.active_count() > 1``).  The
+    worker is reaped before the solve returns or raises, and an
+    exception raised in it is raised here with its type.
+    ``report.execution`` records where the projections ran (not part of
+    ``report.as_dict()``).
 
     ``tol`` bounds the *squared* normalised weighted distance between
     successive iterates (``weighted_distance``), weighted and unweighted,
@@ -459,66 +645,81 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
     q, r = zero_q, zero_r
     w_lam, w_flat = _norm_weights(grid, lam), _norm_weights(grid, 0.0)
 
-    bad_streak = 0
-    for it in range(1, max_iter + 1):
-        try:
-            if ensemble:
-                # inner Step-1 iteration on the (q, r) arguments
-                q_new, r_new = zero_q, zero_r
-                for _inner in range(_INNER_MAX_ITER):
-                    inner_q, inner_r = q_new, r_new
-                    p_new = None  # not read again: free it before the sweep
-                    p_new, q_new, r_new = _reg_sweep(
-                        driver, grid, mc_context, p, inner_q, inner_r)
-                    d_in, _, _ = _weighted_parts(w_lam, *_node_squares(
-                        grid, q_new - inner_q,
-                        dr=None if r_new is inner_r else r_new - inner_r,
-                        ensemble=True))
-                    if d_in <= tol:
-                        break
-                del inner_q, inner_r
+    # with a worker, each node's q and r are projected in a forked
+    # process while this one projects p
+    worker = _qr_worker(driver, grid, mc_context) if ensemble else None
+    sweeps = 0
+    try:
+        bad_streak = 0
+        for it in range(1, max_iter + 1):
+            try:
+                if ensemble:
+                    # inner Step-1 iteration on the (q, r) arguments
+                    q_new, r_new = zero_q, zero_r
+                    for _inner in range(_INNER_MAX_ITER):
+                        inner_q, inner_r = q_new, r_new
+                        # not read again: free it before the sweep
+                        p_new = None
+                        p_new, q_new, r_new = _reg_sweep(
+                            driver, grid, mc_context, p, inner_q, inner_r,
+                            worker)
+                        sweeps += 1
+                        d_in, _, _ = _weighted_parts(w_lam, *_node_squares(
+                            grid, q_new - inner_q,
+                            dr=None if r_new is inner_r else r_new - inner_r,
+                            ensemble=True))
+                        if d_in <= tol:
+                            break
+                    del inner_q, inner_r
+                else:
+                    p_new, q_new, r_new = _det_sweep(driver, grid, p, q, r)
+            except NonFiniteDriver as exc:
+                exc.report = report
+                raise
+
+            # one set of node squares for both norms; an r that was not
+            # rewritten differs by zero and adds exactly 0.0 to the qr part
+            squares = _node_squares(grid, p_new - p, q_new - q,
+                                    None if r_new is r else r_new - r,
+                                    ensemble=ensemble)
+            d, d_p, d_qr = _weighted_parts(w_lam, *squares)
+            # unweighted companion: guards against premature stops when the
+            # e^{lambda t} mass concentrates at the horizon
+            d_flat, _, _ = _weighted_parts(w_flat, *squares)
+            del squares
+            report.distances.append(d)
+            report.p_distances.append(d_p)
+            report.qr_distances.append(d_qr)
+            if len(report.distances) >= 2 and report.distances[-2] > 0:
+                report.ratios.append(d / report.distances[-2])
+            report.iterations = it
+            p, q, r = p_new, q_new, r_new
+
+            if report.ratios and report.ratios[-1] >= 1.0:
+                bad_streak += 1
+                if bad_streak >= 3:
+                    raise BadWeight(
+                        f"weighted-norm ratio >= 1 for 3 consecutive "
+                        f"iterations (weight lambda={lam:.6g} too small for "
+                        f"Lipschitz constant {driver.lipschitz:.6g})",
+                        report=report)
             else:
-                p_new, q_new, r_new = _det_sweep(driver, grid, p, q, r)
-        except NonFiniteDriver as exc:
-            exc.report = report
-            raise
+                bad_streak = 0
+            if max(d, d_flat) <= tol:
+                report.converged = True
+                break
 
-        # one set of node squares for both norms; an r that was not
-        # rewritten differs by zero and adds exactly 0.0 to the qr part
-        squares = _node_squares(grid, p_new - p, q_new - q,
-                                None if r_new is r else r_new - r,
-                                ensemble=ensemble)
-        d, d_p, d_qr = _weighted_parts(w_lam, *squares)
-        # unweighted companion: guards against premature stops when the
-        # e^{lambda t} mass concentrates at the horizon
-        d_flat, _, _ = _weighted_parts(w_flat, *squares)
-        del squares
-        report.distances.append(d)
-        report.p_distances.append(d_p)
-        report.qr_distances.append(d_qr)
-        if len(report.distances) >= 2 and report.distances[-2] > 0:
-            report.ratios.append(d / report.distances[-2])
-        report.iterations = it
-        p, q, r = p_new, q_new, r_new
-
-        if report.ratios and report.ratios[-1] >= 1.0:
-            bad_streak += 1
-            if bad_streak >= 3:
-                raise BadWeight(
-                    f"weighted-norm ratio >= 1 for 3 consecutive iterations "
-                    f"(weight lambda={lam:.6g} too small for Lipschitz "
-                    f"constant {driver.lipschitz:.6g})", report=report)
-        else:
-            bad_streak = 0
-        if max(d, d_flat) <= tol:
-            report.converged = True
-            break
-
-    if not report.converged:
-        raise NoConvergence(
-            f"Picard iteration did not reach tol={tol:g} within "
-            f"{max_iter} iterations (last distance {report.distances[-1]:g})",
-            report=report)
+        if not report.converged:
+            raise NoConvergence(
+                f"Picard iteration did not reach tol={tol:g} within "
+                f"{max_iter} iterations (last distance "
+                f"{report.distances[-1]:g})", report=report)
+    finally:
+        if worker is not None:
+            worker.close()
+        if ensemble:
+            report.execution = _execution_record(
+                driver, grid, mc_context, worker, sweeps)
     triple = AdjointTriple(grid=grid, p=p, q=q, r=r, ensemble=ensemble)
     return triple, report
 

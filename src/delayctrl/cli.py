@@ -202,6 +202,12 @@ class _Run:
     def write_json(self, name, payload):
         _write_json(self.path(name), payload)
 
+    def record_solve(self, report):
+        """Where a regression solve's projections ran, and how long this
+        process waited for its q/r worker (``PicardReport.execution``)."""
+        if report is not None and report.execution:
+            self.manifest["solve"] = report.execution
+
     def finish(self):
         self.manifest["finished"] = _now()
         _write_json(os.path.join(self.out_dir, "manifest.json"), self.manifest)
@@ -239,6 +245,7 @@ def _picard_failure(run, name, exc, what):
     """Write the partial Picard report of a failed solve plus the error
     to ``name`` and return EXIT_FAIL."""
     report = getattr(exc, "report", None)
+    run.record_solve(report)
     payload = report.as_dict() if report is not None else {}
     payload["error"] = str(exc)
     run.write_json(name, payload)
@@ -303,6 +310,7 @@ def cmd_adjoint(args):
         return _picard_failure(run, "picard_report.json", exc, "adjoint solve")
     triple.to_csv(run.path("adjoint_first.csv"))
     run.write_json("picard_report.json", report.as_dict())
+    run.record_solve(report)
     run.finish()
     print(f"first adjoint solved in {report.iterations} Picard iterations "
           f"(weight lambda = {report.weight_lambda:.4g})")
@@ -326,8 +334,11 @@ def cmd_check(args):
         # ensemble mean in regression mode); only p on the grid is held,
         # not the solved triple, whose per-path p, q and r a regression
         # solve keeps
-        p_grid = _solve_first(run, spec, grid, candidate,
-                              run.cfg.get("solver", {}))[0].p_on_grid()
+        triple, report = _solve_first(run, spec, grid, candidate,
+                                      run.cfg.get("solver", {}))
+        p_grid = triple.p_on_grid()
+        del triple
+        run.record_solve(report)
 
         def p_fn(t, x, y, a, _pg=p_grid):
             k = min(grid.n, int(round(np.asarray(t, float) / grid.dt)))
@@ -414,6 +425,7 @@ def cmd_picard_diagnostics(args):
     except (NoConvergence, BadWeight) as exc:
         return _picard_failure(run, "picard_diagnostics.json", exc,
                                "picard solve")
+    run.record_solve(report)
     diag = contraction_diagnostics(report, driver, spec.delta)
     payload = report.as_dict()
     payload["diagnostics"] = diag

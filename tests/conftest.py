@@ -1,6 +1,8 @@
 """Shared fixtures: small problem instances reused across test modules,
-and a guard against threads left running."""
+and guards against threads left running and child processes left
+behind."""
 
+import os
 import threading
 
 import numpy as np
@@ -26,6 +28,19 @@ def no_leaked_threads():
     leaked = [t for t in threading.enumerate()
               if t not in before and t.is_alive()]
     assert not leaked, f"live threads left behind: {leaked}"
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail a test that leaves a child process behind, running or not
+    reaped, such as a regression solve's q/r worker."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    state = "running" if pid == 0 else f"pid {pid} exited, not reaped"
+    raise AssertionError(f"child process left behind ({state})")
 
 
 @pytest.fixture(scope="session")

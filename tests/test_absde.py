@@ -1,6 +1,11 @@
 """Picard solver for time-advanced backward equations: oracles, weight
 rule, contraction, failure modes, and uniqueness."""
 
+import contextlib
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -534,3 +539,160 @@ class TestRegressionPath:
         assert got == want and report.converged
         for g, w in ((triple.p, p), (triple.q, q), (triple.r, r)):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("case", ["ex34", "jumps", "paths64"])
+    def test_worker_is_the_in_process_solve(self, ex34, jumps, case):
+        """The forked q/r worker makes each projection's lstsq call on the
+        same bytes as the in-process solve, which a live thread forces:
+        p, q, r and the report keep every bit."""
+        if case == "paths64":
+            setting = _regression_setting(jumps=False, n_paths=64)
+        else:
+            setting = jumps if case == "jumps" else ex34
+        spec, grid, ctl, res = setting
+        driver, options = prepare_first_adjoint(spec, grid, ctl, res.records)
+        forked, forked_report = picard_solve(driver, grid, **options)
+        with _idle_thread():
+            inline, inline_report = picard_solve(driver, grid, **options)
+        assert forked_report.execution["worker"]
+        assert not inline_report.execution["worker"]
+        assert forked_report.as_dict() == inline_report.as_dict()
+        for name in ("p", "q", "r"):
+            assert (getattr(forked, name).tobytes()
+                    == getattr(inline, name).tobytes()), name
+        # one p projection per node here, q and r's in the worker
+        sweeps = forked_report.execution["sweeps"]
+        qr = 1 + (3 if case == "jumps" else 0)
+        assert forked_report.execution["projections"] == {
+            "main": sweeps * grid.n, "worker": sweeps * grid.n * qr}
+        assert inline_report.execution["projections"] == {
+            "main": sweeps * grid.n * (1 + qr), "worker": 0}
+
+
+@contextlib.contextmanager
+def _idle_thread():
+    """A second live thread for the duration, so a solve stays in-process."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestQrWorker:
+    """The regression solve's forked q/r worker ends with the solve, on
+    every way out of it."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        spec, grid, ctl, res = _regression_setting(jumps=False, n_paths=32)
+        return spec, grid, ctl, res.arrays
+
+    def test_reaped_after_convergence(self, setting):
+        spec, grid, ctl, S = setting
+        _, report = solve_first_adjoint(spec, grid, ctl, ensemble=S)
+        assert report.converged and report.execution["worker"]
+        assert report.execution["worker_wait_s"] >= 0.0
+        _no_child_left()
+
+    def test_reaped_after_a_non_finite_driver(self, setting):
+        spec, grid, ctl, S = setting
+        X = S["X"].copy()
+        X[5, 20:] = -0.5
+        with pytest.raises(NonFiniteDriver) as exc:
+            solve_first_adjoint(spec, grid, ctl, ensemble={**S, "X": X})
+        assert exc.value.report.execution == {
+            "worker": True, "sweeps": 0,
+            "projections": {"main": 0, "worker": 0}, "worker_wait_s": 0.0}
+        _no_child_left()
+
+    def test_reaped_without_convergence(self, setting):
+        spec, grid, ctl, S = setting
+        with pytest.raises(NoConvergence) as exc:
+            solve_first_adjoint(spec, grid, ctl, ensemble=S,
+                                solver_cfg={"picard_max_iter": 1})
+        execution = exc.value.report.execution
+        assert execution["worker"] and execution["sweeps"] >= 1
+        _no_child_left()
+
+    def test_reaped_after_a_bad_weight(self, setting):
+        spec, grid, ctl, S = setting
+        n = grid.n
+        ctx = McContext(S["X"], S["Y"], S["A"], S["dB"])
+        drv = AdvancedDriver(fn=lambda p, q, r: 8.0 * p[..., : n + 1] + 1.0,
+                             lipschitz=0.01, n_marks=0)
+        with pytest.raises(BadWeight) as exc:
+            picard_solve(drv, grid, ctx, max_iter=40)
+        assert exc.value.report.execution["worker"]
+        _no_child_left()
+
+    def test_reaped_after_an_interrupt_mid_sweep(self, setting, monkeypatch):
+        """KeyboardInterrupt in the solving process's p projection, with
+        rows of the sweep already sent."""
+        spec, grid, ctl, S = setting
+        calls = []
+        project = McContext.project
+
+        def interrupted(self, k, values):
+            calls.append(k)
+            if len(calls) == 50:
+                raise KeyboardInterrupt
+            return project(self, k, values)
+
+        monkeypatch.setattr(McContext, "project", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            solve_first_adjoint(spec, grid, ctl, ensemble=S)
+        assert len(calls) == 50
+        _no_child_left()
+
+    def test_worker_exception_is_raised_with_its_type(self, setting,
+                                                      monkeypatch):
+        spec, grid, ctl, S = setting
+        solver = os.getpid()
+        fit = McContext._fit
+
+        def failing_in_the_worker(self, k, values):
+            if os.getpid() != solver and k == grid.n // 2:
+                raise np.linalg.LinAlgError(f"worker failed at node {k}")
+            return fit(self, k, values)
+
+        monkeypatch.setattr(McContext, "_fit", failing_in_the_worker)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"worker failed at node {grid.n // 2}"):
+            solve_first_adjoint(spec, grid, ctl, ensemble=S)
+        _no_child_left()
+
+    def test_end_of_file_ends_the_worker(self, setting):
+        """The worker leaves at end of file on its row pipe, as when the
+        solving process dies mid-sweep."""
+        spec, grid, ctl, S = setting
+        ctx = McContext(S["X"], S["Y"], S["A"], S["dB"])
+        worker = absde._QrWorker(ctx, grid, 1, None)
+        for _ in range(3):
+            worker.send(np.ones(ctx.n_paths))
+        os.close(worker._rows)
+        deadline = time.monotonic() + 30.0
+        while (done := os.waitpid(worker.pid, os.WNOHANG))[0] == 0:
+            assert time.monotonic() < deadline, "worker still running"
+            time.sleep(0.01)
+        os.close(worker._back)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_in_process_without_fork(self, setting, monkeypatch):
+        spec, grid, ctl, S = setting
+        monkeypatch.delattr(os, "fork")
+        _, report = solve_first_adjoint(spec, grid, ctl, ensemble=S)
+        assert report.converged and not report.execution["worker"]
+
+    def test_deterministic_solve_has_no_record(self, setting):
+        spec, grid, ctl, _ = setting
+        _, report = solve_first_adjoint(spec, grid, ctl)
+        assert report.execution == {}

@@ -171,6 +171,65 @@ class TestAdjoint:
         np.testing.assert_allclose(data["p2"], 0.0, atol=1e-12)
 
 
+class TestSolveManifest:
+    """A regression solve records in manifest.json where its projections
+    ran; picard_report.json keeps the report alone."""
+
+    @staticmethod
+    def _regression_cfg(tmp_path, **solver):
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["solver"] = {"mode": "regression", **solver}
+        cfg["mc"]["n_paths"] = 32
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @staticmethod
+    def _solve(out):
+        return json.loads((out / "manifest.json").read_text())["solve"]
+
+    def test_adjoint(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("adjoint", "--config", self._regression_cfg(tmp_path),
+                       "--out-dir", str(out), "--system", "first") == EXIT_OK
+        solve = self._solve(out)
+        n = 60  # horizon 3 over dt 0.05
+        assert solve["worker"] and solve["sweeps"] > 0
+        assert solve["projections"] == {"main": solve["sweeps"] * n,
+                                        "worker": solve["sweeps"] * n}
+        assert solve["worker_wait_s"] >= 0.0
+        report = json.loads((out / "picard_report.json").read_text())
+        assert set(report) == {"distances", "p_distances", "qr_distances",
+                               "ratios", "iterations", "converged",
+                               "weight_lambda", "mode"}
+
+    def test_failed_adjoint(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = self._regression_cfg(tmp_path, picard_max_iter=1)
+        assert run_cli("adjoint", "--config", cfg, "--out-dir", str(out),
+                       "--system", "first") == EXIT_FAIL
+        report = json.loads((out / "picard_report.json").read_text())
+        assert report["iterations"] == 1 and "execution" not in report
+        solve = self._solve(out)
+        assert solve["worker"] and solve["sweeps"] >= 1
+
+    @pytest.mark.parametrize("command", ["check", "picard-diagnostics"])
+    def test_check_and_diagnostics(self, tmp_path, command):
+        out = tmp_path / "out"
+        extra = (("--principle", "sufficient1", "--control", "constant:0.1")
+                 if command == "check" else ())
+        code = run_cli(command, "--config", self._regression_cfg(tmp_path),
+                       "--out-dir", str(out), *extra)
+        assert code in (EXIT_OK, EXIT_FAIL)
+        assert self._solve(out)["worker"]
+
+    def test_deterministic_solve_records_nothing(self, cfg_path, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("adjoint", "--config", cfg_path, "--out-dir", str(out),
+                       "--system", "first") == EXIT_OK
+        assert "solve" not in json.loads((out / "manifest.json").read_text())
+
+
 class TestWeightLambda:
     @pytest.mark.parametrize("command, report", [
         ("adjoint", "picard_report.json"),
