@@ -44,8 +44,12 @@ second pipe.  Nothing else crosses: the worker reads the ensemble from
 its fork-time copy, whose pages it shares with the solving process
 while neither writes them.  Each projection makes the same lstsq call
 on the same bytes in either process, so the solve is bitwise the one
-that projects all three in-process, as it does without ``os.fork`` or
-while another thread is alive.
+that projects all three in-process, as it does without ``os.fork``,
+while another thread is alive, or unless the OpenBLAS bundled with numpy
+reports a one-thread pool (``_blas_threads``): each process has its own
+pool, and two pools of several threads on the same cores made the solve
+dozens of times slower than in-process (the OpenBLAS FAQ advises one
+BLAS thread where a program runs its own parallel work).
 
 What a regression solve holds, besides its ensemble (N paths, L = n+1+m
 padded nodes):
@@ -74,12 +78,14 @@ slice's design, plus the pages of the fork-time copy it writes to.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import threading
 import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -518,12 +524,32 @@ class _QrWorker:
         os.waitpid(self.pid, 0)
 
 
+def _blas_threads() -> Optional[int]:
+    """Threads of the OpenBLAS pool bundled with numpy, asked from the
+    library, or None when it cannot be asked."""
+    root = Path(np.__file__).resolve().parent.parent
+    for lib in sorted(root.glob("numpy.libs/*openblas*.so*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(dll, sym):
+                fn = getattr(dll, sym)
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
 def _qr_worker(driver: AdvancedDriver, grid: TimeGrid, ctx: McContext):
     """The solve's q/r worker, or None to project q and r in-process:
-    without ``os.fork``, or while another thread is alive (the fork
-    copies only this thread, and a lock another one holds stays held in
-    the worker)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    without ``os.fork``, while another thread is alive (the fork copies
+    only this thread, and a lock another one holds stays held in the
+    worker), or unless the BLAS pool is known to have one thread (the
+    worker's pool and this one's would share the cores)."""
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or _blas_threads() != 1):
         return None
     return _QrWorker(ctx, grid, max(driver.n_marks, 1),
                      _mark_rates(driver, grid, ctx))
@@ -597,8 +623,9 @@ def picard_solve(driver: AdvancedDriver, grid: TimeGrid,
 
     A regression solve projects each node's q and r in a forked worker
     process while this one projects p, bitwise the same as projecting
-    all three here.  It stays in-process when ``os.fork`` is missing or
-    another thread is alive (``threading.active_count() > 1``).  The
+    all three here.  It stays in-process when ``os.fork`` is missing,
+    another thread is alive (``threading.active_count() > 1``) or the
+    bundled OpenBLAS does not report a one-thread pool.  The
     worker is reaped before the solve returns or raises, and an
     exception raised in it is raised here with its type.
     ``report.execution`` records where the projections ran (not part of

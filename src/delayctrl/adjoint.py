@@ -37,7 +37,7 @@ import numpy as np
 
 from .absde import AdvancedDriver, McContext, picard_solve
 from .forward import ControlSpec, simulate_noiseless, stack_records
-from .model import ProblemSpec, TimeGrid, _int_setting, _write_csv
+from .model import ProblemSpec, TimeGrid, _write_csv, setting
 
 _PARTIAL_VARS = ("x", "y", "a")
 
@@ -204,15 +204,6 @@ def build_first_driver(spec: ProblemSpec, grid: TimeGrid, path,
                           n_marks=n_marks)
 
 
-def picard_options(solver_cfg: Optional[dict]) -> dict:
-    """picard_solve keyword arguments from a solver config section, whose
-    ``picard_max_iter`` must be an integer >= 1 (a ConfigError otherwise)."""
-    cfg = solver_cfg or {}
-    return {"weight_lambda": cfg.get("weight_lambda"),
-            "tol": cfg.get("picard_tol", 1e-12),
-            "max_iter": _int_setting(cfg, "solver", "picard_max_iter", 60, 1)}
-
-
 def prepare_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
                           control: ControlSpec, ensemble=None,
                           solver_cfg: Optional[dict] = None):
@@ -228,8 +219,10 @@ def prepare_first_adjoint(spec: ProblemSpec, grid: TimeGrid,
     >= 0 (read in both modes).
     """
     cfg = solver_cfg or {}
-    options = picard_options(cfg)
-    degree = _int_setting(cfg, "solver", "basis_degree", 2)
+    options = {"weight_lambda": setting(cfg, "solver", "weight_lambda"),
+               "tol": setting(cfg, "solver", "picard_tol"),
+               "max_iter": setting(cfg, "solver", "picard_max_iter")}
+    degree = setting(cfg, "solver", "basis_degree")
     if ensemble is None:
         rec = simulate_noiseless(spec, grid, control)
         path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}

@@ -3,8 +3,10 @@
 Subcommands: simulate, objective, adjoint, check, example34, example35,
 picard-diagnostics, sweep.  A JSON config file supplies the problem,
 grid, Monte Carlo, solver and control sections; command-line flags
-override matching config entries.  Every command writes a manifest
-listing its outputs together with the SHA-256 hash of the config bytes.
+override matching config entries.  Before anything runs, the config
+with the flags set is checked against ``model.SETTINGS``.  Every command
+writes a manifest listing its outputs together with the SHA-256 hash of
+the config bytes and the resolved settings.
 
 Exit codes: 0 ok, 1 usage or configuration error, 2 check failed or
 solver did not converge, 3 the necessary check's ``boundary`` verdict
@@ -36,8 +38,8 @@ from .examples import (Example34Params, Example35Params, ex34_adjoint,
                        ex35_alpha_residual, ex35_feedback, ex35_K,
                        ex35_matched_alpha, example_params)
 from .forward import constant_control, simulate_ensemble, table_control
-from .model import (_mc_settings, _write_csv, build_problem, make_grid,
-                    require_key)
+from .model import (SETTINGS, _mc_settings, _write_csv, build_problem,
+                    check_config, make_grid, setting)
 from .mp import check_sufficient_first, check_sufficient_second, necessary_residual
 from .objective import estimate_J
 
@@ -52,9 +54,7 @@ EXIT_INCONCLUSIVE = 3
 # ---------------------------------------------------------------------------
 
 def _load_config(path):
-    """(config, its bytes): a JSON object whose sections present are
-    objects too, as are ``problem.params`` and ``problem.initial_segment``
-    (``problem.control_bounds`` an array), else a ConfigError."""
+    """(config, its bytes): a JSON object, else a ConfigError."""
     if path is None:
         return {}, b"{}"
     try:
@@ -68,26 +68,19 @@ def _load_config(path):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    for name in ("problem", "grid", "mc", "solver", "control", "search"):
-        if not isinstance(cfg.get(name, {}), dict):
-            raise ConfigError(f"config section {name!r} must be an object")
-    for key, kind in (("params", dict), ("initial_segment", dict),
-                      ("control_bounds", list)):
-        if not isinstance(cfg.get("problem", {}).get(key, kind()), kind):
-            raise ConfigError(f"problem.{key} must be a JSON "
-                              f"{'object' if kind is dict else 'array'}")
     return cfg, raw
 
 
-# Each flag that overrides a config entry: flag -> (section, key, type).
-# --weight-lambda belongs to adjoint and picard-diagnostics only.
+# Each flag that overrides a config entry: flag -> (section, key); the
+# table types its value.  --weight-lambda belongs to adjoint and
+# picard-diagnostics only.
 _OVERRIDES = {
-    "--seed": ("mc", "seed", int),
-    "--paths": ("mc", "n_paths", int),
-    "--dt": ("grid", "dt", float),
-    "--horizon": ("grid", "horizon", float),
-    "--threads": ("mc", "threads", int),
-    "--weight-lambda": ("solver", "weight_lambda", float),
+    "--seed": ("mc", "seed"),
+    "--paths": ("mc", "n_paths"),
+    "--dt": ("grid", "dt"),
+    "--horizon": ("grid", "horizon"),
+    "--threads": ("mc", "threads"),
+    "--weight-lambda": ("solver", "weight_lambda"),
 }
 
 
@@ -104,7 +97,7 @@ def _apply_overrides(cfg: dict, args) -> dict:
     cfg = copy.deepcopy(cfg)
     cfg.setdefault("grid", {})
     cfg.setdefault("mc", {})
-    for flag, (section, key, _) in _OVERRIDES.items():
+    for flag, (section, key) in _OVERRIDES.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
             _set_path(cfg, (section, key), value)
@@ -115,8 +108,8 @@ def _build(cfg):
     """Problem and grid; build_problem has checked that the grid section
     (which _apply_overrides always creates) sets dt and horizon."""
     spec = build_problem(cfg)
-    grid = make_grid(spec.delta, float(cfg["grid"]["dt"]),
-                     float(cfg["grid"]["horizon"]))
+    grid = make_grid(spec.delta, setting(cfg["grid"], "grid", "dt"),
+                     setting(cfg["grid"], "grid", "horizon"))
     return spec, grid
 
 
@@ -134,10 +127,10 @@ def _resolve_control(cfg, grid, override=None):
             ctl = {"kind": "file", "path": override.split(":", 1)[1]}
         else:
             raise ConfigError(f"unknown control specifier {override!r}")
-    kind = ctl.get("kind", "closed_form")
+    kind = setting(ctl, "control", "kind")
     if kind == "closed_form":
         params = example_params(cfg)
-        p0 = ctl.get("p0")
+        p0 = setting(ctl, "control", "p0")
         if isinstance(params, Example34Params):
             p0 = ex34_p0_star(params) if p0 is None else float(p0)
             return (ex34_feedback(params, p0),
@@ -149,21 +142,19 @@ def _resolve_control(cfg, grid, override=None):
         selector = cfg.get("problem", {}).get("selector")
         raise ConfigError(f"no closed-form control for selector {selector!r}")
     if kind == "constant":
-        return constant_control(float(ctl.get("value", 0.0))), None
-    if kind == "file":
-        path = require_key(ctl, "control", "path")
-        try:
-            data = np.genfromtxt(path, delimiter=",", names=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot read control table {path}: {exc}") from exc
-        if "u" not in (data.dtype.names or ()):
-            raise ConfigError(f"control table {path} has no 'u' column")
-        table = np.atleast_1d(np.asarray(data["u"], float))
-        if len(table) < grid.n + 1:
-            raise ConfigError(
-                f"control table has {len(table)} rows, grid needs {grid.n + 1}")
-        return table_control(table[: grid.n + 1]), None
-    raise ConfigError(f"unknown control kind {kind!r}")
+        return constant_control(setting(ctl, "control", "value")), None
+    path = setting(ctl, "control", "path")
+    try:
+        data = np.genfromtxt(path, delimiter=",", names=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot read control table {path}: {exc}") from exc
+    if "u" not in (data.dtype.names or ()):
+        raise ConfigError(f"control table {path} has no 'u' column")
+    table = np.atleast_1d(np.asarray(data["u"], float))
+    if len(table) < grid.n + 1:
+        raise ConfigError(
+            f"control table has {len(table)} rows, grid needs {grid.n + 1}")
+    return table_control(table[: grid.n + 1]), None
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +173,19 @@ def _write_json(path, payload):
 
 class _Run:
     """Shared per-command state: config, its (n_paths, seed, threads),
-    output directory and manifest."""
+    output directory and manifest.  The config, with the override flags
+    set, is checked against the settings table before anything runs."""
 
     def __init__(self, args, command):
         cfg, raw = _load_config(args.config)
         self.cfg = _apply_overrides(cfg, args)
+        settings = check_config(self.cfg)
         self.mc = _mc_settings(self.cfg["mc"])
         self.out_dir = args.out_dir or "."
         os.makedirs(self.out_dir, exist_ok=True)
         self.manifest = {"command": command, "seed": self.mc[1],
                          "config_hash": hashlib.sha256(raw).hexdigest(),
+                         "settings": settings,
                          "started": _now(), "version": __version__,
                          "outputs": []}
 
@@ -227,7 +221,7 @@ def _reference_ensemble(run, spec, grid, control, solver_cfg):
     """The ensemble the first adjoint is solved on in the solver section's
     mode: ``"regression"`` records mc.n_paths paths under the control
     (their arrays); anything else gives None, the noiseless path."""
-    if solver_cfg.get("mode") != "regression":
+    if setting(solver_cfg, "solver", "mode") != "regression":
         return None
     n_paths, seed, threads = run.mc
     return simulate_ensemble(spec, grid, control, n_paths, seed,
@@ -444,7 +438,7 @@ _SWEEP_SHORTHAND = {
        for name in ("gamma", "mu", "beta", "alpha", "sigma0", "X0")},
     "rho": ("problem", "rho"),
     "delta": ("problem", "delta"),
-    **{key: (section, key) for section, key, _ in map(
+    **{key: (section, key) for section, key in map(
         _OVERRIDES.get, ("--seed", "--paths", "--dt", "--horizon"))},
 }
 
@@ -453,7 +447,8 @@ def cmd_sweep(args):
     run = _Run(args, "sweep")
     name = args.param
     keys = _SWEEP_SHORTHAND.get(name, tuple(name.split(".")))
-    if keys[0] not in ("problem", "grid", "mc", "solver", "control"):
+    if ".".join(keys[:-1]) not in {"problem.params",
+                                   *(section for section, _ in SETTINGS)}:
         print(f"sweep: unknown parameter {name!r}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -466,8 +461,8 @@ def cmd_sweep(args):
         print("sweep: empty value list", file=sys.stderr)
         return EXIT_USAGE
 
-    # every value's problem, grid and run settings are checked before the
-    # first run
+    # every value's config, problem, grid and run settings are checked
+    # before the first run
     points = []
     for value in values:
         cfg = copy.deepcopy(run.cfg)
@@ -475,6 +470,7 @@ def cmd_sweep(args):
         # the example parameters read problem.params.rho before problem.rho
         if name == "rho" and "rho" in cfg["problem"].get("params", {}):
             cfg["problem"]["params"]["rho"] = value
+        check_config(cfg)
         points.append((value, cfg, *_build(cfg), _mc_settings(cfg["mc"])))
 
     rows = []
@@ -495,8 +491,9 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 def _add_override(sub, flag):
-    section, key, kind = _OVERRIDES[flag]
-    sub.add_argument(flag, type=kind, help=f"override {section}.{key}")
+    section, key = _OVERRIDES[flag]
+    sub.add_argument(flag, type=SETTINGS[section, key][1].convert or float,
+                     help=f"override {section}.{key}")
 
 
 def build_parser():

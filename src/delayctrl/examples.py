@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, DivergentIntegral, DomainError, NoSignChange
 from .forward import ControlSpec, feedback_control, simulate_noiseless
 from .model import (CoefficientSet, ProblemSpec, constant_segment, make_grid,
-                    problem_rates, refuse_unknown_params)
+                    param, problem_rates, refuse_unknown_params, setting)
 
 # bisection levels of the ex35_K search integrated as lanes of one
 # noiseless pass (2^L - 1 lanes); chosen by timing the search
@@ -209,12 +209,9 @@ def ex35_K(params: Example35Params, search_cfg: dict = None) -> float:
     the scalar search's own ``0.5 * (p_lo + p_hi)`` and each lane is
     bitwise its scalar run, so the brackets, and K, are those of one run
     per level."""
-    cfg = dict(search_cfg or {})
-    T_search = cfg.get("T_search", 80.0)
-    dt = cfg.get("dt", 1e-2)
-    tol = cfg.get("tol", 1e-6)
-    p_hi = cfg.get("bracket_hi", 4.0)
-    p_lo = cfg.get("bracket_lo", 1e-3)
+    T_search, dt, tol, p_hi, p_lo = (
+        setting(search_cfg or {}, "search", key)
+        for key in ("T_search", "dt", "tol", "bracket_hi", "bracket_lo"))
 
     spec = make_ex35_problem(params, u_hi=1e12)
     grid = make_grid(params.delta, dt, T_search)
@@ -365,7 +362,7 @@ def coefficients_linear_quadratic(p: dict, discount: float) -> CoefficientSet:
                 "cx": -0.5, "cu": -0.5, "cl": 0.0, "discount": discount}
     refuse_unknown_params(p, defaults)
     kx, ky, ka, ku, s0, sx, cx, cu, cl, disc = (
-        float(p.get(key, value)) for key, value in defaults.items())
+        param(p, key, value) for key, value in defaults.items())
 
     def b(t, x, y, a, u):
         return kx * x + ky * y + ka * a + ku * u
@@ -411,7 +408,7 @@ def coefficients_polynomial(p: dict) -> CoefficientSet:
 
     b = poly(p.get("b", []))
     sigma = poly(p.get("sigma", []))
-    f_rate = float(p.get("f_discount", 0.0))
+    f_rate = param(p, "f_discount", 0.0)
     f_poly = poly(p.get("f", []))
 
     def f(t, x, y, a, u):
@@ -440,15 +437,17 @@ def example_params(raw_config: dict):
     (``model.problem_rates``), whatever ``params`` says."""
     prob = raw_config.get("problem", {})
     cls = {"example_3_4": Example34Params,
-           "example_3_5": Example35Params}.get(prob.get("selector"))
+           "example_3_5": Example35Params}.get(
+               setting(prob, "problem", "selector"))
     if cls is None:
         return None
     names = {f.name for f in dataclasses.fields(cls)}
-    refuse_unknown_params(prob.get("params", {}), names)
+    params = setting(prob, "problem", "params")
+    refuse_unknown_params(params, names)
     delta, rho, lambda_avg, _ = problem_rates(prob)
-    given = {"rho": rho, **prob.get("params", {}),
+    given = {"rho": rho, **{key: param(params, key) for key in params},
              "delta": delta, "lambda_avg": lambda_avg}
-    return cls(**{key: float(value) for key, value in given.items()
+    return cls(**{key: value for key, value in given.items()
                   if key in names and value is not None})
 
 

@@ -14,11 +14,16 @@ specifications can be shared across concurrent workers.
 Jump marks are discrete (``DiscreteMarks``), and ``ProblemSpec.has_jumps``
 is the one test of whether jumps act on the state.
 
-Three private helpers serve the modules above: ``_int_setting`` is the
-one reader of an integer config setting (with its default and valid
-range), ``_mc_settings`` reads a run's Monte Carlo settings with it
-(``n_paths``, ``seed`` and ``threads`` of an ``mc`` section), and
-``_write_csv`` is the one writer of the 17-significant-digit CSV files.
+Every config key the package reads is declared once, in ``SETTINGS``:
+(section, key) -> (default, check).  ``setting(section, name, key)`` is
+the one reader of a key; it returns the checked value or the default, or
+raises a ConfigError naming ``name.key``.  ``check_config`` walks a whole
+config against the table before anything runs and refuses an unknown
+section or key.  The per-selector ``problem.params`` keys are not in the
+table: ``refuse_unknown_params`` refuses the keys a selector does not
+read, and ``param`` reads a number among them.  ``_mc_settings`` reads a
+run's ``n_paths``, ``seed`` and ``threads``, and ``_write_csv`` is the
+one writer of the 17-significant-digit CSV files.
 """
 
 from __future__ import annotations
@@ -239,20 +244,14 @@ class ProblemSpec:
     jump: Optional[JumpModel] = None
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if self.rho <= 0:
-            raise ConfigError("rho must be positive")
-        if self.discount <= 0:
-            raise ConfigError("discount must be positive")
+        if self.lambda_avg is None:
+            object.__setattr__(self, "lambda_avg", self.rho)
+        for name in ("delta", "rho", "discount", "lambda_avg"):
+            _POSITIVE(name, getattr(self, name))
         if self.control_lo > self.control_hi:
             raise BadInterval(
                 f"u_lo={self.control_lo} exceeds u_hi={self.control_hi}"
             )
-        if self.lambda_avg is None:
-            object.__setattr__(self, "lambda_avg", self.rho)
-        if self.lambda_avg <= 0:
-            raise ConfigError("lambda_avg must be positive")
 
     @property
     def has_jumps(self) -> bool:
@@ -277,11 +276,176 @@ class ProblemSpec:
 # Config-driven construction
 # ---------------------------------------------------------------------------
 
-def require_key(section: dict, name: str, key: str):
-    """``section[key]``, or a ConfigError naming the section and the key."""
-    if key not in section:
+def _check(what: str, test: Callable, convert=None) -> Callable:
+    """A check of a config value: ``check(label, value)`` returns the
+    value (read as ``convert`` when given) if it passes ``test``, else
+    raises a ConfigError saying that ``label`` must be ``what``."""
+    def check(label: str, value):
+        if not test(value):
+            raise ConfigError(f"{label} must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    check.convert = convert
+    return check
+
+
+def _real(v) -> bool:
+    """Whether ``v`` is a finite int or float (a bool is not)."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _integer(lo: int, hi=math.inf) -> Callable:
+    """An integer in [lo, hi); an integral float counts, a bool does not."""
+    return _check(f"an integer in [{lo}, {hi})", lambda v: (
+        isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        or isinstance(v, float) and v.is_integer()) and lo <= v < hi, int)
+
+
+def _positive(hi=math.inf, many=False, empty=True) -> Callable:
+    """A number in (0, hi], or with ``many`` a list of them (non-empty
+    unless ``empty``)."""
+    span = f"in (0, {hi:g}{']' if hi < math.inf else ')'}"
+    one = lambda v: _real(v) and 0 < v <= hi
+    if not many:
+        return _check(f"a number {span}", one, float)
+    return _check(f"a {'' if empty else 'non-empty '}list of numbers {span}",
+                  lambda v: isinstance(v, (list, tuple))
+                  and (empty or len(v) > 0) and all(map(one, v)))
+
+
+def _one_of(*options) -> Callable:
+    return _check(f"one of {list(options)}", lambda v: v in options)
+
+
+def _pair(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2
+
+
+_NUMBER = _check("a number", _real, float)
+_POSITIVE = _positive()
+_NUMBER_OR_NULL = _check("a number or null", lambda v: v is None or _real(v))
+_OBJECT = _check("a JSON object", lambda v: isinstance(v, dict))
+_BOUNDS = _check("an array [u_lo, u_hi] of two numbers",
+                 lambda v: _pair(v) and all(map(_real, v)))
+_WINDOWS = _check("a list of [start, width] pairs of finite numbers",
+                  lambda v: isinstance(v, (list, tuple))
+                  and all(_pair(w) and all(map(_real, w)) for w in v))
+_E_T = _check('"full" or ["lagged", D] with D >= 0', lambda v: v == "full"
+              or _pair(v) and v[0] == "lagged" and _real(v[1]) and v[1] >= 0)
+
+# Every config key read, (section, key) -> (default, check).  A default of
+# ... marks a required key; a default of None is worked out at run time
+# (from other settings or the grid) by the key's reader.  The keys of
+# problem.params depend on the selector and are read by ``param``.
+SETTINGS = {
+    ("problem", "selector"): (..., _one_of(
+        "example_3_4", "example_3_5", "linear_quadratic",
+        "custom_polynomial", "zero")),
+    ("problem", "params"): ({}, _OBJECT),
+    ("problem", "delta"): (1.0, _NUMBER),
+    ("problem", "rho"): (None, _NUMBER),
+    ("problem", "lambda_avg"): (None, _NUMBER_OR_NULL),
+    ("problem", "discount"): (None, _NUMBER),
+    ("problem", "control_bounds"): ((0.0, 1.0), _BOUNDS),
+    ("problem", "initial_segment"): (None, _OBJECT),
+    ("problem.initial_segment", "kind"): ("constant",
+                                          _one_of("constant", "linear")),
+    ("problem.initial_segment", "value"): (..., _NUMBER),
+    ("problem.initial_segment", "slope"): (0.0, _NUMBER),
+    ("grid", "dt"): (..., _NUMBER),
+    ("grid", "horizon"): (..., _NUMBER),
+    ("mc", "n_paths"): (1000, _integer(1)),
+    ("mc", "seed"): (0, _integer(0, 2 ** 64)),
+    ("mc", "threads"): (1, _integer(1)),
+    ("mc", "probe_count"): (20, _integer(1)),
+    ("mc", "probe_span"): (0.8, _positive(1.0)),
+    ("mc", "horizon_fractions"): ((0.25, 0.5, 1.0),
+                                  _positive(1.0, many=True, empty=False)),
+    ("mc", "bump_windows"): (None, _WINDOWS),
+    ("mc", "bump_s"): ((1e-2, 1e-3), _positive(many=True)),
+    ("mc", "e_t"): ("full", _E_T),
+    ("mc", "basis_degree"): (2, _integer(0)),
+    ("mc", "s"): (1e-3, _POSITIVE),
+    ("solver", "mode"): ("deterministic",
+                         _one_of("deterministic", "regression")),
+    ("solver", "weight_lambda"): (None, _NUMBER_OR_NULL),
+    ("solver", "picard_tol"): (1e-12, _NUMBER),
+    ("solver", "picard_max_iter"): (60, _integer(1)),
+    ("solver", "basis_degree"): (2, _integer(0)),
+    ("control", "kind"): ("closed_form",
+                          _one_of("closed_form", "constant", "file")),
+    ("control", "p0"): (None, _NUMBER_OR_NULL),
+    ("control", "value"): (0.0, _NUMBER),
+    ("control", "path"): (..., _check("a string", lambda v: isinstance(v, str))),
+    ("search", "T_search"): (80.0, _POSITIVE),
+    ("search", "dt"): (1e-2, _POSITIVE),
+    ("search", "tol"): (1e-6, _POSITIVE),
+    ("search", "bracket_hi"): (4.0, _POSITIVE),
+    ("search", "bracket_lo"): (1e-3, _POSITIVE),
+}
+_SECTIONS = tuple(dict.fromkeys(name for name, _ in SETTINGS))
+
+
+def _section(section, name: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(
+            f"config section {name!r} must be an object, got {section!r}")
+    return section
+
+
+def setting(section: dict, name: str, key: str):
+    """``section[key]``, the key ``key`` of the config section ``name``,
+    passed through its check in ``SETTINGS``, or its default when
+    absent.  A section that is no object, a key the table does not know,
+    a missing required key or a value its check refuses is a ConfigError
+    naming the section or ``name.key``."""
+    if (name, key) not in SETTINGS:
+        raise ConfigError(f"{name} has no key {key!r}; its keys are "
+                          + ", ".join(k for s, k in SETTINGS if s == name))
+    default, check = SETTINGS[name, key]
+    if key in _section(section, name):
+        return check(f"{name}.{key}", section[key])
+    if default is ...:
         raise ConfigError(f"config section {name!r} is missing key {key!r}")
-    return section[key]
+    return default
+
+
+def check_config(cfg: dict) -> dict:
+    """Check every section and key of the config ``cfg`` against
+    ``SETTINGS`` before anything runs: an unknown section or key, or a
+    value its check refuses, is a ConfigError naming it.  The
+    per-selector ``problem.params`` keys and the checks that need the
+    grid are left to their readers.
+
+    Returns the resolved settings: each key of the table as
+    ``section.key`` with its checked value, or else its default;
+    ``"default"`` stands for a default worked out at run time (such as
+    the grid's bump windows) or a required key that is not given."""
+    top = [name for name in _SECTIONS if "." not in name]
+    for name in cfg:
+        if name not in top:
+            raise ConfigError(f"config has no section {name!r}; its "
+                              f"sections are {', '.join(top)}")
+    sections, resolved = {"": cfg}, {}
+    for name in _SECTIONS:
+        parent, _, last = name.rpartition(".")
+        section = sections[name] = _section(sections[parent].get(last, {}),
+                                            name)
+        for key in section:
+            resolved[f"{name}.{key}"] = setting(section, name, key)
+    for (name, key), (default, _) in SETTINGS.items():
+        resolved.setdefault(f"{name}.{key}", "default"
+                            if default is None or default is ... else default)
+    return resolved
+
+
+def param(params: dict, key: str, default=None):
+    """``params[key]`` of a ``problem.params`` section as a float, or
+    ``default`` when absent or null; any other value that is no number
+    is a ConfigError naming ``problem.params.key``."""
+    value = params.get(key)
+    return default if value is None else _NUMBER(f"problem.params.{key}", value)
 
 
 def refuse_unknown_params(params: dict, known) -> None:
@@ -298,29 +462,27 @@ def constant_segment(value: float) -> Callable:
     return lambda s: np.full_like(np.asarray(s, float), value)
 
 
-def _segment_from_config(cfg) -> Callable:
-    if callable(cfg):
-        return cfg
-    kind = cfg.get("kind", "constant")
+def _segment_from_config(cfg: dict) -> Callable:
+    kind, c = (setting(cfg, "problem.initial_segment", key)
+               for key in ("kind", "value"))
     if kind == "constant":
-        return constant_segment(float(require_key(cfg, "initial_segment", "value")))
-    if kind == "linear":
-        # X0(s) = value + slope * s on [-delta, 0]
-        c = float(require_key(cfg, "initial_segment", "value"))
-        slope = float(cfg.get("slope", 0.0))
-        return lambda s: c + slope * np.asarray(s, float)
-    raise ConfigError(f"unknown initial segment kind {kind!r}")
+        return constant_segment(c)
+    # X0(s) = value + slope * s on [-delta, 0]
+    slope = setting(cfg, "problem.initial_segment", "slope")
+    return lambda s: c + slope * np.asarray(s, float)
 
 
 def problem_rates(prob: dict) -> tuple:
     """(delta, rho, lambda_avg, discount) of a ``problem`` section.
     delta defaults to 1; rho falls back to params.rho, then to 0.1; the
     averaging decay lambda_avg and the discount fall back to rho."""
-    rho = float(prob.get("rho", prob.get("params", {}).get("rho", 0.1)))
-    lambda_avg = prob.get("lambda_avg")
-    return (float(prob.get("delta", 1.0)), rho,
-            rho if lambda_avg is None else float(lambda_avg),
-            float(prob.get("discount", rho)))
+    delta, rho, lambda_avg, discount = (
+        setting(prob, "problem", key)
+        for key in ("delta", "rho", "lambda_avg", "discount"))
+    if rho is None:
+        rho = param(setting(prob, "problem", "params"), "rho", 0.1)
+    return (delta, rho, rho if lambda_avg is None else float(lambda_avg),
+            rho if discount is None else discount)
 
 
 def build_problem(raw_config: dict) -> ProblemSpec:
@@ -347,15 +509,10 @@ def build_problem(raw_config: dict) -> ProblemSpec:
             "a jump amplitude theta; build jump models in code "
             "(ProblemSpec(jump=...))")
 
-    selector = prob.get("selector")
-    params = prob.get("params", {})
+    selector = setting(prob, "problem", "selector")
+    params = setting(prob, "problem", "params")
     delta, rho, lambda_avg, discount = problem_rates(prob)
-    bounds = prob.get("control_bounds", [0.0, 1.0])
-    if len(bounds) != 2:
-        raise ConfigError("control_bounds must be [u_lo, u_hi]")
-    u_lo, u_hi = float(bounds[0]), float(bounds[1])
-    if u_lo > u_hi:
-        raise BadInterval(f"u_lo={u_lo} exceeds u_hi={u_hi}")
+    u_lo, u_hi = map(float, setting(prob, "problem", "control_bounds"))
 
     example = examples.example_params(raw_config)
     if selector == "example_3_4":
@@ -366,14 +523,14 @@ def build_problem(raw_config: dict) -> ProblemSpec:
         coeffs = examples.coefficients_linear_quadratic(params, discount)
     elif selector == "custom_polynomial":
         coeffs = examples.coefficients_polynomial(params)
-    elif selector == "zero":
+    else:
         refuse_unknown_params(params, ())
         coeffs = examples.coefficients_zero()
-    else:
-        raise ConfigError(f"unknown coefficient selector {selector!r}")
 
     x0 = 1.0 if example is None else example.X0
-    segment = _segment_from_config(prob.get("initial_segment", {"value": x0}))
+    segment = setting(prob, "problem", "initial_segment")
+    segment = _segment_from_config({"value": x0} if segment is None
+                                   else segment)
     if example is not None and np.any(segment(np.array([-delta, 0.0])) != x0):
         raise ConfigError(
             f"selector {selector!r} starts from the constant segment "
@@ -392,8 +549,8 @@ def build_problem(raw_config: dict) -> ProblemSpec:
     grid_cfg = raw_config.get("grid")
     if grid_cfg is not None:
         # Fail early on delay/grid misalignment.
-        grid = make_grid(delta, float(require_key(grid_cfg, "grid", "dt")),
-                         float(require_key(grid_cfg, "grid", "horizon")))
+        grid = make_grid(delta, setting(grid_cfg, "grid", "dt"),
+                         setting(grid_cfg, "grid", "horizon"))
         spec.validate_segment(grid)
     return spec
 
@@ -402,31 +559,12 @@ def build_problem(raw_config: dict) -> ProblemSpec:
 # Run settings and CSV output
 # ---------------------------------------------------------------------------
 
-def _int_setting(section: dict, name: str, key: str, default: int,
-                 lo: int = 0, hi=math.inf) -> int:
-    """``section[key]`` (``default`` when absent) of the config section
-    ``name`` as an int in [lo, hi).  It must be an integer: an integral
-    float counts, a bool does not.  Any other value is a ConfigError
-    naming ``name.key``."""
-    value = section.get(key, default)
-    if (isinstance(value, bool)
-            or not (isinstance(value, numbers.Integral)
-                    or isinstance(value, float) and value.is_integer())
-            or not lo <= value < hi):
-        raise ConfigError(f"{name}.{key} must be an integer in [{lo}, {hi}), "
-                          f"got {value!r}")
-    return int(value)
-
-
 def _mc_settings(mc: dict) -> tuple:
     """(n_paths, seed, threads) of an ``mc`` section, by default 1000, 0
     and 1: n_paths and threads at least 1, the seed a Philox key word in
     [0, 2**64)."""
-    if not isinstance(mc, dict):
-        raise ConfigError(f"config section 'mc' must be an object, got {mc!r}")
-    return (_int_setting(mc, "mc", "n_paths", 1000, 1),
-            _int_setting(mc, "mc", "seed", 0, 0, 2 ** 64),
-            _int_setting(mc, "mc", "threads", 1, 1))
+    return tuple(setting(mc, "mc", key)
+                 for key in ("n_paths", "seed", "threads"))
 
 
 def _write_csv(path: str, header, rows) -> None:

@@ -58,7 +58,6 @@ naming ``mc.<key>``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -66,12 +65,12 @@ import numpy as np
 
 from .absde import monomial_basis
 from .adjoint import p3_flatness
-from .errors import BadWindow, ConfigError
+from .errors import BadWindow
 from .forward import (ControlSpec, StepAccumulator, VariationalAccumulator,
                       bump_control, bump_start_step, feedback_control,
                       simulate_ensemble)
 from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
-from .model import ProblemSpec, TimeGrid, _int_setting, _mc_settings
+from .model import ProblemSpec, TimeGrid, _mc_settings, setting
 from .objective import RunningRewardAccumulator, mean_stderr
 
 # The checks' fixed settings: Hessian samples of the concavity proxy, the
@@ -121,30 +120,10 @@ class NecessityReport:
 # Ensemble helpers
 # ---------------------------------------------------------------------------
 
-def _finite(v) -> bool:
-    """Whether ``v`` is a finite int or float (a bool is not)."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
-def _positive(mc_cfg: dict, key: str, default, hi=math.inf):
-    """``mc_cfg[key]`` (``default`` when absent): a finite number in
-    (0, hi], or for a tuple default a list or tuple of such numbers.  Any
-    other value is a ConfigError naming ``mc.key``."""
-    value = mc_cfg.get(key, default)
-    many = isinstance(default, tuple)
-    if many != isinstance(value, (list, tuple)) or not all(
-            _finite(v) and 0 < v <= hi for v in (value if many else [value])):
-        raise ConfigError(
-            f"mc.{key} must be {'a list of numbers' if many else 'a number'}"
-            f" in (0, {hi:g}{']' if hi < math.inf else ')'}, got {value!r}")
-    return value
-
-
 def _probe_indices(grid: TimeGrid, mc_cfg):
-    count = _int_setting(mc_cfg, "mc", "probe_count", 20, 1)
+    count = setting(mc_cfg, "mc", "probe_count")
     # keep probes away from the truncation horizon where p(T) = 0 is forced
-    frac = float(_positive(mc_cfg, "probe_span", 0.8, 1.0))
+    frac = setting(mc_cfg, "mc", "probe_span")
     ks = np.unique(np.linspace(0, int(frac * grid.n), count).astype(int))
     return ks
 
@@ -282,16 +261,9 @@ def _gateaux_terms(spec, grid, shifted, n_paths, seed, threads, resume=None):
 
 
 def _lag_steps(e_t, grid: TimeGrid) -> int:
-    """Grid steps of the information lag: 0 for ``"full"``, D / dt for
-    ``("lagged", D)`` (a list, as JSON gives it, or a tuple), D >= 0."""
-    if e_t == "full":
-        return 0
-    if (isinstance(e_t, (list, tuple)) and len(e_t) == 2
-            and e_t[0] == "lagged" and isinstance(e_t[1], (int, float))
-            and e_t[1] >= 0):
-        return int(round(e_t[1] / grid.dt))
-    raise ConfigError(
-        f"e_t must be \"full\" or [\"lagged\", D] with D >= 0, got {e_t!r}")
+    """Grid steps of the information lag of a checked ``mc.e_t``: 0 for
+    ``"full"``, D / dt for ``("lagged", D)``."""
+    return 0 if e_t == "full" else int(round(e_t[1] / grid.dt))
 
 
 def _conditional_residual(values, lag_state=None, degree: int = 2):
@@ -391,9 +363,7 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
     The candidate is not recorded: it keeps (x, y, a, u) at the steps the
     parts below read (ladder, integrability stride, probes) and at the
     concavity proxy's sampled (path, step) points only."""
-    ladder = _positive(mc_cfg, "horizon_fractions", (0.25, 0.5, 1.0), 1.0)
-    if not ladder:
-        raise ConfigError("mc.horizon_fractions must be a non-empty list")
+    ladder = setting(mc_cfg, "mc", "horizon_fractions")
     steps = [min(grid.n, int(round(frac * grid.n))) for frac in ladder]
     stride = max(1, grid.n // 50)
     probes = _probe_indices(grid, mc_cfg)
@@ -551,24 +521,19 @@ def necessary_residual(spec: ProblemSpec, grid: TimeGrid,
     callable ``adjoint`` p(t, x, y, a): conditional estimates of dH/du at
     probe times plus symmetric-difference Gateaux derivatives of J along
     bump perturbations, all under common random numbers."""
-    lag_steps = _lag_steps(mc_cfg.get("e_t", "full"), grid)
+    lag_steps = _lag_steps(setting(mc_cfg, "mc", "e_t"), grid)
     T = grid.horizon
-    windows = mc_cfg.get("bump_windows", [(0.1 * T, 0.1 * T),
-                                          (0.4 * T, 0.1 * T),
-                                          (0.7 * T, 0.1 * T)])
-    if not isinstance(windows, (list, tuple)) or not all(
-            isinstance(w, (list, tuple)) and len(w) == 2
-            and all(map(_finite, w)) for w in windows):
-        raise ConfigError("mc.bump_windows must be a list of [start, width] "
-                          f"pairs of finite numbers, got {windows!r}")
+    windows = setting(mc_cfg, "mc", "bump_windows")
+    if windows is None:
+        windows = [(0.1 * T, 0.1 * T), (0.4 * T, 0.1 * T), (0.7 * T, 0.1 * T)]
     for ws, wh in windows:
         if wh < grid.dt - 1e-12:
             raise BadWindow(f"bump window [{ws}, {ws + wh}] is narrower than "
                             f"one grid step (dt={grid.dt})")
         # raises BadWindow for a window outside [0, T]
         bump_control(candidate, 0.0, ws, wh, horizon=grid.horizon)
-    s_values = _positive(mc_cfg, "bump_s", (1e-2, 1e-3))
-    degree = _int_setting(mc_cfg, "mc", "basis_degree", 2)
+    s_values = setting(mc_cfg, "mc", "bump_s")
+    degree = setting(mc_cfg, "mc", "basis_degree")
     n_paths, seed, threads = _mc_settings(mc_cfg)
 
     # a bump acts from its window's first step on, so each bumped ensemble
@@ -683,7 +648,7 @@ def variational_consistency(spec: ProblemSpec, grid: TimeGrid,
     terminal correction p(T) xi(T) with ``adjoint`` p(t, x, y, a); None
     leaves it out."""
     n_paths, seed, threads = _mc_settings(mc_cfg)
-    s = float(_positive(mc_cfg, "s", 1e-3))
+    s = setting(mc_cfg, "mc", "s")
 
     res = simulate_ensemble(spec, grid, candidate,
                             n_paths, seed,

@@ -541,10 +541,12 @@ class TestRegressionPath:
             assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("case", ["ex34", "jumps", "paths64"])
-    def test_worker_is_the_in_process_solve(self, ex34, jumps, case):
+    def test_worker_is_the_in_process_solve(self, ex34, jumps, case,
+                                            monkeypatch):
         """The forked q/r worker makes each projection's lstsq call on the
         same bytes as the in-process solve, which a live thread forces:
         p, q, r and the report keep every bit."""
+        monkeypatch.setattr(absde, "_blas_threads", lambda: 1)
         if case == "paths64":
             setting = _regression_setting(jumps=False, n_paths=64)
         else:
@@ -589,12 +591,30 @@ def _no_child_left():
 
 class TestQrWorker:
     """The regression solve's forked q/r worker ends with the solve, on
-    every way out of it."""
+    every way out of it.  The solve forks only with a one-thread BLAS
+    pool, which these tests stub."""
 
     @pytest.fixture(scope="class")
     def setting(self):
         spec, grid, ctl, res = _regression_setting(jumps=False, n_paths=32)
         return spec, grid, ctl, res.arrays
+
+    @pytest.fixture(autouse=True)
+    def one_thread_pool(self, monkeypatch):
+        monkeypatch.setattr(absde, "_blas_threads", lambda: 1)
+
+    @pytest.mark.parametrize("pool", [1, 2, None])
+    def test_forks_only_with_a_one_thread_pool(self, setting, monkeypatch,
+                                               pool):
+        """Each process has its own BLAS pool, so a worker beside a pool
+        of several threads would share the cores with it: the solve forks
+        only when the bundled OpenBLAS reports one thread, and stays
+        in-process when the pool cannot be asked (None)."""
+        monkeypatch.setattr(absde, "_blas_threads", lambda: pool)
+        spec, grid, ctl, S = setting
+        _, report = solve_first_adjoint(spec, grid, ctl, ensemble=S)
+        assert report.converged
+        assert report.execution["worker"] == (pool == 1)
 
     def test_reaped_after_convergence(self, setting):
         spec, grid, ctl, S = setting
@@ -696,3 +716,16 @@ class TestQrWorker:
         spec, grid, ctl, _ = setting
         _, report = solve_first_adjoint(spec, grid, ctl)
         assert report.execution == {}
+
+
+def test_fork_rule_reads_the_blas_pool():
+    """The fork rule on the real pool, asked through the package's own
+    probe: run with OPENBLAS_NUM_THREADS unset (a pool of several threads
+    on a multi-core machine) and set to 1, a probe that cannot see the
+    pool fails one of the two runs."""
+    pool = absde._blas_threads()
+    if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+        assert pool == 1
+    spec, grid, ctl, res = _regression_setting(jumps=False, n_paths=32)
+    _, report = solve_first_adjoint(spec, grid, ctl, ensemble=res.arrays)
+    assert report.execution["worker"] == (pool == 1)

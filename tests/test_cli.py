@@ -17,8 +17,9 @@ from delayctrl.cli import (
     build_parser,
     main,
 )
-from delayctrl import ObjectiveEstimate, PathRecord, build_problem
+from delayctrl import ObjectiveEstimate, PathRecord, absde, build_problem
 from delayctrl.errors import ConfigError
+from delayctrl.model import SETTINGS
 from delayctrl.examples import (Example34Params, Example35Params,
                                 ex35_matched_alpha, example_params)
 
@@ -173,7 +174,12 @@ class TestAdjoint:
 
 class TestSolveManifest:
     """A regression solve records in manifest.json where its projections
-    ran; picard_report.json keeps the report alone."""
+    ran; picard_report.json keeps the report alone.  Its q/r worker runs
+    with a one-thread BLAS pool, which these tests stub."""
+
+    @pytest.fixture(autouse=True)
+    def one_thread_pool(self, monkeypatch):
+        monkeypatch.setattr(absde, "_blas_threads", lambda: 1)
 
     @staticmethod
     def _regression_cfg(tmp_path, **solver):
@@ -259,22 +265,20 @@ class TestCheck:
         assert "np.float64" not in text
 
     @pytest.mark.parametrize("principle", ["necessary", "sufficient1"])
-    def test_mc_ensemble_key_is_not_an_input(self, tmp_path, principle):
-        """A config's mc.ensemble entry reaches the checks' settings; they
-        simulate their candidate themselves and write the same bytes."""
-        outputs = []
-        for extra in ({}, {"ensemble": True}):
-            cfg = json.loads(json.dumps(BASE_CFG))
-            cfg["mc"].update(extra)
-            path = tmp_path / f"cfg{len(outputs)}.json"
-            path.write_text(json.dumps(cfg))
-            out = tmp_path / f"out{len(outputs)}"
-            code = run_cli("check", "--config", str(path), "--out-dir",
-                           str(out), "--principle", principle, "--paths", "64")
-            outputs.append((code,
-                            (out / f"check_{principle}.json").read_bytes(),
-                            (out / f"check_{principle}.txt").read_bytes()))
-        assert outputs[0] == outputs[1]
+    def test_mc_ensemble_key_is_not_an_input(self, tmp_path, capsys,
+                                             principle):
+        """The checks simulate their candidate themselves, so mc.ensemble
+        is no config key: it exits 1 naming it, before any check runs."""
+        cfg = json.loads(json.dumps(BASE_CFG))
+        cfg["mc"]["ensemble"] = True
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("check", "--config", str(path), "--out-dir", str(out),
+                       "--principle", principle, "--paths", "64") == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: mc has no key 'ensemble'")
+        assert not out.exists()
 
     def test_exit_code_tracks_verdict(self, tmp_path):
         """A truncated numerical adjoint misprices the control at short
@@ -817,6 +821,87 @@ class TestErrors:
     def test_unknown_control_override(self, cfg_path, tmp_path):
         assert run_cli("simulate", "--config", cfg_path, "--out-dir",
                        str(tmp_path), "--control", "wavelet:3") == EXIT_USAGE
+
+
+class TestConfigSchema:
+    """Every section and key of a config is checked against
+    ``model.SETTINGS`` before anything runs: a misspelt key, or a value of
+    the wrong type, exits 1 naming it instead of running the default or
+    ending in a traceback.  ``sweep`` checks its parameter the same way
+    before its first run."""
+
+    @pytest.mark.parametrize("path, value, argv, message", [
+        ("mc.n_path", 16, (), "mc has no key 'n_path'"),
+        ("solver.mdoe", "regression", (), "solver has no key 'mdoe'"),
+        ("gird", {}, (), "config has no section 'gird'"),
+        (None, None, ("sweep", "--param", "mc.n_path", "--values", "8,16"),
+         "mc has no key 'n_path'"),
+        (None, None, ("sweep", "--param", "grid.horizn", "--values", "3,4"),
+         "grid has no key 'horizn'"),
+        (None, None, ("sweep", "--param", "solver.mode", "--values", "1"),
+         "solver.mode must be one of"),
+        ("solver.picard_tol", "1e-12", (), "solver.picard_tol must be a number"),
+        ("problem.delta", "one", (), "problem.delta must be a number"),
+        ("problem.control_bounds", ["a", 1], (),
+         "problem.control_bounds must be an array"),
+        ("problem.params.gamma", "x", (), "problem.params.gamma must be a number"),
+        ("problem.params.rho", [0.1], (), "problem.params.rho must be a number"),
+        ("problem", {"selector": "linear_quadratic", "params": {"kx": "x"}},
+         (), "problem.params.kx must be a number"),
+        ("problem.rho", "0.1", (), "problem.rho must be a number"),
+        ("problem.lambda_avg", "x", (), "problem.lambda_avg must be a number"),
+        ("problem.discount", True, (), "problem.discount must be a number"),
+        ("problem.initial_segment.value", "1", (),
+         "problem.initial_segment.value must be a number"),
+        ("problem.initial_segment.slope", "s", (),
+         "problem.initial_segment.slope must be a number"),
+        ("grid.dt", "0.05", (), "grid.dt must be a number"),
+        ("grid.horizon", None, (), "grid.horizon must be a number"),
+        ("solver.weight_lambda", "2", (), "solver.weight_lambda must be"),
+        ("solver.mode", "regresion", (), "solver.mode must be one of"),
+        ("search.tol", 0, (), "search.tol must be a number in (0, inf)"),
+        ("search.T_search", "80", (), "search.T_search must be a number"),
+        ("control.value", "0.1", (), "control.value must be a number"),
+        ("mc.n_paths", "16", (), "mc.n_paths must be an integer")])
+    def test_refused_naming_the_key(self, tmp_path, capsys, monkeypatch,
+                                    path, value, argv, message):
+        import delayctrl.cli as cli
+
+        runs = []
+        monkeypatch.setattr(cli, "estimate_J",
+                            lambda *args, **kwargs: runs.append(args))
+        cfg = json.loads(json.dumps(BASE_CFG))
+        if path is not None:
+            *parents, key = path.split(".")
+            node = cfg
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[key] = value
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli(*(argv or ("objective",)), "--config", str(config),
+                       "--out-dir", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert runs == [] and not list(out.glob("*.*"))
+
+
+    def test_manifest_records_the_resolved_settings(self, cfg_path,
+                                                    tmp_path):
+        """Beside config_hash, every key of the table with the value the
+        run read: given, set by a flag, or the default; "default" for
+        one worked out at run time."""
+        out = tmp_path / "out"
+        assert run_cli("objective", "--config", cfg_path, "--out-dir",
+                       str(out), "--paths", "8") == EXIT_OK
+        settings = json.loads((out / "manifest.json").read_text())["settings"]
+        assert set(settings) == {f"{name}.{key}" for name, key in SETTINGS}
+        assert settings["mc.n_paths"] == 8 and settings["mc.seed"] == 3
+        assert settings["problem.params"] == BASE_CFG["problem"]["params"]
+        assert settings["mc.horizon_fractions"] == [0.25, 0.5, 1.0]
+        assert settings["solver.mode"] == "deterministic"
+        assert settings["mc.bump_windows"] == "default"
+        assert settings["control.path"] == "default"
 
 
 class TestRunSettings:

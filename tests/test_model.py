@@ -1,6 +1,8 @@
 """Grid construction, configuration parsing, and coefficient plumbing."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from delayctrl.forward import constant_control, simulate_noiseless
 from delayctrl.hamiltonian import nu_theta_r
 from delayctrl.model import (
     DiscreteMarks,
+    SETTINGS,
     JumpModel,
     _mc_settings,
     finite_difference_partial,
+    setting,
 )
 
 from conftest import make_jump_spec
@@ -243,3 +247,52 @@ class TestMcSettings:
     def test_section_not_an_object_refused(self, section):
         with pytest.raises(ConfigError, match="'mc' must be an object"):
             _mc_settings(section)
+
+
+class TestSettingsTable:
+    @staticmethod
+    def _readme_reference() -> dict:
+        """{key: default cell} of the README's config reference table."""
+        lines = (Path(__file__).resolve().parent.parent
+                 / "README.md").read_text().splitlines()
+        start = lines.index("| key | default | valid values | read by |")
+        rows = {}
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            key, default = (cell.strip() for cell in line.split("|")[1:3])
+            rows[key.strip("`")] = default
+        return rows
+
+    def test_readme_reference_is_the_table(self):
+        """The README's reference lists the table's keys in its order, a
+        literal default as its JSON, a required key as "required" and a
+        default worked out at run time (None) as "computed"."""
+        rows = self._readme_reference()
+        assert list(rows) == [f"{name}.{key}" for name, key in SETTINGS]
+        for (name, key), (default, _) in SETTINGS.items():
+            cell = rows[f"{name}.{key}"]
+            if default is ...:
+                assert cell == "required", key
+            elif default is None:
+                assert cell.startswith("computed: "), key
+            else:
+                assert cell == f"`{json.dumps(default)}`", key
+
+    @pytest.mark.parametrize("name, key", list(SETTINGS))
+    def test_default_passes_its_check(self, name, key):
+        """Each literal default is a value its own check accepts, read as
+        itself."""
+        default, check = SETTINGS[name, key]
+        if default is not None and default is not ...:
+            assert check(f"{name}.{key}", default) == default
+            assert setting({}, name, key) is default
+
+    def test_unknown_key_lists_the_known_ones(self):
+        with pytest.raises(ConfigError, match=r"^grid has no key 'horizn'; "
+                           r"its keys are dt, horizon$"):
+            setting({"horizn": 3.0}, "grid", "horizn")
+
+    def test_missing_required_key(self):
+        with pytest.raises(ConfigError, match="'grid' is missing key 'dt'"):
+            setting({}, "grid", "dt")
