@@ -21,7 +21,7 @@ from .errors import (BadInterval, BadWeight, BadWindow, ConfigError,
                      NonFiniteObjective, NonFiniteSegment, NonFiniteState,
                      NoSignChange)
 from .model import (CoefficientSet, DiscreteMarks, JumpModel, ProblemSpec,
-                    TimeGrid, build_problem, make_grid)
+                    TimeGrid, build_problem, make_grid, zero_partial)
 from .forward import (ControlSpec, EnsembleResult, PathRecord,
                       StepAccumulator, bump_control, constant_control,
                       feedback_control, scale_control, segment_average,

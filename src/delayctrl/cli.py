@@ -122,7 +122,10 @@ def _resolve_control(cfg, grid, override=None):
         if override == "closed_form":
             ctl["kind"] = "closed_form"
         elif override.startswith("constant:"):
-            ctl = {"kind": "constant", "value": float(override.split(":", 1)[1])}
+            try:
+                ctl = {"kind": "constant", "value": float(override[9:])}
+            except ValueError:
+                raise ConfigError(f"--control {override}: V must be a number")
         elif override.startswith("file:"):
             ctl = {"kind": "file", "path": override.split(":", 1)[1]}
         else:

@@ -31,7 +31,8 @@ import numpy as np
 from .errors import ConfigError, DivergentIntegral, DomainError, NoSignChange
 from .forward import ControlSpec, feedback_control, simulate_noiseless
 from .model import (CoefficientSet, ProblemSpec, constant_segment, make_grid,
-                    param, problem_rates, refuse_unknown_params, setting)
+                    param, problem_rates, refuse_unknown_params, setting,
+                    zero_partial)
 
 # bisection levels of the ex35_K search integrated as lanes of one
 # noiseless pass (2^L - 1 lanes); chosen by timing the search
@@ -111,7 +112,8 @@ def ex34_feedback(params: Example34Params, p0) -> ControlSpec:
     """Vectorized feedback-rule wrapper around ex34_control.  A sequence
     of multipliers gives a rule over a lane axis, lane i consuming with
     p0[i] exactly as the scalar rule does (for
-    ``simulate_noiseless(..., lanes=len(p0))``)."""
+    ``simulate_noiseless(..., lanes=len(p0))``).  The rule does not read
+    the moving average."""
     g1 = params.gamma - 1.0
     c0 = _consumption_scale(p0, params.gamma)
     rate = (params.rho - params.mu) / g1
@@ -120,7 +122,7 @@ def ex34_feedback(params: Example34Params, p0) -> ControlSpec:
         with np.errstate(all="ignore"):
             return c0 * np.exp(rate * t) / np.asarray(x, float)
 
-    return feedback_control(rule)
+    return feedback_control(rule, reads_average=False)
 
 
 def ex34_p0_star(params: Example34Params) -> float:
@@ -184,7 +186,8 @@ def ex35_feedback(params: Example35Params, p0) -> ControlSpec:
     """Optimal feedback
     u = p0^{1/(gamma-1)} / W * e^{(rho - mu - e^{rho delta} beta) t / (gamma-1)}
     with W = x + y e^{rho delta} beta; a sequence of multipliers gives a
-    rule over a lane axis, as in ex34_feedback."""
+    rule over a lane axis, as in ex34_feedback.  The rule does not read
+    the moving average."""
     g1 = params.gamma - 1.0
     c0 = _consumption_scale(p0, params.gamma)
     rate = (params.rho - (params.mu + params.edb)) / g1
@@ -195,7 +198,7 @@ def ex35_feedback(params: Example35Params, p0) -> ControlSpec:
             W = np.asarray(x, float) + np.asarray(y, float) * edb
             return c0 * np.exp(rate * t) / W
 
-    return feedback_control(rule)
+    return feedback_control(rule, reads_average=False)
 
 
 def ex35_K(params: Example35Params, search_cfg: dict = None) -> float:
@@ -208,7 +211,9 @@ def ex35_K(params: Example35Params, search_cfg: dict = None) -> float:
     then the tree is walked with the per-lane verdicts.  Each midpoint is
     the scalar search's own ``0.5 * (p_lo + p_hi)`` and each lane is
     bitwise its scalar run, so the brackets, and K, are those of one run
-    per level."""
+    per level.  The search ends when the bracket is no wider than
+    ``tol``, or when it can no longer split: its midpoint is one of its
+    ends, which a ``tol`` below the bracket's float spacing reaches."""
     T_search, dt, tol, p_hi, p_lo = (
         setting(search_cfg or {}, "search", key)
         for key in ("T_search", "dt", "tol", "bracket_hi", "bracket_lo"))
@@ -250,6 +255,8 @@ def ex35_K(params: Example35Params, search_cfg: dict = None) -> float:
     while p_hi - p_lo > tol:
         if not mids:
             mids = _bisection_midpoints(p_lo, p_hi, tol, K_SEARCH_LEVELS)
+            if not mids:  # the midpoint is p_lo or p_hi
+                break
             safe = wealth_stays_positive(list(mids.values()))
         verdict = dict(zip(mids, safe))
         node = 0
@@ -269,16 +276,18 @@ def _bisection_midpoints(p_lo: float, p_hi: float, tol: float,
     """Midpoints of the next ``levels`` bisection steps from the bracket
     (p_lo, p_hi), keyed by heap index: node i's bracket splits at its
     midpoint into (lo, mid) for node 2i+1 and (mid, hi) for node 2i+2,
-    and a bracket no wider than ``tol`` is not split."""
+    and a bracket no wider than ``tol``, or whose midpoint is one of its
+    ends, is not split."""
     brackets = {0: (p_lo, p_hi)}
     mids = {}
     for node in range(2 ** levels - 1):
         if node not in brackets:
             continue
         lo, hi = brackets[node]
-        if not hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not hi - lo > tol or mid in (lo, hi):
             continue
-        mids[node] = mid = 0.5 * (lo + hi)
+        mids[node] = mid
         brackets[2 * node + 1] = (lo, mid)
         brackets[2 * node + 2] = (mid, hi)
     return mids
@@ -305,15 +314,14 @@ def coefficients_ex34(params: Example34Params) -> CoefficientSet:
     def f(t, x, y, a, u):
         return np.exp(-rr * t) * _power(u * x, gamma) / gamma
 
-    zero = lambda t, x, y, a, u: np.zeros_like(np.asarray(x, float))
     partials = {
         "b": {"x": lambda t, x, y, a, u: mu - u,
-              "y": zero, "a": zero,
+              "y": zero_partial, "a": zero_partial,
               "u": lambda t, x, y, a, u: -np.asarray(x, float)},
         "sigma": {"x": lambda t, x, y, a, u: np.full_like(np.asarray(x, float), sigma0),
-                  "y": zero, "a": zero, "u": zero},
+                  "y": zero_partial, "a": zero_partial, "u": zero_partial},
         "f": {"x": lambda t, x, y, a, u: np.exp(-rr * t) * _power(u, gamma) * _power(x, gamma - 1.0),
-              "y": zero, "a": zero,
+              "y": zero_partial, "a": zero_partial,
               "u": lambda t, x, y, a, u: np.exp(-rr * t) * _power(u, gamma - 1.0) * _power(x, gamma)},
     }
     return CoefficientSet(b=b, sigma=sigma, theta=None, f=f, partials=partials)
@@ -335,8 +343,6 @@ def coefficients_ex35(params: Example35Params) -> CoefficientSet:
     def f(t, x, y, a, u):
         return np.exp(-rr * t) * _power(u * W(x, y), gamma) / gamma
 
-    zero = lambda t, x, y, a, u: np.zeros_like(np.asarray(x, float))
-
     def f_marginal(t, x, y, a, u):
         # d/dW of the utility term, shared by the x and y partials
         return np.exp(-rr * t) * _power(u, gamma) * _power(W(x, y), gamma - 1.0)
@@ -348,10 +354,10 @@ def coefficients_ex35(params: Example35Params) -> CoefficientSet:
               "u": lambda t, x, y, a, u: -W(x, y)},
         "sigma": {"x": lambda t, x, y, a, u: np.full_like(np.asarray(x, float), sigma0),
                   "y": lambda t, x, y, a, u: np.full_like(np.asarray(x, float), sigma0 * edb),
-                  "a": zero, "u": zero},
+                  "a": zero_partial, "u": zero_partial},
         "f": {"x": f_marginal,
               "y": lambda t, x, y, a, u: edb * f_marginal(t, x, y, a, u),
-              "a": zero,
+              "a": zero_partial,
               "u": lambda t, x, y, a, u: np.exp(-rr * t) * _power(u, gamma - 1.0) * _power(W(x, y), gamma)},
     }
     return CoefficientSet(b=b, sigma=sigma, theta=None, f=f, partials=partials)
@@ -373,13 +379,13 @@ def coefficients_linear_quadratic(p: dict, discount: float) -> CoefficientSet:
     def f(t, x, y, a, u):
         return np.exp(-disc * t) * (cx * x ** 2 + cu * u ** 2 + cl * u)
 
-    zero = lambda t, x, y, a, u: np.zeros_like(np.asarray(x, float))
     const = lambda v: (lambda t, x, y, a, u: np.full_like(np.asarray(x, float), v))
     partials = {
         "b": {"x": const(kx), "y": const(ky), "a": const(ka), "u": const(ku)},
-        "sigma": {"x": const(sx), "y": zero, "a": zero, "u": zero},
+        "sigma": {"x": const(sx), "y": zero_partial, "a": zero_partial,
+                  "u": zero_partial},
         "f": {"x": lambda t, x, y, a, u: np.exp(-disc * t) * 2 * cx * x,
-              "y": zero, "a": zero,
+              "y": zero_partial, "a": zero_partial,
               "u": lambda t, x, y, a, u: np.exp(-disc * t) * (2 * cu * u + cl)},
     }
     return CoefficientSet(b=b, sigma=sigma, theta=None, f=f, partials=partials)
@@ -418,11 +424,10 @@ def coefficients_polynomial(p: dict) -> CoefficientSet:
 
 
 def coefficients_zero() -> CoefficientSet:
-    zero = lambda t, x, y, a, u: np.zeros_like(np.asarray(x, float))
-    partials = {name: {v: zero for v in ("x", "y", "a", "u")}
+    partials = {name: {v: zero_partial for v in ("x", "y", "a", "u")}
                 for name in ("b", "sigma", "f")}
-    return CoefficientSet(b=zero, sigma=zero, theta=None, f=zero,
-                          partials=partials)
+    return CoefficientSet(b=zero_partial, sigma=zero_partial, theta=None,
+                          f=zero_partial, partials=partials)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ state.  X, Y and their successors are views of ring rows, valid only
 during the step that hands them out.  A is advanced by an exact one-step
 trapezoid recursion (see ``update_moving_average``), making A_k equal to
 the composite trapezoid rule over the current segment up to roundoff.
+A run carries A only when something may read it: a record, a drift,
+diffusion or jump amplitude whose a-partial is not the structural zero
+(``CoefficientSet.reads``), a control declared ``reads_average``, or an
+accumulator whose ``reads_average`` says so.  Otherwise A stays None,
+its recursion is skipped, and the control, the coefficients and the
+accumulators get ``a = a1 = None``.
 
 Randomness is counter-based (Philox).  Paths are organized in blocks of
 ``BLOCK_SIZE`` lanes; block j of seed s uses the generator key
@@ -62,14 +68,15 @@ with one PathRecord per path viewing the same memory.
 The step loop reads each step's (dB, counts) from one source chosen
 before it starts: the chunked normals, the inline jump draws, or the
 rows a saved run kept.  A run can save its engine state before chosen
-steps (the delay ring and its position, A, the per-block clip flags and
-a copy of each accumulator's state, the variational process's too), and
-a later run resumes from such a state in the same step loop with the
-kept rows as its source, so it draws no noise: a recorded run keeps
-them in its record, an unrecorded one keeps only dB and the jump counts
-from its first save step on.  Under common random numbers a control
-that agrees with the saved run's before the save step, such as a bump
-whose window starts there, gives every path bitwise as a full run does.
+steps (the delay ring and its position, A if the run carries it, the
+per-block clip flags and a copy of each accumulator's state, the
+variational process's too), and a later run resumes from such a state
+in the same step loop with the kept rows as its source, so it draws no
+noise: a recorded run keeps them in its record, an unrecorded one keeps
+only dB and the jump counts from its first save step on.  Under common
+random numbers a control that agrees with the saved run's before the
+save step, such as a bump whose window starts there, gives every path
+bitwise as a full run does.
 
 ``simulate_noiseless``, the reference path of a noise-free problem, is a
 separate integrator, not a mode of the engine's step loop: it is Heun's
@@ -117,6 +124,9 @@ class ControlSpec:
     optionally plus rectangular bump perturbations alpha * 1_[s, s+h].
 
     Values are clipped to the control interval at evaluation time.
+    ``reads_average`` declares whether the rule may read the moving
+    average a: a rule declared False gets ``a = None`` in a run that
+    carries no A.  Constant and table controls never read it.
     """
 
     kind: str  # "feedback" | "table" | "constant"
@@ -125,6 +135,7 @@ class ControlSpec:
     value: float = 0.0
     bumps: tuple = ()  # tuple of (alpha, s, h)
     scale: float = 1.0
+    reads_average: bool = True
 
     def raw(self, k: int, t: float, x, y, a):
         if self.kind == "feedback":
@@ -147,7 +158,8 @@ class ControlSpec:
         """Clipped control values plus a flag set when clipping occurred.
 
         With ``starts``, the first lane of each block of ``x``, the flag is
-        a boolean array holding one entry per block.
+        a boolean array holding one entry per block; the per-block
+        reductions run only when some lane clips.
         """
         u = self.raw(k, t, x, y, a)
         if np.ndim(u) == 0:
@@ -155,29 +167,29 @@ class ControlSpec:
         lo, hi = spec.control_lo, spec.control_hi
         # fmin and fmax skip NaN lanes, which never clip, so a NaN lane
         # cannot hide an out-of-bound lane beside it
-        if starts is None:
-            flag = clip = bool(
-                np.fmin.reduce(u, axis=None, initial=np.inf) < lo
-                or np.fmax.reduce(u, axis=None, initial=-np.inf) > hi)
-        else:
-            flag = ((np.fmin.reduceat(u, starts) < lo)
-                    | (np.fmax.reduceat(u, starts) > hi))
-            clip = flag.any()
+        flag = clip = bool(
+            np.fmin.reduce(u, axis=None, initial=np.inf) < lo
+            or np.fmax.reduce(u, axis=None, initial=-np.inf) > hi)
+        if starts is not None:
+            flag = (((np.fmin.reduceat(u, starts) < lo)
+                     | (np.fmax.reduceat(u, starts) > hi)) if clip
+                    else np.zeros(len(starts), dtype=bool))
         if clip:
             u = u.clip(lo, hi)
         return u, flag
 
 
 def constant_control(value: float) -> ControlSpec:
-    return ControlSpec(kind="constant", value=float(value))
+    return ControlSpec("constant", value=float(value), reads_average=False)
 
 
-def feedback_control(fn: Callable) -> ControlSpec:
-    return ControlSpec(kind="feedback", feedback=fn)
+def feedback_control(fn: Callable, reads_average: bool = True) -> ControlSpec:
+    return ControlSpec("feedback", feedback=fn, reads_average=reads_average)
 
 
 def table_control(values) -> ControlSpec:
-    return ControlSpec(kind="table", table=np.asarray(values, float))
+    return ControlSpec("table", table=np.asarray(values, float),
+                       reads_average=False)
 
 
 def scale_control(base: ControlSpec, factor: float) -> ControlSpec:
@@ -317,7 +329,15 @@ class StepAccumulator:
     into them.  Accumulators, like the coefficient and control callbacks,
     must not write to their array arguments, and an accumulator that keeps
     a value past the step must copy it.
+
+    ``reads_average(spec)`` declares whether the accumulator reads a or
+    a1 (True unless a subclass says otherwise).  In a run that does not
+    carry the moving average, because neither the coefficients, the
+    control, an accumulator nor a record reads it, a and a1 are None.
     """
+
+    def reads_average(self, spec: ProblemSpec) -> bool:
+        return True
 
     def begin(self, n_lanes: int, spec: ProblemSpec, grid: TimeGrid):
         raise NotImplementedError
@@ -354,12 +374,13 @@ class EngineState:
     """An ensemble's engine state before step ``step``.
 
     ``groups`` holds one dict per block group: the delay ring and its
-    position (X and Y are ring entries), A, the per-block clip flags, a
-    copy of each accumulator's state, under ``rec`` the group's lane
-    slices of the ensemble's time-major record arrays (None for an
-    unrecorded run), and under ``kept`` the lane slices of the rows of dB
-    and the jump counts a run resumed from this state reads, the first of
-    them for step ``kept0`` (views, not copies).  The other fields name
+    position (X and Y are ring entries), A (None in a run that does not
+    carry it), the per-block clip flags, a copy of each accumulator's
+    state, under ``rec`` the group's lane slices of the ensemble's
+    time-major record arrays (None for an unrecorded run), and under
+    ``kept`` the lane slices of the rows of dB and the jump counts a run
+    resumed from this state reads, the first of them for step ``kept0``
+    (views, not copies).  The other fields name
     the run a resume must match."""
 
     step: int
@@ -567,6 +588,16 @@ def _nonfinite(what: str, values, k: int, t: float, first: int):
         step=k + 1, block=block, lane=lane)
 
 
+def _carries_average(spec, control, accumulators, record: bool) -> bool:
+    """Whether a run carries the moving average A: a record keeps it, and
+    otherwise it is carried when the drift, the diffusion, the jump
+    amplitude (with jumps), the control or an accumulator may read it."""
+    names = ("b", "sigma") + (("theta",) if spec.has_jumps else ())
+    return (record or control.reads_average
+            or any(spec.coeffs.reads(name, "a") for name in names)
+            or any(acc.reads_average(spec) for acc in accumulators))
+
+
 def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                 seed: int, first: int, n_lanes: int,
                 accumulators, rec: Optional[dict], save_at=frozenset(),
@@ -585,11 +616,13 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     counts of each step from the first save step on into ``kept``, the
     group's lane slices of ``_increment_arrays``.  With ``resume``, such a
     saved state, the run starts at its step and its source of increments
-    is the rows kept by the saved run.
+    is the rows kept by the saved run.  A run that does not carry A
+    (``_carries_average``) keeps it None and skips its recursion.
     """
     dt, m, n = grid.dt, grid.m, grid.n
     rho = spec.rho
     nb = n_lanes
+    carry = _carries_average(spec, control, accumulators, rec is not None)
     starts = np.arange(0, nb, BLOCK_SIZE)
     jump = spec.jump
     has_jumps = spec.has_jumps
@@ -603,8 +636,8 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         hist = spec.validate_segment(grid)  # m+1 values on [-delta, 0]
         # A_0 as a full block computes it, lane by lane, so a lane's start
         # does not depend on how many lanes its block holds
-        A = np.tile(segment_average(np.tile(hist, (BLOCK_SIZE, 1)), dt, rho),
-                    len(starts))[:nb]
+        A = (np.tile(segment_average(np.tile(hist, (BLOCK_SIZE, 1)), dt, rho),
+                     len(starts))[:nb] if carry else None)
         # ring[pos] holds X_k and ring[pos + 2] Y_k = X_{k-m} (rows mod
         # m+2); X_{k+1} goes to the row between them, which no step reads
         ring = np.empty((m + 2, nb))
@@ -620,8 +653,10 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             source = _chunked_normals(rngs, nb, n, sqdt)
     else:
         k0, pos = resume["k"], resume["pos"]
-        ring, A, clipped = (resume[key].copy()
-                            for key in ("ring", "A", "clipped"))
+        if carry and resume["A"] is None:
+            raise ValueError("this run reads A; the saved state has none")
+        ring, clipped = (resume[key].copy() for key in ("ring", "clipped"))
+        A = resume["A"].copy() if carry else None
         states = [acc.copy_state(st)
                   for acc, st in zip(accumulators, resume["acc"])]
         source = _kept_rows(resume["kept"], k0 - resume["kept0"])
@@ -644,6 +679,7 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         kept_dB, kept_counts = kept["dB"], kept["counts"]
 
     saved = {}
+    all_clipped = bool(clipped.all())
     # one errstate for every callback and accumulator the run calls: a
     # lane's non-finite value is the engine's to report (NonFiniteState)
     # or the accumulator's to handle, never a warning.  The source is
@@ -656,8 +692,10 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
             t = k * dt
             # once every block is flagged, only whether to clip is left
             u, clip_k = control.evaluate(
-                spec, k, t, X, Y, A, starts=None if clipped.all() else starts)
-            clipped |= clip_k
+                spec, k, t, X, Y, A, starts=None if all_clipped else starts)
+            if not all_clipped and clip_k.any():
+                clipped |= clip_k
+                all_clipped = bool(clipped.all())
             if record:
                 rec_u[k] = u
 
@@ -686,7 +724,8 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                                  first)
 
             Y_new = ring[(pos + 2) % (m + 2)]  # X_{k+1-m}
-            A_new = _average_step(w_avg, A, Y, Y_new, X, X_new)
+            A_new = None if A is None else _average_step(w_avg, A, Y, Y_new,
+                                                         X, X_new)
 
             ctx = {"k": k, "t": t, "t1": t + dt, "x": X, "y": Y, "a": A, "u": u,
                    "b": b_raw, "sigma": s_raw, "theta_marks": th,
@@ -725,8 +764,8 @@ def _snapshot(k, pos, ring, A, clipped, rec, kept, kept0, accumulators,
               states) -> dict:
     """A block group's state before step k, copied where stepping on
     would change it."""
-    return {"k": k, "pos": pos, "ring": ring.copy(), "A": A.copy(),
-            "clipped": clipped.copy(), "rec": rec, "kept": kept,
+    return {"k": k, "pos": pos, "ring": ring.copy(), "clipped": clipped.copy(),
+            "A": None if A is None else A.copy(), "rec": rec, "kept": kept,
             "kept0": kept0,
             "acc": [acc.copy_state(st) for acc, st in zip(accumulators, states)]}
 

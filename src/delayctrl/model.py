@@ -73,6 +73,17 @@ def finite_difference_partial(fn: Callable, var: str) -> Callable:
     return deriv
 
 
+def zero_partial(t, x, y, a, u, *rest):
+    """The structurally zero partial: zeros of the lanes' shape.  A
+    coefficient whose partial in a variable is this function does not
+    read that variable (``CoefficientSet.reads``); the marker attribute
+    survives ``functools.wraps``."""
+    return np.zeros_like(np.asarray(x, float))
+
+
+zero_partial.structural_zero = True
+
+
 # ---------------------------------------------------------------------------
 # Jump model
 # ---------------------------------------------------------------------------
@@ -201,7 +212,8 @@ class CoefficientSet:
 
     ``partials`` maps coefficient name -> var -> callable with the same
     signature as the coefficient itself.  Missing entries fall back to
-    central finite differences.
+    central finite differences.  A partial given as ``zero_partial``
+    declares that the coefficient does not read the variable.
     """
 
     b: Callable
@@ -223,6 +235,12 @@ class CoefficientSet:
         if base is None:
             raise ValueError(f"coefficient {name!r} not defined")
         return finite_difference_partial(base, var)
+
+    def reads(self, name: str, var: str) -> bool:
+        """Whether coefficient ``name`` may read ``var``: False only when
+        its partial in ``var`` is ``zero_partial``."""
+        supplied = self.partials.get(name, {}).get(var)
+        return not getattr(supplied, "structural_zero", False)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def _superpose(base: ControlSpec, beta: ControlSpec, s: float,
         k = int(round(t / dt))
         return base.raw(k, t, x, y, a) + s * beta.raw(k, t, x, y, a)
 
-    return feedback_control(rule)
+    return feedback_control(rule, base.reads_average or beta.reads_average)
 
 
 def _adjoint_values(adjoint, t, x, y, a):
@@ -157,7 +157,8 @@ class StateAtStepsAccumulator(StepAccumulator):
     A run writes its values into one array it allocates at its first
     capture.  A saved state holds none of them, so saving does not keep
     a run's captures alive: a run resumed from it captures the steps from
-    its resume step on and leaves the columns of earlier steps NaN."""
+    its resume step on and leaves the columns of earlier steps NaN.  It
+    reads the moving average only when ``keys`` holds "a"."""
 
     def __init__(self, steps, keys="xya"):
         self.steps = tuple(int(k) for k in steps)
@@ -165,6 +166,9 @@ class StateAtStepsAccumulator(StepAccumulator):
         self._columns = {}  # step -> its columns
         for j, k in enumerate(self.steps):
             self._columns.setdefault(k, []).append(j)
+
+    def reads_average(self, spec):
+        return "a" in self.keys
 
     def begin(self, n_lanes, spec, grid):
         return {"out": None}
@@ -242,7 +246,7 @@ TerminalStateAccumulator = StateAtStepsAccumulator
 
 
 def _gateaux_accumulators(grid):
-    return RunningRewardAccumulator(), StateAtStepsAccumulator((grid.n,))
+    return RunningRewardAccumulator(), StateAtStepsAccumulator((grid.n,), "x")
 
 
 def _gateaux_terms(spec, grid, shifted, n_paths, seed, threads, resume=None):
@@ -382,9 +386,9 @@ def _check_sufficient(spec, grid, candidate, comparison_controls, mc_cfg,
     # keeps its states at the ladder steps only
     transversality = []
     for cmp_idx, cmp_control in enumerate(comparison_controls):
-        cmp_X, cmp_Y, _ = simulate_ensemble(
+        cmp_X, cmp_Y = simulate_ensemble(
             spec, grid, cmp_control, n_paths, seed, threads=threads,
-            accumulators=(StateAtStepsAccumulator(steps),)).extras[0]
+            accumulators=(StateAtStepsAccumulator(steps, "xy"),)).extras[0]
         for j, k in enumerate(steps):
             t = k * grid.dt
             x, y, a, _ = S[k]

@@ -36,8 +36,12 @@ class ObjectiveEstimate:
 class RunningRewardAccumulator(StepAccumulator):
     """Per-path trapezoid integral of f with domain-exit truncation.
 
-    ``finish`` returns (integral, final_f_abs, alive_flag) per path.
+    ``finish`` returns (integral, final_f_abs, alive_flag) per path.  It
+    reads the moving average only when f does.
     """
+
+    def reads_average(self, spec):
+        return spec.coeffs.reads("f", "a")
 
     def begin(self, n_lanes, spec, grid):
         return {

@@ -71,3 +71,23 @@ def test_directions_cover_the_end_to_end_metrics():
     assert better["wall_s"] == "lower"
     assert better["path_steps_per_s"] == "higher"
     assert better[abpairs.PASS_MEDIAN] == "lower"
+
+
+def test_op_times_are_medians_over_untraced_passes():
+    def run_pass(traced, times):
+        return {"traced": traced, "wall_s": sum(times),
+                "op_scaled_s": times,
+                "ops": {name: {"ok": True, "detail": ""}
+                        for name in ("base", "scale_0.8")}}
+
+    record = {"passes": [run_pass(False, [0.10, 0.50]),
+                         run_pass(True, [9.0, 9.0]),
+                         run_pass(False, [0.30, 0.40]),
+                         run_pass(False, [0.20, 0.60])]}
+    times = abpairs.op_times(record)
+    assert times == {"op base": pytest.approx(0.2),
+                     "op scale_0.8": pytest.approx(0.5)}
+    rows = abpairs.summarize([times], [{"op base": 0.1, "op scale_0.8": 0.6}],
+                             dict.fromkeys(times, "lower"))
+    assert [(r["metric"], r["won"]) for r in rows] == [("op base", 1),
+                                                       ("op scale_0.8", 0)]

@@ -822,6 +822,16 @@ class TestErrors:
         assert run_cli("simulate", "--config", cfg_path, "--out-dir",
                        str(tmp_path), "--control", "wavelet:3") == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["constant:abc", "constant:"])
+    def test_constant_override_needs_a_number(self, cfg_path, tmp_path,
+                                              capsys, flag):
+        out = tmp_path / "out"
+        assert run_cli("objective", "--config", cfg_path, "--out-dir",
+                       str(out), "--control", flag) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: --control {flag}: V must be a number\n"
+        assert not (out / "objective.json").exists()
+
 
 class TestConfigSchema:
     """Every section and key of a config is checked against

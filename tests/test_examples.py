@@ -195,6 +195,56 @@ class TestRecruitmentClosedForm:
         assert len(passes) == (tree_passes if moves == 0
                                else 1 + moves + tree_passes)
 
+    @pytest.mark.parametrize("tol", [1e-15, 1e-300])
+    def test_K_search_ends_when_the_bracket_cannot_split(self, tol):
+        """A tol below the bracket's float spacing ends the search where
+        its midpoint is one of its ends, at the K of a scalar bisection
+        that stops there; a tol the spacing does not reach ends as
+        before.  The search runs in a child process with a time bound."""
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from delayctrl.errors import NonFiniteState
+        from delayctrl.forward import simulate_noiseless
+
+        search = {"T_search": 20, "dt": 0.1, "tol": tol}
+        code = ("import json, sys; from delayctrl.examples import "
+                "Example35Params, ex35_K; print(repr(ex35_K("
+                "Example35Params(), json.loads(sys.argv[1]))))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(search)],
+                              capture_output=True, text=True, timeout=60,
+                              env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        K = float(proc.stdout)
+
+        params = Example35Params()
+        spec = make_ex35_problem(params, u_hi=1e12)
+        grid = make_grid(params.delta, search["dt"], search["T_search"])
+
+        def stays_positive(p0):
+            try:
+                rec = simulate_noiseless(spec, grid, ex35_feedback(params, p0))
+            except NonFiniteState:
+                return False
+            W = rec.X + rec.Y * params.edb
+            return bool(np.all(np.isfinite(W)) and np.all(W > 0))
+
+        p_lo, p_hi = 1e-3, 4.0
+        assert stays_positive(p_hi) and not stays_positive(p_lo)
+        while p_hi - p_lo > tol:
+            mid = 0.5 * (p_lo + p_hi)
+            if mid in (p_lo, p_hi):
+                break
+            if stays_positive(mid):
+                p_hi = mid
+            else:
+                p_lo = mid
+        assert K == 0.5 * (p_lo + p_hi)
+        assert (np.nextafter(p_lo, np.inf) == p_hi) == (tol < 1e-200)
+
     @pytest.mark.slow  # runs the ex35_K search
     def test_K_keeps_deterministic_flow_positive(self):
         """The searched constant keeps the noiseless wealth path positive

@@ -1289,3 +1289,107 @@ class TestVariational:
         xi = simulate_variational(ex34_det_spec, grid, constant_control(0.15),
                                   constant_control(0.0), (0, 0))
         np.testing.assert_array_equal(xi, 0.0)
+
+
+class TestAverageCarry:
+    """A run carries the moving average A only when something reads it.
+    Each case compares per-path bytes with the run of the same rule
+    declared to read A, which carries it."""
+
+    N_PATHS = 2 * BLOCK_SIZE + 37  # three blocks, the last partial
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Count the runs (block groups) that carry A, and those that do
+        not."""
+        carried = {True: 0, False: 0}
+        decide = forward._carries_average
+
+        def spy(*args):
+            carries = decide(*args)
+            carried[carries] += 1
+            return carries
+        monkeypatch.setattr(forward, "_carries_average", spy)
+        return carried
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ex34_estimate_skips_a(self, ex34_spec, ex34_control, threads,
+                                   monkeypatch):
+        from delayctrl.objective import estimate_J
+
+        grid = make_grid(1.0, 0.1, 3.0)
+        carried = self._counted(monkeypatch)
+        free = estimate_J(ex34_spec, grid, ex34_control, self.N_PATHS, 4,
+                          threads=threads)
+        groups = {1: 1, 2: 2}[threads]
+        assert carried == {True: 0, False: groups}
+        reading = dataclasses.replace(ex34_control, reads_average=True)
+        full = estimate_J(ex34_spec, grid, reading, self.N_PATHS, 4,
+                          threads=threads)
+        assert carried == {True: groups, False: groups}
+        assert free.per_path.tobytes() == full.per_path.tobytes()
+        assert (free.mean, free.stderr) == (full.mean, full.stderr)
+
+    def test_record_carries_a(self, ex34_spec, ex34_control, monkeypatch):
+        grid = make_grid(1.0, 0.1, 3.0)
+        carried = self._counted(monkeypatch)
+        free = simulate_ensemble(ex34_spec, grid, ex34_control, self.N_PATHS,
+                                 4, record=True, threads=2)
+        assert carried == {True: 2, False: 0}
+        reading = dataclasses.replace(ex34_control, reads_average=True)
+        full = simulate_ensemble(ex34_spec, grid, reading, self.N_PATHS, 4,
+                                 record=True, threads=2)
+        for key in RECORD_KEYS:
+            if full.arrays[key] is not None:
+                assert free.arrays[key].tobytes() == \
+                    full.arrays[key].tobytes(), key
+        assert np.isfinite(free.arrays["A"]).all()
+
+    def test_declarations(self, ex34_spec, ex34_control, jump_spec):
+        from delayctrl.mp import StateAtStepsAccumulator
+
+        reward = RunningRewardAccumulator()
+        carries = forward._carries_average
+        assert not carries(ex34_spec, ex34_control, (reward,), False)
+        assert carries(ex34_spec, ex34_control, (reward,), True)
+        assert carries(ex34_spec, feedback_control(lambda t, x, y, a: x),
+                       (), False)
+        for ctl in (constant_control(0.1), table_control([0.1, 0.2])):
+            assert not ctl.reads_average
+            assert not carries(ex34_spec, bump_control(
+                scale_control(ctl, 2.0), 0.1, 0.0, 1.0), (), False)
+        # an accumulator reads A by default, a capture when it keeps a
+        assert carries(ex34_spec, ex34_control, (_ContextSums(),), False)
+        assert carries(ex34_spec, ex34_control,
+                       (StateAtStepsAccumulator((3,)),), False)
+        assert not carries(ex34_spec, ex34_control,
+                           (StateAtStepsAccumulator((3,), "xyu"),), False)
+        # the geometric jump spec declares no partial, so it may read A
+        assert carries(jump_spec, constant_control(0.1), (), False)
+
+    def test_a_free_rule_that_reads_a_raises(self, ex34_spec):
+        from delayctrl.objective import estimate_J
+
+        grid = make_grid(1.0, 0.1, 3.0)
+        seen = []
+
+        def rule(t, x, y, a):
+            seen.append(t)
+            return 0.1 + 0.0 * a
+
+        ctl = feedback_control(rule, reads_average=False)
+        with pytest.raises(TypeError):
+            estimate_J(ex34_spec, grid, ctl, 16, 0)
+        assert seen == [0.0]
+
+    def test_reading_resume_from_a_free_save_raises(self, ex34_spec,
+                                                    ex34_control):
+        grid = make_grid(1.0, 0.1, 3.0)
+        run = dict(spec=ex34_spec, grid=grid, n_paths=64, seed=4)
+        state = simulate_ensemble(**run, control=ex34_control,
+                                  save_at=[5]).states[5]
+        assert all(grp["A"] is None for grp in state.groups)
+        simulate_ensemble(**run, control=ex34_control, resume=state)
+        reading = dataclasses.replace(ex34_control, reads_average=True)
+        with pytest.raises(ValueError, match="reads A"):
+            simulate_ensemble(**run, control=reading, resume=state)

@@ -20,6 +20,7 @@ from delayctrl.model import (
     _mc_settings,
     finite_difference_partial,
     setting,
+    zero_partial,
 )
 
 from conftest import make_jump_spec
@@ -223,6 +224,50 @@ class TestPartials:
         d = finite_difference_partial(fn, "x")
         assert d(0.0, x, 0.0, 0.0, u) == pytest.approx(np.cos(x) * u,
                                                        rel=1e-5, abs=1e-7)
+
+
+class TestReads:
+    """``CoefficientSet.reads(name, var)`` is False only where the
+    selector's partial is the structural zero."""
+
+    # the (coefficient, variable) pairs each selector declares zero
+    ZEROS = {
+        "example_3_4": {("b", "y"), ("b", "a"), ("sigma", "y"),
+                        ("sigma", "a"), ("sigma", "u"), ("f", "y"),
+                        ("f", "a")},
+        "example_3_5": {("sigma", "a"), ("sigma", "u"), ("f", "a")},
+        "linear_quadratic": {("sigma", "y"), ("sigma", "a"), ("sigma", "u"),
+                             ("f", "y"), ("f", "a")},
+        "custom_polynomial": set(),  # finite differences read everything
+        "zero": {(name, var) for name in ("b", "sigma", "f")
+                 for var in "xyau"},
+    }
+
+    @pytest.mark.parametrize("selector", sorted(ZEROS))
+    def test_every_selector(self, selector):
+        coeffs = build_problem(_cfg(**{"problem.selector": selector,
+                                       "problem.params": {}})).coeffs
+        for name in ("b", "sigma", "theta", "f"):
+            for var in "xyau":
+                assert coeffs.reads(name, var) == (
+                    (name, var) not in self.ZEROS[selector]), (name, var)
+                if not coeffs.reads(name, var):
+                    assert coeffs.partial(name, var) is zero_partial
+
+    def test_zero_partial_and_its_wrapper(self):
+        import functools
+
+        x = np.array([1.5, -2.0])
+        assert zero_partial(0.0, x, x, x, x).tobytes() == \
+            np.zeros(2).tobytes()
+        wrapped = functools.wraps(zero_partial)(
+            lambda *args: zero_partial(*args))
+        lookalike = lambda t, x, y, a, u: np.zeros_like(x)
+        coeffs = build_problem(_cfg()).coeffs
+        coeffs = dataclasses.replace(coeffs, partials={
+            "b": {"a": wrapped, "y": lookalike}})
+        assert not coeffs.reads("b", "a")
+        assert coeffs.reads("b", "y") and coeffs.reads("b", "x")
 
 
 class TestMcSettings:

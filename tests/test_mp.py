@@ -358,6 +358,41 @@ class TestNecessary:
             steps.add(resume.step)
         assert steps == {10, 40, 70}
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bump_runs_skip_the_moving_average(self, setup, monkeypatch,
+                                               threads):
+        """The candidate keeps a at its probes, so it carries A; its
+        resumed bump runs capture x only and skip A.  The report has the
+        bytes of the check whose candidate is declared to read A, which
+        makes every bump run carry it."""
+        import delayctrl.forward as forward
+
+        params, p0, spec, ctl, adj = setup
+        grid = make_grid(1.0, 0.05, 5.0)
+        mc = dict(n_paths=2 * BLOCK_SIZE + 37, seed=9, threads=threads,
+                  bump_windows=[(1.0, 0.5), (3.2, 1.0)], bump_s=(1e-2,))
+        decide = forward._carries_average
+
+        def report(candidate):
+            carried = []
+
+            def spy(*args):
+                carried.append(decide(*args))
+                return carried[-1]
+
+            monkeypatch.setattr(forward, "_carries_average", spy)
+            rep = necessary_residual(spec, grid, candidate, adj, mc)
+            monkeypatch.undo()
+            groups = len(carried) // 5  # the candidate and four bump runs
+            return _report_bytes(rep), carried[:groups], carried[groups:]
+
+        free, cand, bumps = report(ctl)
+        assert all(cand) and bumps and not any(bumps)
+        full, cand, bumps = report(dataclasses.replace(ctl,
+                                                       reads_average=True))
+        assert all(cand) and all(bumps)
+        assert free == full
+
     def test_boundary_verdict(self, setup):
         """A candidate pinned at the upper control bound is reported as
         boundary, not as an interior failure."""

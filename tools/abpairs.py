@@ -11,8 +11,11 @@ included), each in a new process, and alternates which side runs first.
 For every end-to-end metric of ``BENCHMARK.json`` and for the unscaled pass
 median (the ``unscaled:`` line of a run), it prints each side's median
 [q1-q3], the change of the checkout's median from the ref's in percent, and
-in how many pairs the checkout was better.  It exits 1 if a run fails or
-prints ``"correct": false``, and 0 otherwise.
+in how many pairs the checkout was better.  A second table does the same for
+each op's scaled time, the median over a run's untraced passes, which it
+reads from ``op_scaled_s`` in the result file the run writes under
+``perfbench/out/``.  It exits 1 if a run fails or prints
+``"correct": false``, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -41,6 +44,15 @@ def parse_run(stdout: str) -> tuple[bool, dict]:
     if found:
         metrics[PASS_MEDIAN] = float(found.group(1))
     return result["correct"] is True, metrics
+
+
+def op_times(record: dict) -> dict:
+    """``"op NAME"`` -> the op's median scaled time over the untraced
+    passes of one run's result file (``record``, its parsed JSON)."""
+    passes = [p for p in record["passes"] if not p["traced"]]
+    return {f"op {name}": statistics.median(p["op_scaled_s"][i]
+                                            for p in passes)
+            for i, name in enumerate(passes[0]["ops"])}
 
 
 def _quartiles(values):
@@ -111,7 +123,11 @@ def run_bench(tree: Path, args) -> tuple[bool, dict]:
         print(f"error: run in {tree} exited {proc.returncode}",
               file=sys.stderr)
         return False, {}
-    return parse_run(proc.stdout)
+    ok, metrics = parse_run(proc.stdout)
+    result = (tree / "perfbench" / "out"
+              / f"BENCH_{args.workload}_seed{args.seed}_trace0.json")
+    metrics.update(op_times(json.loads(result.read_text())))
+    return ok, metrics
 
 
 def main(argv=None) -> int:
@@ -141,6 +157,10 @@ def main(argv=None) -> int:
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of "
           f"--seconds {args.seconds:g} runs, {args.ref} against the checkout")
     print(format_rows(summarize(runs["ref"], runs["new"], better), args.ref))
+    ops = {name: "lower" for run in runs["new"][:1] for name in run
+           if name.startswith("op ")}
+    print("\nper op, seconds at the reference speed")
+    print(format_rows(summarize(runs["ref"], runs["new"], ops), args.ref))
     if not correct:
         print("error: a run failed or printed \"correct\": false",
               file=sys.stderr)
