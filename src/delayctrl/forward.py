@@ -17,9 +17,10 @@ the composite trapezoid rule over the current segment up to roundoff.
 A run carries A only when something may read it: a record, a drift,
 diffusion or jump amplitude whose a-partial is not the structural zero
 (``CoefficientSet.reads``), a control declared ``reads_average``, or an
-accumulator whose ``reads_average`` says so.  Otherwise A stays None,
-its recursion is skipped, and the control, the coefficients and the
-accumulators get ``a = a1 = None``.
+accumulator whose ``reads_average`` says so.  Otherwise its recursion is
+skipped, and the control, the coefficients and the accumulators get as
+a and a1 a stand-in that raises TypeError when read as an array, so a
+callback declared A-free that reads it fails at its first step.
 
 Randomness is counter-based (Philox).  Paths are organized in blocks of
 ``BLOCK_SIZE`` lanes; block j of seed s uses the generator key
@@ -68,15 +69,14 @@ with one PathRecord per path viewing the same memory.
 The step loop reads each step's (dB, counts) from one source chosen
 before it starts: the chunked normals, the inline jump draws, or the
 rows a saved run kept.  A run can save its engine state before chosen
-steps (the delay ring and its position, A if the run carries it, the
-per-block clip flags and a copy of each accumulator's state, the
-variational process's too), and a later run resumes from such a state
-in the same step loop with the kept rows as its source, so it draws no
-noise: a recorded run keeps them in its record, an unrecorded one keeps
-only dB and the jump counts from its first save step on.  Under common
-random numbers a control that agrees with the saved run's before the
-save step, such as a bump whose window starts there, gives every path
-bitwise as a full run does.
+steps (the delay ring and its position, A if the run carries it and a
+copy of each accumulator's state, the variational process's too), and
+a later run resumes from such a state in the same step loop with the
+kept rows as its source, so it draws no noise: a recorded run keeps
+them in its record, an unrecorded one keeps only dB and the jump counts
+from its first save step on.  Under common random numbers a control
+that agrees with the saved run's before the save step, such as a bump
+whose window starts there, gives every path bitwise as a full run does.
 
 ``simulate_noiseless``, the reference path of a noise-free problem, is a
 separate integrator, not a mode of the engine's step loop: it is Heun's
@@ -94,12 +94,12 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadWindow, NonFiniteState
+from .errors import BadWindow, GridMismatch, NonFiniteState
 from .model import ProblemSpec, TimeGrid, _write_csv
 
 BLOCK_SIZE = 1024
@@ -120,76 +120,72 @@ _WINDOW_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ControlSpec:
-    """Admissible control: feedback rule, open-loop table, or constant,
-    optionally plus rectangular bump perturbations alpha * 1_[s, s+h].
+    """Admissible control: the rule u = rule(k, t, x, y, a) at grid step
+    k, times ``scale``, plus rectangular bump perturbations
+    alpha * 1_[s, s+h].  ``constant_control``, ``table_control`` and
+    ``feedback_control`` build the rule.
 
     Values are clipped to the control interval at evaluation time.
     ``reads_average`` declares whether the rule may read the moving
-    average a: a rule declared False gets ``a = None`` in a run that
-    carries no A.  Constant and table controls never read it.
+    average a: in a run that carries no A, a rule declared False gets a
+    stand-in that raises TypeError when read as an array.  Constant and
+    table controls never read it.
     """
 
-    kind: str  # "feedback" | "table" | "constant"
-    feedback: Optional[Callable] = None  # u(t, x, y, a)
-    table: Optional[np.ndarray] = None  # u_k on the grid, length n+1
-    value: float = 0.0
+    rule: Callable  # u(k, t, x, y, a)
     bumps: tuple = ()  # tuple of (alpha, s, h)
     scale: float = 1.0
     reads_average: bool = True
 
     def raw(self, k: int, t: float, x, y, a):
-        if self.kind == "feedback":
-            u = np.asarray(self.feedback(t, x, y, a), float)
-            if self.scale != 1.0:
-                u = self.scale * u
-        elif self.kind == "table":
-            u = np.full_like(np.asarray(x, float), self.scale * self.table[k])
-        elif self.kind == "constant":
-            u = np.full_like(np.asarray(x, float), self.scale * self.value)
-        else:
-            raise ValueError(f"unknown control kind {self.kind!r}")
+        u = self.rule(k, t, x, y, a)
+        if self.scale != 1.0:
+            u = self.scale * u
         for alpha, s, h in self.bumps:
             if s - _WINDOW_TOL <= t <= s + h + _WINDOW_TOL:
                 u = u + alpha
         return u
 
-    def evaluate(self, spec: ProblemSpec, k: int, t: float, x, y, a,
-                 starts=None):
-        """Clipped control values plus a flag set when clipping occurred.
-
-        With ``starts``, the first lane of each block of ``x``, the flag is
-        a boolean array holding one entry per block; the per-block
-        reductions run only when some lane clips.
-        """
+    def evaluate(self, spec: ProblemSpec, k: int, t: float, x, y, a):
+        """The control values clipped to the control interval."""
         u = self.raw(k, t, x, y, a)
         if np.ndim(u) == 0:
             u = np.full(np.shape(x), float(u))
         lo, hi = spec.control_lo, spec.control_hi
         # fmin and fmax skip NaN lanes, which never clip, so a NaN lane
         # cannot hide an out-of-bound lane beside it
-        flag = clip = bool(
-            np.fmin.reduce(u, axis=None, initial=np.inf) < lo
-            or np.fmax.reduce(u, axis=None, initial=-np.inf) > hi)
-        if starts is not None:
-            flag = (((np.fmin.reduceat(u, starts) < lo)
-                     | (np.fmax.reduceat(u, starts) > hi)) if clip
-                    else np.zeros(len(starts), dtype=bool))
-        if clip:
+        if (np.fmin.reduce(u, axis=None, initial=np.inf) < lo
+                or np.fmax.reduce(u, axis=None, initial=-np.inf) > hi):
             u = u.clip(lo, hi)
-        return u, flag
+        return u
 
 
 def constant_control(value: float) -> ControlSpec:
-    return ControlSpec("constant", value=float(value), reads_average=False)
+    value = float(value)
+    return ControlSpec(
+        lambda k, t, x, y, a: np.full_like(np.asarray(x, float), value),
+        reads_average=False)
 
 
 def feedback_control(fn: Callable, reads_average: bool = True) -> ControlSpec:
-    return ControlSpec("feedback", feedback=fn, reads_average=reads_average)
+    """The feedback rule u = fn(t, x, y, a)."""
+    return ControlSpec(
+        lambda k, t, x, y, a: np.asarray(fn(t, x, y, a), float),
+        reads_average=reads_average)
 
 
 def table_control(values) -> ControlSpec:
-    return ControlSpec("table", table=np.asarray(values, float),
-                       reads_average=False)
+    """The open-loop control u_k = values[k] on the grid; a step past the
+    table's end raises GridMismatch."""
+    table = np.asarray(values, float)
+
+    def rule(k, t, x, y, a):
+        if k >= len(table):
+            raise GridMismatch(f"control table has {len(table)} values, "
+                               f"step {k} needs {k + 1}")
+        return np.full_like(np.asarray(x, float), table[k])
+
+    return ControlSpec(rule, reads_average=False)
 
 
 def scale_control(base: ControlSpec, factor: float) -> ControlSpec:
@@ -202,8 +198,7 @@ def bump_control(base: ControlSpec, alpha: float, s: float, h: float,
 
     The window must sit inside [0, horizon] when a horizon is given.
     Clipping to the control interval still happens at evaluation, so a
-    bump that pushes past a bound is flattened there; callers that care
-    inspect the clipped flag on the simulation result.
+    bump that pushes past a bound is flattened there.
     """
     if h < 0 or s < -_WINDOW_TOL or (
             horizon is not None and s + h > horizon + _WINDOW_TOL):
@@ -300,7 +295,6 @@ class PathRecord:
     u: np.ndarray
     dB: np.ndarray
     counts: Optional[np.ndarray] = None
-    clipped: bool = False
 
     def to_csv(self, path: str):
         _write_csv(path, ("t", "X", "Y", "A", "u"), np.column_stack(
@@ -333,7 +327,8 @@ class StepAccumulator:
     ``reads_average(spec)`` declares whether the accumulator reads a or
     a1 (True unless a subclass says otherwise).  In a run that does not
     carry the moving average, because neither the coefficients, the
-    control, an accumulator nor a record reads it, a and a1 are None.
+    control, an accumulator nor a record reads it, a and a1 are a
+    stand-in that raises TypeError when read as an array.
     """
 
     def reads_average(self, spec: ProblemSpec) -> bool:
@@ -375,8 +370,8 @@ class EngineState:
 
     ``groups`` holds one dict per block group: the delay ring and its
     position (X and Y are ring entries), A (None in a run that does not
-    carry it), the per-block clip flags, a copy of each accumulator's
-    state, under ``rec`` the group's lane slices of the ensemble's
+    carry it), a copy of each accumulator's state, under ``rec`` the
+    group's lane slices of the ensemble's
     time-major record arrays (None for an unrecorded run), and under
     ``kept`` the lane slices of the rows of dB and the jump counts a run
     resumed from this state reads, the first of them for step ``kept0``
@@ -406,19 +401,16 @@ class EnsembleResult:
 
     arrays: Optional[dict]
     extras: list  # one entry per accumulator: concatenated per-path arrays
-    clipped: bool
     n_paths: int
     states: dict = field(default_factory=dict)  # step -> EngineState
     grid: Optional[TimeGrid] = None
-    block_clipped: Optional[np.ndarray] = None  # one flag per block
 
     @cached_property
     def records(self) -> Optional[list]:
         if self.arrays is None:
             return None
         t = self.grid.times
-        return [_path_record(t, self.arrays, i, self.block_clipped)
-                for i in range(self.n_paths)]
+        return [_path_record(t, self.arrays, i) for i in range(self.n_paths)]
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +580,20 @@ def _nonfinite(what: str, values, k: int, t: float, first: int):
         step=k + 1, block=block, lane=lane)
 
 
+class _NoAverage:
+    """The moving average of a run that does not carry it, as the run
+    hands it to its callbacks and accumulators for a and a1."""
+
+    __slots__ = ()
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a callback declared A-free read the moving "
+                        "average a; declare it as reading A")
+
+
+_NO_AVERAGE = _NoAverage()
+
+
 def _carries_average(spec, control, accumulators, record: bool) -> bool:
     """Whether a run carries the moving average A: a record keeps it, and
     otherwise it is carried when the drift, the diffusion, the jump
@@ -610,20 +616,20 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     once per step over all lanes.  ``rec``, when given, maps each
     recorded quantity to the group's lane slice of its time-major array
     (``_record_arrays``), which the run fills one row per step.  Returns
-    (extras, clipped, saved): ``clipped`` holds one flag per block and
-    ``saved`` maps each step of ``save_at`` to the group's state before
-    that step.  An unrecorded run that saves writes dB and the jump
-    counts of each step from the first save step on into ``kept``, the
-    group's lane slices of ``_increment_arrays``.  With ``resume``, such a
-    saved state, the run starts at its step and its source of increments
-    is the rows kept by the saved run.  A run that does not carry A
-    (``_carries_average``) keeps it None and skips its recursion.
+    (extras, saved): ``saved`` maps each step of ``save_at`` to the
+    group's state before that step.  An unrecorded run that saves writes
+    dB and the jump counts of each step from the first save step on into
+    ``kept``, the group's lane slices of ``_increment_arrays``.  With
+    ``resume``, such a saved state, the run starts at its step and its
+    source of increments is the rows kept by the saved run.  A run that
+    does not carry A (``_carries_average``) skips its recursion and hands
+    out ``_NO_AVERAGE`` in its place.
     """
     dt, m, n = grid.dt, grid.m, grid.n
     rho = spec.rho
     nb = n_lanes
     carry = _carries_average(spec, control, accumulators, rec is not None)
-    starts = np.arange(0, nb, BLOCK_SIZE)
+    n_blocks = -(-nb // BLOCK_SIZE)
     jump = spec.jump
     has_jumps = spec.has_jumps
     mark_values = jump.marks.values if has_jumps else ()
@@ -637,15 +643,14 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         # A_0 as a full block computes it, lane by lane, so a lane's start
         # does not depend on how many lanes its block holds
         A = (np.tile(segment_average(np.tile(hist, (BLOCK_SIZE, 1)), dt, rho),
-                     len(starts))[:nb] if carry else None)
+                     n_blocks)[:nb] if carry else _NO_AVERAGE)
         # ring[pos] holds X_k and ring[pos + 2] Y_k = X_{k-m} (rows mod
         # m+2); X_{k+1} goes to the row between them, which no step reads
         ring = np.empty((m + 2, nb))
         ring[:m + 1] = hist[:, None]
         pos = m
-        clipped = np.zeros(len(starts), dtype=bool)
         states = [acc.begin(nb, spec, grid) for acc in accumulators]
-        rngs = [_block_rng(seed, first + j) for j in range(len(starts))]
+        rngs = [_block_rng(seed, first + j) for j in range(n_blocks)]
         if has_jumps:
             rates = tuple(jump.intensity * pz * dt for pz in mark_probs)
             source = _jump_increments(rngs, nb, rates, sqdt)
@@ -655,8 +660,8 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         k0, pos = resume["k"], resume["pos"]
         if carry and resume["A"] is None:
             raise ValueError("this run reads A; the saved state has none")
-        ring, clipped = (resume[key].copy() for key in ("ring", "clipped"))
-        A = resume["A"].copy() if carry else None
+        ring = resume["ring"].copy()
+        A = resume["A"].copy() if carry else _NO_AVERAGE
         states = [acc.copy_state(st)
                   for acc, st in zip(accumulators, resume["acc"])]
         source = _kept_rows(resume["kept"], k0 - resume["kept0"])
@@ -679,7 +684,6 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         kept_dB, kept_counts = kept["dB"], kept["counts"]
 
     saved = {}
-    all_clipped = bool(clipped.all())
     # one errstate for every callback and accumulator the run calls: a
     # lane's non-finite value is the engine's to report (NonFiniteState)
     # or the accumulator's to handle, never a warning.  The source is
@@ -687,15 +691,10 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     with np.errstate(all="ignore"), closing(source):
         for k, (dB, counts) in zip(range(k0, n), source):
             if k in save_at:
-                saved[k] = _snapshot(k, pos, ring, A, clipped, rec, kept,
-                                     kept0, accumulators, states)
+                saved[k] = _snapshot(k, pos, ring, A, rec, kept, kept0,
+                                     accumulators, states)
             t = k * dt
-            # once every block is flagged, only whether to clip is left
-            u, clip_k = control.evaluate(
-                spec, k, t, X, Y, A, starts=None if all_clipped else starts)
-            if not all_clipped and clip_k.any():
-                clipped |= clip_k
-                all_clipped = bool(clipped.all())
+            u = control.evaluate(spec, k, t, X, Y, A)
             if record:
                 rec_u[k] = u
 
@@ -724,8 +723,8 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                                  first)
 
             Y_new = ring[(pos + 2) % (m + 2)]  # X_{k+1-m}
-            A_new = None if A is None else _average_step(w_avg, A, Y, Y_new,
-                                                         X, X_new)
+            A_new = (_average_step(w_avg, A, Y, Y_new, X, X_new) if carry
+                     else A)
 
             ctx = {"k": k, "t": t, "t1": t + dt, "x": X, "y": Y, "a": A, "u": u,
                    "b": b_raw, "sigma": s_raw, "theta_marks": th,
@@ -745,28 +744,26 @@ def _run_blocks(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
                     kept_counts[k - kept0] = counts
 
         if n in save_at:
-            saved[n] = _snapshot(n, pos, ring, A, clipped, rec, kept, kept0,
+            saved[n] = _snapshot(n, pos, ring, A, rec, kept, kept0,
                                  accumulators, states)
         t_final = n * dt
-        u_final, clip_f = control.evaluate(spec, n, t_final, X, Y, A,
-                                           starts=starts)
-        clipped |= clip_f
+        u_final = control.evaluate(spec, n, t_final, X, Y, A)
         ctx_final = {"k": n, "t": t_final, "x": X, "y": Y, "a": A,
                      "u": u_final, "path0": path0}
         extras = [acc.finish(st, ctx_final)
                   for acc, st in zip(accumulators, states)]
     if record:
         rec_u[n] = u_final
-    return extras, clipped, saved
+    return extras, saved
 
 
-def _snapshot(k, pos, ring, A, clipped, rec, kept, kept0, accumulators,
+def _snapshot(k, pos, ring, A, rec, kept, kept0, accumulators,
               states) -> dict:
     """A block group's state before step k, copied where stepping on
     would change it."""
-    return {"k": k, "pos": pos, "ring": ring.copy(), "clipped": clipped.copy(),
-            "A": None if A is None else A.copy(), "rec": rec, "kept": kept,
-            "kept0": kept0,
+    return {"k": k, "pos": pos, "ring": ring.copy(),
+            "A": None if A is _NO_AVERAGE else A.copy(), "rec": rec,
+            "kept": kept, "kept0": kept0,
             "acc": [acc.copy_state(st) for acc, st in zip(accumulators, states)]}
 
 
@@ -794,13 +791,12 @@ def _path_major(arrays: dict) -> dict:
             for key, v in arrays.items()}
 
 
-def _path_record(t, arrays: dict, i: int, block_clipped) -> PathRecord:
+def _path_record(t, arrays: dict, i: int) -> PathRecord:
     """The PathRecord viewing path i of path-major record arrays."""
     counts = arrays["counts"]
     return PathRecord(t=t, X=arrays["X"][i], Y=arrays["Y"][i],
                       A=arrays["A"][i], u=arrays["u"][i], dB=arrays["dB"][i],
-                      counts=None if counts is None else counts[i],
-                      clipped=bool(block_clipped[i // BLOCK_SIZE]))
+                      counts=None if counts is None else counts[i])
 
 
 def _merge_extras(per_group: list, accumulators) -> list:
@@ -905,15 +901,12 @@ def simulate_ensemble(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
         results = [work(i, f) for i, f in enumerate(firsts)]
 
     extras = _merge_extras([grp[0] for grp in results], accumulators)
-    block_clipped = (np.concatenate([grp[1] for grp in results]) if results
-                     else np.zeros(0, dtype=bool))
     states = {k: EngineState(k, spec, grid, n_paths, seed, per_group, kinds,
-                             tuple(grp[2][k] for grp in results))
+                             tuple(grp[1][k] for grp in results))
               for k in sorted(save_at)}
     return EnsembleResult(
         arrays=None if arrays is None else _path_major(arrays),
-        extras=extras, clipped=bool(block_clipped.any()), n_paths=n_paths,
-        states=states, grid=grid, block_clipped=block_clipped)
+        extras=extras, n_paths=n_paths, states=states, grid=grid)
 
 
 def simulate_path(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
@@ -926,9 +919,8 @@ def simulate_path(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     seed, path_index = noise
     block, lane = divmod(int(path_index), BLOCK_SIZE)
     arrays = _record_arrays(spec, grid, lane + 1)
-    _, clipped, _ = _run_blocks(spec, grid, control, seed, block, lane + 1,
-                                (), arrays)
-    return _path_record(grid.times, _path_major(arrays), lane, clipped)
+    _run_blocks(spec, grid, control, seed, block, lane + 1, (), arrays)
+    return _path_record(grid.times, _path_major(arrays), lane)
 
 
 def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
@@ -945,10 +937,10 @@ def simulate_noiseless(spec: ProblemSpec, grid: TimeGrid,
     where it replaces a full Monte Carlo block at a fraction of the cost.
 
     With ``lanes`` = L the control is evaluated on arrays of L states (a
-    rule vectorised over a lane axis, such as one multiplier per lane),
-    every record array gains a leading lane axis and ``clipped`` holds
-    one flag per lane.  Lane i is bitwise the scalar run of the rule it
-    sees, except that a lane whose state goes non-finite runs on with
+    rule vectorised over a lane axis, such as one multiplier per lane)
+    and every record array gains a leading lane axis.  Lane i is bitwise
+    the scalar run of the rule it sees, except that a lane whose state
+    goes non-finite runs on with
     non-finite values instead of raising NonFiniteState (floating-point
     warnings are off in this mode).
     """
@@ -972,42 +964,29 @@ def _noiseless(spec: ProblemSpec, grid: TimeGrid, control: ControlSpec,
     As = np.empty((n + 1,) + shape)
     us = np.empty((n + 1,) + shape)
     As[0] = segment_average(hist, dt, spec.rho)
-    if shape:
-        starts = np.arange(shape[0])  # one clip flag per lane
-
-        def value(v):
-            return lane_values(v, shape)
-    else:
-        starts, value = None, float
-    clipped = np.zeros(shape, dtype=bool) if shape else False
+    value = partial(lane_values, shape=shape) if shape else float
     b = spec.coeffs.b
     for k in range(n):
         t = k * dt
         X, Y, A = path[k + m], path[k], As[k]
         Y1 = path[k + 1]  # X_{k+1-m}
-        u, clip_k = control.evaluate(spec, k, t, X, Y, A, starts=starts)
-        clipped |= clip_k
-        u = value(u)
+        u = value(control.evaluate(spec, k, t, X, Y, A))
         us[k] = u
         g0 = value(b(t, X, Y, A, u))
         X_star = X + dt * g0
         A_star = _average_step(w_avg, A, Y, Y1, X, X_star)
-        u1, clip_1 = control.evaluate(spec, k + 1, t + dt, X_star, Y1,
-                                      A_star, starts=starts)
-        clipped |= clip_1
-        g1 = value(b(t + dt, X_star, Y1, A_star, value(u1)))
+        u1 = value(control.evaluate(spec, k + 1, t + dt, X_star, Y1, A_star))
+        g1 = value(b(t + dt, X_star, Y1, A_star, u1))
         X_new = X + 0.5 * dt * (g0 + g1)
         if not shape and not np.isfinite(X_new):
             raise NonFiniteState(
                 f"state became non-finite at step {k + 1}", step=k + 1)
         path[k + 1 + m] = X_new
         As[k + 1] = _average_step(w_avg, A, Y, Y1, X, X_new)
-    u_final, clip_f = control.evaluate(spec, n, n * dt, path[n + m], path[n],
-                                       As[n], starts=starts)
-    us[n] = value(u_final)
-    clipped |= clip_f
+    us[n] = value(control.evaluate(spec, n, n * dt, path[n + m], path[n],
+                                   As[n]))
     return PathRecord(t=grid.times, X=path[m:].T, Y=path[: n + 1].T, A=As.T,
-                      u=us.T, dB=np.zeros(shape + (n,)), clipped=clipped)
+                      u=us.T, dB=np.zeros(shape + (n,)))
 
 
 
@@ -1097,6 +1076,6 @@ def simulate_variational(spec: ProblemSpec, grid: TimeGrid,
     simulate_path); xi vanishes on the initial segment by construction."""
     seed, path_index = noise
     block, lane = divmod(int(path_index), BLOCK_SIZE)
-    (xi,), _, _ = _run_blocks(spec, grid, control, seed, block, lane + 1,
-                              (VariationalAccumulator(beta),), None)
+    (xi,), _ = _run_blocks(spec, grid, control, seed, block, lane + 1,
+                           (VariationalAccumulator(beta),), None)
     return xi[lane]

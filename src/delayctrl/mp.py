@@ -67,8 +67,7 @@ from .absde import monomial_basis
 from .adjoint import p3_flatness
 from .errors import BadWindow
 from .forward import (ControlSpec, StepAccumulator, VariationalAccumulator,
-                      bump_control, bump_start_step, feedback_control,
-                      simulate_ensemble)
+                      bump_control, bump_start_step, simulate_ensemble)
 from .hamiltonian import HamArgs, eval_H, grad_H, maximize_scalar
 from .model import ProblemSpec, TimeGrid, _mc_settings, setting
 from .objective import RunningRewardAccumulator, mean_stderr
@@ -128,16 +127,14 @@ def _probe_indices(grid: TimeGrid, mc_cfg):
     return ks
 
 
-def _superpose(base: ControlSpec, beta: ControlSpec, s: float,
-               grid: TimeGrid) -> ControlSpec:
+def _superpose(base: ControlSpec, beta: ControlSpec,
+               s: float) -> ControlSpec:
     """Control u + s * beta (clipped at evaluation like any control)."""
-    dt = grid.dt
-
-    def rule(t, x, y, a):
-        k = int(round(t / dt))
+    def rule(k, t, x, y, a):
         return base.raw(k, t, x, y, a) + s * beta.raw(k, t, x, y, a)
 
-    return feedback_control(rule, base.reads_average or beta.reads_average)
+    return ControlSpec(rule,
+                       reads_average=base.reads_average or beta.reads_average)
 
 
 def _adjoint_values(adjoint, t, x, y, a):
@@ -663,10 +660,10 @@ def variational_consistency(spec: ProblemSpec, grid: TimeGrid,
     x_T, y_T, a_T = (v[:, 0] for v in res.extras[1])
 
     rew_p, xT_p = _gateaux_terms(
-        spec, grid, _superpose(candidate, beta, s, grid), n_paths, seed,
+        spec, grid, _superpose(candidate, beta, s), n_paths, seed,
         threads)
     rew_m, xT_m = _gateaux_terms(
-        spec, grid, _superpose(candidate, beta, -s, grid), n_paths, seed,
+        spec, grid, _superpose(candidate, beta, -s), n_paths, seed,
         threads)
     fd_vals = (rew_p - rew_m) / (2 * s)
 

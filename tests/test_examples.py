@@ -1,6 +1,9 @@
 """Closed-form benchmark families: constants, state flows, and
 coefficient bundles."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -82,7 +85,7 @@ class TestConsumptionClosedForm:
         spec = make_ex34_problem(params, u_hi=50.0)
         ctl = ex34_feedback(params, p0)
         x = np.array([0.5, 1.0, 2.0])
-        u, _ = ctl.evaluate(spec, 0, 0.7, x, x, x)
+        u = ctl.evaluate(spec, 0, 0.7, x, x, x)
         expected = [ex34_control(params, 0.7, xi, p0) for xi in x]
         np.testing.assert_allclose(u, expected, rtol=1e-12)
 
@@ -291,3 +294,12 @@ class TestCoefficientBundles:
         val = coeffs.f(0.0, np.array([-1.0]), np.array([1.0]),
                        np.array([1.0]), np.array([0.5]))
         assert not np.isfinite(val[0])
+
+
+def test_readme_library_sketch(capsys):
+    """The README's library sketch runs as printed and prints a finite J."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library sketch", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert math.isfinite(float(capsys.readouterr().out))

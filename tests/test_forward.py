@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayctrl import forward, make_grid
-from delayctrl.errors import BadWindow, NonFiniteSegment, NonFiniteState
+from delayctrl.errors import (BadWindow, GridMismatch, NonFiniteSegment,
+                              NonFiniteState)
 from delayctrl.forward import (
     BLOCK_SIZE,
     GROUP_BLOCKS,
@@ -161,16 +162,11 @@ class TestMovingAverageReplay:
             assert np.asarray(v).tobytes() == np.asarray(v0).tobytes()
 
 
-def _clip_by_mask(u, lo, hi, starts):
-    """The clip flags and values as the out-of-bound mask gives them: the
-    reference ``ControlSpec.evaluate`` must match bit for bit."""
+def _clip_by_mask(u, lo, hi):
+    """The values as the out-of-bound mask gives them: the reference
+    ``ControlSpec.evaluate`` must match bit for bit."""
     outside = (u < lo) | (u > hi)
-    if starts is None:
-        flag = clip = bool(outside.any())
-    else:
-        flag = np.logical_or.reduceat(outside, starts)
-        clip = flag.any()
-    return (np.clip(u, lo, hi) if clip else u), flag
+    return np.clip(u, lo, hi) if outside.any() else u
 
 
 _NAN, _INF = np.nan, np.inf
@@ -191,55 +187,60 @@ class TestControls:
     @pytest.mark.parametrize("form", ["scalar", "whole", "blocks", "lanes"])
     @pytest.mark.parametrize("case", sorted(_CLIP_CASES))
     def test_clipping_matches_the_mask(self, ex34_spec, case, form):
-        # the forms of simulate_noiseless (scalar, lanes: one flag per
-        # lane), of a bare lane array (whole) and of the engine (blocks)
-        ctl = feedback_control(lambda t, x, y, a: x)
+        # the forms of simulate_noiseless (scalar: one state at a time;
+        # lanes: a rule over a lane axis), of a bare lane array (whole)
+        # and of the engine (blocks: the states are a row of its delay
+        # ring); clipping writes to neither the states nor the rule's
+        # values, each of which u = x or u = values returns as it is
         lo, hi = ex34_spec.control_lo, ex34_spec.control_hi
         values = np.array(_CLIP_CASES[case])
-        starts = {"blocks": np.array([0, 4]),
-                  "lanes": np.arange(values.size)}.get(form)
-        for u in ([np.array(v) for v in values] if form == "scalar"
-                  else [values]):
-            got, flag = ctl.evaluate(ex34_spec, 0, 0.0, u.copy(), u, u,
-                                     starts=starts)
-            want, want_flag = _clip_by_mask(u, lo, hi, starts)
+        before = values.tobytes()
+        ring = np.stack((np.zeros_like(values), values, np.ones_like(values)))
+        ctl = feedback_control(lambda t, x, y, a: x)
+        if form == "scalar":
+            pairs = [(np.array(v), np.array(v)) for v in values]
+        elif form == "whole":
+            pairs = [(values.copy(), values)]
+        elif form == "blocks":
+            pairs = [(ring[1], values)]
+        else:
+            ctl = feedback_control(lambda t, x, y, a: values)
+            pairs = [(np.zeros_like(values), values)]
+        for x, u in pairs:
+            got = ctl.evaluate(ex34_spec, 0, 0.0, x, x, x)
+            want = _clip_by_mask(u, lo, hi)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-            if starts is None:
-                assert type(flag) is bool and flag == want_flag
-            else:
-                assert flag.dtype == bool and np.array_equal(flag, want_flag)
+        assert values.tobytes() == ring[1].tobytes() == before
 
     def test_constant(self, ex34_spec):
-        u, clipped = constant_control(0.3).evaluate(
+        u = constant_control(0.3).evaluate(
             ex34_spec, 0, 0.0, np.ones(4), np.ones(4), np.ones(4))
         np.testing.assert_array_equal(u, 0.3)
-        assert not clipped
 
     def test_clipping_flag(self, ex34_spec):
-        u, clipped = constant_control(99.0).evaluate(
+        u = constant_control(99.0).evaluate(
             ex34_spec, 0, 0.0, np.ones(2), np.ones(2), np.ones(2))
         np.testing.assert_array_equal(u, 50.0)
-        assert clipped
 
     def test_table_lookup(self, ex34_spec):
         ctl = table_control([0.1, 0.2, 0.3])
-        u, _ = ctl.evaluate(ex34_spec, 1, 0.05, np.ones(2), np.ones(2),
-                            np.ones(2))
+        u = ctl.evaluate(ex34_spec, 1, 0.05, np.ones(2), np.ones(2),
+                         np.ones(2))
         np.testing.assert_array_equal(u, 0.2)
 
     def test_scale_composes(self, ex34_spec):
         ctl = scale_control(scale_control(constant_control(0.2), 2.0), 3.0)
-        u, _ = ctl.evaluate(ex34_spec, 0, 0.0, np.ones(1), np.ones(1),
-                            np.ones(1))
+        u = ctl.evaluate(ex34_spec, 0, 0.0, np.ones(1), np.ones(1),
+                         np.ones(1))
         assert u[0] == pytest.approx(1.2)
 
     def test_bump_window_applied(self, ex34_spec):
         ctl = bump_control(constant_control(0.1), alpha=0.05, s=1.0, h=0.5,
                            horizon=3.0)
-        inside, _ = ctl.evaluate(ex34_spec, 0, 1.2, np.ones(1), np.ones(1),
-                                 np.ones(1))
-        outside, _ = ctl.evaluate(ex34_spec, 0, 2.0, np.ones(1), np.ones(1),
-                                  np.ones(1))
+        inside = ctl.evaluate(ex34_spec, 0, 1.2, np.ones(1), np.ones(1),
+                              np.ones(1))
+        outside = ctl.evaluate(ex34_spec, 0, 2.0, np.ones(1), np.ones(1),
+                               np.ones(1))
         assert inside[0] == pytest.approx(0.15)
         assert outside[0] == pytest.approx(0.1)
 
@@ -248,10 +249,68 @@ class TestControls:
             bump_control(constant_control(0.1), alpha=1.0, s=2.5, h=1.0,
                          horizon=3.0)
 
+    @pytest.mark.parametrize("kind", ["constant", "table", "feedback"])
+    def test_raw_is_the_scaled_bumped_value(self, kind):
+        """raw at step k is bitwise scale times the value filled into the
+        lanes (constant, table row k) or scale times the rule's array
+        (feedback), plus alpha inside the window of each bump, for lane
+        arrays and scalar states."""
+        dt, n, scale = 0.1, 20, 1.7
+        table = 1e3 * np.sin(0.7 * np.arange(n + 1)) + 0.1
+        bumps = ((0.07, 0.3, 0.5), (-0.2, 1.0, 0.0))
+
+        def fn(t, x, y, a):
+            return np.exp(0.3 * t) * x - 0.5 * y + 0.25 * a
+
+        ctl = scale_control({"constant": constant_control(0.1),
+                             "table": table_control(table),
+                             "feedback": feedback_control(fn)}[kind], scale)
+        for alpha, s, h in bumps:
+            ctl = bump_control(ctl, alpha, s, h)
+        lanes = np.concatenate((np.random.default_rng(1).standard_normal(8),
+                                [-0.0, 0.0, np.nan, np.inf, 1e-300]))
+        hits = 0
+        with np.errstate(all="ignore"):
+            for k in range(n + 1):
+                t = k * dt
+                for x in (lanes, np.array(lanes[0]), lanes[0]):
+                    y, a = 2.0 * x, x - 1.0
+                    if kind == "feedback":
+                        want = scale * np.asarray(fn(t, x, y, a), float)
+                    else:
+                        value = 0.1 if kind == "constant" else table[k]
+                        want = np.full_like(np.asarray(x, float),
+                                            scale * value)
+                    for alpha, s, h in bumps:
+                        if s - 1e-12 <= t <= s + h + 1e-12:
+                            want = want + alpha
+                            hits += 1
+                    got = ctl.raw(k, t, x, y, a)
+                    assert np.shape(got) == np.shape(x)
+                    assert (np.asarray(got).tobytes()
+                            == np.asarray(want).tobytes()), (k, x)
+        assert hits == 3 * 7  # six steps in the first window, one in the last
+
+    @pytest.mark.parametrize("run", ["ensemble", "noiseless"])
+    def test_short_table_raises(self, ex34_spec, run):
+        """A table shorter than the grid raises GridMismatch at the first
+        step past its end, naming its length and the step."""
+        from delayctrl.objective import estimate_J
+
+        grid = make_grid(1.0, 0.1, 3.0)
+        assert grid.n == 30
+        ctl = table_control(np.full(10, 0.1))
+        with pytest.raises(GridMismatch,
+                           match="control table has 10 values, step 10"):
+            if run == "ensemble":
+                estimate_J(ex34_spec, grid, ctl, 64, 0)
+            else:
+                simulate_noiseless(ex34_spec, grid, ctl)
+
     def test_feedback_sees_state(self, ex34_spec):
         ctl = feedback_control(lambda t, x, y, a: 0.5 * x)
-        u, _ = ctl.evaluate(ex34_spec, 0, 0.0, np.array([0.2, 0.4]),
-                            np.zeros(2), np.zeros(2))
+        u = ctl.evaluate(ex34_spec, 0, 0.0, np.array([0.2, 0.4]),
+                         np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(u, [0.1, 0.2])
 
 
@@ -368,8 +427,8 @@ class TestBlockGroups:
         for b in range(n_blocks):
             lanes = min(BLOCK_SIZE, GROUP_PATHS - b * BLOCK_SIZE)
             rec = _record_arrays(spec, grid, lanes)
-            extras, _, _ = _run_blocks(spec, grid, ctl, 11, b, lanes,
-                                       self._accumulators(beta), rec)
+            extras, _ = _run_blocks(spec, grid, ctl, 11, b, lanes,
+                                    self._accumulators(beta), rec)
             for name in RECORD_KEYS:
                 if rec[name] is None:
                     continue
@@ -502,29 +561,30 @@ def _brownian_spec(b=_zero, partials=None, u_hi=1.0):
 
 def test_clipped_flag_is_per_block():
     # u = x does not feed back into dX = dB; a bound at the middle block's
-    # largest state clips exactly the block whose paths go higher
+    # largest state clips the lanes above it, in the block whose paths go
+    # higher, and leaves every other lane's u bitwise its state
     grid = make_grid(0.2, 0.1, 0.4)
     ctl = feedback_control(lambda t, x, y, a: x)
     n_paths = 3 * BLOCK_SIZE
     free = simulate_ensemble(_brownian_spec(u_hi=np.inf), grid, ctl, n_paths,
                              2, record=True)
-    assert not free.clipped
-    top = np.array([max(r.X.max() for r in free.records[b * BLOCK_SIZE:
-                                                          (b + 1) * BLOCK_SIZE])
-                    for b in range(3)])
-    ens = simulate_ensemble(_brownian_spec(u_hi=np.median(top)), grid, ctl,
-                            n_paths, 2, record=True)
-    expect = np.repeat(top > np.median(top), BLOCK_SIZE)
-    assert np.array_equal([r.clipped for r in ens.records], expect)
-    assert ens.clipped
+    assert free.arrays["u"].tobytes() == free.arrays["X"].tobytes()
+    top = free.arrays["X"].reshape(3, -1).max(axis=1)  # per block
+    hi = np.median(top)
+    ens = simulate_ensemble(_brownian_spec(u_hi=hi), grid, ctl, n_paths, 2,
+                            record=True)
+    X, u = ens.arrays["X"], ens.arrays["u"]
+    assert X.tobytes() == free.arrays["X"].tobytes()
+    assert np.array_equal(u, np.minimum(X, hi))
+    over = (X > hi).reshape(3, -1).any(axis=1)
+    assert over.tolist() == (top > hi).tolist() and over.sum() == 1
 
 
 @pytest.mark.parametrize("third", ["never", "last"])
 def test_clip_flags_once_every_block_is_flagged(third):
     """A group of three blocks, the last of five lanes, whose blocks first
     clip at step 1, at a later step and never (or last of the three),
-    gives the clip flags and u of three one-block runs bitwise: the step
-    stops computing per-block flags only once every block is flagged."""
+    gives the u of three one-block runs bitwise."""
     grid = make_grid(0.2, 0.1, 2.0)
     lanes = (BLOCK_SIZE, BLOCK_SIZE, 5)
     edges = np.cumsum((0,) + lanes)
@@ -549,12 +609,10 @@ def test_clip_flags_once_every_block_is_flagged(third):
     spec = _brownian_spec(u_hi=0.0)
     ctl = feedback_control(lambda t, x, y, a: x + g[round(t / grid.dt)])
     rec = _record_arrays(spec, grid, edges[-1])
-    _, clipped, _ = _run_blocks(spec, grid, ctl, seed, 0, edges[-1], (), rec)
-    assert list(clipped) == [True, True, third == "last"]
+    _run_blocks(spec, grid, ctl, seed, 0, edges[-1], (), rec)
     for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         one = _record_arrays(spec, grid, hi - lo)
-        _, flag, _ = _run_blocks(spec, grid, ctl, seed, j, hi - lo, (), one)
-        assert flag.tolist() == [clipped[j]]
+        _run_blocks(spec, grid, ctl, seed, j, hi - lo, (), one)
         assert rec["u"][:, lo:hi].tobytes() == one["u"].tobytes(), j
 
 
@@ -628,7 +686,7 @@ class TestSmallestRing:
         for k in range(grid.n):
             t = k * dt
             assert u[k].tobytes() == ctl.evaluate(
-                spec, k, t, X[k], Y[k], A[k])[0].tobytes()
+                spec, k, t, X[k], Y[k], A[k]).tobytes()
             args = (t, X[k], Y[k], A[k], u[k])
             drift = forward.lane_values(c.b(*args), shape) * dt
             if spec.has_jumps:
@@ -957,7 +1015,7 @@ class TestResume:
 
     @staticmethod
     def assert_same(a, b):
-        for name in ("X", "Y", "A", "u", "dB", "counts", "clipped"):
+        for name in ("X", "Y", "A", "u", "dB", "counts"):
             va = [getattr(r, name) for r in a.records]
             if va[0] is None:
                 assert all(getattr(r, name) is None for r in b.records), name
@@ -967,7 +1025,6 @@ class TestResume:
         for ea, eb in zip(a.extras, b.extras, strict=True):
             for xa, xb in zip(ea, eb, strict=True):
                 assert np.array_equal(xa, xb)
-        assert a.clipped == b.clipped
 
     def test_resumed_equals_full_run(self, case, threads, saved):
         spec, grid, ctl = case
@@ -1057,8 +1114,6 @@ class TestResume:
                               strict=True):
                 for xa, xb in zip(ea, eb, strict=True):
                     assert np.array_equal(xa, xb)
-            assert np.array_equal(from_recorded.block_clipped,
-                                  from_bare.block_clipped)
 
     def test_recording_resume_from_unrecorded_save_raises(self, ex34_spec,
                                                           ex34_control):
@@ -1086,7 +1141,8 @@ class TestResume:
         full = simulate_ensemble(*args, record=True, save_at=[k_save])
         resumed = simulate_ensemble(*args, record=True,
                                     resume=full.states[k_save])
-        assert resumed.clipped and all(r.clipped for r in resumed.records)
+        # every path reaches the bound: u is clipped to 1 on it
+        assert (resumed.arrays["u"].max(axis=1) == 1.0).all()
         self.assert_same(full, resumed)
 
     def test_mismatched_resume_raises(self, ex34_spec, ex34_control):
@@ -1150,7 +1206,6 @@ class TestNoiselessLanes:
             for key in ("X", "Y", "A", "u"):
                 assert np.array_equal(getattr(lanes, key)[i],
                                       getattr(one, key)), (key, i)
-            assert lanes.clipped[i] == one.clipped
 
     def test_nonfinite_lane_runs_on(self):
         """A lane that overflows keeps running with non-finite values where
@@ -1380,6 +1435,28 @@ class TestAverageCarry:
         ctl = feedback_control(rule, reads_average=False)
         with pytest.raises(TypeError):
             estimate_J(ex34_spec, grid, ctl, 16, 0)
+        assert seen == [0.0]
+
+    def test_a_free_coefficient_that_reads_a_raises(self, ex34_spec,
+                                                    ex34_control):
+        """Ex 3.4's drift plus 0.0 * np.asarray(a, float), its a-partial
+        still the structural zero: the run does not carry A, and the
+        drift's first call raises TypeError instead of reading a as NaN
+        lanes that fail later as a non-finite state."""
+        from delayctrl.objective import estimate_J
+
+        grid = make_grid(1.0, 0.1, 3.0)
+        seen = []
+
+        def b(t, x, y, a, u):
+            seen.append(t)
+            return 0.05 * x - u * x + 0.0 * np.asarray(a, float)
+
+        spec = dataclasses.replace(ex34_spec, coeffs=dataclasses.replace(
+            ex34_spec.coeffs, b=b))
+        assert not spec.coeffs.reads("b", "a")
+        with pytest.raises(TypeError, match="read the moving average"):
+            estimate_J(spec, grid, ex34_control, 64, 0)
         assert seen == [0.0]
 
     def test_reading_resume_from_a_free_save_raises(self, ex34_spec,

@@ -29,6 +29,7 @@ from delayctrl.forward import (
     feedback_control,
     scale_control,
     simulate_ensemble,
+    table_control,
 )
 from delayctrl.hamiltonian import HamArgs, grad_H
 from delayctrl.mp import (
@@ -54,6 +55,33 @@ def setup():
     ctl = ex34_feedback(params, p0)
     adj = lambda t, x, y, a: ex34_adjoint(params, t, p0)
     return params, p0, spec, ctl, adj
+
+
+def test_superpose_is_the_sum_at_each_step():
+    """_superpose(base, beta, s) at step k is bitwise base.raw + s *
+    beta.raw at the step the grid puts at t, round(t / dt), at every k of
+    a dt = 0.1 grid and at the Heun predictor's t_{k-1} + dt; it reads A
+    when either part does."""
+    grid = make_grid(1.0, 0.1, 5.0)
+    dt, n = grid.dt, grid.n
+    table = np.cos(0.3 * np.arange(n + 1)) + 0.5
+    base = bump_control(scale_control(table_control(table), 1.3), 0.05, 0.4,
+                        0.6)
+    beta = bump_control(scale_control(feedback_control(
+        lambda t, x, y, a: np.exp(-t) * x + 0.1 * a), -2.0), 1.0, 2.0, 1.5)
+    s = 0.37
+    ctl = mp._superpose(base, beta, s)
+    assert ctl.reads_average and not mp._superpose(
+        base, constant_control(1.0), s).reads_average
+    x = np.random.default_rng(3).standard_normal(16)
+    y, a = x[::-1].copy(), 0.5 * x
+    for k in range(n + 1):
+        for t in (k * dt, (k - 1) * dt + dt):
+            j = int(round(t / dt))
+            assert j == k
+            want = np.asarray(base.raw(j, t, x, y, a)
+                              + s * beta.raw(j, t, x, y, a), float)
+            assert ctl.raw(k, t, x, y, a).tobytes() == want.tobytes(), (k, t)
 
 
 class TestSufficientFirst:
@@ -291,7 +319,7 @@ class TestNecessary:
 
         def terms(beta, s):
             res = simulate_ensemble(
-                spec, grid, mp._superpose(ctl, beta, s, grid), 256, 9,
+                spec, grid, mp._superpose(ctl, beta, s), 256, 9,
                 accumulators=(RunningRewardAccumulator(),
                               mp.StateAtStepsAccumulator((grid.n,))))
             reward, _, alive = res.extras[0]
