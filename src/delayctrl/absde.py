@@ -395,9 +395,14 @@ class McContext:
         if self._slice != k:
             self._M = self.design(k)
             self._slice = k
-        M = self._M
-        coef, *_ = np.linalg.lstsq(M, values, rcond=None)
-        return M @ coef
+        return _least_squares(self._M, values)
+
+
+def _least_squares(M: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The least-squares fit of ``values`` on the columns of ``M``,
+    evaluated at M's rows."""
+    coef, *_ = np.linalg.lstsq(M, values, rcond=None)
+    return M @ coef
 
 
 def _mark_rates(driver: AdvancedDriver, grid: TimeGrid, ctx: McContext):

@@ -35,8 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .absde import AdvancedDriver, McContext, picard_solve
+from .absde import AdvancedDriver, McContext, _trapz_weights, picard_solve
 from .forward import ControlSpec, simulate_noiseless, stack_records
+from .hamiltonian import _average_coefficients
 from .model import ProblemSpec, TimeGrid, _write_csv, setting
 
 _PARTIAL_VARS = ("x", "y", "a")
@@ -97,10 +98,18 @@ def _segment_kernel(grid: TimeGrid, rho: float) -> np.ndarray:
     """Trapezoid weights for e^{rho t} int_t^{t+delta} g(s) e^{-rho s} ds
     expressed against the forward segment g(t), ..., g(t+delta)."""
     m, dt = grid.m, grid.dt
-    w = np.full(m + 1, dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w * np.exp(-rho * dt * np.arange(m + 1))
+    return _trapz_weights(m, dt) * np.exp(-rho * dt * np.arange(m + 1))
+
+
+def _grid_function(grid: TimeGrid, values: np.ndarray):
+    """p(t, x, y, a) of values sampled on the grid: the value at the node
+    nearest t (the last one past the horizon), broadcast to x's shape."""
+
+    def p(t, x, y, a):
+        k = min(grid.n, int(round(np.asarray(t, float) / grid.dt)))
+        return np.broadcast_to(values[k], np.shape(x))
+
+    return p
 
 
 def _estimate_lipschitz(P: dict, grid: TimeGrid) -> float:
@@ -284,31 +293,24 @@ def solve_second_adjoint(spec: ProblemSpec, grid: TimeGrid,
 
     The Hamiltonian derivatives feeding the right-hand side are
 
-        dH/dx = f_x + b_x p1 + p2,
-        dH/dy = f_y + b_y p1 - lambda p2,
-        dH/da = f_a + b_a p1 - e^{-lambda delta} p2,
+        dH/dv = f_v + b_v p1 + c_v p2,   v = x, y, a,
 
-    with q1 = q2 = r = 0 in the noiseless setting.
+    with c the coefficients of H2's moving-average term
+    (``hamiltonian._average_coefficients``: 1, -lambda and
+    -e^{-lambda delta}) and q1 = q2 = r = 0 in the noiseless setting.
     """
     rec = simulate_noiseless(spec, grid, control)
     path = {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u}
     P = _coefficient_partial_arrays(spec, grid, path)
     n = grid.n
     dt = grid.dt
-    lam = spec.lambda_avg
-    e_ld = np.exp(-lam * spec.delta)
-
-    fx, fy, fa = P["f_x"][: n + 1], P["f_y"][: n + 1], P["f_a"][: n + 1]
-    bx, by, ba = P["b_x"][: n + 1], P["b_y"][: n + 1], P["b_a"][: n + 1]
+    rows = [(P[f"f_{v}"][: n + 1], P[f"b_{v}"][: n + 1], c)
+            for v, c in _average_coefficients(spec).items()]
 
     def rhs(k, p):
         # dp/dt at node k for p = (p1, p2, p3)
         p1, p2, _ = p
-        return np.array([
-            -(fx[k] + bx[k] * p1 + p2),
-            -(fy[k] + by[k] * p1 - lam * p2),
-            -(fa[k] + ba[k] * p1 - e_ld * p2),
-        ])
+        return np.array([-(f[k] + b[k] * p1 + c * p2) for f, b, c in rows])
 
     p1 = np.zeros(n + 1)
     p2 = np.zeros(n + 1)

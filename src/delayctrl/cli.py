@@ -3,10 +3,13 @@
 Subcommands: simulate, objective, adjoint, check, example34, example35,
 picard-diagnostics, sweep.  A JSON config file supplies the problem,
 grid, Monte Carlo, solver and control sections; command-line flags
-override matching config entries.  Before anything runs, the config
-with the flags set is checked against ``model.SETTINGS``.  Every command
-writes a manifest listing its outputs together with the SHA-256 hash of
-the config bytes and the resolved settings.
+override matching config entries.  ``main`` runs every command the same
+way: it loads the config, sets the flags and checks the result against
+``model.SETTINGS`` before anything runs, hands the command one run
+(``_Run``, whose problem and grid are built at first use), and writes
+``manifest.json`` once the command returns: its outputs, the SHA-256
+hash of the config bytes and the resolved settings.  A command that
+raises or exits with a usage error writes no manifest.
 
 Exit codes: 0 ok, 1 usage or configuration error, 2 check failed or
 solver did not converge, 3 the necessary check's ``boundary`` verdict
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import copy
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .absde import contraction_diagnostics, picard_solve
-from .adjoint import (prepare_first_adjoint, solve_first_adjoint,
+from .adjoint import (_grid_function, prepare_first_adjoint,
                       solve_second_adjoint)
 from .errors import (BadInterval, BadWeight, BadWindow, ConfigError,
                      DelayCtrlError, GridMismatch, NoConvergence)
@@ -175,22 +179,27 @@ def _write_json(path, payload):
 
 
 class _Run:
-    """Shared per-command state: config, its (n_paths, seed, threads),
+    """One command's run: config, its (n_paths, seed, threads), problem,
     output directory and manifest.  The config, with the override flags
     set, is checked against the settings table before anything runs."""
 
-    def __init__(self, args, command):
+    def __init__(self, args):
         cfg, raw = _load_config(args.config)
         self.cfg = _apply_overrides(cfg, args)
         settings = check_config(self.cfg)
         self.mc = _mc_settings(self.cfg["mc"])
         self.out_dir = args.out_dir or "."
         os.makedirs(self.out_dir, exist_ok=True)
-        self.manifest = {"command": command, "seed": self.mc[1],
+        self.manifest = {"command": args.command, "seed": self.mc[1],
                          "config_hash": hashlib.sha256(raw).hexdigest(),
                          "settings": settings,
                          "started": _now(), "version": __version__,
                          "outputs": []}
+
+    @functools.cached_property
+    def problem(self):
+        """(spec, grid) of the config, built at first use."""
+        return _build(self.cfg)
 
     def path(self, name):
         self.manifest["outputs"].append(name)
@@ -211,31 +220,27 @@ class _Run:
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _reference_ensemble(run, spec, grid, control, solver_cfg):
-    """The ensemble the first adjoint is solved on in the solver section's
-    mode: ``"regression"`` records mc.n_paths paths under the control
-    (their arrays); anything else gives None, the noiseless path."""
-    if setting(solver_cfg, "solver", "mode") != "regression":
-        return None
-    n_paths, seed, threads = run.mc
-    return simulate_ensemble(spec, grid, control, n_paths, seed,
-                             record=True, threads=threads).arrays
-
-
-def _solve_first(run, spec, grid, control, solver_cfg):
-    """solve_first_adjoint in the solver section's mode."""
-    return solve_first_adjoint(
-        spec, grid, control, solver_cfg=solver_cfg,
-        ensemble=_reference_ensemble(run, spec, grid, control, solver_cfg))
+def _solve_first(run, spec, grid, control):
+    """(driver, triple, report) of the first adjoint under ``control``, in
+    the solver section's mode: ``"regression"`` solves on mc.n_paths paths
+    recorded under the control, anything else along the noiseless path.
+    A caller that does not read the driver slices it off (``[1:]``), so
+    that it is freed as soon as the solve returns."""
+    solver_cfg = run.cfg.get("solver", {})
+    ensemble = None
+    if setting(solver_cfg, "solver", "mode") == "regression":
+        n_paths, seed, threads = run.mc
+        ensemble = simulate_ensemble(spec, grid, control, n_paths, seed,
+                                     record=True, threads=threads).arrays
+    driver, options = prepare_first_adjoint(
+        spec, grid, control, solver_cfg=solver_cfg, ensemble=ensemble)
+    del ensemble  # the solve reads the context's arrays, not the recorded u
+    return (driver, *picard_solve(driver, grid, **options))
 
 
 def _picard_failure(run, name, exc, what):
@@ -246,7 +251,6 @@ def _picard_failure(run, name, exc, what):
     payload = report.as_dict() if report is not None else {}
     payload["error"] = str(exc)
     run.write_json(name, payload)
-    run.finish()
     print(f"{what} failed: {exc}", file=sys.stderr)
     return EXIT_FAIL
 
@@ -255,24 +259,21 @@ def _picard_failure(run, name, exc, what):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args):
-    run = _Run(args, "simulate")
-    spec, grid = _build(run.cfg)
+def cmd_simulate(run, args):
+    spec, grid = run.problem
     n_paths, seed, threads = run.mc
     control, _ = _resolve_control(run.cfg, grid, args.control)
     res = simulate_ensemble(spec, grid, control, n_paths, seed,
                             record=True, threads=threads)
     for i, rec in enumerate(res.records):
         rec.to_csv(run.path(f"path_{i:05d}.csv"))
-    run.finish()
     print(f"simulated {n_paths} paths on [0, {grid.horizon:g}] "
           f"(dt={grid.dt:g}, seed={seed})")
     return EXIT_OK
 
 
-def cmd_objective(args):
-    run = _Run(args, "objective")
-    spec, grid = _build(run.cfg)
+def cmd_objective(run, args):
+    spec, grid = run.problem
     n_paths, seed, threads = run.mc
     control, _ = _resolve_control(run.cfg, grid, args.control)
     est = estimate_J(spec, grid, control, n_paths, seed, threads=threads)
@@ -281,34 +282,29 @@ def cmd_objective(args):
         "truncation_T": est.truncation_T, "tail_bound": est.tail_bound,
         "exited_fraction": est.exited_fraction,
     })
-    run.finish()
     print(f"J = {est.mean:.10g} +/- {est.stderr:.4g} "
           f"(N={est.n_paths}, tail bound {est.tail_bound:.4g})")
     return EXIT_OK
 
 
-def cmd_adjoint(args):
-    run = _Run(args, "adjoint")
-    spec, grid = _build(run.cfg)
-    solver_cfg = run.cfg.get("solver", {})
+def cmd_adjoint(run, args):
+    spec, grid = run.problem
     control, _ = _resolve_control(run.cfg, grid, args.control)
 
     if args.system == "second":
         result = solve_second_adjoint(spec, grid, control)
         result.to_csv(run.path("adjoint_second.csv"))
-        run.finish()
         print(f"second adjoint solved; p1(0) = {result.p1[0]:.10g}, "
               f"max|p3| = {np.max(np.abs(result.p3)):.4g}")
         return EXIT_OK
 
     try:
-        triple, report = _solve_first(run, spec, grid, control, solver_cfg)
+        triple, report = _solve_first(run, spec, grid, control)[1:]
     except (NoConvergence, BadWeight) as exc:
         return _picard_failure(run, "picard_report.json", exc, "adjoint solve")
     triple.to_csv(run.path("adjoint_first.csv"))
     run.write_json("picard_report.json", report.as_dict())
     run.record_solve(report)
-    run.finish()
     print(f"first adjoint solved in {report.iterations} Picard iterations "
           f"(weight lambda = {report.weight_lambda:.4g})")
     return EXIT_OK
@@ -322,24 +318,18 @@ def _verdict_exit(verdict):
     return EXIT_FAIL
 
 
-def cmd_check(args):
-    run = _Run(args, "check")
-    spec, grid = _build(run.cfg)
+def cmd_check(run, args):
+    spec, grid = run.problem
     candidate, p_fn = _resolve_control(run.cfg, grid, args.control)
     if p_fn is None and args.principle != "sufficient2":
-        # solve the candidate's adjoint and interpolate it in time (the
+        # solve the candidate's adjoint and sample it on the grid (the
         # ensemble mean in regression mode); only p on the grid is held,
         # not the solved triple, whose per-path p, q and r a regression
         # solve keeps
-        triple, report = _solve_first(run, spec, grid, candidate,
-                                      run.cfg.get("solver", {}))
-        p_grid = triple.p_on_grid()
+        triple, report = _solve_first(run, spec, grid, candidate)[1:]
+        p_fn = _grid_function(grid, triple.p_on_grid())
         del triple
         run.record_solve(report)
-
-        def p_fn(t, x, y, a, _pg=p_grid):
-            k = min(grid.n, int(round(np.asarray(t, float) / grid.dt)))
-            return np.broadcast_to(_pg[k], np.shape(x))
 
     mc_cfg = run.cfg["mc"]
     comparisons = [constant_control(0.5 * (spec.control_lo + spec.control_hi))]
@@ -362,14 +352,12 @@ def cmd_check(args):
             if key == "verdict":
                 continue
             fh.write(f"{key}: {value}\n")
-    run.finish()
     print(f"{args.principle}: {report.verdict}")
     return _verdict_exit(report.verdict)
 
 
-def cmd_example34(args):
-    run = _Run(args, "example34")
-    spec, grid = _build(run.cfg)
+def cmd_example34(run, args):
+    _, grid = run.problem
     params = example_params(run.cfg)
     if not isinstance(params, Example34Params):
         raise ConfigError("example34 requires selector example_3_4")
@@ -383,14 +371,12 @@ def cmd_example34(args):
                [row(t) for t in grid.times])
     run.write_json("example34.json", {
         "p0_star": p0, "objective": ex34_objective(params, p0)})
-    run.finish()
     print(f"p1(0)* = {p0:.10g}, closed-form J = {ex34_objective(params, p0):.10g}")
     return EXIT_OK
 
 
-def cmd_example35(args):
-    run = _Run(args, "example35")
-    spec, grid = _build(run.cfg)
+def cmd_example35(run, args):
+    _, grid = run.problem
     params = example_params(run.cfg)
     if not isinstance(params, Example35Params):
         raise ConfigError("example35 requires selector example_3_5")
@@ -404,21 +390,15 @@ def cmd_example35(args):
         "matched_alpha": ex35_matched_alpha(params),
         "alpha_residual": ex35_alpha_residual(params),
     })
-    run.finish()
     print(f"K = {K:.10g}, matched alpha = {ex35_matched_alpha(params):.10g}")
     return EXIT_OK
 
 
-def cmd_picard_diagnostics(args):
-    run = _Run(args, "picard-diagnostics")
-    spec, grid = _build(run.cfg)
-    solver_cfg = run.cfg.get("solver", {})
+def cmd_picard_diagnostics(run, args):
+    spec, grid = run.problem
     control, _ = _resolve_control(run.cfg, grid, args.control)
-    driver, options = prepare_first_adjoint(
-        spec, grid, control, solver_cfg=solver_cfg,
-        ensemble=_reference_ensemble(run, spec, grid, control, solver_cfg))
     try:
-        _, report = picard_solve(driver, grid, **options)
+        driver, _, report = _solve_first(run, spec, grid, control)
     except (NoConvergence, BadWeight) as exc:
         return _picard_failure(run, "picard_diagnostics.json", exc,
                                "picard solve")
@@ -427,7 +407,6 @@ def cmd_picard_diagnostics(args):
     payload = report.as_dict()
     payload["diagnostics"] = diag
     run.write_json("picard_diagnostics.json", payload)
-    run.finish()
     ratios = ", ".join(f"{r:.3g}" for r in report.ratios)
     print(f"converged={report.converged} iterations={report.iterations} "
           f"ratios=[{ratios}]")
@@ -446,8 +425,7 @@ _SWEEP_SHORTHAND = {
 }
 
 
-def cmd_sweep(args):
-    run = _Run(args, "sweep")
+def cmd_sweep(run, args):
     name = args.param
     keys = _SWEEP_SHORTHAND.get(name, tuple(name.split(".")))
     if ".".join(keys[:-1]) not in {"problem.params",
@@ -483,7 +461,6 @@ def cmd_sweep(args):
         rows.append((value, est.mean, est.stderr, est.tail_bound, est.n_paths))
     _write_csv(run.path("sweep.csv"),
                (name, "J", "stderr", "tail_bound", "n_paths"), rows)
-    run.finish()
     for value, mean, stderr, *_ in rows:
         print(f"{name}={value:g}: J = {mean:.10g} +/- {stderr:.4g}")
     return EXIT_OK
@@ -544,16 +521,21 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and write its manifest once it returns, unless
+    it exits with a usage error; a command that raises writes none."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        run = _Run(args)
+        code = args.fn(run, args)
     except (ConfigError, GridMismatch, BadInterval, BadWindow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DelayCtrlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    if code != EXIT_USAGE:
+        run.finish()
+    return code
 
 
 def entry():  # console-script wrapper

@@ -439,7 +439,7 @@ def example_params(raw_config: dict):
     None for any other selector: the keys ``problem.params`` sets, the
     dataclass defaults for the rest.  ``rho`` falls back to problem.rho;
     ``delta`` and ``lambda_avg`` are the problem section's resolved values
-    (``model.problem_rates``), whatever ``params`` says."""
+    (``model.problem_rates``), and ``params`` may not set them."""
     prob = raw_config.get("problem", {})
     cls = {"example_3_4": Example34Params,
            "example_3_5": Example35Params}.get(
@@ -448,7 +448,11 @@ def example_params(raw_config: dict):
         return None
     names = {f.name for f in dataclasses.fields(cls)}
     params = setting(prob, "problem", "params")
-    refuse_unknown_params(params, names)
+    for key in ("delta", "lambda_avg"):
+        if key in params:
+            raise ConfigError(f"problem.params.{key} is not read; set "
+                              f"problem.{key} instead")
+    refuse_unknown_params(params, names - {"delta", "lambda_avg"})
     delta, rho, lambda_avg, _ = problem_rates(prob)
     given = {"rho": rho, **{key: param(params, key) for key in params},
              "delta": delta, "lambda_avg": lambda_avg}

@@ -70,6 +70,13 @@ def _check_finite(value, label):
     return value
 
 
+def _average_coefficients(spec: ProblemSpec) -> dict:
+    """The p2 coefficients of H2's moving-average term
+    (x - lambda y - e^{-lambda delta} a) p2, by variable."""
+    lam = spec.lambda_avg
+    return {"x": 1.0, "y": -lam, "a": -np.exp(-lam * spec.delta)}
+
+
 def eval_H(spec: ProblemSpec, args: HamArgs, check: bool = True):
     """H1, or H2 when ``args.p2`` is given, summed in the order
     f + b p, the p2 term, sigma q, the nu term."""
@@ -77,8 +84,8 @@ def eval_H(spec: ProblemSpec, args: HamArgs, check: bool = True):
     t, x, y, a, u = args.t, args.x, args.y, args.a, args.u
     val = c.f(t, x, y, a, u) + c.b(t, x, y, a, u) * args.p
     if args.p2 is not None:
-        lam = spec.lambda_avg
-        val = val + (x - lam * y - np.exp(-lam * spec.delta) * a) * args.p2
+        c2 = _average_coefficients(spec)
+        val = val + (c2["x"] * x + c2["y"] * y + c2["a"] * a) * args.p2
     val = (val + c.sigma(t, x, y, a, u) * args.q
            + nu_theta_r(spec, t, x, y, a, u, args.r))
     return _check_finite(val, "H") if check else val
@@ -103,10 +110,7 @@ def grad_H(spec: ProblemSpec, args: HamArgs, which: str, check: bool = True):
         val = val + _nu_weighted(spec, args.r,
                                  lambda z: dtheta(t, x, y, a, u, z))
     if args.p2 is not None:
-        lam = spec.lambda_avg
-        coef = {"x": 1.0, "y": -lam, "a": -np.exp(-lam * spec.delta),
-                "u": 0.0}[which]
-        val = val + coef * args.p2
+        val = val + _average_coefficients(spec).get(which, 0.0) * args.p2
     return _check_finite(val, f"dH/d{which}") if check else val
 
 

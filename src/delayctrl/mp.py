@@ -63,8 +63,8 @@ from typing import Optional
 
 import numpy as np
 
-from .absde import monomial_basis
-from .adjoint import p3_flatness
+from .absde import _least_squares, monomial_basis
+from .adjoint import _grid_function, p3_flatness
 from .errors import BadWindow
 from .forward import (ControlSpec, StepAccumulator, VariationalAccumulator,
                       bump_control, bump_start_step, simulate_ensemble)
@@ -275,9 +275,7 @@ def _conditional_residual(values, lag_state=None, degree: int = 2):
     mean, stderr = mean_stderr(values)
     if lag_state is None:
         return mean, stderr
-    M = monomial_basis(*lag_state, degree)
-    coef, *_ = np.linalg.lstsq(M, values, rcond=None)
-    proj = M @ coef
+    proj = _least_squares(monomial_basis(*lag_state, degree), values)
     signed = proj[np.argmax(np.abs(proj))]
     return float(signed), stderr
 
@@ -464,12 +462,10 @@ def check_sufficient_second(spec: ProblemSpec, grid: TimeGrid,
     is the SecondAdjointResult solved under the candidate (deterministic
     grid functions)."""
 
+    parts = [_grid_function(grid, v) for v in (adj2.p1, adj2.q1, adj2.p2)]
+
     def adjoint_eval(t, x, y, a):
-        k = min(grid.n, int(round(t / grid.dt)))
-        shape = np.shape(x)
-        return (np.broadcast_to(adj2.p1[k], shape),
-                np.broadcast_to(adj2.q1[k], shape),
-                np.broadcast_to(adj2.p2[k], shape))
+        return tuple(part(t, x, y, a) for part in parts)
 
     flat, dev = p3_flatness(adj2.p3, _P3_TOL)
     return _check_sufficient(spec, grid, candidate, comparison_controls,

@@ -91,3 +91,31 @@ def test_op_times_are_medians_over_untraced_passes():
                              dict.fromkeys(times, "lower"))
     assert [(r["metric"], r["won"]) for r in rows] == [("op base", 1),
                                                        ("op scale_0.8", 0)]
+
+
+def test_checkout_files_keep_untracked_sources_and_drop_ignored(tmp_path):
+    """The checkout's copy holds tracked and untracked files, not what
+    .gitignore names, not a tracked file deleted from the tree, and no
+    .git."""
+    import subprocess
+
+    files = {"src/pkg/mod.py": "x = 1\n", "src/pkg/new.py": "y = 2\n",
+             "src/pkg/__pycache__/mod.cpython-311.pyc": "",
+             "perfbench/out/BENCH_a.json": "{}", "gone.py": "",
+             ".gitignore": "__pycache__/\nperfbench/out/\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    subprocess.run(["git", "-C", str(tmp_path), "add", "src/pkg/mod.py",
+                    "gone.py", ".gitignore"], check=True)
+    (tmp_path / "gone.py").unlink()
+    assert abpairs.checkout_files(tmp_path) == [
+        ".gitignore", "src/pkg/mod.py", "src/pkg/new.py"]
+    into = tmp_path / "copy"
+    into.mkdir()
+    abpairs.copy_checkout(tmp_path, into)
+    assert sorted(str(p.relative_to(into)) for p in into.rglob("*")
+                  if p.is_file()) == [".gitignore", "src/pkg/mod.py",
+                                      "src/pkg/new.py"]
+    assert (into / "src/pkg/new.py").read_text() == "y = 2\n"

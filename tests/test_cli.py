@@ -300,13 +300,13 @@ class TestCheck:
         import delayctrl.cli as cli
 
         ensembles = []
-        solve = cli.solve_first_adjoint
+        prepare = cli.prepare_first_adjoint
 
         def spy(*args, **kwargs):
             ensembles.append(kwargs.get("ensemble"))
-            return solve(*args, **kwargs)
+            return prepare(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "solve_first_adjoint", spy)
+        monkeypatch.setattr(cli, "prepare_first_adjoint", spy)
         cfg = json.loads(json.dumps(BASE_CFG))
         cfg["solver"] = {"mode": "regression"}
         path = tmp_path / "cfg.json"
@@ -561,14 +561,40 @@ class TestExampleParams:
             assert example_params({"problem": problem}) == cls()
 
     def test_problem_section_fallbacks(self):
+        """delta and lambda_avg are the problem section's; a params.delta
+        or params.lambda_avg, which would be overwritten, is refused
+        naming the key to set instead."""
         problem = {"selector": "example_3_5", "rho": 0.2, "delta": 0.5,
-                   "params": {"beta": 0.04, "delta": 9.0, "lambda_avg": 9.0}}
+                   "params": {"beta": 0.04}}
         assert example_params({"problem": problem}) == Example35Params(
             beta=0.04, rho=0.2, delta=0.5, lambda_avg=0.2)
         problem["lambda_avg"] = 0.3
         problem["params"]["rho"] = 0.15
         assert example_params({"problem": problem}) == Example35Params(
             beta=0.04, rho=0.15, delta=0.5, lambda_avg=0.3)
+        for selector in ("example_3_4", "example_3_5"):
+            for key in ("delta", "lambda_avg"):
+                bad = {"selector": selector, "params": {key: 9.0}}
+                with pytest.raises(ConfigError,
+                                   match=f"set problem.{key} instead"):
+                    example_params({"problem": bad})
+
+    def test_params_delta_exits_1(self, tmp_path, capsys):
+        """An Example 3.5 config with params.delta ran on problem.delta
+        and exited 0; it now exits 1 naming problem.delta."""
+        cfg = {"problem": {"selector": "example_3_5",
+                           "params": {"delta": 2.0}, "delta": 1.0},
+               "grid": {"dt": 0.05, "horizon": 3.0}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(path), "--out-dir",
+                       str(out), "--paths", "1",
+                       "--control", "constant:0.1") == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: problem.params.delta is not read; set problem.delta "
+            "instead\n")
+        assert not (out / "manifest.json").exists()
 
 
     def test_decay_falls_back_to_the_simulated_rho(self):

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayctrl import make_grid
+from delayctrl import adjoint, build_problem, make_grid
 from delayctrl.errors import NonFinite
+from delayctrl.examples import (Example35Params, ex35_feedback,
+                                make_ex35_problem)
 from delayctrl.forward import (StepAccumulator, constant_control,
                                simulate_ensemble)
 from delayctrl.hamiltonian import (
@@ -22,6 +24,7 @@ from delayctrl.hamiltonian import (
     maximize_scalar,
     nu_theta_r,
 )
+from delayctrl.forward import simulate_noiseless, update_moving_average
 from delayctrl.model import DiscreteMarks, JumpModel
 from delayctrl.objective import mean_stderr
 
@@ -119,6 +122,83 @@ class TestGradients:
                 0.0, abs=1e-12)
 
 
+def _zero_spec(lambda_avg, delta):
+    """Every coefficient zero, so H and its gradient are H2's
+    moving-average term alone."""
+    return build_problem({"problem": {"selector": "zero", "delta": delta,
+                                      "rho": 0.1, "lambda_avg": lambda_avg}})
+
+
+def _bits(value):
+    return np.asarray(value, float).tobytes()
+
+
+class TestAverageTermForm:
+    """The form of H2's moving-average term that eval_H, grad_H and the
+    second adjoint's right-hand side use, (x - lambda y - e^{-lambda
+    delta} a) p2, pinned bitwise.  It reads y and a the other way round
+    from the drift of the simulated A, x - lambda a - e^{-lambda delta} y
+    (``TestItoResidual``); a change to it is one edit of
+    ``hamiltonian._average_coefficients``, which these show."""
+
+    RATES = [(0.1, 1.0), (0.37, 0.5), (2.0, 3.0)]
+    X = np.array([2.0, -0.3, 1e-3, 7.5])
+    Y = np.array([1.0, 0.9, -2.0, 3.3])
+    A = np.array([0.5, 1.7, 0.25, -4.0])
+
+    @pytest.mark.parametrize("lam, delta", RATES)
+    def test_eval_H(self, lam, delta):
+        spec = _zero_spec(lam, delta)
+        expected = self.X - lam * self.Y - np.exp(-lam * delta) * self.A
+        for x, y, a, want in [(self.X, self.Y, self.A, expected),
+                              (2.0, 1.0, 0.5, expected[0])]:
+            args = HamArgs(t=0.0, x=x, y=y, a=a, u=0.0, p=1.3, q=0.7, p2=1.0)
+            diff = (eval_H(spec, args)
+                    - eval_H(spec, dataclasses.replace(args, p2=0.0)))
+            assert _bits(diff) == _bits(want)
+
+    @pytest.mark.parametrize("lam, delta", RATES)
+    def test_grad_H(self, lam, delta):
+        spec = _zero_spec(lam, delta)
+        partials = {"x": 1.0, "y": -lam, "a": -np.exp(-lam * delta), "u": 0.0}
+        args = HamArgs(t=0.0, x=self.X, y=self.Y, a=self.A, u=0.0, p=1.3,
+                       q=0.7, p2=1.0)
+        for which, want in partials.items():
+            coef = (grad_H(spec, args, which)
+                    - grad_H(spec, dataclasses.replace(args, p2=0.0), which))
+            assert _bits(coef) == _bits(np.full(4, want))
+
+    @pytest.mark.parametrize("lambda_avg", [0.1, 0.25])
+    def test_second_adjoint_rhs(self, lambda_avg):
+        """The solve is bitwise backward Heun on -(f_x + b_x p1 + p2),
+        -(f_y + b_y p1 - lambda p2), -(f_a + b_a p1 - e^{-lambda delta} p2)
+        along the noiseless path, with p1, p2 and p3 away from zero at
+        t = 0 (alpha is not the matched one, which makes p3 vanish)."""
+        params = Example35Params(sigma0=0.0, lambda_avg=lambda_avg, alpha=0.2)
+        spec = make_ex35_problem(params)
+        control = ex35_feedback(params, 3.0)
+        grid = make_grid(1.0, 0.05, 5.0)
+        rec = simulate_noiseless(spec, grid, control)
+        P = adjoint._coefficient_partial_arrays(
+            spec, grid, {"X": rec.X, "Y": rec.Y, "A": rec.A, "u": rec.u})
+        lam, e_ld = spec.lambda_avg, np.exp(-spec.lambda_avg * spec.delta)
+
+        def rhs(k, p):
+            p1, p2, _ = p
+            return np.array([-(P["f_x"][k] + P["b_x"][k] * p1 + p2),
+                             -(P["f_y"][k] + P["b_y"][k] * p1 - lam * p2),
+                             -(P["f_a"][k] + P["b_a"][k] * p1 - e_ld * p2)])
+
+        p, ref = np.zeros(3), np.zeros((grid.n + 1, 3))
+        for k in range(grid.n - 1, -1, -1):
+            g1 = rhs(k + 1, p)
+            p = p - 0.5 * grid.dt * (g1 + rhs(k, p - grid.dt * g1))
+            ref[k] = p
+        res = adjoint.solve_second_adjoint(spec, grid, control)
+        assert _bits(np.column_stack([res.p1, res.p2, res.p3])) == _bits(ref)
+        assert np.all(np.abs(ref[0]) > 0.1)
+
+
 class TestMaximization:
     def test_quadratic_argmax(self):
         u, v = maximize_scalar(lambda u: -(u - 0.37) ** 2, 0.0, 1.0)
@@ -189,6 +269,44 @@ class TestItoResidual:
         assert se == 0.0
         # O(dt^2) trapezoid bias only; shrinks to ~1e-10 at dt = 1e-3
         assert abs(mean) < 1e-7
+
+
+    @staticmethod
+    def _drift_errors(dt, rho=0.3, delta=1.0, horizon=2.0):
+        """Largest gap over the grid between dA/dt, the forward difference
+        of the A that ``update_moving_average`` steps along the smooth
+        path X(t) = 1 + 0.5 sin 2t, and the Ito residual's drift at the
+        left point, read from one step of its accumulator with F = a."""
+        spec = _zero_spec(rho, delta)
+        grid = make_grid(delta, dt, horizon)
+        m, n = grid.m, grid.n
+        X = 1.0 + 0.5 * np.sin(2.0 * dt * np.arange(-m, n + 1))
+        # A_0 is the trapezoid integral of the initial segment, which the
+        # recursion carries on
+        w = np.full(m + 1, dt)
+        w[[0, -1]] *= 0.5
+        A = [np.sum(w * np.exp(-rho * dt * np.arange(m, -1, -1)) * X[: m + 1])]
+        for k in range(n):
+            A.append(update_moving_average(A[-1], X[k: k + m + 2], dt, rho))
+        A = np.array(A)
+        acc = _ItoResidualAccumulator(ItoTestFunction(
+            F=lambda t, x, a: np.asarray(a, float),
+            F_t=lambda t, x, a: np.zeros_like(x),
+            F_x=lambda t, x, a: np.zeros_like(x),
+            F_xx=lambda t, x, a: np.zeros_like(x),
+            F_a=lambda t, x, a: np.ones_like(x)))
+        st = acc.begin(n, spec, grid)
+        acc.step(st, 0, {"t": 0.0, "x": X[m: m + n], "y": X[:n],
+                         "a": A[:-1], "b": 0.0, "sigma": 0.0})
+        return np.max(np.abs(np.diff(A) / dt - st["I"] / dt))
+
+    def test_drift_is_the_simulated_average(self):
+        """The Ito residual's drift x - lambda a - e^{-lambda delta} y is
+        dA/dt of the simulated A, to first order in dt: halving dt halves
+        the gap."""
+        coarse, fine = self._drift_errors(0.02), self._drift_errors(0.01)
+        assert coarse < 0.02
+        assert 0.45 < fine / coarse < 0.55
 
 
 class _CallbackIto(_ItoResidualAccumulator):
